@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import secrets
 import sys
 import time
@@ -124,10 +123,6 @@ def _jsonable(x):
     return str(x)
 
 
-def _mask_json(mask: int) -> str:
-    return format_subset(mask)
-
-
 @dataclass
 class RunConfig:
     subcommand: str
@@ -211,7 +206,7 @@ def emit_report(rep: Report, fmt: Optional[str] = None) -> bytes:
 
 def _embedding_payload(emb) -> dict:
     if emb.kind == "masks":
-        images = [_mask_json(m) for m in emb.images]
+        images = [format_subset(m) for m in emb.images]
     else:
         images = list(emb.images)
     return {
@@ -234,8 +229,8 @@ def _handle_lubell(cfg: RunConfig):
             else parse_subset_literal(top_text, fam.n)
         )
         results["interval"] = {
-            "bottom": _mask_json(bottom),
-            "top": _mask_json(top),
+            "bottom": format_subset(bottom),
+            "top": format_subset(top),
             "relative_mass": relative_lubell(fam, bottom, top),
         }
     return results, [], EXIT_OK
@@ -249,12 +244,12 @@ def _handle_pivots(cfg: RunConfig):
     ps = (enumerate_anti_pivots if anti else enumerate_pivots)(fam, base, r)
     results = {
         "n": fam.n,
-        "base": _mask_json(base),
+        "base": format_subset(base),
         "r": r,
         "kind": ps.kind,
         "count": len(ps.pivots),
         "pivots": [
-            {"moved": _mask_json(x), "witness": _mask_json(ps.witness_of[x])}
+            {"moved": format_subset(x), "witness": format_subset(ps.witness_of[x])}
             for x in ps.pivots
         ],
     }
@@ -325,8 +320,8 @@ def _trace_payload(trace) -> dict:
                 "case": s.case,
                 "a": s.a,
                 "b": s.b,
-                "A": _mask_json(s.A),
-                "B": _mask_json(s.B),
+                "A": format_subset(s.A),
+                "B": format_subset(s.B),
                 "family_size": s.family_size,
                 "stratum_r": s.stratum_r,
                 "stratum_size": len(s.stratum),
@@ -404,7 +399,7 @@ def _handle_extremal(cfg: RunConfig):
         "value": res.value,
         "exact": res.exact,
         "nodes": res.nodes,
-        "family": [_mask_json(m) for m in res.family.members],
+        "family": [format_subset(m) for m in res.family.members],
         "csv_header": ["n", "value", "nodes", "time"],
         "csv_rows": [[res.n, res.value, res.nodes, wall]],
     }
@@ -565,9 +560,6 @@ def _check_seed_policy(cfg: RunConfig) -> None:
 
 def run(cfg: RunConfig) -> Report:
     """Dispatch a parsed configuration and assemble the report."""
-    if os.environ.get("PT_THREADS", "1") != "1":
-        # Deterministic merges only: internal parallelism is capped.
-        os.environ["PT_THREADS"] = "1"
     _check_seed_policy(cfg)
     if cfg.subcommand not in _HANDLERS:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")

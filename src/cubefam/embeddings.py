@@ -10,11 +10,10 @@ one vertex from every missing subset it contains, and shrink.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,8 +21,9 @@ from .errors import CertificationError, PreconditionError, SearchBudgetExceeded
 from .families import (
     MAX_GROUND,
     SetFamily,
-    mask_elements,
+    expand_mask,
     mask_size,
+    submasks_of_size,
 )
 from .posets import (
     CUBE_DIM_CAP,
@@ -140,25 +140,15 @@ def bernoulli_subset_mask(rng: np.random.Generator, n: int, p: float) -> int:
     return mask
 
 
-def _subsets_below(mask: int, m: int) -> Iterable[int]:
-    """Sub-masks of ``mask`` with at most m bits, by size then element order."""
-    bits = [1 << e for e in range(mask.bit_length()) if mask & (1 << e)]
-    for size in range(min(m, len(bits)) + 1):
-        for combo in itertools.combinations(bits, size):
-            sub = 0
-            for b in combo:
-                sub |= b
-            yield sub
-
-
 def _certify_cube_copy(fam: DenseTruncatedFamily, x_mask: int, m: int) -> None:
     full = (1 << fam.n) - 1
-    for sub in _subsets_below(x_mask, m):
-        member = sub if fam.orientation == "up" else full ^ sub
-        if member not in fam.present:
-            raise CertificationError(
-                f"cube certificate broken: {member:#x} missing from family"
-            )
+    for size in range(m + 1):
+        for sub in submasks_of_size(x_mask, size):
+            member = sub if fam.orientation == "up" else full ^ sub
+            if member not in fam.present:
+                raise CertificationError(
+                    f"cube certificate broken: {member:#x} missing from family"
+                )
 
 
 def randomized_cube_embed(
@@ -200,7 +190,12 @@ def randomized_cube_embed(
     for attempt in range(max_attempts):
         rng = np.random.Generator(base.jumped(attempt))
         x_mask = bernoulli_subset_mask(rng, n, p)
-        bad = [sub for sub in _subsets_below(x_mask, m) if sub not in up.present]
+        bad = [
+            sub
+            for size in range(m + 1)
+            for sub in submasks_of_size(x_mask, size)
+            if sub not in up.present
+        ]
         for sub in bad:
             if sub & x_mask == sub:    # still intact; drop its smallest element
                 x_mask ^= sub & -sub
@@ -214,24 +209,6 @@ def randomized_cube_embed(
         _certify_cube_copy(fam, shrunk, m)
         return CubeEmbedResult(shrunk, "ok", attempt + 1, seed)
     return CubeEmbedResult(None, "exhausted", max_attempts, seed)
-
-
-def _upper_cube_poset(k: int) -> FinitePoset:
-    """Nonempty subsets of [k] under strict inclusion; element i is mask i+1."""
-    pairs = []
-    for s in range(1, 1 << k):
-        for t in range(1, 1 << k):
-            if s != t and s & t == s:
-                pairs.append((s - 1, t - 1))
-    return FinitePoset((1 << k) - 1, pairs)
-
-
-def _expand_onto(bits: list, small_mask: int) -> int:
-    out = 0
-    for j in range(small_mask.bit_length()):
-        if small_mask & (1 << j):
-            out |= 1 << bits[j]
-    return out
 
 
 def find_pattern_via_universality(
@@ -286,9 +263,7 @@ def find_pattern_via_universality(
             if stats is not None:
                 stats["attempts_used"] += res.attempts_used
             if res.mask is not None:
-                bits = mask_elements(res.mask)
-                bits = [e - 1 for e in bits]
-                return certified(tuple(_expand_onto(bits, s) for s in psi))
+                return certified(tuple(expand_mask(s, res.mask) for s in psi))
         cosmall = frozenset(full ^ a for a in members if mask_size(a) >= n - k)
         dtf = DenseTruncatedFamily(n, k, "up", cosmall)
         if dense_class_check(dtf, universality_epsilon(k)):
@@ -296,18 +271,15 @@ def find_pattern_via_universality(
             if stats is not None:
                 stats["attempts_used"] += res.attempts_used
             if res.mask is not None:
-                bits = [e - 1 for e in mask_elements(res.mask)]
                 dual_psi = downset_embedding(pattern.dual()).images
-                return certified(
-                    tuple(full ^ _expand_onto(bits, s) for s in dual_psi)
-                )
+                return certified(tuple(full ^ expand_mask(s, res.mask) for s in dual_psi))
 
     # Oracle route: search for the nonempty cube part, then compose.
     host_poset = family_as_poset(host_fam)
     if k <= CUBE_DIM_CAP:
         try:
             emb = contains_subposet(
-                host_poset, _upper_cube_poset(k), "induced", node_budget
+                host_poset, family_as_poset(range(1, 1 << k)), "induced", node_budget
             )
         except SearchBudgetExceeded:
             emb = None

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .concentration import concentration_constants, fat_mass_bound
+from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_bound
 from .embeddings import (
     DEFAULT_EMBED_ATTEMPTS,
     CubeEmbedResult,
@@ -40,7 +40,14 @@ from .embeddings import (
     universality_epsilon,
 )
 from .errors import CertificationError, PreconditionError
-from .families import SetFamily, lubell_mass, mask_elements, mask_size
+from .families import (
+    SetFamily,
+    compress_mask,
+    expand_mask,
+    lubell_mass,
+    mask_elements,
+    mask_size,
+)
 from .pivots import (
     FatnessQuery,
     PivotSet,
@@ -53,7 +60,6 @@ from .posets import EmbeddingMap, FinitePoset, verify_embedding_masks
 
 _SOS_BIT_CAP = 20          # ground sizes up to this use the subset-sum tables
 _PAIRWISE_CAP = 2000       # full pairwise certification below this, sampled above
-_MP_DPS = 60
 
 STATUS_OK = "ok"
 STATUS_NO_MASS = "insufficient mass"
@@ -65,12 +71,6 @@ STATUS_EXHAUSTED = "embed exhausted"
 
 CASE_FLEX = "up"           # a-increment: new top boundary, pivot stratum
 CASE_ANTI = "down"         # b-increment: new bottom boundary, anti-pivot stratum
-
-
-def _mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
 
 
 def _mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
@@ -101,19 +101,10 @@ class _DownMassIndex:
     def __init__(self, shifted: Sequence[int], universe: int):
         self.universe = universe
         self.members = list(shifted)
-        self.bits = [e - 1 for e in mask_elements(universe)]
-        self.u = len(self.bits)
+        self.u = mask_size(universe)
         self.tables: Optional[list] = None
         if self.u <= _SOS_BIT_CAP:
-            pos = {p: i for i, p in enumerate(self.bits)}
-            comp = []
-            for f in self.members:
-                c = 0
-                for e in mask_elements(f):
-                    c |= 1 << pos[e - 1]
-                comp.append(c)
-            self._compressed = comp
-            self._pos = pos
+            comp = [compress_mask(f, universe) for f in self.members]
             max_size = max((mask_size(f) for f in self.members), default=0)
             tables = []
             for s in range(max_size + 1):
@@ -127,17 +118,11 @@ class _DownMassIndex:
                 tables.append(arr)
             self.tables = tables
 
-    def compress(self, mask: int) -> int:
-        c = 0
-        for e in mask_elements(mask):
-            c |= 1 << self._pos[e - 1]
-        return c
-
     def mass_below(self, A: int) -> Fraction:
         """The relative mass of the family inside the interval below A."""
         a = mask_size(A)
         if self.tables is not None:
-            c = self.compress(A)
+            c = compress_mask(A, self.universe)
             total = Fraction(0)
             for s in range(min(a, len(self.tables) - 1) + 1):
                 cnt = int(self.tables[s][c])
@@ -756,22 +741,6 @@ class ExtractionResult:
     detail: str = ""
 
 
-def _compress_onto(bits: list, mask: int) -> int:
-    out = 0
-    for i, p in enumerate(bits):
-        if mask >> p & 1:
-            out |= 1 << i
-    return out
-
-
-def _expand_from(bits: list, small: int) -> int:
-    out = 0
-    for i, p in enumerate(bits):
-        if small >> i & 1:
-            out |= 1 << p
-    return out
-
-
 def extract_induced_copy(
     fam: SetFamily,
     pattern: FinitePoset,
@@ -808,13 +777,10 @@ def extract_induced_copy(
         return ExtractionResult(assembly.status, cascade.mode, None, trace, assembly, None)
 
     X = assembly.X
-    bits = [e - 1 for e in mask_elements(X)]
-    u = len(bits)
-    compressed = {
-        k: frozenset(_compress_onto(bits, x) for x in xs)
-        for k, xs in assembly.levels.items()
-    }
-    present = frozenset(c for xs in compressed.values() for c in xs)
+    u = mask_size(X)
+    present = frozenset(
+        compress_mask(x, X) for xs in assembly.levels.values() for x in xs
+    )
     if assembly.branch == CASE_FLEX:
         full_u = (1 << u) - 1
         dtf = DenseTruncatedFamily(u, m, "down", frozenset(full_u ^ c for c in present))
@@ -833,15 +799,14 @@ def extract_induced_copy(
     if res.mask is None:
         return ExtractionResult(STATUS_EXHAUSTED, cascade.mode, None, trace, assembly, res)
 
-    cube_bits = [e - 1 for e in mask_elements(res.mask)]
     psi_ds = downset_embedding(pattern).images
     x_prime = res.mask
     images = []
     for e in range(m):
-        s = _expand_from(cube_bits, psi_ds[e])
+        s = expand_mask(psi_ds[e], x_prime)
         if assembly.branch == CASE_FLEX:
             s = x_prime ^ s           # complement within the located cube
-        v = _expand_from(bits, s)
+        v = expand_mask(s, X)
         w = assembly.psi.get(v)
         if w is None:
             raise CertificationError("located cube left the certified strata")

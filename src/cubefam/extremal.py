@@ -24,7 +24,6 @@ from .errors import CertificationError, PreconditionError
 from .families import SetFamily, lubell_mass, mask_size
 from .posets import FinitePoset, contains_subposet, family_as_poset, height, make_chain
 
-EXHAUSTIVE_GROUND_CAP = 8      # beyond this the search is best-effort
 _MIDDLE_LAYERS_CAP = 10
 
 
@@ -73,10 +72,7 @@ class _Feasibility:
             return False        # the empty pattern embeds in anything
         if self.chain_k is not None:
             return not self._makes_chain(members, x, self.chain_k)
-        host = FinitePoset(
-            len(members) + 1,
-            _inclusion_pairs(members + [x]),
-        )
+        host = family_as_poset(members + [x])
         return contains_subposet(host, self.pattern, self.mode) is None
 
     @staticmethod
@@ -90,21 +86,11 @@ class _Feasibility:
         return d + _longest_nested(above, need - d) >= need
 
     def certify_free(self, members: list) -> None:
-        host = FinitePoset(len(members), _inclusion_pairs(members))
-        found = contains_subposet(host, self.pattern, self.mode)
+        found = contains_subposet(family_as_poset(members), self.pattern, self.mode)
         if found is not None:
             raise CertificationError(
                 "search returned a family containing the pattern"
             )
-
-
-def _inclusion_pairs(members: list) -> list:
-    pairs = []
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if a != b and a & ~b == 0:
-                pairs.append((i, j))
-    return pairs
 
 
 def _longest_nested(masks: list, stop_at: int) -> int:
@@ -261,7 +247,7 @@ def extremal_search(
 ) -> ExtremalResult:
     """Maximum size (or mass) of a pattern-avoiding family on [n].
 
-    Exhaustive for small n; a budget stop or n beyond the guarantee cap
+    Exhaustive unless the node budget runs out first; a budget stop
     yields a best-found result with ``exact`` cleared, never a silent
     partial answer.
     """
@@ -285,10 +271,7 @@ def extremal_search(
         value = lubell_mass(fam)
         if value != Fraction(best, search.scale):
             raise CertificationError("optimum does not match its certificate family")
-    return ExtremalResult(
-        n, pattern_id, mode, objective, value, fam, nodes, wall,
-        exact and n <= EXHAUSTIVE_GROUND_CAP,
-    )
+    return ExtremalResult(n, pattern_id, mode, objective, value, fam, nodes, wall, exact)
 
 
 def middle_layers_number(pattern: FinitePoset, n: int) -> int:
@@ -305,8 +288,7 @@ def middle_layers_number(pattern: FinitePoset, n: int) -> int:
     first_try = max(1, height(pattern))
     for m in range(first_try, n + 2):
         sizes = set(order[:m])
-        members = [x for x in range(1 << n) if mask_size(x) in sizes]
-        host = FinitePoset(len(members), _inclusion_pairs(members))
+        host = family_as_poset(x for x in range(1 << n) if mask_size(x) in sizes)
         if contains_subposet(host, pattern, "weak") is not None:
             return m - 1
     return n + 1

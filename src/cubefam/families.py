@@ -8,6 +8,7 @@ meaningless in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,14 +53,10 @@ def compress_mask(mask: int, universe: int) -> int:
     bit of ``universe``.
     """
     out = 0
-    i = 0
-    u = universe
-    while u:
-        low = u & -u
-        if mask & low:
-            out |= 1 << i
-        i += 1
-        u ^= low
+    while mask:
+        low = mask & -mask
+        out |= 1 << (universe & (low - 1)).bit_count()
+        mask ^= low
     return out
 
 
@@ -75,6 +72,21 @@ def expand_mask(bits: int, universe: int) -> int:
         i += 1
         u ^= low
     return out
+
+
+def submasks_of_size(mask: int, r: int) -> Iterator[int]:
+    """The r-element sub-masks of ``mask``.
+
+    Yielded in ``itertools.combinations`` order over the ascending bits of
+    ``mask``; randomized cube location depends on this order.
+    """
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    for combo in itertools.combinations(bits, r):
+        yield sum(combo)
 
 
 @dataclass(frozen=True)

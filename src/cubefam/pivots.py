@@ -9,7 +9,6 @@ exhaustive bound search below exploits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .families import (
     lubell_mass,
     mask_elements,
     mask_size,
+    submasks_of_size,
 )
 
 
@@ -57,15 +57,6 @@ class PivotSet:
         ]
 
 
-def _r_subsets(mask: int, r: int) -> Iterable[int]:
-    bits = [1 << e for e in range(mask.bit_length()) if mask & (1 << e)]
-    for combo in itertools.combinations(bits, r):
-        sub = 0
-        for b in combo:
-            sub |= b
-        yield sub
-
-
 def _lex_min(masks: Iterable[int]) -> int:
     return min(masks, key=mask_elements)
 
@@ -85,9 +76,9 @@ def _enumerate(member_set, universe: int, A: int, r: int, anti: bool) -> PivotSe
     moved_pool = outside if anti else A
     other_pool = A if anti else outside
     found = {}
-    for moved in _r_subsets(moved_pool, r):
+    for moved in submasks_of_size(moved_pool, r):
         hits = []
-        for other in _r_subsets(other_pool, r):
+        for other in submasks_of_size(other_pool, r):
             x, y = (other, moved) if anti else (moved, other)
             b = (A & ~x) | y
             if b in member_set:
@@ -186,12 +177,12 @@ def _count_reaches(member_set, universe, A, r, anti, need: int) -> bool:
     outside = universe & ~A
     moved_pool = outside if anti else A
     other_pool = A if anti else outside
-    pool = list(_r_subsets(moved_pool, r))
+    pool = list(submasks_of_size(moved_pool, r))
     count = 0
     for idx, moved in enumerate(pool):
         if count + (len(pool) - idx) < need:
             return False
-        for other in _r_subsets(other_pool, r):
+        for other in submasks_of_size(other_pool, r):
             x, y = (other, moved) if anti else (moved, other)
             if (A & ~x) | y in member_set:
                 count += 1
@@ -264,7 +255,7 @@ def is_fat(q: FatnessQuery) -> bool:
     if len(q.S) < total:
         count = sum(1 for s in q.S if s & ~q.X == 0)
     else:
-        count = sum(1 for t in _r_subsets(q.X, r) if t in q.S)
+        count = sum(1 for t in submasks_of_size(q.X, r) if t in q.S)
     return count >= (1 - eps) * total
 
 
@@ -371,7 +362,7 @@ def max_flexfree_layer(n: int, k: int, gamma, r: int) -> tuple:
         return 0, ()
     thr = _flex_threshold(gamma, k, r)
     limit = -((-thr.numerator) // thr.denominator)    # ceil(thr): forbidden count
-    masks = [m for m in _r_subsets((1 << n) - 1, k)] if k else [0]
+    masks = list(submasks_of_size((1 << n) - 1, k))
     chosen: list = []
     swaps: list = []                                  # parallel: sets of pivot X-masks
     best_count = 0
@@ -457,7 +448,7 @@ def hillclimb_flexfree_mass(
         for k in range(n // 2 + 1):
             thr = _flex_threshold(gamma, k, r)
             limit = -((-thr.numerator) // thr.denominator)
-            pool = [m for m in _r_subsets((1 << n) - 1, k)] if k else [0]
+            pool = list(submasks_of_size((1 << n) - 1, k))
             rng.shuffle(pool)
             layer: list = []
             swaps: dict = {}

@@ -12,7 +12,6 @@ output before returning it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -22,10 +21,8 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceeded,
 )
-from .families import SetFamily, mask_size
 
 CUBE_DIM_CAP = 5
-TRUNCATED_ELEMENT_BUDGET = 1 << 20
 
 
 class FinitePoset:
@@ -173,66 +170,38 @@ def make_cube(m: int, orientation: str = "up") -> FinitePoset:
     _check_orientation(orientation)
     if not 0 <= m <= CUBE_DIM_CAP:
         raise PreconditionError(f"cube dimension must be in [0, {CUBE_DIM_CAP}], got {m}")
-    pairs = []
-    for s in range(1 << m):
-        for t in range(1 << m):
-            if s != t and (s & t) == s:
-                pairs.append((s, t) if orientation == "up" else (t, s))
-    return FinitePoset(1 << m, pairs)
+    cube = family_as_poset(range(1 << m))
+    return cube if orientation == "up" else cube.dual()
 
 
-def make_truncated_cube(n: int, m: int, orientation: str = "up") -> FinitePoset:
-    """All subsets of [n] of size <= m, by inclusion ("up") or reverse ("down").
+def family_as_poset(masks: Iterable[int]) -> FinitePoset:
+    """Distinct masks ordered by strict inclusion; element i is the i-th mask.
 
-    Element order is ascending mask value; ``truncated_cube_elements`` gives
-    the mask of each element index.
+    A ``SetFamily`` iterates its members in ascending order.  Inclusion is
+    transitive by construction, so the rows are filled directly and
+    ``FinitePoset``'s validation is skipped.
     """
-    _check_orientation(orientation)
-    if not 0 <= m <= n:
-        raise PreconditionError(f"need 0 <= m <= n, got m={m}, n={n}")
-    count = sum(math.comb(n, i) for i in range(m + 1))
-    if count > TRUNCATED_ELEMENT_BUDGET:
-        raise PreconditionError(
-            f"{count} elements exceed the {TRUNCATED_ELEMENT_BUDGET} element budget"
-        )
-    elements = truncated_cube_elements(n, m)
-    index = {mask: i for i, mask in enumerate(elements)}
-    pairs = []
-    for s in elements:
-        for t in elements:
-            if s != t and (s & t) == s:
-                pairs.append((index[s], index[t]) if orientation == "up" else (index[t], index[s]))
-    return FinitePoset(count, pairs)
-
-
-def truncated_cube_elements(n: int, m: int) -> list[int]:
-    return [mask for mask in range(1 << n) if mask_size(mask) <= m]
-
-
-def family_as_poset(fam: SetFamily) -> FinitePoset:
-    """The members of ``fam`` ordered by inclusion; element i is fam.members[i]."""
-    members = fam.members
-    pairs = []
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            if a != b and (a & b) == a:
-                pairs.append((i, j))
-    return FinitePoset(len(members), pairs)
+    masks = list(masks)
+    k = len(masks)
+    above = [0] * k
+    below = [0] * k
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a & b == a and a != b:
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    host = object.__new__(FinitePoset)
+    object.__setattr__(host, "k", k)
+    object.__setattr__(host, "above", tuple(above))
+    object.__setattr__(host, "below", tuple(below))
+    return host
 
 
 def height(p: FinitePoset) -> int:
     """Size of the largest chain (counted in elements)."""
     if p.k == 0:
         return 0
-    memo = [0] * p.k
-
-    order = sorted(range(p.k), key=lambda i: p.below[i].bit_count())
-    for i in order:
-        best = 0
-        for j in _bits(p.below[i]):
-            best = max(best, memo[j])
-        memo[i] = best + 1
-    return max(memo)
+    return 1 + max(_chain_room(p, use_below=True))
 
 
 @dataclass(frozen=True)
@@ -382,20 +351,11 @@ def contains_subposet(
 def _chain_room(p: FinitePoset, use_below: bool) -> list[int]:
     """For each element, the largest chain strictly below (or above) it."""
     rel = p.below if use_below else p.above
-    memo = [-1] * p.k
-
-    def go(i: int) -> int:
-        if memo[i] >= 0:
-            return memo[i]
-        best = 0
-        for j in _bits(rel[i]):
-            best = max(best, go(j) + 1)
-        memo[i] = best
-        return best
-
-    for i in range(p.k):
-        go(i)
-    return memo
+    room = [0] * p.k
+    # Everything strictly below (above) i has a smaller row than i does.
+    for i in sorted(range(p.k), key=lambda i: rel[i].bit_count()):
+        room[i] = max((room[j] + 1 for j in _bits(rel[i])), default=0)
+    return room
 
 
 def enumerate_posets(k: int) -> list[FinitePoset]:

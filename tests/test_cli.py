@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: exit codes, JSON reports, replay."""
 
 import json
-import os
 
 import pytest
 
@@ -287,12 +286,6 @@ class TestOutputHandling:
         assert capsys.readouterr().out == ""
         payload = json.loads(dest.read_text())
         assert payload["results"]["mass"] == "3/1"
-
-    def test_thread_clamp(self, capsys, fam_file, monkeypatch):
-        monkeypatch.setenv("PT_THREADS", "8")
-        path = fam_file(full_power_set(2))
-        assert main(["lubell", "--family", path]) == 0
-        assert os.environ["PT_THREADS"] == "1"
 
 
 class TestBuiltinPatterns:

@@ -117,10 +117,10 @@ class TestSearchControls:
         r = extremal_search(4, make_chain(2), "weak", "cardinality", budget=10**6)
         assert r.exact and r.value == 6
 
-    def test_large_ground_flagged_inexact(self):
+    def test_large_ground_is_exact(self):
         r = extremal_search(9, make_chain(2), "weak", "cardinality")
+        assert r.exact
         assert r.value == math.comb(9, 4)
-        assert not r.exact
 
     def test_input_validation(self):
         with pytest.raises(PreconditionError):

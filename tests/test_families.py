@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from cubefam.families import (
     relative_lubell,
     restrict_interval,
     split_half,
+    submasks_of_size,
 )
 
 from conftest import random_family
@@ -89,8 +91,20 @@ def test_compress_expand_inverse():
         universe = rng.randrange(1 << 12)
         sub = universe & rng.randrange(1 << 12)
         bits = compress_mask(sub, universe)
+        positions = [p for p in range(12) if universe >> p & 1]
+        assert bits == sum(1 << i for i, p in enumerate(positions) if sub >> p & 1)
         assert expand_mask(bits, universe) == sub
         assert bits < (1 << mask_size(universe))
+
+
+def test_submasks_of_size_follow_combinations_order():
+    rng = random.Random(89)
+    for _ in range(50):
+        mask = rng.randrange(1 << 10)
+        low_bits = [1 << p for p in range(10) if mask >> p & 1]
+        for r in range(len(low_bits) + 2):
+            want = [sum(c) for c in itertools.combinations(low_bits, r)]
+            assert list(submasks_of_size(mask, r)) == want
 
 
 def test_complement_is_an_involution():

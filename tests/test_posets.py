@@ -15,7 +15,6 @@ from cubefam.posets import (
     height,
     make_chain,
     make_cube,
-    make_truncated_cube,
     make_v,
     parse_poset,
     verify_embedding_indices,
@@ -73,12 +72,6 @@ class TestFinitePosetBasics:
         with pytest.raises(PreconditionError):
             make_cube(2, "sideways")
 
-    def test_truncated_cube(self):
-        t = make_truncated_cube(4, 2)
-        # ranks 0..2 of P[4]: 1 + 4 + 6 elements
-        assert t.k == 11
-        assert height(t) == 3
-
 
 def test_canonical_key_is_relabeling_invariant():
     rng = random.Random(11)
@@ -104,6 +97,31 @@ def test_family_as_poset_matches_inclusion():
     assert p.lt(0, 1)          # {1} < {1,2}
     assert not p.comparable(0, 2)   # {1} vs {3}
     assert p.lt(2, 3)
+
+
+def test_family_as_poset_equals_validated_poset():
+    """The direct row builder agrees with FinitePoset's validated pairs."""
+    rng = random.Random(515)
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        masks = rng.sample(range(1 << n), rng.randint(0, min(20, 1 << n)))
+        rng.shuffle(masks)
+        k = len(masks)
+        pairs = [
+            (i, j) for i in range(k) for j in range(k)
+            if i != j and masks[i] & ~masks[j] == 0
+        ]
+        got = family_as_poset(masks)
+        want = FinitePoset(k, pairs)
+        assert got.k == k
+        assert got.above == want.above and got.below == want.below
+
+
+def test_long_chain_search_needs_no_recursion():
+    chain = make_chain(1100)
+    assert height(chain) == 1100
+    emb = contains_subposet(chain, make_chain(2), "weak")
+    assert emb is not None and chain.lt(*emb.images)
 
 
 def test_contains_subposet_against_brute_force():
