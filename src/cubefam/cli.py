@@ -418,6 +418,33 @@ def _handle_middle_layers(cfg: RunConfig):
     )
 
 
+def _monte_carlo_payload(lemma: str, rep) -> dict:
+    return {
+        "lemma": lemma,
+        "params": dict(rep.params),
+        "trials": rep.trials,
+        "seed": rep.seed,
+        "empirical": rep.empirical,
+        "bound": rep.bound,
+        "margin": rep.margin,
+        "verdict": rep.verdict,
+    }
+
+
+def _mass_bound_payload(lemma: str, params: dict, rep) -> dict:
+    return {
+        "lemma": lemma,
+        "params": params,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "detail": rep.detail,
+        "empirical": rep.mass,
+        "bound": rep.bound,
+        "verdict": "pass" if rep.satisfied else (
+            "hypothesis-failed" if not rep.hypothesis_ok else "fail"
+        ),
+    }
+
+
 def _handle_verify_lemma(cfg: RunConfig):
     lemma = cfg.params["lemma"]
     if lemma == "tail":
@@ -426,17 +453,7 @@ def _handle_verify_lemma(cfg: RunConfig):
             Fraction(cfg.params["t"]), cfg.params.get("trials") or 100_000,
             cfg.seed or 0,
         )
-        results = {
-            "lemma": "tail",
-            "params": dict(rep.params),
-            "trials": rep.trials,
-            "seed": rep.seed,
-            "empirical": rep.empirical,
-            "bound": rep.bound,
-            "margin": rep.margin,
-            "verdict": rep.verdict,
-        }
-        return results, [], EXIT_OK
+        return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "trace":
         tset_path = cfg.params.get("tset")
         if tset_path:
@@ -449,54 +466,23 @@ def _handle_verify_lemma(cfg: RunConfig):
             Fraction(cfg.params["eps"]), tset,
             cfg.params.get("trials") or 100_000, cfg.seed or 0,
         )
-        results = {
-            "lemma": "trace",
-            "params": dict(rep.params),
-            "trials": rep.trials,
-            "seed": rep.seed,
-            "empirical": rep.empirical,
-            "bound": rep.bound,
-            "margin": rep.margin,
-            "verdict": rep.verdict,
-        }
-        return results, [], EXIT_OK
+        return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "flexbound":
         from .pivots import verify_flexibility_bound
 
         fam = read_family(cfg.params["family"])
-        rep = verify_flexibility_bound(
-            fam, Fraction(cfg.params["gamma"]), cfg.params["r"]
-        )
-        results = {
-            "lemma": "flexbound",
-            "params": {"gamma": Fraction(cfg.params["gamma"]), "r": cfg.params["r"]},
-            "hypothesis_ok": rep.hypothesis_ok,
-            "detail": rep.detail,
-            "empirical": rep.mass,
-            "bound": rep.bound,
-            "verdict": "pass" if rep.satisfied else (
-                "hypothesis-failed" if not rep.hypothesis_ok else "fail"
-            ),
-        }
-        return results, [], EXIT_OK
+        gamma = Fraction(cfg.params["gamma"])
+        rep = verify_flexibility_bound(fam, gamma, cfg.params["r"])
+        params = {"gamma": gamma, "r": cfg.params["r"]}
+        return _mass_bound_payload(lemma, params, rep), [], EXIT_OK
     if lemma == "fatbound":
         from .pivots import verify_fat_mass_bound
 
         fam = read_family(cfg.params["family"])
         sset = set(read_family(cfg.params["sset"]).members)
-        rep = verify_fat_mass_bound(fam, sset, Fraction(cfg.params["eps"]))
-        results = {
-            "lemma": "fatbound",
-            "params": {"eps": Fraction(cfg.params["eps"])},
-            "hypothesis_ok": rep.hypothesis_ok,
-            "detail": rep.detail,
-            "empirical": rep.mass,
-            "bound": rep.bound,
-            "verdict": "pass" if rep.satisfied else (
-                "hypothesis-failed" if not rep.hypothesis_ok else "fail"
-            ),
-        }
-        return results, [], EXIT_OK
+        eps = Fraction(cfg.params["eps"])
+        rep = verify_fat_mass_bound(fam, sset, eps)
+        return _mass_bound_payload(lemma, {"eps": eps}, rep), [], EXIT_OK
     raise ParseError(f"unknown lemma {lemma!r}")
 
 

@@ -29,10 +29,6 @@ _MP_DPS = 60
 _GUARD = "1e-30"
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _mpf(x) -> mp.mpf:
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
@@ -130,7 +126,7 @@ def verify_tail_bound(
         )
     subs = sample_uniform_subsets(n, m, trials, seed)
     z = (subs < k).sum(axis=1)
-    z_min = _ceil_fraction(Fraction(k * m, n) + Fraction(t))
+    z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
     hits = int((z >= z_min).sum())
     empirical = hits / trials
     margin = _three_sigma(bound, trials)
@@ -294,7 +290,7 @@ def verify_trace_probability(
         )
 
     thr = Fraction(eps) * math.comb(m, r)
-    count_min = thr.numerator // thr.denominator + 1  # least integer > thr
+    count_min = math.floor(thr) + 1  # least integer > thr
     t_idx = np.array(
         [_mask_to_indices(mask, n) for mask in t_list], dtype=np.int64
     ).reshape(len(t_list), r)

@@ -40,7 +40,7 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class DenseTruncatedFamily:
-    """Subsets of [n] of size <= m ("up") or >= n-m ("down"), with gaps.
+    """Subsets of [n] of size <= m, with gaps.
 
     ``present`` holds the member masks.  The class-membership test at
     tolerance eps is ``dense_class_check``: every layer within the
@@ -49,7 +49,6 @@ class DenseTruncatedFamily:
 
     n: int
     m: int
-    orientation: str
     present: frozenset
 
     def __post_init__(self):
@@ -57,32 +56,16 @@ class DenseTruncatedFamily:
             raise PreconditionError(
                 f"need 0 <= m <= n <= {MAX_GROUND}, got m={self.m}, n={self.n}"
             )
-        if self.orientation not in ("up", "down"):
-            raise PreconditionError(f"orientation must be 'up' or 'down'")
         full = (1 << self.n) - 1
         for mask in self.present:
             if mask & ~full:
                 raise PreconditionError(f"mask {mask:#x} leaves the ground set")
             size = mask_size(mask)
-            if self.orientation == "up" and size > self.m:
+            if size > self.m:
                 raise PreconditionError(f"mask of size {size} above truncation {self.m}")
-            if self.orientation == "down" and size < self.n - self.m:
-                raise PreconditionError(f"mask of size {size} below co-truncation")
-
-    @classmethod
-    def from_family(cls, fam: SetFamily, m: int, orientation: str = "up"):
-        return cls(fam.ground.n, m, orientation, frozenset(fam.members))
 
     def layer_count(self, size: int) -> int:
         return sum(1 for mask in self.present if mask_size(mask) == size)
-
-    def complemented(self) -> "DenseTruncatedFamily":
-        """The elementwise-complement family, with orientation flipped."""
-        full = (1 << self.n) - 1
-        flipped = "down" if self.orientation == "up" else "up"
-        return DenseTruncatedFamily(
-            self.n, self.m, flipped, frozenset(full ^ mask for mask in self.present)
-        )
 
 
 def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
@@ -91,8 +74,7 @@ def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
     if not 0 < eps <= 1:
         raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
     for i in range(fam.m + 1):
-        size = i if fam.orientation == "up" else fam.n - i
-        if fam.layer_count(size) < (1 - eps) * math.comb(fam.n, i):
+        if fam.layer_count(i) < (1 - eps) * math.comb(fam.n, i):
             return False
     return True
 
@@ -141,13 +123,11 @@ def bernoulli_subset_mask(rng: np.random.Generator, n: int, p: float) -> int:
 
 
 def _certify_cube_copy(fam: DenseTruncatedFamily, x_mask: int, m: int) -> None:
-    full = (1 << fam.n) - 1
     for size in range(m + 1):
         for sub in submasks_of_size(x_mask, size):
-            member = sub if fam.orientation == "up" else full ^ sub
-            if member not in fam.present:
+            if sub not in fam.present:
                 raise CertificationError(
-                    f"cube certificate broken: {member:#x} missing from family"
+                    f"cube certificate broken: {sub:#x} missing from family"
                 )
 
 
@@ -159,13 +139,12 @@ def randomized_cube_embed(
 ) -> CubeEmbedResult:
     """Find an m-subset X of [n] all of whose small subsets lie in ``fam``.
 
-    For an "up" family the guarantee is S in fam for every S subseteq X
-    with |S| <= m; for a "down" family it is [n]\\S in fam.  Per attempt:
-    draw each element with probability 2m/n, delete the smallest element
-    of each missing subset still contained (missing subsets processed by
-    size, then element order), then keep the m smallest surviving
-    elements.  Attempts use independent counter-based streams jumped off
-    ``seed``, so results are reproducible.
+    The guarantee is S in fam for every S subseteq X with |S| <= m.  Per
+    attempt: draw each element with probability 2m/n, delete the smallest
+    element of each missing subset still contained (missing subsets
+    processed by size, then element order), then keep the m smallest
+    surviving elements.  Attempts use independent counter-based streams
+    jumped off ``seed``, so results are reproducible.
 
     Raises PreconditionError when the family is too sparse or n < 2m --
     deliberately distinct from running out of attempts, which returns an
@@ -182,7 +161,6 @@ def randomized_cube_embed(
     if max_attempts < 1:
         raise PreconditionError("need at least one attempt")
 
-    up = fam if fam.orientation == "up" else fam.complemented()
     n = fam.n
     p = 2 * m / n
     base = np.random.Philox(key=seed)
@@ -194,7 +172,7 @@ def randomized_cube_embed(
             sub
             for size in range(m + 1)
             for sub in submasks_of_size(x_mask, size)
-            if sub not in up.present
+            if sub not in fam.present
         ]
         for sub in bad:
             if sub & x_mask == sub:    # still intact; drop its smallest element
@@ -257,7 +235,7 @@ def find_pattern_via_universality(
     # subsets (then locate the dual pattern in the complement and flip).
     if n >= 2 * k:
         small = frozenset(a for a in members if mask_size(a) <= k)
-        dtf = DenseTruncatedFamily(n, k, "up", small)
+        dtf = DenseTruncatedFamily(n, k, small)
         if dense_class_check(dtf, universality_epsilon(k)):
             res = randomized_cube_embed(dtf, k, seed, attempts)
             if stats is not None:
@@ -265,7 +243,7 @@ def find_pattern_via_universality(
             if res.mask is not None:
                 return certified(tuple(expand_mask(s, res.mask) for s in psi))
         cosmall = frozenset(full ^ a for a in members if mask_size(a) >= n - k)
-        dtf = DenseTruncatedFamily(n, k, "up", cosmall)
+        dtf = DenseTruncatedFamily(n, k, cosmall)
         if dense_class_check(dtf, universality_epsilon(k)):
             res = randomized_cube_embed(dtf, k, seed, attempts)
             if stats is not None:

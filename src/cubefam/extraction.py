@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -47,6 +46,7 @@ from .families import (
     lubell_mass,
     mask_elements,
     mask_size,
+    mass_of_sizes,
 )
 from .pivots import (
     FatnessQuery,
@@ -59,7 +59,6 @@ from .pivots import (
 from .posets import EmbeddingMap, FinitePoset, verify_embedding_masks
 
 _SOS_BIT_CAP = 20          # ground sizes up to this use the subset-sum tables
-_PAIRWISE_CAP = 2000       # full pairwise certification below this, sampled above
 
 STATUS_OK = "ok"
 STATUS_NO_MASS = "insufficient mass"
@@ -71,20 +70,6 @@ STATUS_EXHAUSTED = "embed exhausted"
 
 CASE_FLEX = "up"           # a-increment: new top boundary, pivot stratum
 CASE_ANTI = "down"         # b-increment: new bottom boundary, anti-pivot stratum
-
-
-def _mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
-    counts: dict = {}
-    for s in sizes:
-        counts[s] = counts.get(s, 0) + 1
-    return sum(
-        (Fraction(c, math.comb(width, s)) for s, c in counts.items()),
-        Fraction(0),
-    )
-
-
-def _family_mass(shifted: Iterable[int], u: int) -> Fraction:
-    return _mass_of_sizes((mask_size(f) for f in shifted), u)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +114,7 @@ class _DownMassIndex:
                 if cnt:
                     total += Fraction(cnt, math.comb(a, s))
             return total
-        return _mass_of_sizes(
+        return mass_of_sizes(
             (mask_size(f) for f in self.members if f & ~A == 0), a
         )
 
@@ -146,7 +131,7 @@ def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
     if not members:
         raise PreconditionError("centred element of an empty family")
     u = mask_size(universe)
-    total = _family_mass(members, u)
+    total = mass_of_sizes(map(mask_size, members), u)
     if direction == "down":
         index = _DownMassIndex(members, universe)
         for a_mask in members:
@@ -321,40 +306,6 @@ def _prune_and_centre(
     return _centred(survivors, universe, "down")
 
 
-def intermediate_step(
-    fam: SetFamily,
-    d: int,
-    a: int,
-    b: int,
-    fats: Sequence,
-    cascade: ConstantCascade,
-    *,
-    allow_fallback: Optional[bool] = None,
-) -> StepOutcome:
-    """One dichotomy step on ``fam`` (public form: universe = whole ground)."""
-    return _step(
-        frozenset(fam.members),
-        fam.ground.full_mask,
-        d,
-        a,
-        b,
-        _normalize_fats(fats),
-        cascade,
-        allow_fallback=allow_fallback,
-    )
-
-
-def _normalize_fats(fats: Sequence) -> list:
-    out = []
-    for entry in fats:
-        if isinstance(entry, PivotSet):
-            out.append((entry.r, frozenset(entry.pivots)))
-        else:
-            r, masks = entry
-            out.append((int(r), frozenset(masks)))
-    return out
-
-
 def _mass_ge(mass: Fraction, floor) -> bool:
     if isinstance(floor, (Fraction, int)):
         return mass >= floor
@@ -377,33 +328,26 @@ def _step(
     b: int,
     fats: list,
     cascade: ConstantCascade,
-    *,
-    allow_fallback: Optional[bool] = None,
 ) -> StepOutcome:
     m = cascade.m
     if not 0 <= d <= 2 * m:
         raise PreconditionError(f"step index d={d} out of range [0, {2 * m}]")
     if len(fats) != d:
         raise PreconditionError(f"expected {d} pivot strata, got {len(fats)}")
-    if allow_fallback is None:
-        allow_fallback = cascade.mode == "override"
     u = mask_size(universe)
-    mass = _family_mass(member_set, u)
+    mass = mass_of_sizes(map(mask_size, member_set), u)
     if not _mass_gt(mass, cascade.step_demand()):
         return StepOutcome(STATUS_NO_MASS, None, None, None, None)
     eps = cascade.eps_level(2 * m + 1 - d)
 
-    lower_mass = _mass_of_sizes(
+    lower_mass = mass_of_sizes(
         (mask_size(f) for f in member_set if 2 * mask_size(f) <= u), u
-    )
-    upper_mass = _mass_of_sizes(
-        (mask_size(f) for f in member_set if 2 * mask_size(f) >= u), u
     )
     prefer_flex = lower_mass >= mass / 2
     comp_set = frozenset(universe ^ f for f in member_set)
 
     order = [CASE_FLEX] if prefer_flex else [CASE_ANTI]
-    if allow_fallback:
+    if cascade.mode == "override":
         order.append(CASE_ANTI if prefer_flex else CASE_FLEX)
 
     for which, case in enumerate(order):
@@ -419,7 +363,7 @@ def _step(
                     "stratum count contradicts the flexibility that selected it"
                 )
             return StepOutcome(STATUS_OK, CASE_FLEX, y, stratum, y_mass, which > 0)
-        # Anti case: identical worker on the complemented family, then
+        # Anti case: identical worker on the family of complements, then
         # un-complement.  A swap-out of the complement is a swap-in of
         # the original, so the stratum transfers verbatim.
         got = _prune_and_centre(comp_set, universe, eps, b, fats)
@@ -455,9 +399,7 @@ class TraceStep:
     A: int
     B: int
     family_size: int
-    family_members: Optional[tuple]      # kept when small, else None
     stratum_r: int
-    stratum_base: int                    # A_d for "up" steps, B_d for "down"
     stratum: tuple                       # moved-set masks, original coordinates
     stratum_witness: dict                # moved mask -> witness, original coordinates
     step_mass: Fraction
@@ -479,10 +421,7 @@ class ExtractionTrace:
     threshold: object
 
 
-_TRACE_MEMBER_CAP = 1024
-
-
-def build_sequences(fam: SetFamily, m: int, cascade) -> ExtractionTrace:
+def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> ExtractionTrace:
     """Iterate the dichotomy until the flexibility order reaches m.
 
     Structural claims of every step -- boundary membership, nesting,
@@ -491,8 +430,6 @@ def build_sequences(fam: SetFamily, m: int, cascade) -> ExtractionTrace:
     is a hard requirement under paper constants and a recorded warning
     under overrides.
     """
-    if isinstance(cascade, dict):
-        cascade = override_cascade(m, **cascade)
     if cascade.m != m:
         raise PreconditionError(f"cascade built for m={cascade.m}, asked for m={m}")
     n = fam.ground.n
@@ -575,7 +512,7 @@ def build_sequences(fam: SetFamily, m: int, cascade) -> ExtractionTrace:
             if not is_fat(FatnessQuery(gap, masks, eps_step, r_i)):
                 raise CertificationError(f"step {d}: new gap not fat for order {r_i}")
 
-        step_mass = _mass_of_sizes(
+        step_mass = mass_of_sizes(
             (mask_size(f & gap) for f in new_members), mask_size(gap)
         )
         # The centred element was chosen inside the pruned survivor family,
@@ -594,9 +531,7 @@ def build_sequences(fam: SetFamily, m: int, cascade) -> ExtractionTrace:
         steps.append(
             TraceStep(
                 d, out.case, a, b, new_A, new_B,
-                len(new_members),
-                tuple(sorted(new_members)) if len(new_members) <= _TRACE_MEMBER_CAP else None,
-                r_d, base,
+                len(new_members), r_d,
                 tuple(sorted(out.stratum.pivots)),
                 witness_orig,
                 step_mass, cond5, out.fallback,
@@ -635,21 +570,6 @@ class WitnessAssembly:
     psi: dict                        # moved-set mask -> witness mask
     W: tuple
     dense_ok: Optional[bool]
-
-
-def _pairs_to_check(v: list, rng_seed: int = 2_718_281) -> Iterable[tuple]:
-    if len(v) <= _PAIRWISE_CAP:
-        yield from itertools.combinations(range(len(v)), 2)
-        return
-    rng = random.Random(rng_seed)
-    total = 200_000
-    n = len(v)
-    for _ in range(total):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        yield (i, j) if i < j else (j, i)
 
 
 def assemble_witnesses(
@@ -698,8 +618,8 @@ def assemble_witnesses(
     images = [psi[x] for x in v]
     if len(set(images)) != len(images):
         raise CertificationError("witness map is not injective")
-    for i, j in _pairs_to_check(v):
-        x, y = v[i], v[j]
+    # Every step at least halves the gap, so |X| <= n >> (m+1) and v stays small.
+    for x, y in itertools.combinations(v, 2):
         if case == CASE_FLEX:        # reverse inclusion on the strata side
             x_lt_y = y & ~x == 0 and x != y
             y_lt_x = x & ~y == 0 and x != y
@@ -781,11 +701,7 @@ def extract_induced_copy(
     present = frozenset(
         compress_mask(x, X) for xs in assembly.levels.values() for x in xs
     )
-    if assembly.branch == CASE_FLEX:
-        full_u = (1 << u) - 1
-        dtf = DenseTruncatedFamily(u, m, "down", frozenset(full_u ^ c for c in present))
-    else:
-        dtf = DenseTruncatedFamily(u, m, "up", present)
+    dtf = DenseTruncatedFamily(u, m, present)
     embed_eps = min(eps_top, universality_epsilon(m))
     if not (u >= 2 * m and dense_class_check(dtf, embed_eps)):
         if cascade.mode == "paper":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -17,9 +18,6 @@ from typing import Iterable, Iterator
 from .errors import ParseError, PreconditionError
 
 MAX_GROUND = 64
-
-#: Exact rational type used for every mass computation.
-Rational = Fraction
 
 
 def mask_size(mask: int) -> int:
@@ -109,8 +107,7 @@ class GroundSet:
 class SetFamily:
     """An immutable, duplicate-free family of subsets of [n].
 
-    Iteration order is ascending mask value.  ``layers`` groups members by
-    size, which is the shape every mass computation wants.
+    Iteration order is ascending mask value.
     """
 
     __slots__ = ("ground", "_members", "_member_set")
@@ -142,16 +139,6 @@ class SetFamily:
     @property
     def member_set(self) -> frozenset[int]:
         return self._member_set
-
-    @property
-    def layers(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for m in self._members:
-            out.setdefault(mask_size(m), []).append(m)
-        return {k: tuple(v) for k, v in out.items()}
-
-    def layer(self, k: int) -> tuple[int, ...]:
-        return tuple(m for m in self._members if mask_size(m) == k)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._member_set
@@ -189,17 +176,21 @@ def _check_interval(fam: SetFamily, B: int, A: int) -> None:
         )
 
 
+def mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
+    """Sum of 1/C(width, s) over ``sizes``, one exact term per distinct size."""
+    return sum(
+        (Fraction(c, math.comb(width, s)) for s, c in Counter(sizes).items()),
+        Fraction(0),
+    )
+
+
 def lubell_mass(fam: SetFamily) -> Fraction:
     """Sum over members F of 1/C(n, |F|), exactly.
 
     Equals the expected number of members met by a uniformly random
     maximal chain in the lattice of subsets of [n].
     """
-    n = fam.n
-    total = Fraction(0)
-    for size, masks in fam.layers.items():
-        total += Fraction(len(masks), math.comb(n, size))
-    return total
+    return mass_of_sizes(map(mask_size, fam.members), fam.n)
 
 
 def interval_members(fam: SetFamily, B: int, A: int) -> list[int]:
@@ -224,12 +215,9 @@ def relative_lubell(fam: SetFamily, B: int, A: int) -> Fraction:
 
     Identical, by construction, to ``lubell_mass(restrict_interval(fam, B, A))``.
     """
-    _check_interval(fam, B, A)
-    width = mask_size(A & ~B)
-    total = Fraction(0)
-    for m in interval_members(fam, B, A):
-        total += Fraction(1, math.comb(width, mask_size(m & ~B)))
-    return total
+    return mass_of_sizes(
+        (mask_size(m & ~B) for m in interval_members(fam, B, A)), mask_size(A & ~B)
+    )
 
 
 def complement_family(fam: SetFamily) -> SetFamily:

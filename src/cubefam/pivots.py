@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import mpmath as mp
 
-from .concentration import concentration_constants, fat_mass_bound
+from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_bound
 from .errors import PreconditionError
 from .families import (
     SetFamily,
@@ -215,7 +215,7 @@ def flexible_in_universe(
         raise PreconditionError("base set leaves the universe")
     pool = mask_size(universe & ~A) if anti else mask_size(A)
     thr = _flex_threshold(gamma, pool, r)
-    need = -((-thr.numerator) // thr.denominator)     # ceil: counts are integers
+    need = math.ceil(thr)     # counts are integers
     return _count_reaches(member_set, universe, A, r, anti, need)
 
 
@@ -335,8 +335,8 @@ def verify_fat_mass_bound(
         return MassBoundReport(
             False, f"{len(fat)} members are fat", mass, bound, None
         )
-    with mp.workdps(60):
-        ok = mp.mpf(mass.numerator) / mp.mpf(mass.denominator) <= bound
+    with mp.workdps(_MP_DPS):
+        ok = _mpf(mass) <= bound
     return MassBoundReport(True, "hypothesis holds", mass, bound, bool(ok))
 
 
@@ -361,7 +361,7 @@ def max_flexfree_layer(n: int, k: int, gamma, r: int) -> tuple:
         # avoids flexibility (matching the bound's value of 0).
         return 0, ()
     thr = _flex_threshold(gamma, k, r)
-    limit = -((-thr.numerator) // thr.denominator)    # ceil(thr): forbidden count
+    limit = math.ceil(thr)    # forbidden count
     masks = list(submasks_of_size((1 << n) - 1, k))
     chosen: list = []
     swaps: list = []                                  # parallel: sets of pivot X-masks
@@ -447,7 +447,7 @@ def hillclimb_flexfree_mass(
         fam_masks: list = []
         for k in range(n // 2 + 1):
             thr = _flex_threshold(gamma, k, r)
-            limit = -((-thr.numerator) // thr.denominator)
+            limit = math.ceil(thr)
             pool = list(submasks_of_size((1 << n) - 1, k))
             rng.shuffle(pool)
             layer: list = []

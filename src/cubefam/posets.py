@@ -89,7 +89,7 @@ class FinitePoset:
         return sorted(out)
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.k, [(j, i) for i, j in self.pairs()])
+        return _from_rows(self.below, self.above)
 
     def is_chain(self) -> bool:
         return all(self.comparable(i, j) for i in range(self.k) for j in range(i + 1, self.k))
@@ -122,6 +122,15 @@ class FinitePoset:
         return f"FinitePoset(k={self.k}, relations={sum(a.bit_count() for a in self.above)})"
 
 
+def _from_rows(above: Sequence[int], below: Sequence[int]) -> FinitePoset:
+    """A poset from rows already known to form a strict order; no validation."""
+    p = object.__new__(FinitePoset)
+    object.__setattr__(p, "k", len(above))
+    object.__setattr__(p, "above", tuple(above))
+    object.__setattr__(p, "below", tuple(below))
+    return p
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -143,17 +152,14 @@ def _transitive_close(above: list[int]) -> None:
                 changed = True
 
 
-def _check_orientation(orientation: str) -> str:
-    if orientation not in ("up", "down"):
-        raise PreconditionError(f"orientation must be 'up' or 'down', got {orientation!r}")
-    return orientation
-
-
 def make_chain(k: int) -> FinitePoset:
     """Total order on k elements, 0 < 1 < ... < k-1."""
     if k < 1:
         raise PreconditionError("a chain has at least one element")
-    return FinitePoset(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    full = (1 << k) - 1
+    return _from_rows(
+        [full ^ ((2 << i) - 1) for i in range(k)], [(1 << i) - 1 for i in range(k)]
+    )
 
 
 def make_v() -> FinitePoset:
@@ -161,17 +167,15 @@ def make_v() -> FinitePoset:
     return FinitePoset(3, [(0, 1), (0, 2)])
 
 
-def make_cube(m: int, orientation: str = "up") -> FinitePoset:
-    """The 2^m subsets of an m-set ordered by inclusion (or reverse).
+def make_cube(m: int) -> FinitePoset:
+    """The 2^m subsets of an m-set ordered by inclusion.
 
-    Element index s stands for the subset with mask s, so the "up" cube
-    has s < t iff s is a proper subset of t.
+    Element index s stands for the subset with mask s, so s < t iff s is
+    a proper subset of t.
     """
-    _check_orientation(orientation)
     if not 0 <= m <= CUBE_DIM_CAP:
         raise PreconditionError(f"cube dimension must be in [0, {CUBE_DIM_CAP}], got {m}")
-    cube = family_as_poset(range(1 << m))
-    return cube if orientation == "up" else cube.dual()
+    return family_as_poset(range(1 << m))
 
 
 def family_as_poset(masks: Iterable[int]) -> FinitePoset:
@@ -190,11 +194,7 @@ def family_as_poset(masks: Iterable[int]) -> FinitePoset:
             if a & b == a and a != b:
                 above[i] |= 1 << j
                 below[j] |= 1 << i
-    host = object.__new__(FinitePoset)
-    object.__setattr__(host, "k", k)
-    object.__setattr__(host, "above", tuple(above))
-    object.__setattr__(host, "below", tuple(below))
-    return host
+    return _from_rows(above, below)
 
 
 def height(p: FinitePoset) -> int:
@@ -371,20 +371,10 @@ def enumerate_posets(k: int) -> list[FinitePoset]:
     seen: dict[tuple, FinitePoset] = {}
     for choice in range(1 << len(slots)):
         pairs = [slots[b] for b in range(len(slots)) if choice & (1 << b)]
-        above = [0] * k
-        for i, j in pairs:
-            above[i] |= 1 << j
-        ok = True
-        for i in range(k):
-            for j in _bits(above[i]):
-                if above[j] & ~above[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        try:
+            p = FinitePoset(k, pairs)
+        except PreconditionError:        # upper-triangle pairs fail only on transitivity
             continue
-        p = FinitePoset(k, pairs)
         seen.setdefault(p.canonical_key(), p)
     return [seen[key] for key in sorted(seen)]
 

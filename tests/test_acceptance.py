@@ -233,7 +233,7 @@ def test_criterion_09_randomized_cube_location():
             cap = int(eps * math.comb(n, k))
             drop = set(rng.sample(layer, rng.randint(0, cap))) if cap else set()
             present |= set(layer) - drop
-        dtf = DenseTruncatedFamily(n, m, "up", frozenset(present))
+        dtf = DenseTruncatedFamily(n, m, frozenset(present))
         res = randomized_cube_embed(dtf, m, seed=9_000_000 + trial, max_attempts=200)
         if res.status != "ok":
             continue

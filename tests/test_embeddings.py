@@ -54,29 +54,16 @@ def test_downset_embedding_small_posets_verified():
                 assert emb.images[x] & (1 << x)
 
 
-def test_dense_truncated_family_complement():
-    n, m = 6, 2
-    present = frozenset(
-        mask for k in range(m + 1) for mask in _layer_masks(n, k)
-    )
-    up = DenseTruncatedFamily(n, m, "up", present)
-    down = up.complemented()
-    assert down.orientation == "down"
-    full = (1 << n) - 1
-    assert all((full ^ mask) in down.present for mask in present)
-    assert down.complemented().present == up.present
-
-
 def test_dense_class_check_layer_thresholds():
     n, m = 8, 2
     eps = Fraction(1, 64)
     layers = {k: _layer_masks(n, k) for k in range(m + 1)}
     present = set(layers[0]) | set(layers[1]) | set(layers[2])
-    assert dense_class_check(DenseTruncatedFamily(n, m, "up", frozenset(present)), eps)
+    assert dense_class_check(DenseTruncatedFamily(n, m, frozenset(present)), eps)
     # dropping one 2-set is already too much at eps = 1/64 (28 * 1/64 < 1)
     present.discard(layers[2][0])
     assert not dense_class_check(
-        DenseTruncatedFamily(n, m, "up", frozenset(present)), eps
+        DenseTruncatedFamily(n, m, frozenset(present)), eps
     )
 
 
@@ -85,7 +72,7 @@ def test_randomized_cube_embed_on_full_truncation():
     present = frozenset(
         mask for k in range(m + 1) for mask in _layer_masks(n, k)
     )
-    dtf = DenseTruncatedFamily(n, m, "up", present)
+    dtf = DenseTruncatedFamily(n, m, present)
     res = randomized_cube_embed(dtf, m, seed=31337, max_attempts=50)
     assert res.status == "ok" and res.mask is not None
     assert mask_size(res.mask) == m
@@ -102,7 +89,7 @@ def test_randomized_cube_embed_deterministic_per_seed():
     present = frozenset(
         mask for k in range(m + 1) for mask in _layer_masks(n, k)
     )
-    dtf = DenseTruncatedFamily(n, m, "up", present)
+    dtf = DenseTruncatedFamily(n, m, present)
     a = randomized_cube_embed(dtf, m, seed=99, max_attempts=20)
     b = randomized_cube_embed(dtf, m, seed=99, max_attempts=20)
     assert (a.mask, a.attempts_used) == (b.mask, b.attempts_used)

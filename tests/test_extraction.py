@@ -1,5 +1,6 @@
 """Constant cascade, centred elements, and the copy-extraction pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from cubefam import (
+    CertificationError,
     FinitePoset,
     PreconditionError,
     SetFamily,
@@ -22,11 +24,13 @@ from cubefam import (
     relative_lubell,
 )
 from cubefam.extraction import (
+    CASE_ANTI,
     CASE_FLEX,
     STATUS_AGGRESSIVE,
     STATUS_NO_MASS,
     STATUS_OK,
     STATUS_SMALL_X,
+    assemble_witnesses,
     build_sequences,
     cond5_floor,
 )
@@ -165,11 +169,42 @@ class TestBuildSequences:
                 assert w in fam.member_set
 
     def test_gap_halves_every_step(self):
+        # Both cases keep a centred member of the small half of the gap;
+        # families of sets of size >= n/2 drive the anti case.
+        rng = random.Random(4242)
+        hosts = [full_power_set(10)]
+        for _ in range(8):
+            n = rng.randint(8, 10)
+            hosts.append(SetFamily(n, [
+                f for f in range(1 << n)
+                if 2 * bin(f).count("1") >= n and rng.random() < 0.9
+            ]))
+        anti_steps = 0
+        for fam in hosts:
+            trace = build_sequences(fam, 1, override_cascade(1, **OVR))
+            gaps = [fam.n] + [bin(s.A & ~s.B).count("1") for s in trace.steps]
+            for g0, g1 in zip(gaps, gaps[1:]):
+                assert g1 <= g0 // 2
+            anti_steps += sum(s.case == CASE_ANTI for s in trace.steps)
+        assert anti_steps > 0
+
+    def test_witness_order_mismatch_raises(self):
         fam = full_power_set(10)
         trace = build_sequences(fam, 1, override_cascade(1, **OVR))
-        gaps = [bin(s.A & ~s.B).count("1") for s in trace.steps]
-        for g0, g1 in zip(gaps, gaps[1:]):
-            assert g1 <= g0 // 2 + 1
+        assert assemble_witnesses(trace, fam).status == STATUS_OK
+        # Re-point one order-1 witness at the full set: still a member and
+        # still injective, but now above the order-0 witness, not below it.
+        last = trace.steps[-1]
+        X = last.A & ~last.B
+        x = next(x for x in last.stratum if x & ~X == 0)
+        witness = dict(last.stratum_witness)
+        witness[x] = fam.ground.full_mask
+        broken = dataclasses.replace(
+            trace,
+            steps=trace.steps[:-1] + (dataclasses.replace(last, stratum_witness=witness),),
+        )
+        with pytest.raises(CertificationError, match="order mismatch"):
+            assemble_witnesses(broken, fam)
 
     def test_empty_family_stops_immediately(self):
         trace = build_sequences(SetFamily(6, []), 1, override_cascade(1, **OVR))

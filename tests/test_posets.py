@@ -56,6 +56,20 @@ class TestFinitePosetBasics:
             p = random_poset(rng, rng.randint(0, 6))
             assert p.dual().dual().pairs() == p.pairs()
 
+    def test_dual_equals_validated_reverse(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            p = random_poset(rng, rng.randint(0, 8))
+            want = FinitePoset(p.k, [(j, i) for i, j in p.pairs()])
+            got = p.dual()
+            assert got == want and got.below == want.below
+
+    def test_chain_equals_validated_chain(self):
+        for k in range(1, 12):
+            want = FinitePoset(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+            got = make_chain(k)
+            assert got == want and got.below == want.below
+
     def test_cover_pairs_regenerate_order(self):
         rng = random.Random(6)
         for _ in range(25):
@@ -67,10 +81,6 @@ class TestFinitePosetBasics:
         q2 = make_cube(2)
         assert q2.k == 4 and height(q2) == 3
         # 2-cube: one bottom, two incomparable middles, one top
-        down = make_cube(2, "down")
-        assert down.pairs() == q2.dual().pairs()
-        with pytest.raises(PreconditionError):
-            make_cube(2, "sideways")
 
 
 def test_canonical_key_is_relabeling_invariant():
