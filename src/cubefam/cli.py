@@ -287,9 +287,13 @@ def _handle_embed(cfg: RunConfig):
                  "attempts_used": 0}, certs, EXIT_OK)
     attempts = cfg.params.get("attempts") or DEFAULT_EMBED_ATTEMPTS
     stats: dict = {}
-    emb = find_pattern_via_universality(
-        fam, pattern, seed=cfg.seed, attempts=attempts, stats=stats
-    )
+    try:
+        emb = find_pattern_via_universality(
+            fam, pattern, seed=cfg.seed, attempts=attempts, stats=stats
+        )
+    except SearchBudgetExceeded:
+        return ({"status": "unknown", "map": None, "seed": cfg.seed,
+                 "attempts_used": stats.get("attempts_used", 0)}, certs, EXIT_BUDGET)
     used = stats.get("attempts_used", 0)
     if emb is None:
         return ({"status": "absent", "map": None, "seed": cfg.seed,

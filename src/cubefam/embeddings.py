@@ -205,8 +205,10 @@ def find_pattern_via_universality(
     When the host is dense among the small (or co-small) subsets, the
     cube comes from randomized location; otherwise a backtracking search
     finds the nonempty part of the cube directly (k <= 5), or in the last
-    resort the pattern itself.  The composed map is re-verified pairwise;
-    None means not found within the given budgets.
+    resort the pattern itself.  The composed map is re-verified pairwise.
+    None means no copy exists: a budget stop in the cube search falls
+    through to the pattern search, and a budget stop in the pattern search
+    raises SearchBudgetExceeded (the answer is unknown).
 
     When ``stats`` is a dict, "attempts_used" is written into it: the
     number of randomized draws consumed (0 for purely oracle routes).
@@ -264,11 +266,9 @@ def find_pattern_via_universality(
         if emb is not None:
             return certified(tuple(members[emb.images[s - 1]] for s in psi))
     # No cube found (the pattern may still fit without one): search for
-    # the pattern itself.
-    try:
-        emb = contains_subposet(host_poset, pattern, "induced", node_budget)
-    except SearchBudgetExceeded:
-        return None
+    # the pattern itself.  A budget stop here propagates: nothing is left
+    # to try, and "not found" would read as absent.
+    emb = contains_subposet(host_poset, pattern, "induced", node_budget)
     if emb is None:
         return None
     return certified(tuple(members[emb.images[x]] for x in range(k)))

@@ -2,11 +2,19 @@
 
 The strict order of a poset on k elements is stored as k bitmask rows:
 ``above[i]`` has bit j set iff i < j.  This keeps the transitivity and
-duality checks cheap and the backtracking search allocation-free.
+duality checks cheap, and lets the containment search work on whole sets
+of host elements at once (the bit-vector method of Ullmann, "Bit-vector
+algorithms for binary constraint satisfaction and subgraph isomorphism",
+2010): the candidates for each pattern element are one int, the AND of
+the chain-room mask, the unused elements and the rows of the images
+already chosen.  Inclusion hosts are built the same way, from one column
+bitset per ground element.
 
 ``contains_subposet`` is the independent oracle the rest of the package
 uses to validate every embedding it produces, so it re-verifies its own
-output before returning it.
+output before returning it.  Its node budget counts one node per unused
+host element a depth's scan passes over, in index order, whether or not
+it is a candidate.
 """
 
 from __future__ import annotations
@@ -181,27 +189,47 @@ def make_cube(m: int) -> FinitePoset:
 def family_as_poset(masks: Iterable[int]) -> FinitePoset:
     """Distinct masks ordered by strict inclusion; element i is the i-th mask.
 
-    A ``SetFamily`` iterates its members in ascending order.  Inclusion is
-    transitive by construction, so the rows are filled directly and
+    A ``SetFamily`` iterates its members in ascending order.  The rows are
+    built from one column bitset per ground element (the members holding
+    it): the members above a_i are those in every column of a_i's
+    elements, and the members below it are those in no column of the
+    other elements.  Inclusion is transitive by construction, so
     ``FinitePoset``'s validation is skipped.
     """
     masks = list(masks)
+    if masks and min(masks) < 0:
+        raise PreconditionError("masks must be nonnegative")
     k = len(masks)
-    above = [0] * k
-    below = [0] * k
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if a & b == a and a != b:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
+    cols = [0] * max(masks, default=0).bit_length()
+    bit = 1
+    for a in masks:
+        while a:
+            low = a & -a
+            cols[low.bit_length() - 1] |= bit
+            a ^= low
+        bit <<= 1
+    everyone = (1 << k) - 1
+    above = []
+    below = []
+    bit = 1
+    for a in masks:
+        sup = everyone       # members holding every element of a
+        out = 0              # members holding an element outside a
+        for col in cols:
+            if a & 1:
+                sup &= col
+            else:
+                out |= col
+            a >>= 1
+        above.append(sup ^ bit)
+        below.append(everyone ^ out ^ bit)
+        bit <<= 1
     return _from_rows(above, below)
 
 
 def height(p: FinitePoset) -> int:
     """Size of the largest chain (counted in elements)."""
-    if p.k == 0:
-        return 0
-    return 1 + max(_chain_room(p, use_below=True))
+    return len(_room_masks(p, use_below=True))
 
 
 @dataclass(frozen=True)
@@ -277,10 +305,22 @@ def contains_subposet(
     node budget runs out first, raises SearchBudgetExceeded -- an explicit
     third outcome, distinct from absence.
 
-    Pattern elements are assigned in decreasing comparability degree;
-    host candidates are pruned by chain-length compatibility (an element
-    with a chain of length a below it needs an image with at least that
-    much room below).
+    Pattern elements are assigned in decreasing comparability degree.
+    The candidates for the element at each depth form one bitset: the
+    host elements with enough chain room (an element with a chain of
+    length a below it needs an image with at least that much room below,
+    and likewise above), minus the images in use, intersected with the
+    ``above`` or ``below`` row of each image already assigned, and in
+    induced mode with the complement of both rows for each incomparable
+    pair.  Candidates are tried in ascending index order, so the first
+    copy found is the first in lexicographic order of the images.
+
+    A node is one unused host element passed over by the scan of a
+    depth, feasible or not: each visit to a depth charges the unused
+    elements up to and including each candidate tried, and the rest when
+    the depth is exhausted.  The search stops as soon as more than
+    ``node_budget`` nodes are charged, with ``exc.nodes ==
+    node_budget + 1``.
     """
     if mode not in ("weak", "induced"):
         raise PreconditionError(f"bad mode {mode!r}")
@@ -289,73 +329,110 @@ def contains_subposet(
     if pattern.k == 0:
         return EmbeddingMap((), mode, "indices")
 
+    k = pattern.k
     # static assignment order: high comparability degree first
-    degree = [
-        (pattern.above[v] | pattern.below[v]).bit_count() for v in range(pattern.k)
-    ]
-    order = sorted(range(pattern.k), key=lambda v: (-degree[v], v))
+    degree = [(pattern.above[v] | pattern.below[v]).bit_count() for v in range(k)]
+    order = sorted(range(k), key=lambda v: (-degree[v], v))
 
-    p_down = _chain_room(pattern, use_below=True)
-    p_up = _chain_room(pattern, use_below=False)
-    h_down = _chain_room(host, use_below=True)
-    h_up = _chain_room(host, use_below=False)
+    p_down = _room_masks(pattern, use_below=True)
+    p_up = _room_masks(pattern, use_below=False)
+    h_down = _room_masks(host, use_below=True)
+    h_up = _room_masks(host, use_below=False)
+    apart = None
+    if mode == "induced":
+        apart = [~(a | b) for a, b in zip(host.above, host.below)]
 
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
+    # room[d]: host elements with enough chain room for order[d].
+    # rules[d]: pairs (e, rows) for earlier depths e; the candidates at
+    # depth d are ANDed with rows[image of order[e]].
+    room = []
+    rules = []
+    for d, v in enumerate(order):
+        down = sum(m >> v & 1 for m in p_down) - 1
+        up = sum(m >> v & 1 for m in p_up) - 1
+        fits = 0
+        if down < len(h_down) and up < len(h_up):
+            fits = h_down[down] & h_up[up]
+        room.append(fits)
+        rule = []
+        for e in range(d):
+            u = order[e]
+            if pattern.above[u] >> v & 1:
+                rule.append((e, host.above))
+            elif pattern.below[u] >> v & 1:
+                rule.append((e, host.below))
+            elif apart is not None:
+                rule.append((e, apart))
+        rules.append(rule)
+
+    everyone = (1 << host.k) - 1
+    image = [0] * k      # image of order[d]
+    cand = [0] * k       # candidates at depth d not yet tried
+    rest = [0] * k       # unused elements the scan at depth d has not passed
+    cand[0] = room[0]
+    rest[0] = everyone
+    used = 0
     nodes = 0
+    d = 0
+    while True:
+        c = cand[d]
+        if c:
+            low = c & -c
+            cand[d] = c ^ low
+            passed = rest[d] & ((low << 1) - 1)    # the scan reaches the candidate
+        else:
+            passed = rest[d]                       # the scan runs to the end
+        rest[d] ^= passed
+        nodes += passed.bit_count()
+        if node_budget is not None and nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"subposet search exceeded {node_budget} nodes", nodes=node_budget + 1
+            )
+        if not c:
+            d -= 1
+            if d < 0:
+                return None
+            used ^= 1 << image[d]
+            continue
+        image[d] = low.bit_length() - 1
+        if d + 1 == k:
+            break
+        used |= low
+        d += 1
+        free = everyone ^ used
+        c = room[d] & free
+        for e, rows in rules[d]:
+            c &= rows[image[e]]
+        cand[d] = c
+        rest[d] = free
 
-    def feasible(v: int, h: int) -> bool:
-        if h_down[h] < p_down[v] or h_up[h] < p_up[v]:
-            return False
-        for u, hu in assignment.items():
-            if pattern.lt(u, v):
-                if not host.lt(hu, h):
-                    return False
-            elif pattern.lt(v, u):
-                if not host.lt(h, hu):
-                    return False
-            elif mode == "induced" and (host.lt(hu, h) or host.lt(h, hu)):
-                return False
-        return True
-
-    def search(depth: int) -> bool:
-        nonlocal nodes
-        if depth == pattern.k:
-            return True
-        v = order[depth]
-        for h in range(host.k):
-            if h in used:
-                continue
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"subposet search exceeded {node_budget} nodes", nodes=nodes
-                )
-            if feasible(v, h):
-                assignment[v] = h
-                used.add(h)
-                if search(depth + 1):
-                    return True
-                del assignment[v]
-                used.remove(h)
-        return False
-
-    if not search(0):
-        return None
-    images = tuple(assignment[v] for v in range(pattern.k))
+    images = tuple(image[order.index(v)] for v in range(k))
     if not verify_embedding_indices(host, pattern, images, mode):
         raise CertificationError("search returned a map that fails re-verification")
     return EmbeddingMap(images, mode, "indices")
 
 
-def _chain_room(p: FinitePoset, use_below: bool) -> list[int]:
-    """For each element, the largest chain strictly below (or above) it."""
+def _room_masks(p: FinitePoset, use_below: bool) -> list[int]:
+    """rooms[r]: the elements with a chain of at least r elements strictly
+    below (or above) them.
+
+    Found by peeling off the minimal (maximal) elements round by round, so
+    ``len(rooms)`` is the height of ``p``.
+    """
     rel = p.below if use_below else p.above
-    room = [0] * p.k
-    # Everything strictly below (above) i has a smaller row than i does.
-    for i in sorted(range(p.k), key=lambda i: rel[i].bit_count()):
-        room[i] = max((room[j] + 1 for j in _bits(rel[i])), default=0)
-    return room
+    rooms = []
+    rest = (1 << p.k) - 1
+    while rest:
+        rooms.append(rest)
+        layer = 0
+        scan = rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if not rel[low.bit_length() - 1] & rest:
+                layer |= low
+        rest ^= layer
+    return rooms
 
 
 def enumerate_posets(k: int) -> list[FinitePoset]:

@@ -71,3 +71,66 @@ def brute_force_induced_embed(host: FinitePoset, pattern: FinitePoset) -> bool:
         if good:
             return True
     return False
+
+
+def reference_subposet_scan(host: FinitePoset, pattern: FinitePoset, mode: str):
+    """The per-candidate scan ``contains_subposet`` is checked against.
+
+    Same static order and chain-room pruning, but every unused host
+    element is tested one by one against a dict of assignments.  Returns
+    ``(images, nodes)``: the first copy found (None if there is none) and
+    the number of unused host elements the scan passed over, one node each.
+    """
+
+    def chain_room(p, use_below):
+        rel = p.below if use_below else p.above
+        room = [0] * p.k
+        for i in sorted(range(p.k), key=lambda i: rel[i].bit_count()):
+            room[i] = max((room[j] + 1 for j in range(p.k) if rel[i] >> j & 1), default=0)
+        return room
+
+    if pattern.k > host.k:
+        return None, 0
+    degree = [(pattern.above[v] | pattern.below[v]).bit_count() for v in range(pattern.k)]
+    order = sorted(range(pattern.k), key=lambda v: (-degree[v], v))
+    p_down, p_up = chain_room(pattern, True), chain_room(pattern, False)
+    h_down, h_up = chain_room(host, True), chain_room(host, False)
+    assignment: dict = {}
+    used: set = set()
+    nodes = 0
+
+    def feasible(v, h):
+        if h_down[h] < p_down[v] or h_up[h] < p_up[v]:
+            return False
+        for u, hu in assignment.items():
+            if pattern.lt(u, v):
+                if not host.lt(hu, h):
+                    return False
+            elif pattern.lt(v, u):
+                if not host.lt(h, hu):
+                    return False
+            elif mode == "induced" and (host.lt(hu, h) or host.lt(h, hu)):
+                return False
+        return True
+
+    def search(depth):
+        nonlocal nodes
+        if depth == pattern.k:
+            return True
+        v = order[depth]
+        for h in range(host.k):
+            if h in used:
+                continue
+            nodes += 1
+            if feasible(v, h):
+                assignment[v] = h
+                used.add(h)
+                if search(depth + 1):
+                    return True
+                del assignment[v]
+                used.remove(h)
+        return False
+
+    if not search(0):
+        return None, nodes
+    return tuple(assignment[v] for v in range(pattern.k)), nodes

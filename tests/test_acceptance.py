@@ -41,7 +41,7 @@ from cubefam import (
 from cubefam.families import mask_size
 from cubefam.posets import verify_embedding_masks
 
-from conftest import nonempty_random_family, random_family, random_poset
+from conftest import nonempty_random_family, random_poset
 
 
 def _announce(num: int, ok: bool, text: str) -> None:

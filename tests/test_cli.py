@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: exit codes, JSON reports, replay."""
 
+import functools
+import itertools
 import json
 
 import pytest
 
 from cubefam import SetFamily, full_power_set, write_family
+from cubefam import cli
 from cubefam.cli import main
+from cubefam.embeddings import find_pattern_via_universality
 
 
 @pytest.fixture
@@ -130,6 +134,24 @@ class TestEmbed:
         assert res["attempts_used"] == 0          # oracle route, no sampling
         assert len(res["map"]["images"]) == 3
         assert any(c["object"] == "embedding" for c in payload["certifications"])
+
+    def test_budget_stop_reports_unknown(self, capsys, fam_file, monkeypatch):
+        members = [
+            sum(1 << e for e in c)
+            for r in (5, 6) for c in itertools.combinations(range(10), r)
+        ]
+        path = fam_file(SetFamily(10, members))
+        monkeypatch.setattr(
+            cli, "find_pattern_via_universality",
+            functools.partial(find_pattern_via_universality, node_budget=10),
+        )
+        code, payload = run_json(capsys, [
+            "embed", "--family", path, "--pattern", "builtin:V2", "--seed", "0",
+        ])
+        assert code == 4
+        res = payload["results"]
+        assert res["status"] == "unknown" and res["map"] is None
+        assert payload["certifications"] == []
 
     def test_ephemeral_allows_randomness(self, capsys, fam_file):
         path = fam_file(full_power_set(3))

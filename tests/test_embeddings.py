@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubefam.errors import PreconditionError
+from cubefam.errors import PreconditionError, SearchBudgetExceeded
 from cubefam.families import SetFamily, full_power_set, mask_size
 from cubefam.posets import (
     contains_subposet,
@@ -146,3 +146,16 @@ def test_empty_pattern_embeds_trivially():
     fam = SetFamily(3, [0b001])
     emb = find_pattern_via_universality(fam, FinitePoset(0), seed=0)
     assert emb is not None and emb.images == ()
+
+
+def test_pattern_search_budget_stop_is_not_absent():
+    """All 5- and 6-subsets of [10]: no dense route, no 3-cube (height 2)."""
+    fam = SetFamily(10, _layer_masks(10, 5) + _layer_masks(10, 6))
+    with pytest.raises(SearchBudgetExceeded):
+        find_pattern_via_universality(fam, make_v(), seed=1, node_budget=10)
+    # 100 nodes stop the cube search (it needs all 462) but not the
+    # pattern search, which runs after it and finds V.
+    for budget in (100, None):
+        emb = find_pattern_via_universality(fam, make_v(), seed=1, node_budget=budget)
+        assert emb is not None
+        assert verify_embedding_masks(make_v(), emb.images, "induced")

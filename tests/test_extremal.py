@@ -1,7 +1,6 @@
 """Exact pattern-avoidance optima and the symmetric chain machinery."""
 
 import math
-from fractions import Fraction
 
 import pytest
 

@@ -1,6 +1,5 @@
 """Pivot enumeration, flexibility thresholds, and the mass bounds."""
 
-import math
 import random
 from fractions import Fraction
 

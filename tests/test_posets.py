@@ -1,5 +1,4 @@
 import random
-from itertools import permutations
 
 import pytest
 
@@ -24,7 +23,9 @@ from cubefam.posets import (
 from conftest import (
     brute_force_induced_embed,
     brute_force_weak_embed,
+    random_family,
     random_poset,
+    reference_subposet_scan,
 )
 
 
@@ -125,6 +126,75 @@ def test_family_as_poset_equals_validated_poset():
         want = FinitePoset(k, pairs)
         assert got.k == k
         assert got.above == want.above and got.below == want.below
+
+
+def _pairwise_rows(masks):
+    k = len(masks)
+    above = [0] * k
+    below = [0] * k
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a & b == a and a != b:
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    return tuple(above), tuple(below)
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [
+        [],
+        [0],
+        [0b1011],
+        [0, 0b1, 0b10, 0b11],
+        [0b111, 0, 0b101],
+        [1 << 70, 0b1, (1 << 71) - 1, 0b11, 1 << 3],
+        [(1 << 64) | 1, 1, 1 << 64],
+    ],
+    ids=["empty", "empty-set", "single", "cube", "unsorted", "wide", "word-edge"],
+)
+def test_family_as_poset_edge_cases(masks):
+    p = family_as_poset(masks)
+    assert p.k == len(masks)
+    assert (p.above, p.below) == _pairwise_rows(masks)
+
+
+def test_family_as_poset_rejects_negative_masks():
+    with pytest.raises(PreconditionError):
+        family_as_poset([0b1, -2])
+
+
+def _kernel_cases():
+    rng = random.Random(2718)
+    for trial in range(160):
+        if trial % 2:
+            host = random_poset(rng, rng.randint(1, 10), rng.random())
+        else:
+            fam = random_family(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
+            host = family_as_poset(fam)
+        yield host, random_poset(rng, rng.randint(1, 5), rng.random())
+
+
+@pytest.mark.parametrize("mode", ["weak", "induced"])
+def test_kernel_matches_reference_scan(mode):
+    """Same first copy as the per-candidate scan, charged the same nodes."""
+    for host, pattern in _kernel_cases():
+        want, nodes = reference_subposet_scan(host, pattern, mode)
+        got = contains_subposet(host, pattern, mode, node_budget=nodes)
+        assert (None if got is None else got.images) == want, (host, pattern.pairs())
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded) as info:
+                contains_subposet(host, pattern, mode, node_budget=nodes - 1)
+            assert info.value.nodes == nodes
+
+
+def test_budget_stop_counts_budget_plus_one():
+    host = family_as_poset(full_power_set(5))
+    for budget in (0, 1, 7, 13):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            contains_subposet(host, make_cube(3), "induced", node_budget=budget)
+        assert info.value.nodes == budget + 1
+    assert contains_subposet(host, make_cube(3), "induced", node_budget=14) is not None
 
 
 def test_long_chain_search_needs_no_recursion():
