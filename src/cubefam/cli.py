@@ -205,15 +205,12 @@ def emit_report(rep: Report, fmt: Optional[str] = None) -> bytes:
 
 
 def _embedding_payload(emb) -> dict:
-    if emb.kind == "masks":
-        images = [format_subset(m) for m in emb.images]
-    else:
-        images = list(emb.images)
+    """A mask map (every map the CLI prints is one) as JSON."""
     return {
         "kind": emb.kind,
         "mode": emb.mode,
         "target_n": emb.target_n,
-        "images": images,
+        "images": [format_subset(m) for m in emb.images],
     }
 
 

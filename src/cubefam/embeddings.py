@@ -11,13 +11,14 @@ one vertex from every missing subset it contains, and shrink.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import CertificationError, PreconditionError, SearchBudgetExceeded
+from .errors import CertificationError, PreconditionError
 from .families import (
     MAX_GROUND,
     SetFamily,
@@ -26,7 +27,6 @@ from .families import (
     submasks_of_size,
 )
 from .posets import (
-    CUBE_DIM_CAP,
     EmbeddingMap,
     FinitePoset,
     contains_subposet,
@@ -64,19 +64,16 @@ class DenseTruncatedFamily:
             if size > self.m:
                 raise PreconditionError(f"mask of size {size} above truncation {self.m}")
 
-    def layer_count(self, size: int) -> int:
-        return sum(1 for mask in self.present if mask_size(mask) == size)
-
 
 def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
     """True iff every truncation layer keeps at least a (1-eps) fraction."""
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
-    for i in range(fam.m + 1):
-        if fam.layer_count(i) < (1 - eps) * math.comb(fam.n, i):
-            return False
-    return True
+    counts = Counter(map(mask_size, fam.present))
+    return all(
+        counts[i] >= (1 - eps) * math.comb(fam.n, i) for i in range(fam.m + 1)
+    )
 
 
 def universality_epsilon(m: int) -> Fraction:
@@ -203,12 +200,10 @@ def find_pattern_via_universality(
     A pattern on k elements embeds into the nonempty subsets of [k] by
     down-sets, so one full k-cube inside the host yields the pattern.
     When the host is dense among the small (or co-small) subsets, the
-    cube comes from randomized location; otherwise a backtracking search
-    finds the nonempty part of the cube directly (k <= 5), or in the last
-    resort the pattern itself.  The composed map is re-verified pairwise.
-    None means no copy exists: a budget stop in the cube search falls
-    through to the pattern search, and a budget stop in the pattern search
-    raises SearchBudgetExceeded (the answer is unknown).
+    cube comes from randomized location; otherwise a complete backtracking
+    search looks for the pattern itself (a cube copy would contain one).
+    The map is re-verified pairwise.  None means no copy exists; a budget
+    stop raises SearchBudgetExceeded (the answer is unknown).
 
     When ``stats`` is a dict, "attempts_used" is written into it: the
     number of randomized draws consumed (0 for purely oracle routes).
@@ -221,7 +216,6 @@ def find_pattern_via_universality(
         return EmbeddingMap((), "induced", "masks", target_n=n)
     if k > len(host_fam):
         return None
-    psi = downset_embedding(pattern).images
     members = host_fam.members
     member_set = host_fam.member_set
     full = (1 << n) - 1
@@ -243,6 +237,7 @@ def find_pattern_via_universality(
             if stats is not None:
                 stats["attempts_used"] += res.attempts_used
             if res.mask is not None:
+                psi = downset_embedding(pattern).images
                 return certified(tuple(expand_mask(s, res.mask) for s in psi))
         cosmall = frozenset(full ^ a for a in members if mask_size(a) >= n - k)
         dtf = DenseTruncatedFamily(n, k, cosmall)
@@ -254,21 +249,9 @@ def find_pattern_via_universality(
                 dual_psi = downset_embedding(pattern.dual()).images
                 return certified(tuple(full ^ expand_mask(s, res.mask) for s in dual_psi))
 
-    # Oracle route: search for the nonempty cube part, then compose.
-    host_poset = family_as_poset(host_fam)
-    if k <= CUBE_DIM_CAP:
-        try:
-            emb = contains_subposet(
-                host_poset, family_as_poset(range(1, 1 << k)), "induced", node_budget
-            )
-        except SearchBudgetExceeded:
-            emb = None
-        if emb is not None:
-            return certified(tuple(members[emb.images[s - 1]] for s in psi))
-    # No cube found (the pattern may still fit without one): search for
-    # the pattern itself.  A budget stop here propagates: nothing is left
-    # to try, and "not found" would read as absent.
-    emb = contains_subposet(host_poset, pattern, "induced", node_budget)
+    # Oracle route: search for the pattern itself.  A budget stop
+    # propagates, since "not found" would read as absent.
+    emb = contains_subposet(family_as_poset(host_fam), pattern, "induced", node_budget)
     if emb is None:
         return None
-    return certified(tuple(members[emb.images[x]] for x in range(k)))
+    return certified(tuple(members[i] for i in emb.images))

@@ -9,12 +9,13 @@ gap X, form a dense truncated poset whose witnesses live in the original
 family; locating a cube in it and composing with the down-set embedding
 yields a certified induced copy of the pattern.
 
-Two modes: "paper" uses the exact constant cascade (whose mass threshold
-is astronomically large -- the mode exists to report honest constants
-and to reject honestly), "override" accepts surrogate constants so the
-same code paths run at desk scale.  Every emitted embedding is verified
-pairwise regardless of mode; constants change what is attempted, never
-what is accepted.
+Two modes: "paper" uses the exact constant cascade, whose mass threshold
+exceeds the Lubell mass of every family on at most 64 points, so a paper
+run reports its honest constants and stops at the threshold check in
+``build_sequences``; "override" accepts surrogate constants so the rest
+of the pipeline runs at desk scale, on exact rationals throughout.
+Every emitted embedding is verified pairwise; constants change what is
+attempted, never what is accepted.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ _SOS_BIT_CAP = 20          # ground sizes up to this use the subset-sum tables
 STATUS_OK = "ok"
 STATUS_NO_MASS = "insufficient mass"
 STATUS_AGGRESSIVE = "constants too aggressive"
-STATUS_NO_BRANCH = "no branch"
 STATUS_SMALL_X = "X too small"
 STATUS_NOT_DENSE = "not dense enough"
 STATUS_EXHAUSTED = "embed exhausted"
@@ -169,7 +169,9 @@ class ConstantCascade:
     eps_j decreases through the 2m+1 possible steps; q dominates every
     fat-stratum mass, p every inflexible-stratum mass.  In paper mode q
     and the threshold are mpmath values (they exceed binary64); override
-    mode carries exact rationals.
+    mode carries exact rationals.  Only the threshold is ever compared in
+    paper mode (see ``build_sequences``), so ``step_floor`` and
+    ``step_demand`` take the override cascade's rationals.
     """
 
     m: int
@@ -191,28 +193,18 @@ class ConstantCascade:
 
     def step_demand(self):
         """Mass a single step consumes: the dichotomy needs > 4mq + 2p."""
-        if isinstance(self.q, Fraction):
-            return 4 * self.m * self.q + 2 * self.p
-        with mp.workdps(_MP_DPS):
-            return 4 * self.m * self.q + 2 * _mpf(self.p)
+        return 4 * self.m * self.q + 2 * self.p
 
 
-def cond5_floor(m: int, d: int, q, p):
-    if isinstance(q, Fraction):
-        qp = 2 * m * q + p
-    else:
-        with mp.workdps(_MP_DPS):
-            qp = 2 * m * q + _mpf(p)
+def cond5_floor(m: int, d: int, q: Fraction, p: Fraction) -> Fraction:
+    qp = 2 * m * q + p
     k = 2 * m - d
     return (1 << k) * (2 * m + 1) + sum((1 << i) * qp for i in range(1, k + 1))
 
 
 def _threshold_formula(m: int, q, p):
-    if isinstance(q, Fraction):
-        demand = 4 * m * q + 2 * p
-    else:
-        with mp.workdps(_MP_DPS):
-            demand = 4 * m * q + 2 * _mpf(p)
+    """Exact for Fraction q and p; compute_cascade passes both as mpmath."""
+    demand = 4 * m * q + 2 * p
     return (1 << (2 * m + 1)) * (2 * m + 1) + sum(
         (1 << i) * demand for i in range(1, 2 * m + 2)
     )
@@ -246,7 +238,7 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
             for j in range(1, 2 * m + 2)
             for i in range(m + 1)
         )
-        threshold = _threshold_formula(m, q, p)
+        threshold = _threshold_formula(m, q, _mpf(p))
     return ConstantCascade(m, "paper", tuple(eps_j), q_j, q, p, threshold)
 
 
@@ -307,17 +299,11 @@ def _prune_and_centre(
 
 
 def _mass_ge(mass: Fraction, floor) -> bool:
+    """The threshold check: a Fraction against a Fraction or an mpmath value."""
     if isinstance(floor, (Fraction, int)):
         return mass >= floor
     with mp.workdps(_MP_DPS):
         return _mpf(mass) >= floor
-
-
-def _mass_gt(mass: Fraction, floor) -> bool:
-    if isinstance(floor, (Fraction, int)):
-        return mass > floor
-    with mp.workdps(_MP_DPS):
-        return _mpf(mass) > floor
 
 
 def _step(
@@ -336,53 +322,32 @@ def _step(
         raise PreconditionError(f"expected {d} pivot strata, got {len(fats)}")
     u = mask_size(universe)
     mass = mass_of_sizes(map(mask_size, member_set), u)
-    if not _mass_gt(mass, cascade.step_demand()):
+    if mass <= cascade.step_demand():
         return StepOutcome(STATUS_NO_MASS, None, None, None, None)
     eps = cascade.eps_level(2 * m + 1 - d)
 
     lower_mass = mass_of_sizes(
         (mask_size(f) for f in member_set if 2 * mask_size(f) <= u), u
     )
-    prefer_flex = lower_mass >= mass / 2
-    comp_set = frozenset(universe ^ f for f in member_set)
-
-    order = [CASE_FLEX] if prefer_flex else [CASE_ANTI]
-    if cascade.mode == "override":
-        order.append(CASE_ANTI if prefer_flex else CASE_FLEX)
-
+    order = (CASE_FLEX, CASE_ANTI) if lower_mass >= mass / 2 else (CASE_ANTI, CASE_FLEX)
     for which, case in enumerate(order):
-        if case == CASE_FLEX:
-            got = _prune_and_centre(member_set, universe, eps, a, fats)
-            if got is None:
-                continue
-            y, y_mass = got
-            stratum = pivots_in_universe(member_set, universe, y, a, anti=False)
-            need = max(Fraction(1), (1 - eps) * math.comb(mask_size(y), a))
-            if Fraction(len(stratum.pivots)) < need:
-                raise CertificationError(
-                    "stratum count contradicts the flexibility that selected it"
-                )
-            return StepOutcome(STATUS_OK, CASE_FLEX, y, stratum, y_mass, which > 0)
-        # Anti case: identical worker on the family of complements, then
-        # un-complement.  A swap-out of the complement is a swap-in of
+        # The anti case runs the same worker on the family of complements,
+        # then un-complements: a swap-out of the complement is a swap-in of
         # the original, so the stratum transfers verbatim.
-        got = _prune_and_centre(comp_set, universe, eps, b, fats)
+        anti = case == CASE_ANTI
+        r = b if anti else a
+        pool = frozenset(universe ^ f for f in member_set) if anti else member_set
+        got = _prune_and_centre(pool, universe, eps, r, fats)
         if got is None:
             continue
-        y_tilde, y_mass = got
-        y_prime = universe ^ y_tilde
-        stratum = pivots_in_universe(member_set, universe, y_prime, b, anti=True)
-        need = max(Fraction(1), (1 - eps) * math.comb(mask_size(y_tilde), b))
-        if Fraction(len(stratum.pivots)) < need:
+        y, y_mass = got
+        element = universe ^ y if anti else y
+        stratum = pivots_in_universe(member_set, universe, element, r, anti=anti)
+        if len(stratum.pivots) < max(1, (1 - eps) * math.comb(mask_size(y), r)):
             raise CertificationError(
-                "anti-stratum count contradicts the flexibility that selected it"
+                "stratum count contradicts the flexibility that selected it"
             )
-        return StepOutcome(STATUS_OK, CASE_ANTI, y_prime, stratum, y_mass, which > 0)
-
-    if cascade.mode == "paper":
-        raise CertificationError(
-            "mass above the demand but both case workers came back empty"
-        )
+        return StepOutcome(STATUS_OK, case, element, stratum, y_mass, which > 0)
     return StepOutcome(STATUS_AGGRESSIVE, None, None, None, None)
 
 
@@ -424,11 +389,17 @@ class ExtractionTrace:
 def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> ExtractionTrace:
     """Iterate the dichotomy until the flexibility order reaches m.
 
+    The threshold check on the initial mass is where a paper-mode run
+    ends.  The threshold is 2^(2m+1) (2m+1) + sum_{i=1}^{2m+1} 2^i (4mq + 2p),
+    with q > 1 (``fat_mass_bound`` is m0 + 1/(1 - e^-c)) and p >= 0, so
+    it is above 80 for m = 1 and at least 160 for m >= 2; the Lubell mass
+    of a family on n points is at most n + 1 <= MAX_GROUND + 1.  Past the
+    check only override cascades run, on exact rationals, and an unmet
+    threshold or per-step mass floor is recorded as a warning.
+
     Structural claims of every step -- boundary membership, nesting,
     stratum witnesses, fatness of the running gap -- are re-verified
-    before the step is accepted, in both modes.  The per-step mass floor
-    is a hard requirement under paper constants and a recorded warning
-    under overrides.
+    before the step is accepted.
     """
     if cascade.m != m:
         raise PreconditionError(f"cascade built for m={cascade.m}, asked for m={m}")
@@ -449,7 +420,6 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
     steps: list = []
     strata: list = []          # (r_i, frozenset moved masks) in original coordinates
     status = STATUS_OK
-    branch = None
 
     for d in range(2 * m + 1):
         if a == m or b == m:
@@ -489,7 +459,7 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
             f for f in members if new_B & ~f == 0 and f & ~new_A == 0
         )
 
-        # --- structural re-verification (hard in both modes) ---
+        # --- structural re-verification ---
         if (B & ~new_B) or (new_A & ~A) or (new_B & ~new_A):
             raise CertificationError(f"step {d}: boundary nesting broken")
         if base not in members:
@@ -521,11 +491,8 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
             raise CertificationError(
                 f"step {d}: interval mass fell below the centred mass"
             )
-        floor = cascade.step_floor(d)
-        cond5 = _mass_ge(step_mass, floor)
+        cond5 = step_mass >= cascade.step_floor(d)
         if not cond5:
-            if cascade.mode == "paper":
-                raise CertificationError(f"step {d}: mass floor violated")
             warnings.append(f"step {d}: mass floor not met (override mode)")
 
         steps.append(
@@ -540,12 +507,9 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
         strata.append((r_d, frozenset(out.stratum.pivots)))
         members, A, B = new_members, new_A, new_B
 
-    if a == m:
-        branch = CASE_FLEX
-    elif b == m:
-        branch = CASE_ANTI
-    elif status == STATUS_OK:
-        status = STATUS_NO_BRANCH    # unreachable when steps all succeed
+    # 2m+1 completed steps raise a + b from -2 to 2m-1, so when every step
+    # succeeds one of the orders has reached m.
+    branch = CASE_FLEX if a == m else CASE_ANTI if b == m else None
     t = steps[-1].index if steps else -1
     return ExtractionTrace(
         cascade.mode, m, n, status, tuple(steps), t, branch, tuple(warnings),
@@ -595,8 +559,6 @@ def assemble_witnesses(
     if [s.a if case == CASE_FLEX else s.b for s in picked] != list(range(m + 1)):
         raise CertificationError("branch steps do not carry orders 0..m")
     if mask_size(X) < 2 * m:
-        if trace.mode == "paper":
-            raise CertificationError("final gap smaller than 2m under paper constants")
         return WitnessAssembly(STATUS_SMALL_X, case, X, m, eps, {}, {}, (), None)
 
     levels: dict = {}
@@ -672,9 +634,9 @@ def extract_induced_copy(
     """Full pipeline; every stage feeds the next, any stage may stop it.
 
     With ``overrides`` (dict with q, p and optionally eps) the run is in
-    override mode; otherwise the exact cascade is used, which at desk
-    scale normally stops at the mass threshold.  A returned map is
-    always certified induced against the pattern, whatever the mode.
+    override mode; otherwise the exact cascade is used, which stops at
+    the mass threshold (see ``build_sequences``).  A returned map is
+    always certified induced against the pattern.
     """
     m = pattern.k
     n = fam.ground.n
@@ -704,8 +666,6 @@ def extract_induced_copy(
     dtf = DenseTruncatedFamily(u, m, present)
     embed_eps = min(eps_top, universality_epsilon(m))
     if not (u >= 2 * m and dense_class_check(dtf, embed_eps)):
-        if cascade.mode == "paper":
-            raise CertificationError("paper-mode strata failed the density certificate")
         return ExtractionResult(
             STATUS_NOT_DENSE, cascade.mode, None, trace,
             assembly, None,

@@ -13,8 +13,8 @@ independent containment searcher before the result is returned.
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,10 +55,6 @@ def symmetric_chain_decomposition(n: int) -> dict:
     return chain_of
 
 
-class _BudgetStop(Exception):
-    pass
-
-
 class _Feasibility:
     """Incremental "may this mask join the family" oracle."""
 
@@ -68,8 +64,6 @@ class _Feasibility:
         self.chain_k = pattern.k if pattern.is_chain() else None
 
     def ok(self, members: list, x: int) -> bool:
-        if self.pattern.k == 0:
-            return False        # the empty pattern embeds in anything
         if self.chain_k is not None:
             return not self._makes_chain(members, x, self.chain_k)
         host = family_as_poset(members + [x])
@@ -126,7 +120,6 @@ class ExtremalResult:
 
 class _Search:
     def __init__(self, n, pattern, mode, objective, budget):
-        self.n = n
         self.feas = _Feasibility(pattern, mode)
         self.budget = budget
         self.nodes = 0
@@ -134,13 +127,14 @@ class _Search:
         # for the mass objective, so the bound arithmetic stays exact.
         if objective == "cardinality":
             self.scale = 1
-            self.weight = [1] * (n + 1)
+            weight = [1] * (n + 1)
         else:
             self.scale = math.lcm(*(math.comb(n, s) for s in range(n + 1)))
-            self.weight = [self.scale // math.comb(n, s) for s in range(n + 1)]
+            weight = [self.scale // math.comb(n, s) for s in range(n + 1)]
         self.cands = sorted(
             range(1 << n), key=lambda m: (abs(2 * mask_size(m) - n), mask_size(m), m)
         )
+        self.weights = [weight[mask_size(m)] for m in self.cands]
         if pattern.is_chain() or mode == "weak":
             cap = pattern.k - 1
             # Height <= k-1 splits the family into k-1 antichains, and an
@@ -149,92 +143,98 @@ class _Search:
         else:
             cap = 1 << n        # induced non-chain: chains say nothing
             self.mass_cap = None
+        # Chain bound: a chain keeps at most cap members.  Each chain is
+        # decided middle-out and C(n, s) shrinks away from the middle, so
+        # its undecided masks are a suffix of its search order with
+        # non-decreasing weights, and the best r of them are the last r:
+        # suffix[c][t] sums the weights of chain c from its t-th mask on.
         chain_of = symmetric_chain_decomposition(n)
-        self.chain_ids = [chain_of[m] for m in self.cands]
-        self.avail: dict = {}
-        self.chosen_w: dict = {}
-        for m in range(1 << n):
-            c = chain_of[m]
-            self.avail.setdefault(c, []).append(self.weight[mask_size(m)])
-            self.chosen_w.setdefault(c, 0)
-        for c in self.avail:
-            self.avail[c].sort(reverse=True)
-        self.cap = {c: min(cap, len(w)) for c, w in self.avail.items()}
-        self.chosen_n = {c: 0 for c in self.avail}
-        self.contrib = {c: self._chain_contrib(c) for c in self.avail}
-        self.bound = sum(self.contrib.values())
+        index: dict = {}
+        self.chain_ids = [index.setdefault(chain_of[m], len(index)) for m in self.cands]
+        chain_weights = [[] for _ in index]
+        for c, w in zip(self.chain_ids, self.weights):
+            chain_weights[c].append(w)
+        self.suffix = [
+            list(itertools.accumulate(reversed(ws), initial=0))[::-1]
+            for ws in chain_weights
+        ]
+        self.cap = [min(cap, len(ws)) for ws in chain_weights]
+        self.off = [len(ws) - c for ws, c in zip(chain_weights, self.cap)]
+        self.decided = [0] * len(index)
+        self.chosen_n = [0] * len(index)
+        self.chosen_w = [0] * len(index)
+        self.bound = sum(self._contrib(c) for c in range(len(index)))
         self.value = 0
         self.members: list = []
         self.best = 0            # the empty family is always feasible
         self.best_members: tuple = ()
 
-    def _chain_contrib(self, c: int) -> int:
-        room = self.cap[c] - self.chosen_n[c]
-        if room <= 0:
-            return self.chosen_w[c]
-        return self.chosen_w[c] + sum(self.avail[c][:room])
+    def _contrib(self, c: int) -> int:
+        """Chain c's chosen weight plus its best undecided weight within cap."""
+        best_from = max(self.decided[c], self.off[c] + self.chosen_n[c])
+        return self.chosen_w[c] + self.suffix[c][best_from]
 
-    def _retune(self, c: int) -> None:
-        new = self._chain_contrib(c)
-        self.bound += new - self.contrib[c]
-        self.contrib[c] = new
+    def _decide(self, i: int, take: bool, sign: int) -> None:
+        """Apply (sign 1) or undo (sign -1) the decision on position i."""
+        c = self.chain_ids[i]
+        before = self._contrib(c)
+        self.decided[c] += sign
+        if take:
+            w = self.weights[i]
+            self.chosen_n[c] += sign
+            self.chosen_w[c] += sign * w
+            self.value += sign * w
+            if sign > 0:
+                self.members.append(self.cands[i])
+            else:
+                self.members.pop()
+        self.bound += self._contrib(c) - before
 
-    def run(self) -> tuple:
-        t0 = time.perf_counter()
-        exact = True
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, len(self.cands) + 100))
-        try:
-            self._dfs(0)
-        except _BudgetStop:
-            exact = False
-        finally:
-            sys.setrecursionlimit(limit)
-        return self.best, self.best_members, self.nodes, time.perf_counter() - t0, exact
-
-    def _dfs(self, i: int) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise _BudgetStop
-        bound = self.bound
-        if self.mass_cap is not None and self.mass_cap < bound:
-            bound = self.mass_cap
-        if bound <= self.best or i == len(self.cands):
-            return
+    def _may_take(self, i: int) -> bool:
         x = self.cands[i]
         c = self.chain_ids[i]
-        w = self.weight[mask_size(x)]
         # Any family can be relabeled so that its first chosen mask (in
         # search order) is the smallest of its size, so other first
         # picks need not be explored.
         may_start = self.members or x == (1 << mask_size(x)) - 1
-        if may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(self.members, x):
-            self.members.append(x)
-            self.value += w
-            self.avail[c].remove(w)
-            self.chosen_n[c] += 1
-            self.chosen_w[c] += w
-            self._retune(c)
-            if self.value > self.best:
-                self.best = self.value
-                self.best_members = tuple(self.members)
-            self._dfs(i + 1)
-            self._retune_undo_add(c, w)
-        self.avail[c].remove(w)
-        self._retune(c)
-        self._dfs(i + 1)
-        self.avail[c].append(w)
-        self.avail[c].sort(reverse=True)
-        self._retune(c)
+        return (
+            may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(self.members, x)
+        )
 
-    def _retune_undo_add(self, c: int, w: int) -> None:
-        self.members.pop()
-        self.value -= w
-        self.avail[c].append(w)
-        self.avail[c].sort(reverse=True)
-        self.chosen_n[c] -= 1
-        self.chosen_w[c] -= w
-        self._retune(c)
+    def run(self) -> tuple:
+        """Depth-first, include before exclude; one node per visited position."""
+        t0 = time.perf_counter()
+        exact = True
+        taken: list = []         # the decision on each position so far
+        while True:
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                exact = False
+                break
+            bound = self.bound
+            if self.mass_cap is not None and self.mass_cap < bound:
+                bound = self.mass_cap
+            i = len(taken)
+            if bound > self.best and i < len(self.cands):
+                take = self._may_take(i)
+                self._decide(i, take, 1)
+                taken.append(take)
+                if self.value > self.best:
+                    self.best = self.value
+                    self.best_members = tuple(self.members)
+                continue
+            # Back up to the deepest include and exclude that position instead.
+            while taken and not taken[-1]:
+                taken.pop()
+                self._decide(len(taken), False, -1)
+            if not taken:
+                break
+            taken.pop()
+            i = len(taken)
+            self._decide(i, True, -1)
+            self._decide(i, False, 1)
+            taken.append(False)
+        return self.best, self.best_members, self.nodes, time.perf_counter() - t0, exact
 
 
 def extremal_search(

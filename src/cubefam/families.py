@@ -279,17 +279,22 @@ def parse_subset_literal(text: str, n: int) -> int:
     text = text.strip()
     if text == "-":
         return 0
-    parts = text.split(",")
-    try:
-        elements = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"bad subset literal {text!r}") from None
-    if elements != sorted(set(elements)):
-        raise ParseError(f"subset literal {text!r} must be sorted and duplicate-free")
-    try:
-        return mask_from_elements(elements, n)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from None
+    mask = 0
+    prev = 0
+    for part in text.split(","):
+        try:
+            e = int(part)
+        except ValueError:
+            raise ParseError(f"bad subset literal {text!r}") from None
+        if not 1 <= e <= n:
+            raise ParseError(f"element {e} outside ground set [{n}]")
+        if e <= prev:
+            raise ParseError(
+                f"subset literal {text!r} must be sorted and duplicate-free"
+            )
+        mask |= 1 << (e - 1)
+        prev = e
+    return mask
 
 
 def format_subset(mask: int) -> str:

@@ -183,7 +183,7 @@ class TestExtract:
         # builtin:P2 is the 2-chain; at desk scale it stops honestly.
         assert code == 0
         assert payload["results"]["status"] in (
-            "constants too aggressive", "insufficient mass", "no branch", "X too small",
+            "constants too aggressive", "insufficient mass", "X too small",
         )
 
 

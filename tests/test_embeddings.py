@@ -149,12 +149,11 @@ def test_empty_pattern_embeds_trivially():
 
 
 def test_pattern_search_budget_stop_is_not_absent():
-    """All 5- and 6-subsets of [10]: no dense route, no 3-cube (height 2)."""
+    """All 5- and 6-subsets of [10]: no dense route, so the pattern search."""
     fam = SetFamily(10, _layer_masks(10, 5) + _layer_masks(10, 6))
     with pytest.raises(SearchBudgetExceeded):
         find_pattern_via_universality(fam, make_v(), seed=1, node_budget=10)
-    # 100 nodes stop the cube search (it needs all 462) but not the
-    # pattern search, which runs after it and finds V.
+    # 10 nodes stop the pattern search; 100 are enough for it to find V.
     for budget in (100, None):
         emb = find_pattern_via_universality(fam, make_v(), seed=1, node_budget=budget)
         assert emb is not None

@@ -34,6 +34,7 @@ from cubefam.extraction import (
     build_sequences,
     cond5_floor,
 )
+from cubefam.families import MAX_GROUND
 from cubefam.posets import verify_embedding_masks
 
 from conftest import random_family
@@ -76,6 +77,9 @@ class TestCascade:
             c = compute_cascade(m, Fraction(1, (2 * m) ** (m + 1)))
             with mp.workdps(30):
                 assert mp.isfinite(c.threshold) and c.threshold > 0
+                # No family on at most MAX_GROUND points reaches the
+                # threshold: paper mode always stops at the first check.
+                assert c.threshold > MAX_GROUND + 1
             assert c.p > 0
 
     def test_input_validation(self):
@@ -145,6 +149,18 @@ class TestCentredElement:
         with pytest.raises(PreconditionError):
             centred_element(SetFamily(3, []))
 
+    def test_sparse_ground_above_table_cap(self):
+        # n = 24 is past the subset-sum tables: the index scans members.
+        rng = random.Random(2424)
+        fam = SetFamily(24, {rng.getrandbits(24) for _ in range(60)})
+        total = lubell_mass(fam)
+        by_size = sorted(fam.members, key=lambda f: (bin(f).count("1"), f))
+        full = fam.ground.full_mask
+        down = next(f for f in by_size if relative_lubell(fam, 0, f) >= total)
+        up = next(f for f in by_size if relative_lubell(fam, f, full) >= total)
+        assert centred_element(fam, "down") == down
+        assert centred_element(fam, "up") == up
+
     def test_antichain_touches_equality(self):
         fam = SetFamily(4, [m for m in range(16) if bin(m).count("1") == 2])
         c = centred_element(fam)
@@ -199,6 +215,37 @@ class TestBuildSequences:
         x = next(x for x in last.stratum if x & ~X == 0)
         witness = dict(last.stratum_witness)
         witness[x] = fam.ground.full_mask
+        broken = dataclasses.replace(
+            trace,
+            steps=trace.steps[:-1] + (dataclasses.replace(last, stratum_witness=witness),),
+        )
+        with pytest.raises(CertificationError, match="order mismatch"):
+            assemble_witnesses(broken, fam)
+
+    def test_anti_branch_assembles_and_rejects_mismatch(self):
+        # Families of sets of size >= n/2 often complete on the anti
+        # branch, whose witnesses must be ordered by inclusion.
+        rng = random.Random(0)
+        for _ in range(20):
+            fam = SetFamily(14, [
+                f for f in range(1 << 14)
+                if 2 * bin(f).count("1") >= 14 and rng.random() < 0.9
+            ])
+            trace = build_sequences(fam, 1, override_cascade(1, **OVR))
+            if trace.status == STATUS_OK and trace.branch == CASE_ANTI:
+                break
+        else:
+            pytest.fail("no anti-branch completion in 20 draws")
+        asm = assemble_witnesses(trace, fam)
+        assert asm.status == STATUS_OK and asm.branch == CASE_ANTI
+        assert bin(asm.X).count("1") == 3 and len(asm.W) == 4
+        # Re-point one order-1 witness at a member that does not contain
+        # the order-0 witness: the inclusion x0 < x is no longer mirrored.
+        last = trace.steps[-1]
+        x = next(x for x in last.stratum if x & ~asm.X == 0)
+        w0 = asm.psi[0]
+        witness = dict(last.stratum_witness)
+        witness[x] = next(f for f in fam.members if w0 & ~f and f not in asm.W)
         broken = dataclasses.replace(
             trace,
             steps=trace.steps[:-1] + (dataclasses.replace(last, stratum_witness=witness),),

@@ -159,3 +159,11 @@ def test_duplicate_members_in_file_rejected():
         parse_family(["n=3", "1,2", "1,2"])
     with pytest.raises(ParseError):
         parse_subset_literal("2,1", 3)      # literals must come sorted
+
+
+@pytest.mark.parametrize(
+    "text", ["", ",", "1,", ",1", "1,,2", "a", "1;2", "0", "-1", "4", "1,4", "2,1", "1,1", "--"]
+)
+def test_malformed_subset_literal_rejected(text):
+    with pytest.raises(ParseError):
+        parse_subset_literal(text, 3)

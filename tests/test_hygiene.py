@@ -1,4 +1,4 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used; nothing raises the recursion limit.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -52,3 +52,31 @@ def test_scan_flags_unused_and_spares_used():
         "    return os.sep\n"
     )
     assert unused_imports(tree) == ["line 2: sys", "line 4: xml"]
+
+
+def recursion_limit_calls(tree: ast.Module) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setrecursionlimit"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "cubefam").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_recursion_limit_raised(path):
+    """Nothing relies on deep Python recursion: the limit stays as it is."""
+    assert recursion_limit_calls(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_recursion_scan_flags_calls():
+    tree = ast.parse(
+        "import sys\n"
+        "from sys import setrecursionlimit\n"
+        "sys.setrecursionlimit(10**6)\n"
+        "sys.getrecursionlimit()\n"
+        "setrecursionlimit(5000)\n"
+    )
+    assert recursion_limit_calls(tree) == [3, 5]
