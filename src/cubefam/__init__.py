@@ -57,7 +57,6 @@ from .concentration import (
     verify_trace_probability,
 )
 from .pivots import (
-    FatnessQuery,
     MassBoundReport,
     PivotRecord,
     PivotSet,
@@ -88,7 +87,6 @@ __all__ = [
     "CubefamError",
     "DenseTruncatedFamily",
     "EmbeddingMap",
-    "FatnessQuery",
     "FinitePoset",
     "GroundSet",
     "MassBoundReport",

@@ -49,7 +49,13 @@ from .families import (
     read_family,
     relative_lubell,
 )
-from .pivots import enumerate_anti_pivots, enumerate_pivots, is_flexible
+from .pivots import (
+    enumerate_anti_pivots,
+    enumerate_pivots,
+    is_flexible,
+    verify_fat_mass_bound,
+    verify_flexibility_bound,
+)
 from .posets import (
     EmbeddingMap,
     FinitePoset,
@@ -469,16 +475,12 @@ def _handle_verify_lemma(cfg: RunConfig):
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "flexbound":
-        from .pivots import verify_flexibility_bound
-
         fam = read_family(cfg.params["family"])
         gamma = Fraction(cfg.params["gamma"])
         rep = verify_flexibility_bound(fam, gamma, cfg.params["r"])
         params = {"gamma": gamma, "r": cfg.params["r"]}
         return _mass_bound_payload(lemma, params, rep), [], EXIT_OK
     if lemma == "fatbound":
-        from .pivots import verify_fat_mass_bound
-
         fam = read_family(cfg.params["family"])
         sset = set(read_family(cfg.params["sset"]).members)
         eps = Fraction(cfg.params["eps"])

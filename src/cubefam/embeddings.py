@@ -10,7 +10,6 @@ one vertex from every missing subset it contains, and shrink.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .errors import CertificationError, PreconditionError
 from .families import (
     MAX_GROUND,
     SetFamily,
+    dense_need,
     expand_mask,
     mask_size,
     submasks_of_size,
@@ -71,9 +71,7 @@ def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
     if not 0 < eps <= 1:
         raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
     counts = Counter(map(mask_size, fam.present))
-    return all(
-        counts[i] >= (1 - eps) * math.comb(fam.n, i) for i in range(fam.m + 1)
-    )
+    return all(counts[i] >= dense_need(eps, fam.n, i) for i in range(fam.m + 1))
 
 
 def universality_epsilon(m: int) -> Fraction:

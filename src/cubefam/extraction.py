@@ -21,7 +21,6 @@ attempted, never what is accepted.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,15 +42,17 @@ from .errors import CertificationError, PreconditionError
 from .families import (
     SetFamily,
     compress_mask,
+    dense_need,
     expand_mask,
     lubell_mass,
     mask_elements,
     mask_size,
+    mass_of_counts,
     mass_of_sizes,
 )
 from .pivots import (
-    FatnessQuery,
     PivotSet,
+    flex_need,
     flexibility_mass_bound,
     flexible_in_universe,
     is_fat,
@@ -108,12 +109,8 @@ class _DownMassIndex:
         a = mask_size(A)
         if self.tables is not None:
             c = compress_mask(A, self.universe)
-            total = Fraction(0)
-            for s in range(min(a, len(self.tables) - 1) + 1):
-                cnt = int(self.tables[s][c])
-                if cnt:
-                    total += Fraction(cnt, math.comb(a, s))
-            return total
+            counts = {s: int(t[c]) for s, t in enumerate(self.tables[: a + 1])}
+            return mass_of_counts(counts, a)
         return mass_of_sizes(
             (mask_size(f) for f in self.members if f & ~A == 0), a
         )
@@ -288,9 +285,7 @@ def _prune_and_centre(
     for f in lower:
         if not flexible_in_universe(lower_set, universe, f, eps, r):
             continue
-        if any(
-            not is_fat(FatnessQuery(f, s_masks, eps, s_r)) for s_r, s_masks in fats
-        ):
+        if any(not is_fat(f, s_masks, eps, s_r) for s_r, s_masks in fats):
             continue
         survivors.append(f)
     if not survivors:
@@ -343,7 +338,7 @@ def _step(
         y, y_mass = got
         element = universe ^ y if anti else y
         stratum = pivots_in_universe(member_set, universe, element, r, anti=anti)
-        if len(stratum.pivots) < max(1, (1 - eps) * math.comb(mask_size(y), r)):
+        if len(stratum.pivots) < flex_need(eps, mask_size(y), r):
             raise CertificationError(
                 "stratum count contradicts the flexibility that selected it"
             )
@@ -435,7 +430,7 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
         if d >= 1:
             eps_hyp = cascade.eps_level(2 * m + 2 - d)
             for r_i, masks in fats:
-                if not is_fat(FatnessQuery(universe, masks, eps_hyp, r_i)):
+                if not is_fat(universe, masks, eps_hyp, r_i):
                     raise CertificationError(
                         f"step {d}: stratum of order {r_i} lost fatness in the gap"
                     )
@@ -479,7 +474,7 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
                 raise CertificationError(f"step {d}: witness for {x:#x} malformed")
         eps_step = cascade.eps_level(2 * m + 1 - d)
         for r_i, masks in fats + [(r_d, frozenset(out.stratum.pivots))]:
-            if not is_fat(FatnessQuery(gap, masks, eps_step, r_i)):
+            if not is_fat(gap, masks, eps_step, r_i):
                 raise CertificationError(f"step {d}: new gap not fat for order {r_i}")
 
         step_mass = mass_of_sizes(
@@ -599,7 +594,7 @@ def assemble_witnesses(
     if eps is not None:
         ux = mask_size(X)
         dense_ok = all(
-            len(levels.get(k, ())) >= (1 - eps) * math.comb(ux, k)
+            len(levels.get(k, ())) >= dense_need(eps, ux, k)
             for k in range(m + 1)
         )
     return WitnessAssembly(

@@ -8,12 +8,13 @@ meaningless in floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, PreconditionError
 
@@ -176,12 +177,29 @@ def _check_interval(fam: SetFamily, B: int, A: int) -> None:
         )
 
 
+@functools.cache
+def dense_need(eps, width: int, r: int) -> int:
+    """The least integer >= (1 - eps) C(width, r).
+
+    This is the one density rule: an r-layer over ``width`` points is
+    (1 - eps)-dense when it keeps at least this many sets.  For an integer
+    count c, c >= (1 - eps) C(width, r) exactly when c >= dense_need.
+    """
+    return math.ceil((1 - eps) * math.comb(width, r))
+
+
+def mass_of_counts(counts: Mapping[int, int], width: int) -> Fraction:
+    """Sum of c / C(width, s) over a size -> count map, exactly.
+
+    One common denominator: c / C(width, s) = c s! (width - s)! / width!.
+    """
+    f = math.factorial
+    return Fraction(sum(c * f(s) * f(width - s) for s, c in counts.items()), f(width))
+
+
 def mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
-    """Sum of 1/C(width, s) over ``sizes``, one exact term per distinct size."""
-    return sum(
-        (Fraction(c, math.comb(width, s)) for s, c in Counter(sizes).items()),
-        Fraction(0),
-    )
+    """Sum of 1/C(width, s) over ``sizes``."""
+    return mass_of_counts(Counter(sizes), width)
 
 
 def lubell_mass(fam: SetFamily) -> Fraction:

@@ -21,8 +21,8 @@ from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_boun
 from .errors import PreconditionError
 from .families import (
     SetFamily,
+    dense_need,
     lubell_mass,
-    mask_elements,
     mask_size,
     submasks_of_size,
 )
@@ -57,8 +57,27 @@ class PivotSet:
         ]
 
 
-def _lex_min(masks: Iterable[int]) -> int:
-    return min(masks, key=mask_elements)
+def _landings(member_set, universe: int, A: int, r: int, anti: bool):
+    """The one swap scanner: (moved, landing) for each moved r-set.
+
+    Moved sets come in ``submasks_of_size`` order; the landing is the
+    lex-least (by ``mask_elements``) family member the swap reaches, or
+    None.  Two landings of one moved set differ exactly where the scanned
+    parts differ -- Y for pivots, the kept part A \\ X for anti-pivots --
+    and equal-sized sets compare lexicographically by the least element
+    of their symmetric difference, so the first hit is the lex-least one.
+    """
+    outside = universe & ~A
+    if anti:
+        keep = mask_size(A) - r          # below 0: no X to swap out, no landing
+        kept = list(submasks_of_size(A, keep)) if keep >= 0 else []
+        for y in submasks_of_size(outside, r):
+            yield y, next((k | y for k in kept if k | y in member_set), None)
+    else:
+        ins = list(submasks_of_size(outside, r))
+        for x in submasks_of_size(A, r):
+            k = A & ~x
+            yield x, next((k | y for y in ins if k | y in member_set), None)
 
 
 def _enumerate(member_set, universe: int, A: int, r: int, anti: bool) -> PivotSet:
@@ -67,24 +86,8 @@ def _enumerate(member_set, universe: int, A: int, r: int, anti: bool) -> PivotSe
         raise PreconditionError("base set leaves the universe")
     if r < 0:
         raise PreconditionError("order r must be nonnegative")
-    outside = universe & ~A
-    if r == 0:
-        # The empty swap: witnessed by A itself, present or not.
-        if A in member_set:
-            return PivotSet(A, 0, kind, (0,), {0: A})
-        return PivotSet(A, 0, kind, (), {})
-    moved_pool = outside if anti else A
-    other_pool = A if anti else outside
-    found = {}
-    for moved in submasks_of_size(moved_pool, r):
-        hits = []
-        for other in submasks_of_size(other_pool, r):
-            x, y = (other, moved) if anti else (moved, other)
-            b = (A & ~x) | y
-            if b in member_set:
-                hits.append(b)
-        if hits:
-            found[moved] = _lex_min(hits)
+    scan = _landings(member_set, universe, A, r, anti)
+    found = {moved: w for moved, w in scan if w is not None}
     pivots = tuple(sorted(found))
     return PivotSet(A, r, kind, pivots, {x: found[x] for x in pivots})
 
@@ -164,32 +167,11 @@ def observation_check(fam: SetFamily, rec: PivotRecord) -> bool:
     return True
 
 
-def _flex_threshold(gamma: Fraction, pool_size: int, r: int) -> Fraction:
-    # Count needed for flexibility; never vacuous (at least one swap must
-    # exist even when the proportional demand rounds to zero).
-    return max(Fraction(1), (1 - gamma) * math.comb(pool_size, r))
-
-
-def _count_reaches(member_set, universe, A, r, anti, need: int) -> bool:
-    """Early-exit check: does the pivot count reach ``need``?"""
-    if r == 0:
-        return (1 if A in member_set else 0) >= need
-    outside = universe & ~A
-    moved_pool = outside if anti else A
-    other_pool = A if anti else outside
-    pool = list(submasks_of_size(moved_pool, r))
-    count = 0
-    for idx, moved in enumerate(pool):
-        if count + (len(pool) - idx) < need:
-            return False
-        for other in submasks_of_size(other_pool, r):
-            x, y = (other, moved) if anti else (moved, other)
-            if (A & ~x) | y in member_set:
-                count += 1
-                break
-        if count >= need:
-            return True
-    return count >= need
+def flex_need(gamma, pool: int, r: int) -> int:
+    """Pivots a base needs to be flexible: a (1-gamma) share of the
+    C(pool, r) moved sets, and never vacuous (at least one swap must exist
+    even when the proportional demand rounds to zero)."""
+    return max(1, dense_need(gamma, pool, r))
 
 
 def is_flexible(
@@ -214,49 +196,31 @@ def flexible_in_universe(
     if A & ~universe:
         raise PreconditionError("base set leaves the universe")
     pool = mask_size(universe & ~A) if anti else mask_size(A)
-    thr = _flex_threshold(gamma, pool, r)
-    need = math.ceil(thr)     # counts are integers
-    return _count_reaches(member_set, universe, A, r, anti, need)
+    need = flex_need(gamma, pool, r)
+    # Scan until the count is decided: reached, or out of reach of the
+    # moved sets not yet scanned.
+    count, left = 0, math.comb(pool, r)
+    scan = _landings(member_set, universe, A, r, anti)
+    while count < need <= count + left:
+        count += next(scan)[1] is not None
+        left -= 1
+    return count >= need
 
 
-@dataclass(frozen=True)
-class FatnessQuery:
-    """Is at least a (1-eps) fraction of X's r-subsets inside S?
+def is_fat(X: int, S, eps, r: int) -> bool:
+    """Is at least a (1-eps) share of X's r-subsets inside S?
 
-    ``r`` may be omitted when S is nonempty (inferred from its members);
-    an empty S needs it spelled out.
+    S is a set of r-subset masks; its members outside X are ignored.
     """
-
-    X: int
-    S: frozenset
-    eps: Fraction
-    r: Optional[int] = None
-
-    def resolved_r(self) -> int:
-        sizes = {mask_size(s) for s in self.S}
-        if len(sizes) > 1:
-            raise PreconditionError(f"S mixes subset sizes {sorted(sizes)}")
-        if sizes:
-            r = sizes.pop()
-            if self.r is not None and self.r != r:
-                raise PreconditionError("declared r disagrees with S")
-            return r
-        if self.r is None:
-            raise PreconditionError("empty S: the order r must be given")
-        return self.r
-
-
-def is_fat(q: FatnessQuery) -> bool:
-    eps = Fraction(q.eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError(f"fatness tolerance must be positive, got {eps}")
-    r = q.resolved_r()
-    total = math.comb(mask_size(q.X), r)
-    if len(q.S) < total:
-        count = sum(1 for s in q.S if s & ~q.X == 0)
+    width = mask_size(X)
+    if len(S) < math.comb(width, r):
+        count = sum(1 for s in S if s & ~X == 0)
     else:
-        count = sum(1 for t in submasks_of_size(q.X, r) if t in q.S)
-    return count >= (1 - eps) * total
+        count = sum(1 for t in submasks_of_size(X, r) if t in S)
+    return count >= dense_need(eps, width, r)
 
 
 @dataclass(frozen=True)
@@ -316,21 +280,26 @@ def verify_fat_mass_bound(
     """
     eps = Fraction(eps)
     s_set = frozenset(S)
-    probe = FatnessQuery(0, s_set, eps, r)
-    r = probe.resolved_r()
+    sizes = sorted({mask_size(s) for s in s_set})
+    if len(sizes) > 1:
+        raise PreconditionError(f"S mixes subset sizes {sizes}")
+    if r is None:
+        if not sizes:
+            raise PreconditionError("empty S: the order r must be given")
+        r = sizes[0]
+    elif sizes and sizes != [r]:
+        raise PreconditionError("declared r disagrees with S")
     n = fam.ground.n
     consts = concentration_constants(eps, r)
     bound = fat_mass_bound(eps, r)
     mass = lubell_mass(fam)
-    if Fraction(len(s_set)) < (1 - consts.eta) * math.comb(n, r):
+    if len(s_set) < dense_need(consts.eta, n, r):
         return MassBoundReport(
             False,
             f"S keeps less than a (1 - {consts.eta}) fraction of the r-sets",
             mass, bound, None,
         )
-    fat = [
-        a for a in fam.members if is_fat(FatnessQuery(a, s_set, eps, r))
-    ]
+    fat = [a for a in fam.members if is_fat(a, s_set, eps, r)]
     if fat:
         return MassBoundReport(
             False, f"{len(fat)} members are fat", mass, bound, None
@@ -360,61 +329,56 @@ def max_flexfree_layer(n: int, k: int, gamma, r: int) -> tuple:
         # Every member 0-witnesses itself, so only the empty family
         # avoids flexibility (matching the bound's value of 0).
         return 0, ()
-    thr = _flex_threshold(gamma, k, r)
-    limit = math.ceil(thr)    # forbidden count
+    limit = flex_need(gamma, k, r)    # forbidden count
     masks = list(submasks_of_size((1 << n) - 1, k))
     chosen: list = []
     swaps: list = []                                  # parallel: sets of pivot X-masks
     best_count = 0
     best_masks: tuple = ()
 
-    def add_ok(c: int) -> Optional[list]:
-        # Returns the per-member swap additions, or None if some count
-        # would reach the forbidden threshold.
+    def grow(c: int) -> Optional[tuple]:
+        # The swap-sets c would add to chosen members, and c's own; None
+        # if some count would reach the forbidden threshold.
         additions = []
         c_swaps = set()
-        for i, a in enumerate(chosen):
+        for a, a_swaps in zip(chosen, swaps):
             x = a & ~c
             if mask_size(x) != r:
                 continue
-            adds_a = x not in swaps[i]
-            if adds_a and len(swaps[i]) + 1 >= limit:
-                return None
+            if x not in a_swaps:
+                if len(a_swaps) + 1 >= limit:
+                    return None
+                additions.append((a_swaps, x))
             c_swaps.add(c & ~a)
-            additions.append((i, x) if adds_a else None)
         if len(c_swaps) >= limit:
             return None
-        additions.append(c_swaps)
-        return additions
+        return additions, c_swaps
 
-    def dfs(idx: int) -> None:
-        nonlocal best_count, best_masks
-        if len(chosen) + (len(masks) - idx) <= best_count:
-            return
-        if idx == len(masks):
-            if len(chosen) > best_count:
-                best_count = len(chosen)
-                best_masks = tuple(chosen)
-            return
-        c = masks[idx]
-        additions = add_ok(c)
-        if additions is not None:
-            c_swaps = additions.pop()
-            for entry in additions:
-                if entry is not None:
-                    swaps[entry[0]].add(entry[1])
-            chosen.append(c)
-            swaps.append(c_swaps)
-            dfs(idx + 1)
-            chosen.pop()
-            swaps.pop()
-            for entry in additions:
-                if entry is not None:
-                    swaps[entry[0]].discard(entry[1])
-        dfs(idx + 1)
-
-    dfs(0)
-    return best_count, best_masks
+    taken: list = []      # per decided mask: what choosing it grew, None if left out
+    while True:
+        idx = len(taken)
+        if len(chosen) + (len(masks) - idx) > best_count:
+            if idx == len(masks):
+                best_count, best_masks = len(chosen), tuple(chosen)
+            else:
+                grown = grow(masks[idx])
+                if grown is not None:
+                    for a_swaps, x in grown[0]:
+                        a_swaps.add(x)
+                    chosen.append(masks[idx])
+                    swaps.append(grown[1])
+                taken.append(grown)
+                continue
+        # Back up to the deepest chosen mask and leave it out instead.
+        while taken and taken[-1] is None:
+            taken.pop()
+        if not taken:
+            return best_count, best_masks
+        for a_swaps, x in taken.pop()[0]:
+            a_swaps.discard(x)
+        chosen.pop()
+        swaps.pop()
+        taken.append(None)
 
 
 def max_flexfree_mass(n: int, gamma, r: int) -> tuple:
@@ -446,8 +410,7 @@ def hillclimb_flexfree_mass(
         total = Fraction(0)
         fam_masks: list = []
         for k in range(n // 2 + 1):
-            thr = _flex_threshold(gamma, k, r)
-            limit = math.ceil(thr)
+            limit = flex_need(gamma, k, r)
             pool = list(submasks_of_size((1 << n) - 1, k))
             rng.shuffle(pool)
             layer: list = []

@@ -78,9 +78,6 @@ class FinitePoset:
     def lt(self, i: int, j: int) -> bool:
         return bool(self.above[i] & (1 << j))
 
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or self.lt(i, j)
-
     def comparable(self, i: int, j: int) -> bool:
         return i == j or self.lt(i, j) or self.lt(j, i)
 
@@ -501,8 +498,3 @@ def format_poset(p: FinitePoset) -> str:
 def read_poset(path) -> FinitePoset:
     with open(path, "r", encoding="ascii") as fh:
         return parse_poset(fh)
-
-
-def write_poset(p: FinitePoset, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_poset(p))

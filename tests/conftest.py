@@ -6,7 +6,7 @@ explicit random.Random with a fixed seed, so failures replay exactly.
 
 import random
 
-from cubefam.families import SetFamily
+from cubefam.families import SetFamily, mask_elements, submasks_of_size
 from cubefam.posets import FinitePoset
 
 
@@ -21,6 +21,28 @@ def nonempty_random_family(rng: random.Random, n: int, density: float = 0.3) -> 
     if len(fam) == 0:
         fam = SetFamily(n, [rng.randrange(1 << n)])
     return fam
+
+
+def reference_pivot_scan(member_set, universe: int, A: int, r: int, anti: bool) -> dict:
+    """The all-hits scan ``pivots_in_universe`` is checked against.
+
+    Every swap of every moved r-set is tried; a moved set's witness is
+    the lex-least (by element tuple) of all the members it reaches.
+    Returns moved mask -> witness for the moved sets with a hit.
+    """
+    outside = universe & ~A
+    moved_pool, other_pool = (outside, A) if anti else (A, outside)
+    found = {}
+    for moved in submasks_of_size(moved_pool, r):
+        hits = []
+        for other in submasks_of_size(other_pool, r):
+            x, y = (other, moved) if anti else (moved, other)
+            landing = (A & ~x) | y
+            if landing in member_set:
+                hits.append(landing)
+        if hits:
+            found[moved] = min(hits, key=mask_elements)
+    return found
 
 
 def random_poset(rng: random.Random, k: int, edge_prob: float = 0.3) -> FinitePoset:

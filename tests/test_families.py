@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cubefam.families import (
     complement_family,
     expand_mask,
     compress_mask,
+    dense_need,
     format_family,
     format_subset,
     full_power_set,
@@ -18,6 +20,7 @@ from cubefam.families import (
     mask_elements,
     mask_from_elements,
     mask_size,
+    mass_of_sizes,
     parse_family,
     parse_subset_literal,
     relative_lubell,
@@ -66,6 +69,26 @@ def test_lubell_mass_hand_value():
     # {1}, {2}, {1,2} over [2]: 1/2 + 1/2 + 1/1
     fam = SetFamily(2, [0b01, 0b10, 0b11])
     assert lubell_mass(fam) == Fraction(2)
+
+
+def test_mass_of_sizes_matches_termwise_sum():
+    rng = random.Random(64)
+    for _ in range(300):
+        width = rng.randint(0, 64)
+        sizes = [rng.randint(0, width) for _ in range(rng.randint(0, 40))]
+        termwise = sum((Fraction(1, math.comb(width, s)) for s in sizes), Fraction(0))
+        assert mass_of_sizes(sizes, width) == termwise
+
+
+def test_dense_need_is_the_proportional_rule():
+    tolerances = [Fraction(k, 12) for k in range(13)] + [Fraction(1, 7), Fraction(3, 5)]
+    for eps in tolerances:
+        for width in range(9):
+            for r in range(width + 2):
+                need = dense_need(eps, width, r)
+                total = math.comb(width, r)
+                for c in range(total + 2):
+                    assert (c >= need) == (c >= (1 - eps) * total), (eps, width, r, c)
 
 
 def test_relative_mass_matches_direct_computation():

@@ -1,12 +1,12 @@
 """Pivot enumeration, flexibility thresholds, and the mass bounds."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cubefam import (
-    FatnessQuery,
     PivotRecord,
     PreconditionError,
     SetFamily,
@@ -23,9 +23,10 @@ from cubefam import (
     verify_fat_mass_bound,
     verify_flexibility_bound,
 )
-from cubefam.families import mask_size
+from cubefam.families import mask_size, submasks_of_size
+from cubefam.pivots import flexible_in_universe, max_flexfree_layer, pivots_in_universe
 
-from conftest import random_family
+from conftest import random_family, reference_pivot_scan
 
 
 def middle_layer(n):
@@ -78,6 +79,31 @@ class TestEnumeration:
             second = enumerate_pivots(fam, a, r)
             assert first == second
             assert first.witness_of == second.witness_of
+
+    def test_scanner_matches_all_hits_reference(self):
+        # The first hit of the scan is the lex-least landing, and the
+        # early-exit flexibility count agrees with the full pivot count.
+        rng = random.Random(6006)
+        r_above_a = r_above_outside = 0
+        for _ in range(1200):
+            n = rng.randint(1, 7)
+            fam = random_family(rng, n, density=rng.choice((0.2, 0.5, 0.8)))
+            universe = rng.randrange(1 << n)
+            A = universe & rng.randrange(1 << n)
+            r = rng.randint(0, n)
+            anti = rng.random() < 0.5
+            r_above_a += r > mask_size(A)
+            r_above_outside += r > mask_size(universe & ~A)
+            want = reference_pivot_scan(fam.member_set, universe, A, r, anti)
+            got = pivots_in_universe(fam.member_set, universe, A, r, anti=anti)
+            assert got.pivots == tuple(sorted(want))
+            assert got.witness_of == want
+            gamma = Fraction(rng.randint(1, 6), 6)
+            pool = mask_size(universe & ~A) if anti else mask_size(A)
+            flexible = len(want) >= max(1, (1 - gamma) * math.comb(pool, r))
+            got_flex = flexible_in_universe(fam.member_set, universe, A, gamma, r, anti=anti)
+            assert got_flex == flexible
+        assert r_above_a > 100 and r_above_outside > 100
 
 
 class TestRecords:
@@ -196,6 +222,14 @@ class TestFlexFreeSearch:
         rep = verify_flexibility_bound(fam, gamma, r)
         assert rep.hypothesis_ok and rep.satisfied
 
+    def test_layer_search_is_not_recursive(self):
+        # No 7-swap exists between 6-sets, so the whole layer is
+        # flexibility-free; a search recursing once per mask cannot reach
+        # the bottom of its 1716 masks.
+        count, masks = max_flexfree_layer(13, 6, Fraction(1), 7)
+        assert count == math.comb(13, 6) == 1716
+        assert masks == tuple(submasks_of_size((1 << 13) - 1, 6))
+
     def test_r0_optimum_is_empty(self):
         mass, masks = max_flexfree_mass(5, Fraction(1, 2), 0)
         assert mass == 0 and masks == ()
@@ -250,24 +284,26 @@ class TestFatness:
         # exactly two misses; a third flips the verdict.
         x = 0b1111
         subs = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-        assert is_fat(FatnessQuery(x, frozenset(subs[:4]), Fraction(1, 3)))
-        assert not is_fat(FatnessQuery(x, frozenset(subs[:3]), Fraction(1, 3)))
+        assert is_fat(x, frozenset(subs[:4]), Fraction(1, 3), 2)
+        assert not is_fat(x, frozenset(subs[:3]), Fraction(1, 3), 2)
 
     def test_empty_x_is_vacuously_fat(self):
-        assert is_fat(FatnessQuery(0, frozenset(), Fraction(1, 4), 1))
+        assert is_fat(0, frozenset(), Fraction(1, 4), 1)
 
     def test_empty_s_needs_declared_r(self):
         with pytest.raises(PreconditionError, match="order r"):
-            is_fat(FatnessQuery(0b111, frozenset(), Fraction(1, 4)))
+            verify_fat_mass_bound(SetFamily(3, [0b111]), frozenset(), Fraction(1, 4))
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(PreconditionError, match="mixes"):
-            is_fat(FatnessQuery(0b111, frozenset({0b001, 0b011}), Fraction(1, 4)))
+            verify_fat_mass_bound(
+                SetFamily(3, [0b111]), frozenset({0b001, 0b011}), Fraction(1, 4)
+            )
 
     def test_declared_r_must_agree(self):
         with pytest.raises(PreconditionError, match="disagrees"):
-            is_fat(FatnessQuery(0b111, frozenset({0b001}), Fraction(1, 4), 2))
+            verify_fat_mass_bound(SetFamily(3, [0b111]), frozenset({0b001}), Fraction(1, 4), 2)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(PreconditionError):
-            is_fat(FatnessQuery(0b111, frozenset({0b001}), Fraction(0)))
+            is_fat(0b111, frozenset({0b001}), Fraction(0), 1)
