@@ -20,7 +20,9 @@ attempted, never what is accepted.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,7 +49,6 @@ from .families import (
     lubell_mass,
     mask_elements,
     mask_size,
-    mass_of_counts,
     mass_of_sizes,
 )
 from .pivots import (
@@ -77,43 +78,17 @@ CASE_ANTI = "down"         # b-increment: new bottom boundary, anti-pivot stratu
 # Centred elements.
 
 
-class _DownMassIndex:
-    """Per-member count of family members below each subset.
+@functools.cache
+def _class_weights(a: int) -> tuple:
+    """(L, w) with L = lcm_s C(a, s) and w[s] = L / C(a, s), s = 0..a.
 
-    Small grounds get exact subset-sum tables (one zeta transform per
-    member size); larger grounds fall back to the quadratic scan.
+    A set A of size a then has relative mass num / L below it, with
+    num = sum_s cnt_s(A) w[s] an integer, cnt_s(A) counting the members
+    of size s inside A.
     """
-
-    def __init__(self, shifted: Sequence[int], universe: int):
-        self.universe = universe
-        self.members = list(shifted)
-        self.u = mask_size(universe)
-        self.tables: Optional[list] = None
-        if self.u <= _SOS_BIT_CAP:
-            comp = [compress_mask(f, universe) for f in self.members]
-            max_size = max((mask_size(f) for f in self.members), default=0)
-            tables = []
-            for s in range(max_size + 1):
-                arr = np.zeros(1 << self.u, dtype=np.int64)
-                idx = [c for c in comp if c.bit_count() == s]
-                if idx:
-                    np.add.at(arr, np.array(idx, dtype=np.int64), 1)
-                for i in range(self.u):
-                    view = arr.reshape(-1, 2, 1 << i)
-                    view[:, 1, :] += view[:, 0, :]
-                tables.append(arr)
-            self.tables = tables
-
-    def mass_below(self, A: int) -> Fraction:
-        """The relative mass of the family inside the interval below A."""
-        a = mask_size(A)
-        if self.tables is not None:
-            c = compress_mask(A, self.universe)
-            counts = {s: int(t[c]) for s, t in enumerate(self.tables[: a + 1])}
-            return mass_of_counts(counts, a)
-        return mass_of_sizes(
-            (mask_size(f) for f in self.members if f & ~A == 0), a
-        )
+    binoms = [math.comb(a, s) for s in range(a + 1)]
+    lcm = math.lcm(*binoms)
+    return lcm, tuple(lcm // c for c in binoms)
 
 
 def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
@@ -123,27 +98,48 @@ def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
     expectation, and conditioning on the lowest (resp. highest) hit only
     concentrates the count -- so some member must carry at least the
     average.  Deterministic tie-break: smallest size, then smallest mask.
+
+    "Up" is "down" on complements.  Candidates of one size class share
+    the test num >= ceil(l(F) L) of ``_class_weights``.  Grounds of at
+    most ``_SOS_BIT_CAP`` points take cnt_s from per-size subset-count
+    tables (one zeta transform each) in int64: num <= (a+1) L =
+    lcm(1..a+1) <= lcm(1..21) = 232,792,560 < 2^28.  Larger grounds scan
+    the family per candidate in Python ints.
     """
+    if direction not in ("down", "up"):
+        raise PreconditionError(f"direction must be 'down' or 'up', got {direction!r}")
     members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
     if not members:
         raise PreconditionError("centred element of an empty family")
     u = mask_size(universe)
     total = mass_of_sizes(map(mask_size, members), u)
-    if direction == "down":
-        index = _DownMassIndex(members, universe)
-        for a_mask in members:
-            m = index.mass_below(a_mask)
-            if m >= total:
-                return a_mask, m
-    elif direction == "up":
-        comp = [universe ^ f for f in members]
-        index = _DownMassIndex(comp, universe)
-        for b_mask in members:
-            m = index.mass_below(universe ^ b_mask)
-            if m >= total:
-                return b_mask, m
-    else:
-        raise PreconditionError(f"direction must be 'down' or 'up', got {direction!r}")
+    # Each candidate's test set, which is also the family counted inside it.
+    tests = members if direction == "down" else [universe ^ f for f in members]
+    sizes = [mask_size(t) for t in tests]
+    if u <= _SOS_BIT_CAP:
+        comp = np.array([compress_mask(t, universe) for t in tests], dtype=np.int64)
+        tables = np.zeros((max(sizes) + 1, 1 << u), dtype=np.int64)
+        tables[sizes, comp] = 1
+        for i in range(u):
+            view = tables.reshape(len(tables), -1, 2, 1 << i)
+            view[:, :, 1, :] += view[:, :, 0, :]
+    start = 0
+    for a, group in itertools.groupby(sizes):
+        stop = start + sum(1 for _ in group)
+        lcm, w = _class_weights(a)
+        need = math.ceil(total * lcm)
+        if u <= _SOS_BIT_CAP:
+            nums = np.array(w, dtype=np.int64) @ tables[: a + 1, comp[start:stop]]
+            hits = np.flatnonzero(nums >= need)
+            if hits.size:
+                return members[start + hits[0]], Fraction(int(nums[hits[0]]), lcm)
+        else:
+            for k in range(start, stop):
+                A = tests[k]
+                num = sum(w[s] for f, s in zip(tests, sizes) if f & ~A == 0)
+                if num >= need:
+                    return members[k], Fraction(num, lcm)
+        start = stop
     raise CertificationError("no centred element found; the averaging argument failed")
 
 
@@ -280,14 +276,12 @@ def _prune_and_centre(
     centre what remains.  Returns (Y, mass) or None if nothing survives."""
     u = mask_size(universe)
     lower = [f for f in member_set if 2 * mask_size(f) <= u]
-    lower_set = frozenset(lower)
-    survivors = []
-    for f in lower:
-        if not flexible_in_universe(lower_set, universe, f, eps, r):
-            continue
-        if any(not is_fat(f, s_masks, eps, s_r) for s_r, s_masks in fats):
-            continue
-        survivors.append(f)
+    if r > 0:  # at r = 0 each member is its own 0-landing, hence flexible
+        lower_set = frozenset(lower)
+        lower = [f for f in lower if flexible_in_universe(lower_set, universe, f, eps, r)]
+    survivors = [
+        f for f in lower if all(is_fat(f, s_masks, eps, s_r) for s_r, s_masks in fats)
+    ]
     if not survivors:
         return None
     return _centred(survivors, universe, "down")

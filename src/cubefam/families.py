@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import ParseError, PreconditionError
 
@@ -188,18 +188,14 @@ def dense_need(eps, width: int, r: int) -> int:
     return math.ceil((1 - eps) * math.comb(width, r))
 
 
-def mass_of_counts(counts: Mapping[int, int], width: int) -> Fraction:
-    """Sum of c / C(width, s) over a size -> count map, exactly.
+def mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
+    """Sum of 1/C(width, s) over ``sizes``, exactly.
 
-    One common denominator: c / C(width, s) = c s! (width - s)! / width!.
+    One common denominator: 1 / C(width, s) = s! (width - s)! / width!.
     """
     f = math.factorial
+    counts = Counter(sizes)
     return Fraction(sum(c * f(s) * f(width - s) for s, c in counts.items()), f(width))
-
-
-def mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
-    """Sum of 1/C(width, s) over ``sizes``."""
-    return mass_of_counts(Counter(sizes), width)
 
 
 def lubell_mass(fam: SetFamily) -> Fraction:

@@ -4,9 +4,20 @@ No property-testing frameworks: every randomized test draws from an
 explicit random.Random with a fixed seed, so failures replay exactly.
 """
 
+import math
 import random
+from fractions import Fraction
 
-from cubefam.families import SetFamily, mask_elements, submasks_of_size
+import numpy as np
+
+from cubefam.families import (
+    SetFamily,
+    compress_mask,
+    mask_elements,
+    mask_size,
+    mass_of_sizes,
+    submasks_of_size,
+)
 from cubefam.posets import FinitePoset
 
 
@@ -43,6 +54,47 @@ def reference_pivot_scan(member_set, universe: int, A: int, r: int, anti: bool) 
         if hits:
             found[moved] = min(hits, key=mask_elements)
     return found
+
+
+def reference_centred(shifted, universe: int, direction: str) -> tuple:
+    """The per-candidate ``Fraction`` search ``_centred`` is checked against.
+
+    Each candidate's one-sided relative mass is one exact ``Fraction``,
+    from per-size subset-count tables on grounds of at most 20 points and
+    from a scan of the family above that; candidates are tried by (size,
+    mask).  Returns (member, mass) of the first one whose mass covers the
+    family's, or None.
+    """
+    members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
+    u = mask_size(universe)
+    total = mass_of_sizes(map(mask_size, members), u)
+    inside = members if direction == "down" else [universe ^ f for f in members]
+    tables = None
+    if u <= 20:
+        tables = []
+        for s in range(max(map(mask_size, inside)) + 1):
+            arr = np.zeros(1 << u, dtype=np.int64)
+            for f in inside:
+                if mask_size(f) == s:
+                    arr[compress_mask(f, universe)] += 1
+            for i in range(u):
+                view = arr.reshape(-1, 2, 1 << i)
+                view[:, 1, :] += view[:, 0, :]
+            tables.append(arr)
+    for f in members:
+        A = f if direction == "down" else universe ^ f
+        a = mask_size(A)
+        if tables is not None:
+            c = compress_mask(A, universe)
+            mass = sum(
+                (Fraction(int(t[c]), math.comb(a, s)) for s, t in enumerate(tables[: a + 1])),
+                Fraction(0),
+            )
+        else:
+            mass = mass_of_sizes((mask_size(g) for g in inside if g & ~A == 0), a)
+        if mass >= total:
+            return f, mass
+    return None
 
 
 def random_poset(rng: random.Random, k: int, edge_prob: float = 0.3) -> FinitePoset:

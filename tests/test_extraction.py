@@ -31,13 +31,14 @@ from cubefam.extraction import (
     STATUS_OK,
     STATUS_SMALL_X,
     assemble_witnesses,
+    _centred,
     build_sequences,
     cond5_floor,
 )
 from cubefam.families import MAX_GROUND
 from cubefam.posets import verify_embedding_masks
 
-from conftest import random_family
+from conftest import random_family, reference_centred
 
 
 OVR = {"q": Fraction(1, 2), "p": Fraction(1, 2), "eps": Fraction(1, 8)}
@@ -160,6 +161,41 @@ class TestCentredElement:
         up = next(f for f in by_size if relative_lubell(fam, f, full) >= total)
         assert centred_element(fam, "down") == down
         assert centred_element(fam, "up") == up
+
+    def test_integer_search_matches_fraction_reference(self):
+        # Same member and mass as the per-candidate Fraction search, in
+        # both directions: small random sub-universes, u = 20 (the last
+        # table size; sets counted inside a candidate have at most 3
+        # points so the tables stay small), and the scan path at u = 21..24.
+        rng = random.Random(8128)
+
+        def sub_universe(n):
+            return sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
+
+        def members_of(universe, count, max_size):
+            points = [1 << i for i in range(64) if universe >> i & 1]
+            return [
+                sum(rng.sample(points, rng.randint(0, min(max_size, len(points)))))
+                for _ in range(count)
+            ]
+
+        cases = []
+        for _ in range(400):
+            universe = sub_universe(rng.randint(1, 12))
+            members = members_of(universe, rng.randint(1, 60), 12)
+            cases += [(universe, members, "down"), (universe, members, "up")]
+        full = (1 << 20) - 1
+        for _ in range(2):
+            small = members_of(full, rng.randint(1, 80), 3)
+            cases += [(full, small, "down"), (full, [full ^ f for f in small], "up")]
+        for u in range(21, 25):
+            for _ in range(10):
+                universe = (1 << u) - 1
+                members = members_of(universe, rng.randint(1, 80), u)
+                cases += [(universe, members, "down"), (universe, members, "up")]
+        for universe, members, direction in cases:
+            got = _centred(members, universe, direction)
+            assert got == reference_centred(members, universe, direction)
 
     def test_antichain_touches_equality(self):
         fam = SetFamily(4, [m for m in range(16) if bin(m).count("1") == 2])

@@ -61,6 +61,17 @@ class TestEnumeration:
         assert inside.pivots == (0,) and inside.witness_of[0] == 0b0011
         outside = enumerate_pivots(fam, 0b0111, 0)
         assert len(outside) == 0
+        # At r = 0 flexibility is membership, whatever gamma and side: a
+        # base's only 0-landing is itself.  Extraction skips the test there.
+        S = random_family(random.Random(5050), 6, density=0.4).member_set
+        universe = 0b101101
+        for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+            for anti in (False, True):
+                for f in range(1 << 6):
+                    if f & ~universe:
+                        continue
+                    got = flexible_in_universe(S, universe, f, gamma, 0, anti=anti)
+                    assert got == (f in S)
 
     def test_isolated_base_has_no_pivots(self):
         fam = SetFamily(5, [0b00011])
