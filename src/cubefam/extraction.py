@@ -101,8 +101,10 @@ def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
 
     "Up" is "down" on complements.  Candidates of one size class share
     the test num >= ceil(l(F) L) of ``_class_weights``.  Grounds of at
-    most ``_SOS_BIT_CAP`` points take cnt_s from per-size subset-count
-    tables (one zeta transform each) in int64: num <= (a+1) L =
+    most ``_SOS_BIT_CAP`` points take cnt_s from count tables in int64,
+    one row per size t the members have: a subset-sum transform counts
+    the members of size t inside each set ("down", s = t), a superset-sum
+    transform those around it ("up", s = u - t).  num <= (a+1) L =
     lcm(1..a+1) <= lcm(1..21) = 232,792,560 < 2^28.  Larger grounds scan
     the family per candidate in Python ints.
     """
@@ -117,19 +119,25 @@ def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
     tests = members if direction == "down" else [universe ^ f for f in members]
     sizes = [mask_size(t) for t in tests]
     if u <= _SOS_BIT_CAP:
-        comp = np.array([compress_mask(t, universe) for t in tests], dtype=np.int64)
-        tables = np.zeros((max(sizes) + 1, 1 << u), dtype=np.int64)
-        tables[sizes, comp] = 1
+        row_sizes = sorted(set(map(mask_size, members)))
+        row_of = {t: r for r, t in enumerate(row_sizes)}
+        # s of each row: the test-set size its members count at.
+        row_s = row_sizes if direction == "down" else [u - t for t in row_sizes]
+        comp = np.array([compress_mask(f, universe) for f in members], dtype=np.int64)
+        tables = np.zeros((len(row_sizes), 1 << u), dtype=np.int64)
+        tables[[row_of[mask_size(f)] for f in members], comp] = 1
+        into, out = (1, 0) if direction == "down" else (0, 1)
         for i in range(u):
             view = tables.reshape(len(tables), -1, 2, 1 << i)
-            view[:, :, 1, :] += view[:, :, 0, :]
+            view[:, :, into, :] += view[:, :, out, :]
     start = 0
     for a, group in itertools.groupby(sizes):
         stop = start + sum(1 for _ in group)
         lcm, w = _class_weights(a)
         need = math.ceil(total * lcm)
         if u <= _SOS_BIT_CAP:
-            nums = np.array(w, dtype=np.int64) @ tables[: a + 1, comp[start:stop]]
+            weights = np.array([w[s] if s <= a else 0 for s in row_s], dtype=np.int64)
+            nums = weights @ tables[:, comp[start:stop]]
             hits = np.flatnonzero(nums >= need)
             if hits.size:
                 return members[start + hits[0]], Fraction(int(nums[hits[0]]), lcm)

@@ -1,11 +1,14 @@
 """Exact desk-scale optima: largest families avoiding a pattern.
 
 Branch and bound over the 2^n candidate masks, middle layers first.
-Feasibility is maintained incrementally (a cheap longest-chain update
-for chain patterns, the generic searcher otherwise) and the upper bound
-comes from a symmetric chain decomposition of the cube: a family that
-avoids a k-element pattern weakly can keep at most k-1 members of any
-chain, since a chain absorbs every poset of its size order-preservingly.
+Feasibility is incremental: the chosen members keep their inclusion rows
+on a stack, and since they are pattern-free, a candidate x is feasible
+unless some copy uses x.  For a chain pattern that is the longest chain
+through x (peeled from x's rows); otherwise ``posets.AnchoredSearch``
+looks only for copies through x.  The upper bound comes from a symmetric
+chain decomposition of the cube: a family that avoids a k-element
+pattern weakly can keep at most k-1 members of any chain, since a chain
+absorbs every poset of its size order-preservingly.
 
 Certificates are never trusted: the reported family is re-checked by the
 independent containment searcher before the result is returned.
@@ -22,7 +25,14 @@ from typing import Optional, Union
 
 from .errors import CertificationError, PreconditionError
 from .families import SetFamily, lubell_mass, mask_size
-from .posets import FinitePoset, contains_subposet, family_as_poset, height, make_chain
+from .posets import (
+    AnchoredSearch,
+    FinitePoset,
+    contains_subposet,
+    family_as_poset,
+    height,
+    make_chain,
+)
 
 _MIDDLE_LAYERS_CAP = 10
 
@@ -38,46 +48,115 @@ def symmetric_chain_decomposition(n: int) -> dict:
     Bracket matching: scanning positions upward, each 0 closes the most
     recent unmatched 1.  Positions left unmatched form the chain's free
     run; its members are exactly the fills of that run by a final block
-    of 1s, so clearing the free positions is a canonical chain id.
+    of 1s, so clearing the free positions is a canonical chain id.  The
+    free 1s of all masks come from one recurrence over the positions:
+    position j either joins them (bit j set) or closes the highest one.
     """
-    chain_of = {}
-    for mask in range(1 << n):
-        stack = []
-        free_ones = 0
-        for i in range(n):
-            if mask >> i & 1:
-                stack.append(i)
-            elif stack:
-                stack.pop()
-        for i in stack:
-            free_ones |= 1 << i
-        chain_of[mask] = mask ^ free_ones
-    return chain_of
+    free = [0]                   # free 1s of each mask over positions < j
+    for j in range(n):
+        free = [f ^ (1 << f.bit_length() >> 1) for f in free] + [f | 1 << j for f in free]
+    return {mask: mask ^ f for mask, f in enumerate(free)}
 
 
 class _Feasibility:
-    """Incremental "may this mask join the family" oracle."""
+    """May a mask join the chosen members?  Incremental, one stack deep.
 
-    def __init__(self, pattern: FinitePoset, mode: str):
+    The state follows ``_Search.members``: ``push`` on a take, ``pop`` on
+    its undo.  ``cols[p]`` marks the members holding ground point p, and
+    ``rows`` are the members' ``host_rows`` among themselves, indexed by
+    member position, so a candidate's own rows cost O(n) big-int
+    operations.  The members are always pattern-free, so a copy in
+    members + x must use x: chain patterns settle it by the chain lengths
+    through x, other patterns search only the copies through x.
+    """
+
+    def __init__(self, n: int, pattern: FinitePoset, mode: str):
         self.pattern = pattern
         self.mode = mode
         self.chain_k = pattern.k if pattern.is_chain() else None
+        self.cols = [0] * n
+        self.above: list = []
+        self.below: list = []
+        self.apart = [] if mode == "induced" and self.chain_k is None else None
+        self.rows = (self.above, self.below, self.apart)
+        if self.chain_k is None:
+            self.through = AnchoredSearch(pattern, mode, self.rows)
 
-    def ok(self, members: list, x: int) -> bool:
+    def _rows_of(self, x: int) -> tuple:
+        """(up, down): the members strictly above and strictly below x."""
+        everyone = (1 << len(self.above)) - 1
+        up = everyone
+        out = 0                  # members holding a point outside x
+        for col in self.cols:
+            if x & 1:
+                up &= col
+            else:
+                out |= col
+            x >>= 1
+        return up, everyone ^ out
+
+    def ok(self, x: int) -> bool:
+        up, down = self._rows_of(x)
         if self.chain_k is not None:
-            return not self._makes_chain(members, x, self.chain_k)
-        host = family_as_poset(members + [x])
-        return contains_subposet(host, self.pattern, self.mode) is None
+            # The longest chain through x: one below it, x, one above it.
+            spare = self.chain_k - 2
+            spare -= self._height(down, spare)
+            return spare >= 0 and self._height(up, spare) <= spare
+        self._attach(up, down)
+        found = self.through.copy_through(len(self.above) - 1)
+        self._detach()
+        return found is None
 
-    @staticmethod
-    def _makes_chain(members: list, x: int, k: int) -> bool:
-        below = [y for y in members if y != x and y & ~x == 0]
-        above = [y for y in members if y != x and x & ~y == 0]
-        need = k - 1
-        d = _longest_nested(below, need)
-        if d >= need:
-            return True
-        return d + _longest_nested(above, need - d) >= need
+    def _height(self, rest: int, limit: int) -> int:
+        """The height of the members in ``rest``, or limit + 1 if larger.
+
+        Peels the minimal members off round by round.
+        """
+        below = self.below
+        h = 0
+        while rest and h < limit:
+            minimal = 0
+            scan = rest
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                if not below[low.bit_length() - 1] & rest:
+                    minimal |= low
+            rest ^= minimal
+            h += 1
+        return h + (rest != 0)
+
+    def push(self, x: int) -> None:
+        up, down = self._rows_of(x)
+        _toggle(self.cols, x, 1 << len(self.above))
+        self._attach(up, down)
+
+    def pop(self, x: int) -> None:
+        self._detach()
+        _toggle(self.cols, x, 1 << len(self.above))
+
+    def _attach(self, up: int, down: int) -> None:
+        """Append the rows of a new last member and add it to its relatives' rows."""
+        bit = 1 << len(self.above)
+        self.above.append(up)
+        self.below.append(down)
+        if self.apart is not None:
+            self.apart.append(~(up | down))
+        self._relink(up, down, bit)
+
+    def _detach(self) -> None:
+        up = self.above.pop()
+        down = self.below.pop()
+        if self.apart is not None:
+            self.apart.pop()
+        self._relink(up, down, 1 << len(self.above))
+
+    def _relink(self, up: int, down: int, bit: int) -> None:
+        if up | down:
+            _toggle(self.below, up, bit)
+            _toggle(self.above, down, bit)
+            if self.apart is not None:
+                _toggle(self.apart, up | down, bit)
 
     def certify_free(self, members: list) -> None:
         found = contains_subposet(family_as_poset(members), self.pattern, self.mode)
@@ -87,22 +166,12 @@ class _Feasibility:
             )
 
 
-def _longest_nested(masks: list, stop_at: int) -> int:
-    """Longest chain under inclusion among ``masks``; early exit at stop_at."""
-    if stop_at <= 0:
-        return 0
-    order = sorted(masks, key=mask_size)
-    best = [1] * len(order)
-    overall = 1 if order else 0
-    for i, a in enumerate(order):
-        for j in range(i):
-            if order[j] & ~a == 0 and order[j] != a and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-        if best[i] > overall:
-            overall = best[i]
-            if overall >= stop_at:
-                return overall
-    return overall
+def _toggle(rows: list, where: int, bit: int) -> None:
+    """rows[i] ^= bit for every i in the bitset ``where``."""
+    while where:
+        low = where & -where
+        rows[low.bit_length() - 1] ^= bit
+        where ^= low
 
 
 @dataclass(frozen=True)
@@ -120,7 +189,7 @@ class ExtremalResult:
 
 class _Search:
     def __init__(self, n, pattern, mode, objective, budget):
-        self.feas = _Feasibility(pattern, mode)
+        self.feas = _Feasibility(n, pattern, mode)
         self.budget = budget
         self.nodes = 0
         # Integer weights: 1 for cardinality, lcm-scaled layer weights
@@ -131,9 +200,10 @@ class _Search:
         else:
             self.scale = math.lcm(*(math.comb(n, s) for s in range(n + 1)))
             weight = [self.scale // math.comb(n, s) for s in range(n + 1)]
-        self.cands = sorted(
-            range(1 << n), key=lambda m: (abs(2 * mask_size(m) - n), mask_size(m), m)
-        )
+        layers = [[] for _ in range(n + 1)]
+        for m in range(1 << n):
+            layers[mask_size(m)].append(m)
+        self.cands = [m for s in middle_layer_order(n) for m in layers[s]]
         self.weights = [weight[mask_size(m)] for m in self.cands]
         if pattern.is_chain() or mode == "weak":
             cap = pattern.k - 1
@@ -186,8 +256,9 @@ class _Search:
             self.value += sign * w
             if sign > 0:
                 self.members.append(self.cands[i])
+                self.feas.push(self.cands[i])
             else:
-                self.members.pop()
+                self.feas.pop(self.members.pop())
         self.bound += self._contrib(c) - before
 
     def _may_take(self, i: int) -> bool:
@@ -198,7 +269,7 @@ class _Search:
         # picks need not be explored.
         may_start = self.members or x == (1 << mask_size(x)) - 1
         return (
-            may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(self.members, x)
+            may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(x)
         )
 
     def run(self) -> tuple:

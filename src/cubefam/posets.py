@@ -12,7 +12,11 @@ bitset per ground element.
 
 ``contains_subposet`` is the independent oracle the rest of the package
 uses to validate every embedding it produces, so it re-verifies its own
-output before returning it.  Its node budget counts one node per unused
+output before returning it.  It is a pattern-side plan (assignment
+order, row rules, chain-room levels) run by one bitset loop; the same
+loop with depth 0 pinned to one host element is ``AnchoredSearch``,
+which finds the copies through a chosen element of a host that changes
+in place (the extremal search's feasibility oracle).  Its node budget counts one node per unused
 host element a depth's scan passes over, in index order, whether or not
 it is a candidate.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CertificationError,
@@ -302,15 +306,16 @@ def contains_subposet(
     node budget runs out first, raises SearchBudgetExceeded -- an explicit
     third outcome, distinct from absence.
 
-    Pattern elements are assigned in decreasing comparability degree.
-    The candidates for the element at each depth form one bitset: the
-    host elements with enough chain room (an element with a chain of
-    length a below it needs an image with at least that much room below,
-    and likewise above), minus the images in use, intersected with the
-    ``above`` or ``below`` row of each image already assigned, and in
-    induced mode with the complement of both rows for each incomparable
-    pair.  Candidates are tried in ascending index order, so the first
-    copy found is the first in lexicographic order of the images.
+    Pattern elements are assigned in decreasing comparability degree
+    (``_search_plan``).  The candidates for the element at each depth
+    form one bitset (``_search_loop``): the host elements with enough
+    chain room (an element with a chain of length a below it needs an
+    image with at least that much room below, and likewise above), minus
+    the images in use, intersected with the ``above`` or ``below`` row of
+    each image already assigned, and in induced mode with the complement
+    of both rows for each incomparable pair.  Candidates are tried in
+    ascending index order, so the first copy found is the first in
+    lexicographic order of the images.
 
     A node is one unused host element passed over by the scan of a
     depth, feasible or not: each visit to a depth charges the unused
@@ -325,48 +330,162 @@ def contains_subposet(
         return None
     if pattern.k == 0:
         return EmbeddingMap((), mode, "indices")
-
-    k = pattern.k
-    # static assignment order: high comparability degree first
-    degree = [(pattern.above[v] | pattern.below[v]).bit_count() for v in range(k)]
-    order = sorted(range(k), key=lambda v: (-degree[v], v))
-
-    p_down = _room_masks(pattern, use_below=True)
-    p_up = _room_masks(pattern, use_below=False)
+    plan = _search_plan(pattern, mode)
     h_down = _room_masks(host, use_below=True)
     h_up = _room_masks(host, use_below=False)
+    # room[d]: host elements with enough chain room for the element at depth d.
+    room = [
+        h_down[down] & h_up[up] if down < len(h_down) and up < len(h_up) else 0
+        for down, up in plan.levels
+    ]
+    rules = _bind(plan, host_rows(host, mode))
+    image = _search_loop(rules, room, (1 << host.k) - 1, None, node_budget)
+    return None if image is None else _certified(host, pattern, mode, plan.order, image)
+
+
+def host_rows(host: FinitePoset, mode: str) -> tuple:
+    """(above, below, apart): the rows the containment search reads.
+
+    ``apart[i]`` is ``~(above[i] | below[i])``, the elements incomparable
+    to i (and i itself); only induced mode reads it, so weak mode gets None.
+    """
     apart = None
     if mode == "induced":
         apart = [~(a | b) for a, b in zip(host.above, host.below)]
+    return host.above, host.below, apart
 
-    # room[d]: host elements with enough chain room for order[d].
-    # rules[d]: pairs (e, rows) for earlier depths e; the candidates at
-    # depth d are ANDed with rows[image of order[e]].
-    room = []
+
+class AnchoredSearch:
+    """Copies of ``pattern`` through one chosen element of a changing host.
+
+    The host is given by its ``host_rows`` lists, which the owner may
+    grow, shrink and edit in place between calls; they must stay a
+    strict order.  ``copy_through(anchor)`` returns a certified copy that
+    uses the host element ``anchor``, or None.  When the host minus the
+    anchor holds no copy, that settles whether the host does.
+
+    There is one search plan per orbit of Aut(pattern), pinning the
+    orbit's first element to the anchor: a copy that sends w there,
+    composed with an automorphism taking v to w, is a copy (weak or
+    induced alike) that sends v there.  The orbits come from the same
+    search: u is in v's orbit exactly when ``pattern`` has an induced copy
+    in itself with v pinned to u, which, being a bijection, is an
+    automorphism.  The later elements extend over the host with the
+    candidate rule of ``contains_subposet``; the anchor's rows confine
+    the candidates, so there is no chain-room pruning.
+    """
+
+    def __init__(self, pattern: FinitePoset, mode: str, rows: tuple):
+        if mode not in ("weak", "induced"):
+            raise PreconditionError(f"bad mode {mode!r}")
+        self.pattern = pattern
+        self.mode = mode
+        self.rows = rows
+        self.plans = []
+        everyone = (1 << pattern.k) - 1
+        own_rows = host_rows(pattern, "induced")
+        covered = 0
+        for v in range(pattern.k):
+            if covered >> v & 1:
+                continue
+            plan = _search_plan(pattern, mode, v)
+            self.plans.append((plan.order, _bind(plan, rows)))
+            onto = _bind(_search_plan(pattern, "induced", v), own_rows)
+            for u in range(v, pattern.k):
+                if _search_loop(onto, [everyone] * pattern.k, everyone, u) is not None:
+                    covered |= 1 << u
+
+    def copy_through(self, anchor: int) -> Optional[EmbeddingMap]:
+        above, below, _ = self.rows
+        everyone = (1 << len(above)) - 1
+        everywhere = [everyone] * self.pattern.k
+        for order, rules in self.plans:
+            image = _search_loop(rules, everywhere, everyone, anchor)
+            if image is not None:
+                host = _from_rows(above, below)
+                return _certified(host, self.pattern, self.mode, order, image)
+        return None
+
+
+class _Plan(NamedTuple):
+    """The pattern side of the containment search (see ``_search_plan``)."""
+
+    order: tuple
+    rules: tuple
+    levels: tuple
+
+
+def _search_plan(pattern: FinitePoset, mode: str, anchor: Optional[int] = None) -> _Plan:
+    """The assignment order, row rules and pattern room levels of a search.
+
+    ``order`` lists the pattern elements by depth: decreasing
+    comparability degree, or, with an anchor, the anchor first and then
+    each time the element comparable to the most placed ones (ties by
+    degree).  Remaining ties go to the lower index.  ``rules[d]`` holds
+    pairs (e, kind) for earlier depths e: the candidates at depth d are
+    ANDed with row ``kind`` of ``host_rows`` (0 above, 1 below, 2 apart)
+    at the image of order[e].  ``levels[d]`` is (down, up), the number
+    of elements on the longest chain strictly below and strictly above
+    order[d] in the pattern.
+    """
+    k = pattern.k
+    related = [a | b for a, b in zip(pattern.above, pattern.below)]
+    degree = [r.bit_count() for r in related]
+    if anchor is None:
+        order = sorted(range(k), key=lambda v: (-degree[v], v))
+    else:
+        order = [anchor]
+        placed = 1 << anchor
+        while len(order) < k:
+            v = min(
+                (v for v in range(k) if not placed >> v & 1),
+                key=lambda v: (-(related[v] & placed).bit_count(), -degree[v], v),
+            )
+            order.append(v)
+            placed |= 1 << v
+    p_down = _room_masks(pattern, use_below=True)
+    p_up = _room_masks(pattern, use_below=False)
     rules = []
+    levels = []
     for d, v in enumerate(order):
-        down = sum(m >> v & 1 for m in p_down) - 1
-        up = sum(m >> v & 1 for m in p_up) - 1
-        fits = 0
-        if down < len(h_down) and up < len(h_up):
-            fits = h_down[down] & h_up[up]
-        room.append(fits)
         rule = []
-        for e in range(d):
-            u = order[e]
+        for e, u in enumerate(order[:d]):
             if pattern.above[u] >> v & 1:
-                rule.append((e, host.above))
+                rule.append((e, 0))
             elif pattern.below[u] >> v & 1:
-                rule.append((e, host.below))
-            elif apart is not None:
-                rule.append((e, apart))
-        rules.append(rule)
+                rule.append((e, 1))
+            elif mode == "induced":
+                rule.append((e, 2))
+        rules.append(tuple(rule))
+        levels.append((sum(m >> v & 1 for m in p_down) - 1, sum(m >> v & 1 for m in p_up) - 1))
+    return _Plan(tuple(order), tuple(rules), tuple(levels))
 
-    everyone = (1 << host.k) - 1
+
+def _bind(plan: _Plan, rows: tuple) -> list:
+    """A plan's rules with each row kind replaced by that row list of ``rows``."""
+    return [[(e, rows[kind]) for e, kind in rule] for rule in plan.rules]
+
+
+def _search_loop(
+    rules: list,
+    room: Sequence[int],
+    everyone: int,
+    anchor: Optional[int] = None,
+    node_budget: Optional[int] = None,
+) -> Optional[list]:
+    """The bitset backtracking of ``contains_subposet``: images by depth, or None.
+
+    ``rules`` is a plan bound to the host rows (``_bind``), ``everyone``
+    the set of host elements and ``room[d]`` a bound on the candidates at
+    depth d; with an anchor, depth 0 is confined to that one element.
+    Nodes are charged, and the budget enforced, as ``contains_subposet``
+    describes.
+    """
+    k = len(rules)
     image = [0] * k      # image of order[d]
     cand = [0] * k       # candidates at depth d not yet tried
     rest = [0] * k       # unused elements the scan at depth d has not passed
-    cand[0] = room[0]
+    cand[0] = room[0] if anchor is None else room[0] & (1 << anchor)
     rest[0] = everyone
     used = 0
     nodes = 0
@@ -393,17 +512,22 @@ def contains_subposet(
             continue
         image[d] = low.bit_length() - 1
         if d + 1 == k:
-            break
+            return image
         used |= low
         d += 1
         free = everyone ^ used
         c = room[d] & free
-        for e, rows in rules[d]:
-            c &= rows[image[e]]
+        for e, row in rules[d]:
+            c &= row[image[e]]
         cand[d] = c
         rest[d] = free
 
-    images = tuple(image[order.index(v)] for v in range(k))
+
+def _certified(
+    host: FinitePoset, pattern: FinitePoset, mode: str, order: Sequence[int], image: list
+) -> EmbeddingMap:
+    """The copy found, re-verified pair by pair against ``host``."""
+    images = tuple(image[order.index(v)] for v in range(pattern.k))
     if not verify_embedding_indices(host, pattern, images, mode):
         raise CertificationError("search returned a map that fails re-verification")
     return EmbeddingMap(images, mode, "indices")

@@ -18,7 +18,7 @@ from cubefam.families import (
     mass_of_sizes,
     submasks_of_size,
 )
-from cubefam.posets import FinitePoset
+from cubefam.posets import FinitePoset, contains_subposet, family_as_poset
 
 
 def random_family(rng: random.Random, n: int, density: float = 0.3) -> SetFamily:
@@ -60,8 +60,8 @@ def reference_centred(shifted, universe: int, direction: str) -> tuple:
     """The per-candidate ``Fraction`` search ``_centred`` is checked against.
 
     Each candidate's one-sided relative mass is one exact ``Fraction``,
-    from per-size subset-count tables on grounds of at most 20 points and
-    from a scan of the family above that; candidates are tried by (size,
+    from subset-count tables (one per size the counted sets have) on
+    grounds of at most 20 points and from a scan of the family above that; candidates are tried by (size,
     mask).  Returns (member, mass) of the first one whose mass covers the
     family's, or None.
     """
@@ -71,8 +71,8 @@ def reference_centred(shifted, universe: int, direction: str) -> tuple:
     inside = members if direction == "down" else [universe ^ f for f in members]
     tables = None
     if u <= 20:
-        tables = []
-        for s in range(max(map(mask_size, inside)) + 1):
+        tables = {}
+        for s in set(map(mask_size, inside)):
             arr = np.zeros(1 << u, dtype=np.int64)
             for f in inside:
                 if mask_size(f) == s:
@@ -80,14 +80,14 @@ def reference_centred(shifted, universe: int, direction: str) -> tuple:
             for i in range(u):
                 view = arr.reshape(-1, 2, 1 << i)
                 view[:, 1, :] += view[:, 0, :]
-            tables.append(arr)
+            tables[s] = arr
     for f in members:
         A = f if direction == "down" else universe ^ f
         a = mask_size(A)
         if tables is not None:
             c = compress_mask(A, universe)
             mass = sum(
-                (Fraction(int(t[c]), math.comb(a, s)) for s, t in enumerate(tables[: a + 1])),
+                (Fraction(int(t[c]), math.comb(a, s)) for s, t in tables.items() if s <= a),
                 Fraction(0),
             )
         else:
@@ -110,41 +110,23 @@ def random_poset(rng: random.Random, k: int, edge_prob: float = 0.3) -> FinitePo
     return FinitePoset(k, pairs, close=True)
 
 
-def brute_force_weak_embed(host: FinitePoset, pattern: FinitePoset) -> bool:
-    """Reference oracle: try every injection (small sizes only)."""
+def brute_force_copies(host: FinitePoset, pattern: FinitePoset, mode: str):
+    """Every weak or induced copy of ``pattern`` in ``host``, as image tuples.
+
+    Tries every injection (small sizes only).
+    """
     from itertools import permutations
 
     for images in permutations(range(host.k), pattern.k):
-        good = True
-        for x in range(pattern.k):
-            for y in range(pattern.k):
-                if x != y and pattern.lt(x, y) and not host.lt(images[x], images[y]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
-
-
-def brute_force_induced_embed(host: FinitePoset, pattern: FinitePoset) -> bool:
-    from itertools import permutations
-
-    for images in permutations(range(host.k), pattern.k):
-        good = True
-        for x in range(pattern.k):
-            for y in range(pattern.k):
-                if x == y:
-                    continue
-                if pattern.lt(x, y) != host.lt(images[x], images[y]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
+        if all(
+            host.lt(images[x], images[y]) == pattern.lt(x, y)
+            if mode == "induced"
+            else host.lt(images[x], images[y]) or not pattern.lt(x, y)
+            for x in range(pattern.k)
+            for y in range(pattern.k)
+            if x != y
+        ):
+            yield images
 
 
 def reference_subposet_scan(host: FinitePoset, pattern: FinitePoset, mode: str):
@@ -208,3 +190,33 @@ def reference_subposet_scan(host: FinitePoset, pattern: FinitePoset, mode: str):
     if not search(0):
         return None, nodes
     return tuple(assignment[v] for v in range(pattern.k)), nodes
+
+
+def reference_chain_ids(n: int) -> dict:
+    """The bracket-matching loop ``symmetric_chain_decomposition`` is checked against.
+
+    Scans each mask's positions upward; each 0 closes the most recent
+    unmatched 1, and the chain id clears the 1s left unmatched.
+    """
+    chain_of = {}
+    for mask in range(1 << n):
+        stack = []
+        free_ones = 0
+        for i in range(n):
+            if mask >> i & 1:
+                stack.append(i)
+            elif stack:
+                stack.pop()
+        for i in stack:
+            free_ones |= 1 << i
+        chain_of[mask] = mask ^ free_ones
+    return chain_of
+
+
+def reference_feasible(members: list, x: int, pattern: FinitePoset, mode: str) -> bool:
+    """The rebuild-the-host oracle the incremental extremal one is checked against.
+
+    True when members + [x] holds no copy of ``pattern``, found by a full
+    containment search of a freshly built inclusion host.
+    """
+    return contains_subposet(family_as_poset(members + [x]), pattern, mode) is None

@@ -165,8 +165,9 @@ class TestCentredElement:
     def test_integer_search_matches_fraction_reference(self):
         # Same member and mass as the per-candidate Fraction search, in
         # both directions: small random sub-universes, u = 20 (the last
-        # table size; sets counted inside a candidate have at most 3
-        # points so the tables stay small), and the scan path at u = 21..24.
+        # table size; members of at most 3 points or their complements,
+        # so the tables keep few rows in both directions), and the scan
+        # path at u = 21..24.
         rng = random.Random(8128)
 
         def sub_universe(n):
@@ -187,7 +188,8 @@ class TestCentredElement:
         full = (1 << 20) - 1
         for _ in range(2):
             small = members_of(full, rng.randint(1, 80), 3)
-            cases += [(full, small, "down"), (full, [full ^ f for f in small], "up")]
+            large = [full ^ f for f in small]
+            cases += [(full, small, "down"), (full, large, "up"), (full, small, "up")]
         for u in range(21, 25):
             for _ in range(10):
                 universe = (1 << u) - 1

@@ -1,6 +1,7 @@
 """Exact pattern-avoidance optima and the symmetric chain machinery."""
 
 import math
+import random
 
 import pytest
 
@@ -16,12 +17,16 @@ from cubefam import (
     make_v,
     middle_layers_number,
 )
+from cubefam import extremal
 from cubefam.extremal import (
+    _Feasibility,
     chain_mass_bound_check,
     middle_layer_order,
     symmetric_chain_decomposition,
 )
 from cubefam.families import mask_size
+
+from conftest import reference_chain_ids, reference_feasible
 
 
 class TestSymmetricChains:
@@ -166,3 +171,89 @@ class TestChainMassCheck:
             chain_mass_bound_check(7, 2)
         with pytest.raises(PreconditionError):
             chain_mass_bound_check(5, 0)
+
+
+class TestChainIds:
+    @pytest.mark.parametrize("n", range(13))
+    def test_recurrence_matches_bracket_loop(self, n):
+        assert symmetric_chain_decomposition(n) == reference_chain_ids(n)
+
+
+FIVE = FinitePoset(5, [(0, 2), (1, 2), (1, 3), (2, 4)], close=True)
+ORACLE_PATTERNS = {
+    "P2": make_chain(2),
+    "P3": make_chain(3),
+    "P4": make_chain(4),
+    "V2": make_v(),
+    "D2": make_v().dual(),
+    "Q2": make_cube(2),
+    "N+top": FIVE,
+}
+
+
+class TestIncrementalOracle:
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    @pytest.mark.parametrize("name", ORACLE_PATTERNS)
+    def test_agrees_with_rebuilt_host(self, name, mode):
+        """Random push/pop sequences: every answer equals the rebuilt-host search's."""
+        pattern = ORACLE_PATTERNS[name]
+        rng = random.Random(f"{name}-{mode}")
+        for _ in range(4):
+            n = rng.randint(1, 6)
+            feas = _Feasibility(n, pattern, mode)
+            members: list = []
+            for _ in range(40):
+                if members and rng.random() < 0.3:
+                    feas.pop(members.pop())
+                    continue
+                outside = [x for x in range(1 << n) if x not in members]
+                for x in rng.sample(outside, min(4, len(outside))):
+                    ok = feas.ok(x)
+                    assert ok == reference_feasible(members, x, pattern, mode), (members, x)
+                    if ok and rng.random() < 0.6:
+                        feas.push(x)
+                        members.append(x)
+                        break
+
+    def test_no_host_rebuilt_per_node(self, monkeypatch):
+        calls = []
+
+        def counted(masks):
+            calls.append(1)
+            return family_as_poset(masks)
+
+        monkeypatch.setattr(extremal, "family_as_poset", counted)
+        r = extremal_search(5, make_v(), "induced", budget=2000)
+        assert r.nodes == 2001
+        assert len(calls) == 1          # the certificate only
+
+
+class TestPinnedResults:
+    """(value, nodes, exact) of the benchmark-shaped queries."""
+
+    def test_antichain_n13(self):
+        r = extremal_search(13, make_chain(2))
+        assert (r.value, r.nodes, r.exact) == (1716, 3433, True)
+
+    @pytest.mark.parametrize(
+        "name,mode,value,nodes",
+        [
+            ("V2", "weak", 7, 660),
+            ("V2", "induced", 8, 1271),
+            ("D2", "weak", 7, 1040),
+            ("D2", "induced", 8, 1524),
+            ("Q2", "weak", 10, 1409),
+            ("Q2", "induced", 10, 3229),
+        ],
+    )
+    def test_full_runs_n4(self, name, mode, value, nodes):
+        r = extremal_search(4, ORACLE_PATTERNS[name], mode)
+        assert (r.value, r.nodes, r.exact) == (value, nodes, True)
+
+    @pytest.mark.parametrize(
+        "name,weak,induced", [("V2", 13, 14), ("D2", 12, 12), ("Q2", 20, 20)]
+    )
+    def test_budget_stops_n5(self, name, weak, induced):
+        for mode, value in (("weak", weak), ("induced", induced)):
+            r = extremal_search(5, ORACLE_PATTERNS[name], mode, budget=2000)
+            assert (r.value, r.nodes, r.exact) == (value, 2001, False)

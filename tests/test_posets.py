@@ -5,6 +5,7 @@ import pytest
 from cubefam.errors import ParseError, PreconditionError, SearchBudgetExceeded
 from cubefam.families import SetFamily, full_power_set
 from cubefam.posets import (
+    AnchoredSearch,
     EmbeddingMap,
     FinitePoset,
     contains_subposet,
@@ -12,6 +13,7 @@ from cubefam.posets import (
     family_as_poset,
     format_poset,
     height,
+    host_rows,
     make_chain,
     make_cube,
     make_v,
@@ -21,8 +23,7 @@ from cubefam.posets import (
 )
 
 from conftest import (
-    brute_force_induced_embed,
-    brute_force_weak_embed,
+    brute_force_copies,
     random_family,
     random_poset,
     reference_subposet_scan,
@@ -210,12 +211,9 @@ def test_contains_subposet_against_brute_force():
     for _ in range(120):
         host = random_poset(rng, rng.randint(1, 6))
         pattern = random_poset(rng, rng.randint(1, 4))
-        for mode, oracle in (
-            ("weak", brute_force_weak_embed),
-            ("induced", brute_force_induced_embed),
-        ):
+        for mode in ("weak", "induced"):
             got = contains_subposet(host, pattern, mode)
-            assert (got is not None) == oracle(host, pattern), (
+            assert (got is not None) == any(brute_force_copies(host, pattern, mode)), (
                 mode, host.pairs(), pattern.pairs()
             )
             if got is not None:
@@ -289,3 +287,40 @@ def test_antichain_host_admits_only_antichains():
     anti = FinitePoset(4, [])
     assert contains_subposet(anti, make_chain(2), "weak") is None
     assert contains_subposet(anti, FinitePoset(3, []), "induced") is not None
+
+
+def test_anchored_search_against_brute_force():
+    """A copy through the anchor is found exactly when one exists."""
+    rng = random.Random(2718)
+    for trial in range(300):
+        if trial % 2:
+            host = random_poset(rng, rng.randint(1, 7), rng.random())
+        else:
+            host = family_as_poset(random_family(rng, rng.randint(1, 4), rng.uniform(0.2, 0.9)))
+        pattern = random_poset(rng, rng.randint(1, 4), rng.random())
+        anchor = rng.randrange(host.k) if host.k else 0
+        for mode in ("weak", "induced"):
+            search = AnchoredSearch(pattern, mode, host_rows(host, mode))
+            got = search.copy_through(anchor) if host.k else None
+            want = any(anchor in images for images in brute_force_copies(host, pattern, mode))
+            assert (got is not None) == want, (mode, host.pairs(), pattern.pairs(), anchor)
+            if got is not None:
+                assert anchor in got.images
+                assert verify_embedding_indices(host, pattern, got.images, mode)
+
+
+@pytest.mark.parametrize(
+    "pattern,orbits",
+    [
+        (make_chain(3), 3),
+        (make_v(), 2),
+        (make_v().dual(), 2),
+        (make_cube(2), 3),
+        (FinitePoset(3, []), 1),
+        (FinitePoset(4, [(0, 1), (2, 3)]), 2),
+    ],
+    ids=["P3", "V2", "D2", "Q2", "antichain", "two-chains"],
+)
+def test_anchored_search_plans_one_per_orbit(pattern, orbits):
+    for mode in ("weak", "induced"):
+        assert len(AnchoredSearch(pattern, mode, host_rows(pattern, mode)).plans) == orbits
