@@ -16,14 +16,11 @@ import argparse
 import csv
 import io
 import json
-import secrets
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
-
-import mpmath as mp
 
 from . import __version__
 from .concentration import (
@@ -112,9 +109,6 @@ def _jsonable(x):
     """Exact values only: rationals as "p/q" strings, big reals via mpmath."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, mp.mpf):
-        with mp.workdps(_MP_PRINT_DPS):
-            return mp.nstr(x, 20)
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, float):
@@ -126,6 +120,10 @@ def _jsonable(x):
         if isinstance(x, (set, frozenset)):
             items = sorted(items, key=str)
         return [_jsonable(v) for v in items]
+    mp = sys.modules.get("mpmath")  # an mpf exists only once mpmath is loaded
+    if mp is not None and isinstance(x, mp.mpf):
+        with mp.workdps(_MP_PRINT_DPS):
+            return mp.nstr(x, 20)
     return str(x)
 
 
@@ -454,11 +452,13 @@ def _mass_bound_payload(lemma: str, params: dict, rep) -> dict:
 
 def _handle_verify_lemma(cfg: RunConfig):
     lemma = cfg.params["lemma"]
+    trials = cfg.params.get("trials")
+    if trials is None:  # only an absent flag takes the default; 0 is a valid count
+        trials = 100_000
     if lemma == "tail":
         rep = verify_tail_bound(
             cfg.params["m"], cfg.params["k"], cfg.params["n"],
-            Fraction(cfg.params["t"]), cfg.params.get("trials") or 100_000,
-            cfg.seed or 0,
+            Fraction(cfg.params["t"]), trials, cfg.seed or 0,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "trace":
@@ -470,8 +470,7 @@ def _handle_verify_lemma(cfg: RunConfig):
             tset = set()
         rep = verify_trace_probability(
             cfg.params["n"], cfg.params["m"], cfg.params["r"],
-            Fraction(cfg.params["eps"]), tset,
-            cfg.params.get("trials") or 100_000, cfg.seed or 0,
+            Fraction(cfg.params["eps"]), tset, trials, cfg.seed or 0,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "flexbound":
@@ -542,6 +541,8 @@ def _check_seed_policy(cfg: RunConfig) -> None:
                 f"{cfg.subcommand!r} is randomized: pass --seed or --ephemeral"
             )
         if cfg.seed is None:
+            import secrets
+
             cfg.seed = secrets.randbits(64)
         if not 0 <= cfg.seed < 1 << 64:
             raise PreconditionError("seed must fit in 64 bits")

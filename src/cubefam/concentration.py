@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-import mpmath as mp
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    import mpmath as mp
+    import numpy as np
 
 _BATCH_ROWS = 16384
 _MP_DPS = 60
@@ -30,6 +31,8 @@ _GUARD = "1e-30"
 
 
 def _mpf(x) -> mp.mpf:
+    import mpmath as mp
+
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
@@ -42,6 +45,8 @@ def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray
     run in fixed-size batches on counter-based streams jumped off
     ``seed``, so output depends only on (n, m, trials, seed).
     """
+    import numpy as np
+
     if not 0 <= m <= n:
         raise PreconditionError(f"need 0 <= m <= n, got m={m}, n={n}")
     if trials < 0:
@@ -67,6 +72,8 @@ def hypergeometric_sample(m: int, k: int, n: int, seed: int) -> int:
     X comes from a partial Fisher-Yates shuffle: swap a uniform later
     element into each of the first m positions.
     """
+    import numpy as np
+
     if not (0 <= m <= n and 0 <= k <= n):
         raise PreconditionError(f"need max(m, k) <= n, got m={m}, k={k}, n={n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -117,8 +124,16 @@ def verify_tail_bound(
 
     The threshold comparison is exact (integer Z against a rational
     threshold); only the frequency-vs-bound comparison is floating.
+    Parameters are checked before the zero-trial shortcut, so an
+    "inconclusive" report always describes a well-posed question.
     """
     bound = tail_bound(m, t)
+    if not (m <= n and 0 <= k <= n):
+        raise PreconditionError(
+            f"need m <= n and 0 <= k <= n, got m={m}, k={k}, n={n}"
+        )
+    if trials < 0:
+        raise PreconditionError("trials must be nonnegative")
     params = {"m": m, "k": k, "n": n, "t": float(t)}
     if trials == 0:
         return MonteCarloReport(
@@ -195,6 +210,8 @@ def _dominance_threshold(c1: Fraction, c2: Fraction, c: Fraction) -> int:
     strictly decreasing, which is the dominance certificate that lets a
     doubling-plus-bisection search stand in for an infinite scan.
     """
+    import mpmath as mp
+
     g1 = c1 - c
     g2 = c2 - c
     if g1 <= 0 or g2 <= 0:
@@ -233,6 +250,8 @@ def fat_mass_bound(eps, r: int) -> mp.mpf:
     Returned as an mpmath float: c can be small enough that the result
     has no binary64 representation.
     """
+    import mpmath as mp
+
     consts = concentration_constants(eps, r)
     with mp.workdps(_MP_DPS):
         return mp.mpf(consts.m0) + 1 / (-mp.expm1(-_mpf(consts.c)))
@@ -264,7 +283,15 @@ def verify_trace_probability(
     Hypotheses |T| <= eta(eps, r) C(n, r) and m >= m0(eps, r) and n >= m
     are checked first; a violation yields a "hypothesis-failed" report
     rather than an error, since the caller may be probing the boundary.
+    A negative n, m or trial count is an error.
     """
+    import mpmath as mp
+    import numpy as np
+
+    if min(n, m, trials) < 0:
+        raise PreconditionError(
+            f"need n, m, trials >= 0, got n={n}, m={m}, trials={trials}"
+        )
     eps = Fraction(eps)
     consts = concentration_constants(eps, r)
     t_list = sorted(set(T))
@@ -272,7 +299,7 @@ def verify_trace_probability(
         if mask.bit_count() != r:
             raise PreconditionError(f"member {mask:#x} of T is not an r-subset")
     with mp.workdps(_MP_DPS):
-        bound_mp = mp.exp(-_mpf(consts.c) * m) if m >= 0 else mp.mpf(1)
+        bound_mp = mp.exp(-_mpf(consts.c) * m)
         bound = float(bound_mp) if bound_mp > mp.mpf("1e-300") else 0.0
     params = {"n": n, "m": m, "r": r, "eps": str(eps), "T_size": len(t_list)}
     hypothesis_ok = (

@@ -13,9 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import CertificationError, PreconditionError
 from .families import (
@@ -33,6 +31,9 @@ from .posets import (
     family_as_poset,
     verify_embedding_masks,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EMBED_ATTEMPTS = 200
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -110,6 +111,8 @@ class CubeEmbedResult:
 
 def bernoulli_subset_mask(rng: np.random.Generator, n: int, p: float) -> int:
     """One Bernoulli(p) draw per element of [n], packed into a mask."""
+    import numpy as np
+
     draws = rng.random(n) < p
     mask = 0
     for pos in np.flatnonzero(draws):
@@ -145,6 +148,8 @@ def randomized_cube_embed(
     deliberately distinct from running out of attempts, which returns an
     exhausted result instead.
     """
+    import numpy as np
+
     if not 1 <= m <= fam.m:
         raise PreconditionError(f"need 1 <= m <= truncation {fam.m}, got m={m}")
     if fam.n < 2 * m:

@@ -27,9 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath as mp
-import numpy as np
-
 from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_bound
 from .embeddings import (
     DEFAULT_EMBED_ATTEMPTS,
@@ -108,6 +105,8 @@ def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
     lcm(1..a+1) <= lcm(1..21) = 232,792,560 < 2^28.  Larger grounds scan
     the family per candidate in Python ints.
     """
+    import numpy as np
+
     if direction not in ("down", "up"):
         raise PreconditionError(f"direction must be 'down' or 'up', got {direction!r}")
     members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
@@ -217,6 +216,8 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
     All eps_j and p are exact rationals; q and the threshold are mpmath
     (finite for every m, but far beyond binary64 already at m = 2).
     """
+    import mpmath as mp
+
     if m < 1:
         raise PreconditionError("pattern size m must be at least 1")
     eps = Fraction(eps)
@@ -299,6 +300,8 @@ def _mass_ge(mass: Fraction, floor) -> bool:
     """The threshold check: a Fraction against a Fraction or an mpmath value."""
     if isinstance(floor, (Fraction, int)):
         return mass >= floor
+    import mpmath as mp
+
     with mp.workdps(_MP_DPS):
         return _mpf(mass) >= floor
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import mpmath as mp
-
 from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_bound
 from .errors import PreconditionError
 from .families import (
@@ -278,6 +276,8 @@ def verify_fat_mass_bound(
     The bound is the mpmath value of m0 + 1/(1 - exp(-c)); the mass
     comparison runs at mpmath precision.
     """
+    import mpmath as mp
+
     eps = Fraction(eps)
     s_set = frozenset(S)
     sizes = sorted({mask_size(s) for s in s_set})

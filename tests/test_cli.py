@@ -3,6 +3,10 @@
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,36 @@ class TestVerifyLemma:
         assert code == 0
         assert payload["results"]["verdict"] in ("pass", "inconclusive")
 
+    @pytest.mark.parametrize("lemma_args", [
+        ["--lemma", "tail", "-m", "20", "-k", "50", "--n", "100", "-t", "6"],
+        ["--lemma", "trace", "-m", "12", "--n", "40", "-r", "1", "--eps", "1/4"],
+    ])
+    def test_zero_trials_is_inconclusive(self, capsys, lemma_args):
+        code, payload = run_json(capsys, [
+            "verify-lemma", *lemma_args, "--trials", "0", "--seed", "1",
+        ])
+        assert code == 0
+        assert payload["results"]["verdict"] == "inconclusive"
+        assert payload["results"]["trials"] == 0
+
+    @pytest.mark.parametrize("lemma_args", [
+        ["--lemma", "tail", "-m", "5", "-k", "-3", "--n", "10", "-t", "1"],
+        ["--lemma", "tail", "-m", "5", "-k", "50", "--n", "10", "-t", "1"],
+        ["--lemma", "tail", "-m", "12", "-k", "5", "--n", "10", "-t", "1",
+         "--trials", "0"],
+        ["--lemma", "tail", "-m", "20", "-k", "50", "--n", "100", "-t", "6",
+         "--trials", "-5"],
+        ["--lemma", "trace", "-m", "12", "--n", "40", "-r", "1", "--eps", "1/4",
+         "--trials", "-5"],
+        ["--lemma", "trace", "-m", "12", "--n", "-5", "-r", "1", "--eps", "1/4",
+         "--trials", "10"],
+    ])
+    def test_ill_posed_parameters_exit_3(self, capsys, lemma_args):
+        code = main(["verify-lemma", *lemma_args, "--seed", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
     def test_tail_needs_seed(self, capsys):
         code = main([
             "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",
@@ -324,3 +358,47 @@ class TestBuiltinPatterns:
 
     def test_unknown_builtin_is_parse_error(self, capsys):
         assert main(["middle-layers", "--n", "4", "--pattern", "builtin:Z9"]) == 2
+
+
+class TestLazyImports:
+    """numpy and mpmath load only in the subcommands that compute with them."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    HEAVY = ("numpy", "mpmath")
+
+    def loaded_after(self, argv):
+        """Run main(argv) in a fresh interpreter; the heavy modules it loaded."""
+        script = (
+            "import json, sys\n"
+            "from cubefam.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            f"print(json.dumps([code, [m for m in {self.HEAVY!r} if m in sys.modules]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert code == 0, proc.stderr
+        return loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--n", "4", "--pattern", "builtin:V2", "--mode", "induced"],
+        ["middle-layers", "--n", "4", "--pattern", "builtin:V2"],
+        ["lubell", "--family", "FAMILY"],
+        ["pivots", "--family", "FAMILY", "--base", "1,2", "-r", "1", "--gamma", "1/2"],
+        ["embed", "--family", "FAMILY", "--pattern", "builtin:P2",
+         "--mode", "weak", "--seed", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_exact_subcommands_load_neither(self, fam_file, argv):
+        path = fam_file(SetFamily(4, [m for m in range(16) if bin(m).count("1") == 2]))
+        assert self.loaded_after([path if a == "FAMILY" else a for a in argv]) == []
+
+    def test_monte_carlo_loads_numpy(self):
+        """The control: the harness does see an import when one happens."""
+        loaded = self.loaded_after([
+            "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",
+            "--n", "100", "-t", "6", "--trials", "100", "--seed", "1",
+        ])
+        assert "numpy" in loaded

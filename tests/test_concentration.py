@@ -63,6 +63,22 @@ def test_verify_tail_bound_zero_trials_inconclusive():
     assert rep.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("m,k,n,trials", [
+    (5, -3, 10, 0), (5, -3, 10, 100),      # k < 0
+    (5, 50, 10, 0), (5, 50, 10, 100),      # k > n
+    (12, 5, 10, 0), (12, 5, 10, 100),      # m > n
+    (10, 20, 50, -5),                      # negative trial count
+])
+def test_verify_tail_bound_rejects_ill_posed_parameters(m, k, n, trials):
+    with pytest.raises(PreconditionError):
+        verify_tail_bound(m, k, n, Fraction(1), trials, seed=1)
+
+
+def test_verify_tail_bound_accepts_k_at_the_ends():
+    for k in (0, 50):
+        assert verify_tail_bound(10, k, 50, Fraction(2), 100, seed=5).verdict == "pass"
+
+
 class TestConstantsRecursion:
     def test_base_cases(self):
         c0 = concentration_constants(Fraction(1, 4), 0)
@@ -117,6 +133,22 @@ def test_verify_trace_probability_pass_and_hypothesis_failure():
 def test_trace_probability_empty_t_never_hits():
     rep = verify_trace_probability(30, 10, 1, Fraction(1, 4), set(), 2000, seed=3)
     assert rep.hits == 0 and rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("n,m,trials,T", [
+    (40, 12, -5, set()),
+    (40, 12, -5, {1 << i for i in range(40)}),   # also fails the |T| hypothesis
+    (-5, 12, 10, set()),
+    (40, -3, 10, set()),
+])
+def test_trace_probability_rejects_negative_counts(n, m, trials, T):
+    with pytest.raises(PreconditionError):
+        verify_trace_probability(n, m, 1, Fraction(1, 4), T, trials, seed=3)
+
+
+def test_trace_probability_zero_trials_inconclusive():
+    rep = verify_trace_probability(40, 12, 1, Fraction(1, 4), set(), 0, seed=3)
+    assert rep.verdict == "inconclusive" and rep.trials == 0
 
 
 def test_trace_probability_small_m_fails_hypothesis():

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used; nothing raises the recursion limit.
+"""Source hygiene: every imported name is used; nothing raises the recursion
+limit; numpy and mpmath are not imported with the package.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -80,3 +81,71 @@ def test_recursion_scan_flags_calls():
         "setrecursionlimit(5000)\n"
     )
     assert recursion_limit_calls(tree) == [3, 5]
+
+
+HEAVY = {"numpy", "mpmath"}
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def eager_heavy_imports(tree: ast.Module) -> list[int]:
+    """Lines that import numpy or mpmath while the module itself is imported.
+
+    Function bodies run later and ``if TYPE_CHECKING:`` bodies never run;
+    everything else at module or class level counts.
+    """
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] in HEAVY for name in names):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.If) and _is_type_checking(child.test):
+                stack.extend(child.orelse)
+                continue
+            stack.append(child)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "cubefam").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_eager_numpy_or_mpmath(path):
+    """Queries that never compute with numpy or mpmath do not pay to load them."""
+    assert eager_heavy_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_eager_import_scan_flags_module_level_only():
+    tree = ast.parse(
+        "import typing\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import mpmath as mp\n"
+        "if typing.TYPE_CHECKING:\n"
+        "    from numpy import ndarray\n"
+        "else:\n"
+        "    ndarray = None\n"
+        "try:\n"
+        "    from numpy.random import Philox\n"
+        "except ImportError:\n"
+        "    import mpmath\n"
+        "import numpyro, os\n"
+        "from . import mpmath\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "class C:\n"
+        "    import mpmath\n"
+    )
+    assert eager_heavy_imports(tree) == [2, 11, 13, 19]
