@@ -99,10 +99,17 @@ def load_pattern(spec: str) -> FinitePoset:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """A rational flag value; the config keeps the string, so echoes stay as typed."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
+
+
+def _count_arg(cfg: RunConfig, key: str, default: int) -> int:
+    """An integer flag; only an absent flag takes the default (0 is a count)."""
+    value = cfg.params.get(key)
+    return default if value is None else value
 
 
 def _jsonable(x):
@@ -254,10 +261,10 @@ def _handle_pivots(cfg: RunConfig):
             for x in ps.pivots
         ],
     }
-    gamma = cfg.params.get("gamma")
-    if gamma is not None:
-        results["gamma"] = Fraction(gamma)
-        results["flexible"] = is_flexible(fam, base, Fraction(gamma), r, anti=anti)
+    if cfg.params.get("gamma") is not None:
+        gamma = _fraction_arg(cfg.params["gamma"])
+        results["gamma"] = gamma
+        results["flexible"] = is_flexible(fam, base, gamma, r, anti=anti)
     return results, [], EXIT_OK
 
 
@@ -265,47 +272,34 @@ def _handle_embed(cfg: RunConfig):
     fam = read_family(cfg.params["family"])
     pattern = load_pattern(cfg.params["pattern"])
     mode = cfg.params["mode"]
-    certs = []
+    stats = {"attempts_used": 0}
+    status, code = "found", EXIT_OK
     if mode == "weak":
         emb = contains_subposet(family_as_poset(fam), pattern, "weak")
         if emb is not None:
-            emb_masks = EmbeddingMap(
-                tuple(fam.members[i] for i in emb.images),
-                "weak",
-                "masks",
-                target_n=fam.n,
+            images = tuple(fam.members[i] for i in emb.images)
+            emb = EmbeddingMap(images, "weak", "masks", target_n=fam.n)
+    else:
+        attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
+        try:
+            emb = find_pattern_via_universality(
+                fam, pattern, seed=cfg.seed, attempts=attempts, stats=stats
             )
-            certs.append(
-                {"object": "embedding", "check": "order-preserving pairwise", "passed": True}
-            )
-            return (
-                {"status": "found", "map": _embedding_payload(emb_masks),
-                 "seed": cfg.seed, "attempts_used": 0},
-                certs,
-                EXIT_OK,
-            )
-        return ({"status": "absent", "map": None, "seed": cfg.seed,
-                 "attempts_used": 0}, certs, EXIT_OK)
-    attempts = cfg.params.get("attempts") or DEFAULT_EMBED_ATTEMPTS
-    stats: dict = {}
-    try:
-        emb = find_pattern_via_universality(
-            fam, pattern, seed=cfg.seed, attempts=attempts, stats=stats
-        )
-    except SearchBudgetExceeded:
-        return ({"status": "unknown", "map": None, "seed": cfg.seed,
-                 "attempts_used": stats.get("attempts_used", 0)}, certs, EXIT_BUDGET)
-    used = stats.get("attempts_used", 0)
-    if emb is None:
-        return ({"status": "absent", "map": None, "seed": cfg.seed,
-                 "attempts_used": used}, certs, EXIT_OK)
-    certs.append({"object": "embedding", "check": "induced pairwise", "passed": True})
-    return (
-        {"status": "found", "map": _embedding_payload(emb), "seed": cfg.seed,
-         "attempts_used": used},
-        certs,
-        EXIT_OK,
-    )
+        except SearchBudgetExceeded:
+            emb, status, code = None, "unknown", EXIT_BUDGET
+    certs = []
+    if emb is not None:
+        check = "order-preserving pairwise" if mode == "weak" else "induced pairwise"
+        certs.append({"object": "embedding", "check": check, "passed": True})
+    elif code == EXIT_OK:
+        status = "absent"
+    results = {
+        "status": status,
+        "map": None if emb is None else _embedding_payload(emb),
+        "seed": cfg.seed,
+        "attempts_used": stats["attempts_used"],
+    }
+    return results, certs, code
 
 
 def _trace_payload(trace) -> dict:
@@ -346,14 +340,14 @@ def _handle_extract(cfg: RunConfig):
     if mode == "override":
         if cfg.params.get("q") is None or cfg.params.get("p") is None:
             raise PreconditionError("override mode needs --q and --p")
-        overrides = {"q": Fraction(cfg.params["q"]), "p": Fraction(cfg.params["p"])}
+        overrides = {key: _fraction_arg(cfg.params[key]) for key in ("q", "p")}
         if cfg.params.get("eps") is not None:
-            overrides["eps"] = Fraction(cfg.params["eps"])
+            overrides["eps"] = _fraction_arg(cfg.params["eps"])
     else:
         if cfg.params.get("q") is not None or cfg.params.get("p") is not None:
             raise PreconditionError("constant overrides are only legal with --mode override")
         overrides = None
-    attempts = cfg.params.get("attempts") or DEFAULT_EMBED_ATTEMPTS
+    attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
     res = extract_induced_copy(
         fam, pattern, overrides, seed=cfg.seed or 0, attempts=attempts
     )
@@ -450,15 +444,26 @@ def _mass_bound_payload(lemma: str, params: dict, rep) -> dict:
     }
 
 
+_LEMMA_FLAGS = {
+    "tail": ("-m", "-k", "--n", "-t"),
+    "trace": ("--n", "-m", "-r", "--eps"),
+    "flexbound": ("--family", "--gamma", "-r"),
+    "fatbound": ("--family", "--sset", "--eps"),
+}
+
+
 def _handle_verify_lemma(cfg: RunConfig):
     lemma = cfg.params["lemma"]
-    trials = cfg.params.get("trials")
-    if trials is None:  # only an absent flag takes the default; 0 is a valid count
-        trials = 100_000
+    if lemma not in _LEMMA_FLAGS:
+        raise ParseError(f"unknown lemma {lemma!r}")
+    missing = [f for f in _LEMMA_FLAGS[lemma] if cfg.params.get(f.lstrip("-")) is None]
+    if missing:
+        raise ParseError(f"--lemma {lemma} needs {', '.join(missing)}")
+    trials = _count_arg(cfg, "trials", 100_000)
     if lemma == "tail":
         rep = verify_tail_bound(
             cfg.params["m"], cfg.params["k"], cfg.params["n"],
-            Fraction(cfg.params["t"]), trials, cfg.seed or 0,
+            _fraction_arg(cfg.params["t"]), trials, cfg.seed or 0,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "trace":
@@ -470,26 +475,23 @@ def _handle_verify_lemma(cfg: RunConfig):
             tset = set()
         rep = verify_trace_probability(
             cfg.params["n"], cfg.params["m"], cfg.params["r"],
-            Fraction(cfg.params["eps"]), tset, trials, cfg.seed or 0,
+            _fraction_arg(cfg.params["eps"]), tset, trials, cfg.seed or 0,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
+    fam = read_family(cfg.params["family"])
     if lemma == "flexbound":
-        fam = read_family(cfg.params["family"])
-        gamma = Fraction(cfg.params["gamma"])
+        gamma = _fraction_arg(cfg.params["gamma"])
         rep = verify_flexibility_bound(fam, gamma, cfg.params["r"])
         params = {"gamma": gamma, "r": cfg.params["r"]}
         return _mass_bound_payload(lemma, params, rep), [], EXIT_OK
-    if lemma == "fatbound":
-        fam = read_family(cfg.params["family"])
-        sset = set(read_family(cfg.params["sset"]).members)
-        eps = Fraction(cfg.params["eps"])
-        rep = verify_fat_mass_bound(fam, sset, eps)
-        return _mass_bound_payload(lemma, {"eps": eps}, rep), [], EXIT_OK
-    raise ParseError(f"unknown lemma {lemma!r}")
+    sset = set(read_family(cfg.params["sset"]).members)
+    eps = _fraction_arg(cfg.params["eps"])
+    rep = verify_fat_mass_bound(fam, sset, eps)
+    return _mass_bound_payload(lemma, {"eps": eps}, rep), [], EXIT_OK
 
 
 def _handle_cascade(cfg: RunConfig):
-    cascade = compute_cascade(cfg.params["m"], Fraction(cfg.params["eps"]))
+    cascade = compute_cascade(cfg.params["m"], _fraction_arg(cfg.params["eps"]))
     results = {
         "m": cascade.m,
         "mode": cascade.mode,

@@ -38,12 +38,29 @@ def _mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
+def _shuffled_batches(n: int, trials: int, seed: int):
+    """(first row, batch): ``trials`` rows of independently shuffled 0..n-1.
+
+    Batch j holds at most ``_BATCH_ROWS`` int32 rows, shuffled on the
+    counter-based stream jumped j times off ``seed``, so every row depends
+    only on (n, its index, seed).  One batch is alive at a time.
+    """
+    import numpy as np
+
+    base = np.random.Philox(key=seed)
+    for start in range(0, trials, _BATCH_ROWS):
+        rows = min(_BATCH_ROWS, trials - start)
+        gen = np.random.Generator(base.jumped(start // _BATCH_ROWS))
+        mat = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
+        gen.permuted(mat, axis=1, out=mat)
+        yield start, mat
+
+
 def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray:
     """(trials, m) array of uniform m-subsets of {0..n-1}, row-sorted not.
 
-    Each row is the prefix of an independently shuffled 0..n-1; shuffles
-    run in fixed-size batches on counter-based streams jumped off
-    ``seed``, so output depends only on (n, m, trials, seed).
+    Each row is the prefix of an independently shuffled 0..n-1
+    (``_shuffled_batches``), so output depends only on (n, m, trials, seed).
     """
     import numpy as np
 
@@ -51,18 +68,9 @@ def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray
         raise PreconditionError(f"need 0 <= m <= n, got m={m}, n={n}")
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
-    base = np.random.Philox(key=seed)
     out = np.empty((trials, m), dtype=np.int32)
-    row = 0
-    chunk_idx = 0
-    while row < trials:
-        rows = min(_BATCH_ROWS, trials - row)
-        gen = np.random.Generator(base.jumped(chunk_idx))
-        mat = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
-        gen.permuted(mat, axis=1, out=mat)
-        out[row : row + rows] = mat[:, :m]
-        row += rows
-        chunk_idx += 1
+    for start, mat in _shuffled_batches(n, trials, seed):
+        out[start : start + len(mat)] = mat[:, :m]
     return out
 
 
@@ -323,21 +331,12 @@ def verify_trace_probability(
     ).reshape(len(t_list), r)
 
     hits = 0
-    done = 0
-    chunk_idx = 0
-    base = np.random.Philox(key=seed)
-    while done < trials:
-        rows = min(_BATCH_ROWS, trials - done)
-        gen = np.random.Generator(base.jumped(chunk_idx))
-        mat = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
-        gen.permuted(mat, axis=1, out=mat)
-        picked = np.zeros((rows, n), dtype=bool)
+    for _, mat in _shuffled_batches(n, trials, seed):
+        picked = np.zeros((len(mat), n), dtype=bool)
         np.put_along_axis(picked, mat[:, :m], True, axis=1)
         if len(t_list):
             inside = picked[:, t_idx].all(axis=2).sum(axis=1)
             hits += int((inside >= count_min).sum())
-        done += rows
-        chunk_idx += 1
 
     empirical = hits / trials
     margin = _three_sigma(bound, trials)

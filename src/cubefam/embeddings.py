@@ -210,7 +210,10 @@ def find_pattern_via_universality(
 
     When ``stats`` is a dict, "attempts_used" is written into it: the
     number of randomized draws consumed (0 for purely oracle routes).
+    ``attempts`` is the draw limit of each orientation, at least 1.
     """
+    if attempts < 1:
+        raise PreconditionError("need at least one attempt")
     k = pattern.k
     n = host_fam.ground.n
     if stats is not None:
@@ -233,24 +236,16 @@ def find_pattern_via_universality(
     # Randomized route: host dense among small subsets, or among co-small
     # subsets (then locate the dual pattern in the complement and flip).
     if n >= 2 * k:
-        small = frozenset(a for a in members if mask_size(a) <= k)
-        dtf = DenseTruncatedFamily(n, k, small)
-        if dense_class_check(dtf, universality_epsilon(k)):
-            res = randomized_cube_embed(dtf, k, seed, attempts)
-            if stats is not None:
-                stats["attempts_used"] += res.attempts_used
-            if res.mask is not None:
-                psi = downset_embedding(pattern).images
-                return certified(tuple(expand_mask(s, res.mask) for s in psi))
-        cosmall = frozenset(full ^ a for a in members if mask_size(a) >= n - k)
-        dtf = DenseTruncatedFamily(n, k, cosmall)
-        if dense_class_check(dtf, universality_epsilon(k)):
-            res = randomized_cube_embed(dtf, k, seed, attempts)
-            if stats is not None:
-                stats["attempts_used"] += res.attempts_used
-            if res.mask is not None:
-                dual_psi = downset_embedding(pattern.dual()).images
-                return certified(tuple(full ^ expand_mask(s, res.mask) for s in dual_psi))
+        for flip, oriented in ((0, pattern), (full, pattern.dual())):
+            small = frozenset(flip ^ a for a in members if mask_size(flip ^ a) <= k)
+            dtf = DenseTruncatedFamily(n, k, small)
+            if dense_class_check(dtf, universality_epsilon(k)):
+                res = randomized_cube_embed(dtf, k, seed, attempts)
+                if stats is not None:
+                    stats["attempts_used"] += res.attempts_used
+                if res.mask is not None:
+                    psi = downset_embedding(oriented).images
+                    return certified(tuple(flip ^ expand_mask(s, res.mask) for s in psi))
 
     # Oracle route: search for the pattern itself.  A budget stop
     # propagates, since "not found" would read as absent.

@@ -41,7 +41,6 @@ from .errors import CertificationError, PreconditionError
 from .families import (
     SetFamily,
     compress_mask,
-    dense_need,
     expand_mask,
     lubell_mass,
     mask_elements,
@@ -426,19 +425,12 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
             break
         universe = A & ~B
         shifted = frozenset(f & universe for f in members)
-        # The fatness hypothesis for this step is the previous step's
-        # verified gap-fatness, restricted to the current universe.
+        # The fatness hypothesis for this step: the strata restricted to
+        # the current universe, which the end of step d-1 verified fat in it.
         fats = [
             (r_i, frozenset(s for s in masks if s & ~universe == 0))
             for r_i, masks in strata
         ]
-        if d >= 1:
-            eps_hyp = cascade.eps_level(2 * m + 2 - d)
-            for r_i, masks in fats:
-                if not is_fat(universe, masks, eps_hyp, r_i):
-                    raise CertificationError(
-                        f"step {d}: stratum of order {r_i} lost fatness in the gap"
-                    )
         out = _step(shifted, universe, d, a + 1, b + 1, fats, cascade)
         if out.status != STATUS_OK:
             status = out.status
@@ -529,37 +521,32 @@ class WitnessAssembly:
     branch: Optional[str]
     X: int
     m: int
-    eps: Fraction
     levels: dict                     # k -> tuple of moved-set masks within X
     psi: dict                        # moved-set mask -> witness mask
     W: tuple
-    dense_ok: Optional[bool]
 
 
-def assemble_witnesses(
-    trace: ExtractionTrace, fam: SetFamily, eps: Optional[Fraction] = None
-) -> WitnessAssembly:
+def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembly:
     """Restrict the strata to X = A_t \\ B_t and certify the witness map.
 
     The map sends each stratum member x to its recorded witness w_x.
     Certification is definitional: injectivity, then for every pair the
     comparability of (x, y) -- reverse inclusion on the a-branch,
     inclusion on the b-branch -- must match strict inclusion of
-    (w_x, w_y).  Any mismatch raises with the offending pair.  With a
-    tolerance the per-order counts on X are also checked for density.
+    (w_x, w_y).  Any mismatch raises with the offending pair.  Density
+    on X is ``extract_induced_copy``'s check, not this one's.
     """
     if trace.status != STATUS_OK or trace.branch is None:
         raise PreconditionError(f"trace did not complete (status {trace.status!r})")
     m = trace.m
     last = trace.steps[-1]
     X = last.A & ~last.B
-    eps = None if eps is None else Fraction(eps)
     case = trace.branch
     picked = [s for s in trace.steps if s.case == case]
     if [s.a if case == CASE_FLEX else s.b for s in picked] != list(range(m + 1)):
         raise CertificationError("branch steps do not carry orders 0..m")
     if mask_size(X) < 2 * m:
-        return WitnessAssembly(STATUS_SMALL_X, case, X, m, eps, {}, {}, (), None)
+        return WitnessAssembly(STATUS_SMALL_X, case, X, m, {}, {}, ())
 
     levels: dict = {}
     psi: dict = {}
@@ -595,17 +582,7 @@ def assemble_witnesses(
             raise CertificationError(
                 f"order mismatch at pair ({mask_elements(x)}, {mask_elements(y)})"
             )
-    dense_ok = None
-    if eps is not None:
-        ux = mask_size(X)
-        dense_ok = all(
-            len(levels.get(k, ())) >= dense_need(eps, ux, k)
-            for k in range(m + 1)
-        )
-    return WitnessAssembly(
-        STATUS_OK, case, X, m, eps, levels, psi,
-        tuple(sorted(set(images))), dense_ok,
-    )
+    return WitnessAssembly(STATUS_OK, case, X, m, levels, psi, tuple(sorted(set(images))))
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +613,11 @@ def extract_induced_copy(
     With ``overrides`` (dict with q, p and optionally eps) the run is in
     override mode; otherwise the exact cascade is used, which stops at
     the mass threshold (see ``build_sequences``).  A returned map is
-    always certified induced against the pattern.
+    always certified induced against the pattern.  ``attempts`` is the
+    cube location's draw limit, at least 1.
     """
+    if attempts < 1:
+        raise PreconditionError("need at least one attempt")
     m = pattern.k
     n = fam.ground.n
     if m == 0:
@@ -653,8 +633,7 @@ def extract_induced_copy(
     trace = build_sequences(fam, m, cascade)
     if trace.status != STATUS_OK:
         return ExtractionResult(trace.status, cascade.mode, None, trace, None, None)
-    eps_top = cascade.eps_level(1)
-    assembly = assemble_witnesses(trace, fam, eps_top)
+    assembly = assemble_witnesses(trace, fam)
     if assembly.status != STATUS_OK:
         return ExtractionResult(assembly.status, cascade.mode, None, trace, assembly, None)
 
@@ -664,8 +643,8 @@ def extract_induced_copy(
         compress_mask(x, X) for xs in assembly.levels.values() for x in xs
     )
     dtf = DenseTruncatedFamily(u, m, present)
-    embed_eps = min(eps_top, universality_epsilon(m))
-    if not (u >= 2 * m and dense_class_check(dtf, embed_eps)):
+    embed_eps = min(cascade.eps_level(1), universality_epsilon(m))
+    if not dense_class_check(dtf, embed_eps):
         return ExtractionResult(
             STATUS_NOT_DENSE, cascade.mode, None, trace,
             assembly, None,

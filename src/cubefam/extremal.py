@@ -32,9 +32,15 @@ from .posets import (
     family_as_poset,
     height,
     make_chain,
+    peel,
+    rows_from_columns,
+    toggle_bits,
 )
 
 _MIDDLE_LAYERS_CAP = 10
+# The search lists all 2^n candidate masks before any node is charged,
+# so larger grounds are refused up front.
+_EXTREMAL_CAP = 16
 
 
 def middle_layer_order(n: int) -> list:
@@ -84,56 +90,29 @@ class _Feasibility:
 
     def _rows_of(self, x: int) -> tuple:
         """(up, down): the members strictly above and strictly below x."""
-        everyone = (1 << len(self.above)) - 1
-        up = everyone
-        out = 0                  # members holding a point outside x
-        for col in self.cols:
-            if x & 1:
-                up &= col
-            else:
-                out |= col
-            x >>= 1
-        return up, everyone ^ out
+        return rows_from_columns(self.cols, x, (1 << len(self.above)) - 1)
 
     def ok(self, x: int) -> bool:
         up, down = self._rows_of(x)
         if self.chain_k is not None:
             # The longest chain through x: one below it, x, one above it.
+            # Each height is peeled only up to spare + 1, so P2 costs O(1).
             spare = self.chain_k - 2
-            spare -= self._height(down, spare)
-            return spare >= 0 and self._height(up, spare) <= spare
+            spare -= len(peel(self.below, down, spare + 1))
+            return spare >= 0 and len(peel(self.below, up, spare + 1)) <= spare
         self._attach(up, down)
         found = self.through.copy_through(len(self.above) - 1)
         self._detach()
         return found is None
 
-    def _height(self, rest: int, limit: int) -> int:
-        """The height of the members in ``rest``, or limit + 1 if larger.
-
-        Peels the minimal members off round by round.
-        """
-        below = self.below
-        h = 0
-        while rest and h < limit:
-            minimal = 0
-            scan = rest
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                if not below[low.bit_length() - 1] & rest:
-                    minimal |= low
-            rest ^= minimal
-            h += 1
-        return h + (rest != 0)
-
     def push(self, x: int) -> None:
         up, down = self._rows_of(x)
-        _toggle(self.cols, x, 1 << len(self.above))
+        toggle_bits(self.cols, x, 1 << len(self.above))
         self._attach(up, down)
 
     def pop(self, x: int) -> None:
         self._detach()
-        _toggle(self.cols, x, 1 << len(self.above))
+        toggle_bits(self.cols, x, 1 << len(self.above))
 
     def _attach(self, up: int, down: int) -> None:
         """Append the rows of a new last member and add it to its relatives' rows."""
@@ -153,10 +132,10 @@ class _Feasibility:
 
     def _relink(self, up: int, down: int, bit: int) -> None:
         if up | down:
-            _toggle(self.below, up, bit)
-            _toggle(self.above, down, bit)
+            toggle_bits(self.below, up, bit)
+            toggle_bits(self.above, down, bit)
             if self.apart is not None:
-                _toggle(self.apart, up | down, bit)
+                toggle_bits(self.apart, up | down, bit)
 
     def certify_free(self, members: list) -> None:
         found = contains_subposet(family_as_poset(members), self.pattern, self.mode)
@@ -164,14 +143,6 @@ class _Feasibility:
             raise CertificationError(
                 "search returned a family containing the pattern"
             )
-
-
-def _toggle(rows: list, where: int, bit: int) -> None:
-    """rows[i] ^= bit for every i in the bitset ``where``."""
-    while where:
-        low = where & -where
-        rows[low.bit_length() - 1] ^= bit
-        where ^= low
 
 
 @dataclass(frozen=True)
@@ -322,8 +293,8 @@ def extremal_search(
     yields a best-found result with ``exact`` cleared, never a silent
     partial answer.
     """
-    if n < 0:
-        raise PreconditionError("ground size must be nonnegative")
+    if n < 0 or n > _EXTREMAL_CAP:
+        raise PreconditionError(f"ground size must be in [0, {_EXTREMAL_CAP}]")
     if pattern.k == 0:
         raise PreconditionError("the empty pattern embeds in every family")
     if mode not in ("weak", "induced"):

@@ -8,7 +8,9 @@ algorithms for binary constraint satisfaction and subgraph isomorphism",
 2010): the candidates for each pattern element are one int, the AND of
 the chain-room mask, the unused elements and the rows of the images
 already chosen.  Inclusion hosts are built the same way, from one column
-bitset per ground element.
+bitset per ground element; the row helpers (``toggle_bits``,
+``rows_from_columns``, ``peel``) also keep the extremal search's
+incremental host.
 
 ``contains_subposet`` is the independent oracle the rest of the package
 uses to validate every embedding it produces, so it re-verifies its own
@@ -70,8 +72,7 @@ class FinitePoset:
                     )
         below = [0] * k
         for i in range(k):
-            for j in _bits(above[i]):
-                below[j] |= 1 << i
+            toggle_bits(below, above[i], 1 << i)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "above", tuple(above))
         object.__setattr__(self, "below", tuple(below))
@@ -192,45 +193,85 @@ def family_as_poset(masks: Iterable[int]) -> FinitePoset:
 
     A ``SetFamily`` iterates its members in ascending order.  The rows are
     built from one column bitset per ground element (the members holding
-    it): the members above a_i are those in every column of a_i's
-    elements, and the members below it are those in no column of the
-    other elements.  Inclusion is transitive by construction, so
-    ``FinitePoset``'s validation is skipped.
+    it) by ``rows_from_columns``.  Inclusion is transitive by
+    construction, so ``FinitePoset``'s validation is skipped.
     """
     masks = list(masks)
     if masks and min(masks) < 0:
         raise PreconditionError("masks must be nonnegative")
-    k = len(masks)
     cols = [0] * max(masks, default=0).bit_length()
     bit = 1
     for a in masks:
-        while a:
-            low = a & -a
-            cols[low.bit_length() - 1] |= bit
-            a ^= low
+        toggle_bits(cols, a, bit)
         bit <<= 1
-    everyone = (1 << k) - 1
+    everyone = (1 << len(masks)) - 1
     above = []
     below = []
     bit = 1
     for a in masks:
-        sup = everyone       # members holding every element of a
-        out = 0              # members holding an element outside a
-        for col in cols:
-            if a & 1:
-                sup &= col
-            else:
-                out |= col
-            a >>= 1
+        sup, sub = rows_from_columns(cols, a, everyone)
         above.append(sup ^ bit)
-        below.append(everyone ^ out ^ bit)
+        below.append(sub ^ bit)
         bit <<= 1
     return _from_rows(above, below)
 
 
+def toggle_bits(rows: list, where: int, bit: int) -> None:
+    """rows[i] ^= bit for every i in the bitset ``where``."""
+    while where:
+        low = where & -where
+        rows[low.bit_length() - 1] ^= bit
+        where ^= low
+
+
+def rows_from_columns(cols: Sequence[int], a: int, everyone: int) -> tuple:
+    """(sup, sub): the members holding every point of ``a``, and those
+    holding no point outside it.
+
+    ``cols[p]`` is the bitset of members holding ground point p and
+    ``everyone`` the set of all members; a member equal to ``a`` is in
+    both.
+    """
+    sup = everyone
+    out = 0                  # members holding a point outside a
+    for col in cols:
+        if a & 1:
+            sup &= col
+        else:
+            out |= col
+        a >>= 1
+    return sup, everyone ^ out
+
+
+def peel(rel: Sequence[int], rest: int, stop: int = 0) -> list[int]:
+    """rooms[r]: the elements of ``rest`` with a chain of at least r
+    elements of ``rest`` strictly below them, where ``rel[i]`` is the set
+    of elements below i (pass the ``above`` rows to count chains above).
+
+    Found by peeling off the minimal elements round by round, so
+    ``len(rooms)`` is the height of ``rest``.  With ``stop`` > 0 the
+    peeling ends once ``stop`` rooms are listed: ``len(rooms)`` is then
+    min(height, stop), and a stop of 1 costs no round at all.
+    """
+    rooms = []
+    while rest:
+        rooms.append(rest)
+        if len(rooms) == stop:
+            break
+        layer = 0
+        scan = rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if not rel[low.bit_length() - 1] & rest:
+                layer |= low
+        rest ^= layer
+    return rooms
+
+
 def height(p: FinitePoset) -> int:
     """Size of the largest chain (counted in elements)."""
-    return len(_room_masks(p, use_below=True))
+    return len(peel(p.below, (1 << p.k) - 1))
 
 
 @dataclass(frozen=True)
@@ -331,15 +372,16 @@ def contains_subposet(
     if pattern.k == 0:
         return EmbeddingMap((), mode, "indices")
     plan = _search_plan(pattern, mode)
-    h_down = _room_masks(host, use_below=True)
-    h_up = _room_masks(host, use_below=False)
+    everyone = (1 << host.k) - 1
+    h_down = peel(host.below, everyone)
+    h_up = peel(host.above, everyone)
     # room[d]: host elements with enough chain room for the element at depth d.
     room = [
         h_down[down] & h_up[up] if down < len(h_down) and up < len(h_up) else 0
         for down, up in plan.levels
     ]
     rules = _bind(plan, host_rows(host, mode))
-    image = _search_loop(rules, room, (1 << host.k) - 1, None, node_budget)
+    image = _search_loop(rules, room, everyone, None, node_budget)
     return None if image is None else _certified(host, pattern, mode, plan.order, image)
 
 
@@ -443,8 +485,9 @@ def _search_plan(pattern: FinitePoset, mode: str, anchor: Optional[int] = None) 
             )
             order.append(v)
             placed |= 1 << v
-    p_down = _room_masks(pattern, use_below=True)
-    p_up = _room_masks(pattern, use_below=False)
+    everyone = (1 << k) - 1
+    p_down = peel(pattern.below, everyone)
+    p_up = peel(pattern.above, everyone)
     rules = []
     levels = []
     for d, v in enumerate(order):
@@ -531,29 +574,6 @@ def _certified(
     if not verify_embedding_indices(host, pattern, images, mode):
         raise CertificationError("search returned a map that fails re-verification")
     return EmbeddingMap(images, mode, "indices")
-
-
-def _room_masks(p: FinitePoset, use_below: bool) -> list[int]:
-    """rooms[r]: the elements with a chain of at least r elements strictly
-    below (or above) them.
-
-    Found by peeling off the minimal (maximal) elements round by round, so
-    ``len(rooms)`` is the height of ``p``.
-    """
-    rel = p.below if use_below else p.above
-    rooms = []
-    rest = (1 << p.k) - 1
-    while rest:
-        rooms.append(rest)
-        layer = 0
-        scan = rest
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            if not rel[low.bit_length() - 1] & rest:
-                layer |= low
-        rest ^= layer
-    return rooms
 
 
 def enumerate_posets(k: int) -> list[FinitePoset]:

@@ -101,6 +101,64 @@ class TestErrorExits:
         assert code == 3
 
 
+class TestFlagErrors:
+    """Bad flag values end in an exit code and a message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cascade", "-m", "1", "--eps", "abc"],
+        ["pivots", "--family", "{}", "--base", "1", "-r", "1", "--gamma", "1/0"],
+        ["extract", "--family", "{}", "--pattern", "builtin:P2", "--mode", "override",
+         "--q", "x", "--p", "1/2", "--seed", "1"],
+        ["extract", "--family", "{}", "--pattern", "builtin:P2", "--mode", "override",
+         "--q", "1/2", "--p", "1/2", "--eps", "1/0", "--seed", "1"],
+        ["verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50", "--n", "100",
+         "-t", "six", "--seed", "1"],
+        ["verify-lemma", "--lemma", "fatbound", "--family", "{}", "--sset", "{}",
+         "--eps", "e"],
+    ])
+    def test_bad_rational_exits_2(self, capsys, fam_file, argv):
+        path = fam_file(full_power_set(3))
+        assert main([a.format(path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert "not a rational number" in captured.err and captured.out == ""
+
+    def test_rational_flag_echoed_as_typed(self, capsys, fam_file):
+        path = fam_file(full_power_set(3))
+        code, payload = run_json(capsys, [
+            "pivots", "--family", path, "--base", "1", "-r", "1", "--gamma", "2/4",
+        ])
+        assert code == 0
+        assert payload["config"]["params"]["gamma"] == "2/4"
+        assert payload["results"]["gamma"] == "1/2"
+
+    @pytest.mark.parametrize("lemma_args,flag", [
+        (["--lemma", "tail", "-m", "20", "-k", "50", "--n", "100"], "-t"),
+        (["--lemma", "trace", "-m", "12", "--n", "40", "--eps", "1/4"], "-r"),
+    ])
+    def test_missing_lemma_flag_exits_2(self, capsys, lemma_args, flag):
+        assert main(["verify-lemma", *lemma_args, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.rstrip().endswith(f"needs {flag}")
+
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--pattern", "builtin:V2", "--mode", "induced"],
+        ["extract", "--pattern", "builtin:P2", "--mode", "override",
+         "--q", "1/2", "--p", "1/2"],
+    ])
+    def test_zero_attempts_exits_3(self, capsys, fam_file, argv):
+        path = fam_file(full_power_set(4))
+        code = main([*argv, "--family", path, "--attempts", "0", "--seed", "1"])
+        assert code == 3
+        assert "need at least one attempt" in capsys.readouterr().err
+
+    def test_extremal_ground_cap_exits_3(self, capsys):
+        code = main([
+            "extremal", "--n", "17", "--pattern", "builtin:P2", "--budget-nodes", "10",
+        ])
+        assert code == 3
+        assert "ground size must be in [0, 16]" in capsys.readouterr().err
+
+
 class TestPivots:
     def test_middle_layer_enumeration(self, capsys, fam_file):
         fam = SetFamily(4, [m for m in range(16) if bin(m).count("1") == 2])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -32,6 +33,19 @@ def test_sample_uniform_subsets_deterministic():
     assert np.array_equal(a, b)
     c = sample_uniform_subsets(20, 5, 100, seed=18)
     assert not np.array_equal(a, c)
+
+
+def test_sample_uniform_subsets_pinned_across_batches():
+    """Three batches of rows (16384, 16384, 7232), each on its own jumped stream."""
+    subs = sample_uniform_subsets(20, 5, 40000, seed=7)
+    assert subs.shape == (40000, 5) and subs.dtype == np.int32
+    assert subs[0].tolist() == [17, 11, 0, 9, 16]
+    assert subs[16383].tolist() == [19, 13, 8, 1, 2]
+    assert subs[16384].tolist() == [16, 7, 17, 18, 13]
+    assert subs[32768].tolist() == [18, 8, 19, 15, 5]
+    assert subs[39999].tolist() == [9, 5, 0, 4, 15]
+    digest = hashlib.sha256(subs.tobytes()).hexdigest()
+    assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
 
 
 def test_hypergeometric_sample_against_scipy():
@@ -128,6 +142,14 @@ def test_verify_trace_probability_pass_and_hypothesis_failure():
     big = {1 << i for i in range(n)}
     rep2 = verify_trace_probability(n, m, r, eps, big, 1000, seed=99)
     assert rep2.verdict == "hypothesis-failed"
+
+
+def test_trace_probability_pinned_hits():
+    # 40,000 trials span three batches; at least 3 of the 5 singletons
+    # must land in the 10-subset (more than eps * C(10, 1) = 2.5).
+    T = {1 << i for i in range(5)}
+    rep = verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11)
+    assert rep.hits == 3589 and rep.verdict == "pass"
 
 
 def test_trace_probability_empty_t_never_hits():

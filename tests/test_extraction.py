@@ -307,7 +307,6 @@ class TestExtractPipeline:
         assert res.mode == "override"
         assert res.map.images == (31,)
         assert res.embed.status == "ok"
-        assert res.assembly.dense_ok
         assert res.map.images[0] in full_power_set(10).member_set
 
     def test_determinism_per_seed(self):

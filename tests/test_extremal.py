@@ -132,6 +132,15 @@ class TestSearchControls:
         with pytest.raises(PreconditionError):
             extremal_search(3, make_chain(2), objective="area")
 
+    def test_ground_cap(self):
+        # Every candidate mask is listed before the budget applies, so the
+        # ground is capped; at the cap a small budget still stops quickly.
+        r = extremal_search(extremal._EXTREMAL_CAP, make_chain(2), budget=10)
+        assert not r.exact and r.n == 16
+        for n in (-1, extremal._EXTREMAL_CAP + 1, 70):
+            with pytest.raises(PreconditionError, match=r"\[0, 16\]"):
+                extremal_search(n, make_chain(2), budget=10)
+
     def test_result_metadata(self):
         r = extremal_search(3, make_chain(2), pattern_id="P2")
         assert r.pattern_id == "P2" and r.n == 3

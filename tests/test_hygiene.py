@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used; nothing raises the recursion
-limit; numpy and mpmath are not imported with the package.
+limit; numpy and mpmath are not imported with the package; the CLI reads
+every rational flag through one parser.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -149,3 +150,40 @@ def test_eager_import_scan_flags_module_level_only():
         "    import mpmath\n"
     )
     assert eager_heavy_imports(tree) == [2, 11, 13, 19]
+
+
+def fraction_calls_outside(tree: ast.Module, allowed: str) -> list[int]:
+    """Lines that call ``Fraction(`` anywhere but inside the function ``allowed``."""
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == allowed:
+            continue
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+        ):
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_cli_parses_rationals_in_one_place():
+    """A bad rational flag is a parse error (exit 2), never a traceback."""
+    path = ROOT / "src" / "cubefam" / "cli.py"
+    assert fraction_calls_outside(ast.parse(path.read_text(), str(path)), "_fraction_arg") == []
+
+
+def test_fraction_scan_flags_calls_outside_the_parser():
+    tree = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "def _fraction_arg(text):\n"
+        "    return Fraction(text)\n"
+        "def handler(params):\n"
+        "    x = Fraction(params['q'])\n"
+        "    ok = isinstance(x, Fraction)\n"
+        "    return fractions.Fraction(1, 2), _fraction_arg(params['p'])\n"
+        "y = Fraction('1/3')\n"
+    )
+    assert fraction_calls_outside(tree, "_fraction_arg") == [6, 8, 9]
