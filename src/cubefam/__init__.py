@@ -22,13 +22,11 @@ from .errors import (
 from .families import (
     GroundSet,
     SetFamily,
-    complement_family,
     full_power_set,
     lubell_mass,
     parse_family,
     read_family,
     relative_lubell,
-    split_half,
     write_family,
 )
 from .posets import (
@@ -63,7 +61,6 @@ from .pivots import (
     enumerate_anti_pivots,
     enumerate_pivots,
     flexibility_mass_bound,
-    hillclimb_flexfree_mass,
     is_fat,
     is_flexible,
     max_flexfree_mass,
@@ -97,7 +94,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "SetFamily",
     "centred_element",
-    "complement_family",
     "compute_cascade",
     "concentration_constants",
     "contains_subposet",
@@ -112,7 +108,6 @@ __all__ = [
     "find_pattern_via_universality",
     "flexibility_mass_bound",
     "full_power_set",
-    "hillclimb_flexfree_mass",
     "is_fat",
     "is_flexible",
     "lubell_mass",
@@ -129,7 +124,6 @@ __all__ = [
     "read_family",
     "read_poset",
     "relative_lubell",
-    "split_half",
     "universality_epsilon",
     "validate_record",
     "verify_fat_mass_bound",

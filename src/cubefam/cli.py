@@ -323,7 +323,7 @@ def _trace_payload(trace) -> dict:
                 "B": format_subset(s.B),
                 "family_size": s.family_size,
                 "stratum_r": s.stratum_r,
-                "stratum_size": len(s.stratum),
+                "stratum_size": len(s.stratum_witness),
                 "mass": s.step_mass,
                 "mass_floor_ok": s.cond5_ok,
                 "fallback": s.fallback,
@@ -509,15 +509,39 @@ def _handle_report(cfg: RunConfig):
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config is not valid JSON: {exc}") from exc
-    inner = RunConfig.from_payload(
-        payload["config"] if "config" in payload else payload
-    )
+    if isinstance(payload, dict) and "config" in payload:
+        payload = payload["config"]
+    if not (isinstance(payload, dict) and isinstance(payload.get("params", {}), dict)):
+        raise ParseError("config must be a JSON object whose params are an object")
+    inner = RunConfig.from_payload(payload)
     if inner.subcommand == "report":
         raise PreconditionError("a report config cannot nest another report")
+    _check_replayed_config(inner)
     _check_seed_policy(inner)
     handler = _HANDLERS[inner.subcommand]
     results, certs, code = handler(inner)
     return {"replayed": inner.subcommand, "results": results}, certs, code
+
+
+def _check_replayed_config(cfg: RunConfig) -> None:
+    """A config file is outside input: each param must have the type and
+    choices of its flag in ``build_parser``, and no required flag may be absent."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = subs.choices.get(cfg.subcommand) if isinstance(cfg.subcommand, str) else None
+    if parser is None:
+        raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
+    if cfg.seed is not None and type(cfg.seed) is not int:
+        raise ParseError(f"seed must be an integer, got {cfg.seed!r}")
+    for action in parser._actions:
+        value = cfg.params.get(action.dest)
+        flag = action.option_strings[0]
+        if value is None and action.required:
+            raise ParseError(f"{cfg.subcommand} config needs {flag}")
+        want = action.type or (bool if action.nargs == 0 else str)
+        if value is not None and (
+            type(value) is not want or (action.choices and value not in action.choices)
+        ):
+            raise ParseError(f"bad {flag} value in config: {value!r}")
 
 
 _HANDLERS: dict = {

@@ -74,24 +74,6 @@ def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray
     return out
 
 
-def hypergeometric_sample(m: int, k: int, n: int, seed: int) -> int:
-    """One draw of Z = |X cap {0..k-1}| for X uniform in the m-subsets of [n].
-
-    X comes from a partial Fisher-Yates shuffle: swap a uniform later
-    element into each of the first m positions.
-    """
-    import numpy as np
-
-    if not (0 <= m <= n and 0 <= k <= n):
-        raise PreconditionError(f"need max(m, k) <= n, got m={m}, k={k}, n={n}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    arr = np.arange(n)
-    for i in range(m):
-        j = i + int(rng.integers(0, n - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    return int((arr[:m] < k).sum())
-
-
 def tail_bound(m: int, t) -> float:
     """Upper bound exp(-2 t^2 / m) for the upper tail at offset t."""
     if m < 1:

@@ -106,7 +106,6 @@ class CubeEmbedResult:
     mask: Optional[int]
     status: str             # "ok" | "exhausted"
     attempts_used: int
-    seed: int
 
 
 def bernoulli_subset_mask(rng: np.random.Generator, n: int, p: float) -> int:
@@ -185,8 +184,8 @@ def randomized_cube_embed(
             shrunk |= low
             x_mask ^= low
         _certify_cube_copy(fam, shrunk, m)
-        return CubeEmbedResult(shrunk, "ok", attempt + 1, seed)
-    return CubeEmbedResult(None, "exhausted", max_attempts, seed)
+        return CubeEmbedResult(shrunk, "ok", attempt + 1)
+    return CubeEmbedResult(None, "exhausted", max_attempts)
 
 
 def find_pattern_via_universality(

@@ -43,7 +43,6 @@ from .families import (
     compress_mask,
     expand_mask,
     lubell_mass,
-    mask_elements,
     mask_size,
     mass_of_sizes,
 )
@@ -55,7 +54,7 @@ from .pivots import (
     is_fat,
     pivots_in_universe,
 )
-from .posets import EmbeddingMap, FinitePoset, verify_embedding_masks
+from .posets import EmbeddingMap, FinitePoset, family_as_poset, verify_embedding_masks
 
 _SOS_BIT_CAP = 20          # ground sizes up to this use the subset-sum tables
 
@@ -87,73 +86,61 @@ def _class_weights(a: int) -> tuple:
     return lcm, tuple(lcm // c for c in binoms)
 
 
-def _centred(shifted: Sequence[int], universe: int, direction: str) -> tuple:
-    """A member whose one-sided relative mass covers the whole family's.
+def _centred(shifted: Sequence[int], universe: int) -> tuple:
+    """A member whose relative mass below it covers the whole family's.
 
     Existence: a uniform maximal chain hits the family l(F) times in
-    expectation, and conditioning on the lowest (resp. highest) hit only
-    concentrates the count -- so some member must carry at least the
-    average.  Deterministic tie-break: smallest size, then smallest mask.
+    expectation, and conditioning on the highest hit only concentrates
+    the count -- so some member must carry at least the average.
+    Deterministic tie-break: smallest size, then smallest mask.
 
-    "Up" is "down" on complements.  Candidates of one size class share
-    the test num >= ceil(l(F) L) of ``_class_weights``.  Grounds of at
-    most ``_SOS_BIT_CAP`` points take cnt_s from count tables in int64,
-    one row per size t the members have: a subset-sum transform counts
-    the members of size t inside each set ("down", s = t), a superset-sum
-    transform those around it ("up", s = u - t).  num <= (a+1) L =
+    Candidates of one size class share the test num >= ceil(l(F) L) of
+    ``_class_weights``.  Grounds of at most ``_SOS_BIT_CAP`` points take
+    cnt_s from count tables in int64, one row per size s the members
+    have, filled by a subset-sum transform.  num <= (a+1) L =
     lcm(1..a+1) <= lcm(1..21) = 232,792,560 < 2^28.  Larger grounds scan
     the family per candidate in Python ints.
     """
     import numpy as np
 
-    if direction not in ("down", "up"):
-        raise PreconditionError(f"direction must be 'down' or 'up', got {direction!r}")
     members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
     if not members:
         raise PreconditionError("centred element of an empty family")
     u = mask_size(universe)
-    total = mass_of_sizes(map(mask_size, members), u)
-    # Each candidate's test set, which is also the family counted inside it.
-    tests = members if direction == "down" else [universe ^ f for f in members]
-    sizes = [mask_size(t) for t in tests]
+    sizes = [mask_size(f) for f in members]
+    total = mass_of_sizes(sizes, u)
     if u <= _SOS_BIT_CAP:
-        row_sizes = sorted(set(map(mask_size, members)))
-        row_of = {t: r for r, t in enumerate(row_sizes)}
-        # s of each row: the test-set size its members count at.
-        row_s = row_sizes if direction == "down" else [u - t for t in row_sizes]
+        row_sizes = sorted(set(sizes))
+        row_of = {s: r for r, s in enumerate(row_sizes)}
         comp = np.array([compress_mask(f, universe) for f in members], dtype=np.int64)
         tables = np.zeros((len(row_sizes), 1 << u), dtype=np.int64)
-        tables[[row_of[mask_size(f)] for f in members], comp] = 1
-        into, out = (1, 0) if direction == "down" else (0, 1)
+        tables[[row_of[s] for s in sizes], comp] = 1
         for i in range(u):
             view = tables.reshape(len(tables), -1, 2, 1 << i)
-            view[:, :, into, :] += view[:, :, out, :]
+            view[:, :, 1, :] += view[:, :, 0, :]
     start = 0
     for a, group in itertools.groupby(sizes):
         stop = start + sum(1 for _ in group)
         lcm, w = _class_weights(a)
         need = math.ceil(total * lcm)
         if u <= _SOS_BIT_CAP:
-            weights = np.array([w[s] if s <= a else 0 for s in row_s], dtype=np.int64)
+            weights = np.array([w[s] if s <= a else 0 for s in row_sizes], dtype=np.int64)
             nums = weights @ tables[:, comp[start:stop]]
             hits = np.flatnonzero(nums >= need)
             if hits.size:
                 return members[start + hits[0]], Fraction(int(nums[hits[0]]), lcm)
         else:
             for k in range(start, stop):
-                A = tests[k]
-                num = sum(w[s] for f, s in zip(tests, sizes) if f & ~A == 0)
+                num = sum(w[s] for f, s in zip(members, sizes) if f & ~members[k] == 0)
                 if num >= need:
                     return members[k], Fraction(num, lcm)
         start = stop
     raise CertificationError("no centred element found; the averaging argument failed")
 
 
-def centred_element(fam: SetFamily, direction: str = "down") -> int:
-    """Member A with mass below it (or above, direction "up") >= l(F)."""
-    if len(fam) == 0:
-        raise PreconditionError("centred element of an empty family")
-    mask, _ = _centred(fam.members, fam.ground.full_mask, direction)
+def centred_element(fam: SetFamily) -> int:
+    """Member A with mass below it >= l(F)."""
+    mask, _ = _centred(fam.members, fam.ground.full_mask)
     return mask
 
 
@@ -176,7 +163,6 @@ class ConstantCascade:
     m: int
     mode: str                  # "paper" | "override"
     eps_j: tuple               # Fractions, entry j-1 holds eps_j
-    q_j: tuple                 # per-level maxima (paper mode only)
     q: object
     p: Fraction
     threshold: object
@@ -229,18 +215,18 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
             min([prev] + [concentration_constants(prev, i).eta for i in range(m + 1)])
         )
     with mp.workdps(_MP_DPS):
-        q_j = tuple(
-            max(fat_mass_bound(eps_j[j - 2], i) for i in range(m + 1))
+        q = max(
+            fat_mass_bound(eps_j[j - 2], i)
             for j in range(2, 2 * m + 2)
+            for i in range(m + 1)
         )
-        q = max(q_j)
         p = max(
             flexibility_mass_bound(eps_j[j - 1], i)
             for j in range(1, 2 * m + 2)
             for i in range(m + 1)
         )
         threshold = _threshold_formula(m, q, _mpf(p))
-    return ConstantCascade(m, "paper", tuple(eps_j), q_j, q, p, threshold)
+    return ConstantCascade(m, "paper", tuple(eps_j), q, p, threshold)
 
 
 def override_cascade(m: int, q, p, eps=None) -> ConstantCascade:
@@ -254,7 +240,7 @@ def override_cascade(m: int, q, p, eps=None) -> ConstantCascade:
     if not 0 < eps <= 1:
         raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
     eps_j = (eps,) * (2 * m + 1)
-    return ConstantCascade(m, "override", eps_j, (), q, p, _threshold_formula(m, q, p))
+    return ConstantCascade(m, "override", eps_j, q, p, _threshold_formula(m, q, p))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +278,7 @@ def _prune_and_centre(
     ]
     if not survivors:
         return None
-    return _centred(survivors, universe, "down")
+    return _centred(survivors, universe)
 
 
 def _mass_ge(mass: Fraction, floor) -> bool:
@@ -364,7 +350,6 @@ class TraceStep:
     B: int
     family_size: int
     stratum_r: int
-    stratum: tuple                       # moved-set masks, original coordinates
     stratum_witness: dict                # moved mask -> witness, original coordinates
     step_mass: Fraction
     cond5_ok: Optional[bool]
@@ -490,9 +475,7 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
         steps.append(
             TraceStep(
                 d, out.case, a, b, new_A, new_B,
-                len(new_members), r_d,
-                tuple(sorted(out.stratum.pivots)),
-                witness_orig,
+                len(new_members), r_d, witness_orig,
                 step_mass, cond5, out.fallback,
             )
         )
@@ -520,21 +503,19 @@ class WitnessAssembly:
     status: str
     branch: Optional[str]
     X: int
-    m: int
     levels: dict                     # k -> tuple of moved-set masks within X
     psi: dict                        # moved-set mask -> witness mask
-    W: tuple
 
 
 def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembly:
     """Restrict the strata to X = A_t \\ B_t and certify the witness map.
 
     The map sends each stratum member x to its recorded witness w_x.
-    Certification is definitional: injectivity, then for every pair the
-    comparability of (x, y) -- reverse inclusion on the a-branch,
-    inclusion on the b-branch -- must match strict inclusion of
-    (w_x, w_y).  Any mismatch raises with the offending pair.  Density
-    on X is ``extract_induced_copy``'s check, not this one's.
+    Certification is definitional: the map must be an induced copy of
+    the strata -- ordered by reverse inclusion on the a-branch, by
+    inclusion on the b-branch -- among the witnesses under strict
+    inclusion.  Density on X is ``extract_induced_copy``'s check, not
+    this one's.
     """
     if trace.status != STATUS_OK or trace.branch is None:
         raise PreconditionError(f"trace did not complete (status {trace.status!r})")
@@ -546,14 +527,14 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
     if [s.a if case == CASE_FLEX else s.b for s in picked] != list(range(m + 1)):
         raise CertificationError("branch steps do not carry orders 0..m")
     if mask_size(X) < 2 * m:
-        return WitnessAssembly(STATUS_SMALL_X, case, X, m, {}, {}, ())
+        return WitnessAssembly(STATUS_SMALL_X, case, X, {}, {})
 
     levels: dict = {}
     psi: dict = {}
     member_set = fam.member_set
     for s in picked:
         k = s.a if case == CASE_FLEX else s.b
-        inside = tuple(sorted(x for x in s.stratum if x & ~X == 0))
+        inside = tuple(sorted(x for x in s.stratum_witness if x & ~X == 0))
         levels[k] = inside
         for x in inside:
             w = s.stratum_witness[x]
@@ -563,26 +544,13 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
                 raise CertificationError(f"stratum member {x:#x} appears twice")
             psi[x] = w
 
-    v = sorted(psi, key=lambda x: (mask_size(x), x))
-    images = [psi[x] for x in v]
-    if len(set(images)) != len(images):
-        raise CertificationError("witness map is not injective")
-    # Every step at least halves the gap, so |X| <= n >> (m+1) and v stays small.
-    for x, y in itertools.combinations(v, 2):
-        if case == CASE_FLEX:        # reverse inclusion on the strata side
-            x_lt_y = y & ~x == 0 and x != y
-            y_lt_x = x & ~y == 0 and x != y
-        else:
-            x_lt_y = x & ~y == 0 and x != y
-            y_lt_x = y & ~x == 0 and x != y
-        wx, wy = psi[x], psi[y]
-        w_lt = wx & ~wy == 0 and wx != wy
-        w_gt = wy & ~wx == 0 and wx != wy
-        if (x_lt_y, y_lt_x) != (w_lt, w_gt):
-            raise CertificationError(
-                f"order mismatch at pair ({mask_elements(x)}, {mask_elements(y)})"
-            )
-    return WitnessAssembly(STATUS_OK, case, X, m, levels, psi, tuple(sorted(set(images))))
+    # Every step at least halves the gap, so |X| <= n >> (m+1) and psi stays small.
+    strata = family_as_poset(psi)
+    if case == CASE_FLEX:
+        strata = strata.dual()
+    if not verify_embedding_masks(strata, list(psi.values()), "induced"):
+        raise CertificationError("order mismatch between the strata and their witnesses")
+    return WitnessAssembly(STATUS_OK, case, X, levels, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +565,6 @@ class ExtractionResult:
     trace: Optional[ExtractionTrace]
     assembly: Optional[WitnessAssembly]
     embed: Optional[CubeEmbedResult]
-    detail: str = ""
 
 
 def extract_induced_copy(
@@ -645,11 +612,7 @@ def extract_induced_copy(
     dtf = DenseTruncatedFamily(u, m, present)
     embed_eps = min(cascade.eps_level(1), universality_epsilon(m))
     if not dense_class_check(dtf, embed_eps):
-        return ExtractionResult(
-            STATUS_NOT_DENSE, cascade.mode, None, trace,
-            assembly, None,
-            detail=f"stratum density below 1 - {embed_eps}",
-        )
+        return ExtractionResult(STATUS_NOT_DENSE, cascade.mode, None, trace, assembly, None)
     res = randomized_cube_embed(dtf, m, seed, attempts)
     if res.mask is None:
         return ExtractionResult(STATUS_EXHAUSTED, cascade.mode, None, trace, assembly, res)

@@ -295,6 +295,8 @@ def extremal_search(
     """
     if n < 0 or n > _EXTREMAL_CAP:
         raise PreconditionError(f"ground size must be in [0, {_EXTREMAL_CAP}]")
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"node budget must be nonnegative, got {budget}")
     if pattern.k == 0:
         raise PreconditionError("the empty pattern embeds in every family")
     if mode not in ("weak", "induced"):

@@ -25,16 +25,6 @@ def mask_size(mask: int) -> int:
     return mask.bit_count()
 
 
-def mask_from_elements(elements: Iterable[int], n: int) -> int:
-    """Build a mask from 1-based element indices."""
-    mask = 0
-    for e in elements:
-        if not 1 <= e <= n:
-            raise PreconditionError(f"element {e} outside ground set [{n}]")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def mask_elements(mask: int) -> tuple[int, ...]:
     """1-based, sorted element indices of a mask."""
     out = []
@@ -232,24 +222,6 @@ def relative_lubell(fam: SetFamily, B: int, A: int) -> Fraction:
     return mass_of_sizes(
         (mask_size(m & ~B) for m in interval_members(fam, B, A)), mask_size(A & ~B)
     )
-
-
-def complement_family(fam: SetFamily) -> SetFamily:
-    """Replace every member by its complement in the ground set."""
-    full = fam.ground.full_mask
-    return SetFamily(fam.n, (full & ~m for m in fam.members))
-
-
-def split_half(fam: SetFamily) -> tuple[SetFamily, SetFamily]:
-    """(F_minus, F_plus): members of size <= n/2 and >= n/2.
-
-    For even n the middle layer lands in both halves, matching both
-    non-strict inequalities; consequently l(F_minus) + l(F_plus) >= l(F).
-    """
-    n = fam.n
-    lower = [m for m in fam.members if 2 * mask_size(m) <= n]
-    upper = [m for m in fam.members if 2 * mask_size(m) >= n]
-    return SetFamily(n, lower), SetFamily(n, upper)
 
 
 # ---------------------------------------------------------------------------

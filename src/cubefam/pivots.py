@@ -10,7 +10,6 @@ exhaustive bound search below exploits.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -394,45 +393,3 @@ def max_flexfree_mass(n: int, gamma, r: int) -> tuple:
         total += Fraction(count, math.comb(n, k))
         family.extend(masks)
     return total, tuple(sorted(family))
-
-
-def hillclimb_flexfree_mass(
-    n: int, gamma, r: int, seed: int, restarts: int = 20
-) -> tuple:
-    """Randomized greedy lower bound on the same maximum, for larger n."""
-    gamma = Fraction(gamma)
-    if r == 0:
-        return Fraction(0), ()
-    rng = random.Random(seed)
-    best = Fraction(0)
-    best_masks: tuple = ()
-    for _ in range(restarts):
-        total = Fraction(0)
-        fam_masks: list = []
-        for k in range(n // 2 + 1):
-            limit = flex_need(gamma, k, r)
-            pool = list(submasks_of_size((1 << n) - 1, k))
-            rng.shuffle(pool)
-            layer: list = []
-            swaps: dict = {}
-            for c in pool:
-                c_swaps = {c & ~a for a in layer if mask_size(c & ~a) == r}
-                if len(c_swaps) >= limit:
-                    continue
-                if any(
-                    len(swaps[a] | {a & ~c}) >= limit
-                    for a in layer
-                    if mask_size(a & ~c) == r
-                ):
-                    continue
-                for a in layer:
-                    if mask_size(a & ~c) == r:
-                        swaps[a].add(a & ~c)
-                swaps[c] = c_swaps
-                layer.append(c)
-            total += Fraction(len(layer), math.comb(n, k))
-            fam_masks.extend(layer)
-        if total > best:
-            best = total
-            best_masks = tuple(sorted(fam_masks))
-    return best, best_masks

@@ -89,15 +89,6 @@ class FinitePoset:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.k) for j in _bits(self.above[i])]
 
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """Pairs i < j with nothing strictly between (the Hasse diagram)."""
-        out = []
-        for i in range(self.k):
-            for j in _bits(self.above[i]):
-                if not (self.above[i] & self.below[j]):
-                    out.append((i, j))
-        return sorted(out)
-
     def dual(self) -> "FinitePoset":
         return _from_rows(self.below, self.above)
 
@@ -301,36 +292,30 @@ def verify_embedding_indices(
     host: FinitePoset, pattern: FinitePoset, images: Sequence[int], mode: str
 ) -> bool:
     """Definitional pairwise check of an index embedding.  No shortcuts."""
-    if len(images) != pattern.k or len(set(images)) != len(images):
-        return False
     if any(not 0 <= h < host.k for h in images):
         return False
-    for x in range(pattern.k):
-        for y in range(pattern.k):
-            if x == y:
-                continue
-            if pattern.lt(x, y) and not host.lt(images[x], images[y]):
-                return False
-            if mode == "induced" and not pattern.lt(x, y):
-                # x,y incomparable or y < x; forbid spurious images[x] < images[y]
-                if not pattern.lt(y, x) and host.lt(images[x], images[y]):
-                    return False
-    return True
+    return _keeps_order(pattern, images, host.lt, mode)
 
 
 def verify_embedding_masks(pattern: FinitePoset, images: Sequence[int], mode: str) -> bool:
     """Pairwise check of a mask embedding against strict inclusion."""
+    return _keeps_order(pattern, images, lambda a, b: a != b and a & ~b == 0, mode)
+
+
+def _keeps_order(pattern: FinitePoset, images: Sequence[int], lt, mode: str) -> bool:
+    """Is ``images`` an injective weak (or induced) copy of ``pattern``
+    under the host's strict order ``lt``?
+
+    Every pattern pair x < y needs lt(images[x], images[y]); in induced
+    mode an incomparable pair must also stay incomparable.
+    """
     if len(images) != pattern.k or len(set(images)) != len(images):
         return False
     for x in range(pattern.k):
         for y in range(pattern.k):
-            if x == y:
+            if x == y or lt(images[x], images[y]) == pattern.lt(x, y):
                 continue
-            mx, my = images[x], images[y]
-            subset = mx != my and (mx & my) == mx
-            if pattern.lt(x, y) and not subset:
-                return False
-            if mode == "induced" and not pattern.lt(x, y) and not pattern.lt(y, x) and subset:
+            if pattern.lt(x, y) or (mode == "induced" and not pattern.lt(y, x)):
                 return False
     return True
 
@@ -598,8 +583,8 @@ def enumerate_posets(k: int) -> list[FinitePoset]:
 
 
 # ---------------------------------------------------------------------------
-# Poset file format: "k=<int>" header, then cover lines "<i> < <j>" (0-based).
-# The transitive closure is taken on load; the writer emits covers only.
+# Poset file format: "k=<int>" header, then relation lines "<i> < <j>"
+# (0-based).  The transitive closure is taken on load.
 
 
 def parse_poset(lines: Iterable[str]) -> FinitePoset:
@@ -631,12 +616,6 @@ def parse_poset(lines: Iterable[str]) -> FinitePoset:
         return FinitePoset(k, pairs, close=True)
     except PreconditionError as exc:
         raise ParseError(f"relation list is not a poset: {exc}") from None
-
-
-def format_poset(p: FinitePoset) -> str:
-    lines = [f"k={p.k}"]
-    lines.extend(f"{i} < {j}" for i, j in p.cover_pairs())
-    return "\n".join(lines) + "\n"
 
 
 def read_poset(path) -> FinitePoset:

@@ -56,11 +56,11 @@ def reference_pivot_scan(member_set, universe: int, A: int, r: int, anti: bool) 
     return found
 
 
-def reference_centred(shifted, universe: int, direction: str) -> tuple:
+def reference_centred(shifted, universe: int) -> tuple:
     """The per-candidate ``Fraction`` search ``_centred`` is checked against.
 
-    Each candidate's one-sided relative mass is one exact ``Fraction``,
-    from subset-count tables (one per size the counted sets have) on
+    Each candidate's relative mass below it is one exact ``Fraction``,
+    from subset-count tables (one per size the members have) on
     grounds of at most 20 points and from a scan of the family above that; candidates are tried by (size,
     mask).  Returns (member, mass) of the first one whose mass covers the
     family's, or None.
@@ -68,21 +68,19 @@ def reference_centred(shifted, universe: int, direction: str) -> tuple:
     members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
     u = mask_size(universe)
     total = mass_of_sizes(map(mask_size, members), u)
-    inside = members if direction == "down" else [universe ^ f for f in members]
     tables = None
     if u <= 20:
         tables = {}
-        for s in set(map(mask_size, inside)):
+        for s in set(map(mask_size, members)):
             arr = np.zeros(1 << u, dtype=np.int64)
-            for f in inside:
+            for f in members:
                 if mask_size(f) == s:
                     arr[compress_mask(f, universe)] += 1
             for i in range(u):
                 view = arr.reshape(-1, 2, 1 << i)
                 view[:, 1, :] += view[:, 0, :]
             tables[s] = arr
-    for f in members:
-        A = f if direction == "down" else universe ^ f
+    for A in members:
         a = mask_size(A)
         if tables is not None:
             c = compress_mask(A, universe)
@@ -91,9 +89,9 @@ def reference_centred(shifted, universe: int, direction: str) -> tuple:
                 Fraction(0),
             )
         else:
-            mass = mass_of_sizes((mask_size(g) for g in inside if g & ~A == 0), a)
+            mass = mass_of_sizes((mask_size(g) for g in members if g & ~A == 0), a)
         if mass >= total:
-            return f, mass
+            return A, mass
     return None
 
 

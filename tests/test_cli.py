@@ -158,6 +158,14 @@ class TestFlagErrors:
         assert code == 3
         assert "ground size must be in [0, 16]" in capsys.readouterr().err
 
+    def test_negative_budget_exits_3(self, capsys):
+        code = main([
+            "extremal", "--n", "3", "--pattern", "builtin:P2", "--budget-nodes", "-1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "node budget must be nonnegative" in captured.err
+
 
 class TestPivots:
     def test_middle_layer_enumeration(self, capsys, fam_file):
@@ -389,6 +397,22 @@ class TestReportReplay:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text("{not json")
         assert main(["report", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("config,message", [
+        ({"subcommand": "bogus", "params": {}}, "unknown subcommand 'bogus'"),
+        ({"subcommand": "lubell", "params": {}}, "lubell config needs --family"),
+        ([{"subcommand": "lubell"}], "config must be a JSON object"),
+        ({"subcommand": "embed", "seed": "x",
+          "params": {"family": "f.txt", "pattern": "builtin:P2", "mode": "induced"}},
+         "seed must be an integer"),
+    ], ids=["unknown-subcommand", "missing-flag", "json-list", "string-seed"])
+    def test_bad_config_is_parse_error(self, capsys, tmp_path, config, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:") and message in captured.err
+        assert captured.out == ""
 
 
 class TestOutputHandling:

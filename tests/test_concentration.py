@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from cubefam.errors import PreconditionError
 from cubefam.concentration import (
     concentration_constants,
     fat_mass_bound,
-    hypergeometric_sample,
     sample_uniform_subsets,
     tail_bound,
     verify_tail_bound,
@@ -48,15 +46,15 @@ def test_sample_uniform_subsets_pinned_across_batches():
     assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
 
 
-def test_hypergeometric_sample_against_scipy():
-    """Mean of draws sits inside a 5-sigma band of the exact mean."""
+def test_uniform_subsets_hit_a_block_hypergeometrically():
+    """Z = |row cap {0..k-1}| is hypergeometric: its support, and its mean
+    inside a 5-sigma band of mk/n (the variance in closed form)."""
     m, k, n = 25, 40, 100
     trials = 4000
-    draws = [hypergeometric_sample(m, k, n, seed=1000 + i) for i in range(trials)]
-    assert all(max(0, m + k - n) <= z <= min(m, k) for z in draws)
-    dist = stats.hypergeom(n, k, m)
-    mean, sd = dist.mean(), dist.std()
-    assert abs(sum(draws) / trials - mean) < 5 * sd / math.sqrt(trials)
+    z = (sample_uniform_subsets(n, m, trials, seed=1009) < k).sum(axis=1)
+    assert z.min() >= max(0, m + k - n) and z.max() <= min(m, k)
+    var = m * (k / n) * (1 - k / n) * (n - m) / (n - 1)
+    assert abs(z.mean() - m * k / n) < 5 * math.sqrt(var / trials)
 
 
 def test_tail_bound_formula():

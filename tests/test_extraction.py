@@ -17,6 +17,7 @@ from cubefam import (
     contains_subposet,
     extract_induced_copy,
     family_as_poset,
+    fat_mass_bound,
     full_power_set,
     lubell_mass,
     make_chain,
@@ -56,7 +57,9 @@ class TestCascade:
         with mp.workdps(30):
             assert abs(c.q - mp.mpf("129.50065104100439")) < mp.mpf("1e-9")
             assert abs(c.threshold - mp.mpf("8200.03645829625")) < mp.mpf("1e-8")
-            assert abs(c.q_j[0] - mp.mpf("33.502604124282127")) < mp.mpf("1e-9")
+            # The first level's maximum, at order 1.
+            q_1 = fat_mass_bound(c.eps_j[0], 1)
+            assert abs(q_1 - mp.mpf("33.502604124282127")) < mp.mpf("1e-9")
 
     def test_eps_levels_monotone(self):
         for m in (1, 2):
@@ -130,11 +133,9 @@ class TestCentredElement:
             members = [atoms[i] for i in range(8) if bits >> i & 1]
             fam = SetFamily(3, members)
             total = lubell_mass(fam)
-            down = centred_element(fam, "down")
+            down = centred_element(fam)
             assert down in fam.member_set
             assert relative_lubell(fam, 0, down) >= total
-            up = centred_element(fam, "up")
-            assert relative_lubell(fam, up, fam.ground.full_mask) >= total
 
     def test_seeded_larger_grounds(self):
         rng = random.Random(31415)
@@ -156,17 +157,13 @@ class TestCentredElement:
         fam = SetFamily(24, {rng.getrandbits(24) for _ in range(60)})
         total = lubell_mass(fam)
         by_size = sorted(fam.members, key=lambda f: (bin(f).count("1"), f))
-        full = fam.ground.full_mask
         down = next(f for f in by_size if relative_lubell(fam, 0, f) >= total)
-        up = next(f for f in by_size if relative_lubell(fam, f, full) >= total)
-        assert centred_element(fam, "down") == down
-        assert centred_element(fam, "up") == up
+        assert centred_element(fam) == down
 
     def test_integer_search_matches_fraction_reference(self):
-        # Same member and mass as the per-candidate Fraction search, in
-        # both directions: small random sub-universes, u = 20 (the last
-        # table size; members of at most 3 points or their complements,
-        # so the tables keep few rows in both directions), and the scan
+        # Same member and mass as the per-candidate Fraction search: small
+        # random sub-universes, u = 20 (the last table size; members of
+        # at most 3 points, so the tables keep few rows), and the scan
         # path at u = 21..24.
         rng = random.Random(8128)
 
@@ -184,20 +181,16 @@ class TestCentredElement:
         for _ in range(400):
             universe = sub_universe(rng.randint(1, 12))
             members = members_of(universe, rng.randint(1, 60), 12)
-            cases += [(universe, members, "down"), (universe, members, "up")]
+            cases.append((universe, members))
         full = (1 << 20) - 1
         for _ in range(2):
-            small = members_of(full, rng.randint(1, 80), 3)
-            large = [full ^ f for f in small]
-            cases += [(full, small, "down"), (full, large, "up"), (full, small, "up")]
+            cases.append((full, members_of(full, rng.randint(1, 80), 3)))
         for u in range(21, 25):
             for _ in range(10):
                 universe = (1 << u) - 1
-                members = members_of(universe, rng.randint(1, 80), u)
-                cases += [(universe, members, "down"), (universe, members, "up")]
-        for universe, members, direction in cases:
-            got = _centred(members, universe, direction)
-            assert got == reference_centred(members, universe, direction)
+                cases.append((universe, members_of(universe, rng.randint(1, 80), u)))
+        for universe, members in cases:
+            assert _centred(members, universe) == reference_centred(members, universe)
 
     def test_antichain_touches_equality(self):
         fam = SetFamily(4, [m for m in range(16) if bin(m).count("1") == 2])
@@ -250,7 +243,7 @@ class TestBuildSequences:
         # still injective, but now above the order-0 witness, not below it.
         last = trace.steps[-1]
         X = last.A & ~last.B
-        x = next(x for x in last.stratum if x & ~X == 0)
+        x = next(x for x in last.stratum_witness if x & ~X == 0)
         witness = dict(last.stratum_witness)
         witness[x] = fam.ground.full_mask
         broken = dataclasses.replace(
@@ -276,14 +269,15 @@ class TestBuildSequences:
             pytest.fail("no anti-branch completion in 20 draws")
         asm = assemble_witnesses(trace, fam)
         assert asm.status == STATUS_OK and asm.branch == CASE_ANTI
-        assert bin(asm.X).count("1") == 3 and len(asm.W) == 4
+        witnesses = set(asm.psi.values())
+        assert bin(asm.X).count("1") == 3 and len(witnesses) == 4
         # Re-point one order-1 witness at a member that does not contain
         # the order-0 witness: the inclusion x0 < x is no longer mirrored.
         last = trace.steps[-1]
-        x = next(x for x in last.stratum if x & ~asm.X == 0)
+        x = next(x for x in last.stratum_witness if x & ~asm.X == 0)
         w0 = asm.psi[0]
         witness = dict(last.stratum_witness)
-        witness[x] = next(f for f in fam.members if w0 & ~f and f not in asm.W)
+        witness[x] = next(f for f in fam.members if w0 & ~f and f not in witnesses)
         broken = dataclasses.replace(
             trace,
             steps=trace.steps[:-1] + (dataclasses.replace(last, stratum_witness=witness),),

@@ -8,7 +8,6 @@ import pytest
 from cubefam.errors import ParseError, PreconditionError
 from cubefam.families import (
     SetFamily,
-    complement_family,
     expand_mask,
     compress_mask,
     dense_need,
@@ -18,14 +17,12 @@ from cubefam.families import (
     interval_members,
     lubell_mass,
     mask_elements,
-    mask_from_elements,
     mask_size,
     mass_of_sizes,
     parse_family,
     parse_subset_literal,
     relative_lubell,
     restrict_interval,
-    split_half,
     submasks_of_size,
 )
 
@@ -33,13 +30,9 @@ from conftest import random_family
 
 
 def test_mask_round_trip():
-    assert mask_from_elements([1, 3, 4], 6) == 0b01101
     assert mask_elements(0b01101) == (1, 3, 4)
+    assert mask_elements(0) == ()
     assert mask_size(0b01101) == 3
-    with pytest.raises(PreconditionError):
-        mask_from_elements([0], 4)
-    with pytest.raises(PreconditionError):
-        mask_from_elements([5], 4)
 
 
 def test_family_is_normalized_and_immutable():
@@ -128,25 +121,6 @@ def test_submasks_of_size_follow_combinations_order():
         for r in range(len(low_bits) + 2):
             want = [sum(c) for c in itertools.combinations(low_bits, r)]
             assert list(submasks_of_size(mask, r)) == want
-
-
-def test_complement_is_an_involution():
-    rng = random.Random(7)
-    for _ in range(40):
-        fam = random_family(rng, rng.randint(0, 9))
-        assert complement_family(complement_family(fam)).members == fam.members
-
-
-def test_split_half_keeps_middle_in_both():
-    fam = full_power_set(4)
-    lo, hi = split_half(fam)
-    middle = [m for m in fam.members if mask_size(m) == 2]
-    for m in middle:
-        assert m in lo.member_set and m in hi.member_set
-    assert set(lo.members) | set(hi.members) == set(fam.members)
-    # odd ground: no shared layer
-    lo5, hi5 = split_half(full_power_set(5))
-    assert not (set(lo5.members) & set(hi5.members))
 
 
 def test_parse_format_round_trip_random():

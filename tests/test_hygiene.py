@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used; nothing raises the recursion
 limit; numpy and mpmath are not imported with the package; the CLI reads
-every rational flag through one parser.
+every rational flag through one parser; every module-level function and
+class of the package is used by the package, or kept by name.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -187,3 +188,62 @@ def test_fraction_scan_flags_calls_outside_the_parser():
         "y = Fraction('1/3')\n"
     )
     assert fraction_calls_outside(tree, "_fraction_arg") == [6, 8, 9]
+
+
+# Module-level functions and classes that no package module refers to,
+# kept on purpose, one reason each.  Everything else unreferenced is dead.
+KEEP = {
+    "chain_mass_bound_check": "acceptance criterion 3: the chain-free mass optimum is k-1",
+    "centred_element": "acceptance criterion 4: the public centred-element search",
+    "observation_check": "acceptance criterion 5: the pivot comparability oracle",
+    "max_flexfree_mass": "acceptance criterion 6: the exhaustive flex-free optimum",
+    "enumerate_posets": "acceptance criterion 8: every poset on at most 5 elements",
+    "restrict_interval": "the reference that relative_lubell is tested against",
+    "full_power_set": "public constructor of families for the family file format",
+    "write_family": "public writer of the documented family file format",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreferenced(trees: list[ast.Module]) -> list[str]:
+    """Module-level functions and classes no module refers to by name or
+    attribute, a definition's references to itself not counting."""
+    used = set()
+    for tree in trees:
+        for top in tree.body:
+            refs = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(top)}
+            used |= refs - {getattr(top, "name", None)}
+    defined = {top.name for tree in trees for top in tree.body if isinstance(top, DEFINITIONS)}
+    return sorted(defined - used)
+
+
+def unkept_and_stale(trees: list[ast.Module], keep) -> tuple[list, list]:
+    """(dead definitions missing from ``keep``, ``keep`` entries that are not dead)."""
+    dead = set(unreferenced(trees))
+    return sorted(dead - set(keep)), sorted(set(keep) - dead)
+
+
+def test_no_library_code_only_tests_reach():
+    """``__init__`` re-exports do not count as uses."""
+    trees = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "cubefam").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert unkept_and_stale(trees, KEEP) == ([], [])
+
+
+def test_definition_scan_flags_dead_and_stale():
+    a = ast.parse(
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Kept:\n    pass\n"
+    )
+    b = ast.parse(
+        "import m\n"
+        "x = used()\n"
+        "y = m.Attr\n"
+        "class Attr:\n    def recursive(self):\n        pass\n"
+    )
+    assert unreferenced([a, b]) == ["Kept", "recursive"]
+    assert unkept_and_stale([a, b], {"Kept": "", "used": ""}) == (["recursive"], ["used"])

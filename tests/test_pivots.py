@@ -13,7 +13,6 @@ from cubefam import (
     enumerate_anti_pivots,
     enumerate_pivots,
     flexibility_mass_bound,
-    hillclimb_flexfree_mass,
     is_fat,
     is_flexible,
     lubell_mass,
@@ -244,14 +243,6 @@ class TestFlexFreeSearch:
     def test_r0_optimum_is_empty(self):
         mass, masks = max_flexfree_mass(5, Fraction(1, 2), 0)
         assert mass == 0 and masks == ()
-
-    def test_hillclimb_never_beats_exhaustive(self):
-        for n in (4, 5, 6):
-            exact, _ = max_flexfree_mass(n, Fraction(1, 2), 1)
-            greedy, masks = hillclimb_flexfree_mass(n, Fraction(1, 2), 1, seed=7)
-            assert greedy <= exact
-            fam = SetFamily(n, masks)
-            assert verify_flexibility_bound(fam, Fraction(1, 2), 1).hypothesis_ok
 
 
 class TestMassBoundReports:
