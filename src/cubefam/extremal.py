@@ -10,8 +10,11 @@ chain decomposition of the cube: a family that avoids a k-element
 pattern weakly can keep at most k-1 members of any chain, since a chain
 absorbs every poset of its size order-preservingly.
 
-Certificates are never trusted: the reported family is re-checked by the
-independent containment searcher before the result is returned.
+Certificates are never trusted.  Each copy the oracle finds is mapped to
+the member masks and re-checked pair by pair against set inclusion
+(``verify_embedding_masks``) before the candidate is rejected, and the
+reported family is re-checked by the independent containment searcher
+before the result is returned.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .posets import (
     peel,
     rows_from_columns,
     toggle_bits,
+    verify_embedding_masks,
 )
 
 _MIDDLE_LAYERS_CAP = 10
@@ -67,30 +71,33 @@ def symmetric_chain_decomposition(n: int) -> dict:
 class _Feasibility:
     """May a mask join the chosen members?  Incremental, one stack deep.
 
-    The state follows ``_Search.members``: ``push`` on a take, ``pop`` on
-    its undo.  ``cols[p]`` marks the members holding ground point p, and
-    ``rows`` are the members' ``host_rows`` among themselves, indexed by
-    member position, so a candidate's own rows cost O(n) big-int
-    operations.  The members are always pattern-free, so a copy in
-    members + x must use x: chain patterns settle it by the chain lengths
-    through x, other patterns search only the copies through x.
+    ``masks`` are the chosen members, in the order ``_Search`` took them:
+    ``push`` on a take, ``pop`` on its undo.  ``cols[p]`` marks the
+    members holding ground point p, and ``above``/``below``/``apart`` are
+    the members' ``host_rows`` among themselves, indexed by member
+    position, so a candidate's own rows cost O(n) big-int operations.
+    The members are always pattern-free, so a copy in members + x must
+    use x: chain patterns settle it by the chain lengths through x, other
+    patterns search only the copies through x.  A probe appends x's own
+    rows and pops them; ``AnchoredSearch`` reads the anchor's relations
+    from its own rows only, so x is never entered in the members' rows.
     """
 
     def __init__(self, n: int, pattern: FinitePoset, mode: str):
         self.pattern = pattern
         self.mode = mode
         self.chain_k = pattern.k if pattern.is_chain() else None
+        self.masks: list = []
         self.cols = [0] * n
         self.above: list = []
         self.below: list = []
         self.apart = [] if mode == "induced" and self.chain_k is None else None
-        self.rows = (self.above, self.below, self.apart)
         if self.chain_k is None:
-            self.through = AnchoredSearch(pattern, mode, self.rows)
+            self.through = AnchoredSearch(pattern, mode, (self.above, self.below, self.apart))
 
     def _rows_of(self, x: int) -> tuple:
         """(up, down): the members strictly above and strictly below x."""
-        return rows_from_columns(self.cols, x, (1 << len(self.above)) - 1)
+        return rows_from_columns(self.cols, x, (1 << len(self.masks)) - 1)
 
     def ok(self, x: int) -> bool:
         up, down = self._rows_of(x)
@@ -100,37 +107,47 @@ class _Feasibility:
             spare = self.chain_k - 2
             spare -= len(peel(self.below, down, spare + 1))
             return spare >= 0 and len(peel(self.below, up, spare + 1)) <= spare
-        self._attach(up, down)
-        found = self.through.copy_through(len(self.above) - 1)
-        self._detach()
-        return found is None
+        self._append(x, up, down)
+        image = self.through.copy_through(len(self.masks) - 1)
+        copy = None if image is None else [self.masks[i] for i in image]
+        self._drop()
+        if copy is None:
+            return True
+        if not verify_embedding_masks(self.pattern, copy, self.mode):
+            raise CertificationError("oracle returned a map that fails re-verification")
+        return False
 
     def push(self, x: int) -> None:
         up, down = self._rows_of(x)
-        toggle_bits(self.cols, x, 1 << len(self.above))
-        self._attach(up, down)
+        bit = 1 << len(self.masks)
+        toggle_bits(self.cols, x, bit)
+        self._append(x, up, down)
+        self._relink(up, down, bit)
 
     def pop(self, x: int) -> None:
-        self._detach()
-        toggle_bits(self.cols, x, 1 << len(self.above))
+        up, down = self.above[-1], self.below[-1]
+        self._drop()
+        bit = 1 << len(self.masks)
+        self._relink(up, down, bit)
+        toggle_bits(self.cols, x, bit)
 
-    def _attach(self, up: int, down: int) -> None:
-        """Append the rows of a new last member and add it to its relatives' rows."""
-        bit = 1 << len(self.above)
+    def _append(self, x: int, up: int, down: int) -> None:
+        """Give x the rows of a new last member, in its own rows only."""
+        self.masks.append(x)
         self.above.append(up)
         self.below.append(down)
         if self.apart is not None:
             self.apart.append(~(up | down))
-        self._relink(up, down, bit)
 
-    def _detach(self) -> None:
-        up = self.above.pop()
-        down = self.below.pop()
+    def _drop(self) -> None:
+        self.masks.pop()
+        self.above.pop()
+        self.below.pop()
         if self.apart is not None:
             self.apart.pop()
-        self._relink(up, down, 1 << len(self.above))
 
     def _relink(self, up: int, down: int, bit: int) -> None:
+        """Enter (or remove) the member at ``bit`` in its relatives' rows."""
         if up | down:
             toggle_bits(self.below, up, bit)
             toggle_bits(self.above, down, bit)
@@ -203,34 +220,37 @@ class _Search:
         self.off = [len(ws) - c for ws, c in zip(chain_weights, self.cap)]
         self.decided = [0] * len(index)
         self.chosen_n = [0] * len(index)
-        self.chosen_w = [0] * len(index)
-        self.bound = sum(self._contrib(c) for c in range(len(index)))
+        # The bound sums each chain's chosen weight and its best
+        # undecided weight within cap (see ``_decide``); at the root
+        # nothing is chosen or decided.
+        self.bound = sum(s[o] for s, o in zip(self.suffix, self.off))
         self.value = 0
-        self.members: list = []
         self.best = 0            # the empty family is always feasible
         self.best_members: tuple = ()
 
-    def _contrib(self, c: int) -> int:
-        """Chain c's chosen weight plus its best undecided weight within cap."""
-        best_from = max(self.decided[c], self.off[c] + self.chosen_n[c])
-        return self.chosen_w[c] + self.suffix[c][best_from]
-
     def _decide(self, i: int, take: bool, sign: int) -> None:
-        """Apply (sign 1) or undo (sign -1) the decision on position i."""
+        """Apply (sign 1) or undo (sign -1) the decision on position i.
+
+        Chain c's best undecided weight within cap starts at index
+        max(decided, off + chosen_n) of ``suffix[c]``; the bound moves
+        by the chosen weight's change plus the change of that suffix.
+        """
         c = self.chain_ids[i]
-        before = self._contrib(c)
+        suffix = self.suffix[c]
+        off = self.off[c]
+        before = suffix[max(self.decided[c], off + self.chosen_n[c])]
         self.decided[c] += sign
         if take:
-            w = self.weights[i]
+            delta = sign * self.weights[i]
             self.chosen_n[c] += sign
-            self.chosen_w[c] += sign * w
-            self.value += sign * w
+            self.value += delta
+            self.bound += delta
+            # Undos come last in, first out: the last member is cands[i].
             if sign > 0:
-                self.members.append(self.cands[i])
                 self.feas.push(self.cands[i])
             else:
-                self.feas.pop(self.members.pop())
-        self.bound += self._contrib(c) - before
+                self.feas.pop(self.cands[i])
+        self.bound += suffix[max(self.decided[c], off + self.chosen_n[c])] - before
 
     def _may_take(self, i: int) -> bool:
         x = self.cands[i]
@@ -238,7 +258,7 @@ class _Search:
         # Any family can be relabeled so that its first chosen mask (in
         # search order) is the smallest of its size, so other first
         # picks need not be explored.
-        may_start = self.members or x == (1 << mask_size(x)) - 1
+        may_start = self.feas.masks or x == (1 << mask_size(x)) - 1
         return (
             may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(x)
         )
@@ -263,7 +283,7 @@ class _Search:
                 taken.append(take)
                 if self.value > self.best:
                     self.best = self.value
-                    self.best_members = tuple(self.members)
+                    self.best_members = tuple(self.feas.masks)
                 continue
             # Back up to the deepest include and exclude that position instead.
             while taken and not taken[-1]:
@@ -346,9 +366,8 @@ def chain_mass_bound_check(n: int, k: int) -> dict:
         raise PreconditionError("chain length must be positive")
     result = extremal_search(n, make_chain(k), "weak", "lubell", pattern_id=f"P{k}")
     expected = Fraction(min(k - 1, n + 1))
-    layer_members = [
-        x for x in range(1 << n) if mask_size(x) in set(middle_layer_order(n)[: k - 1])
-    ]
+    sizes = set(middle_layer_order(n)[: k - 1])
+    layer_members = [x for x in range(1 << n) if mask_size(x) in sizes]
     layers_mass = lubell_mass(SetFamily(n, layer_members))
     if result.value != expected:
         raise CertificationError(

@@ -18,9 +18,10 @@ output before returning it.  It is a pattern-side plan (assignment
 order, row rules, chain-room levels) run by one bitset loop; the same
 loop with depth 0 pinned to one host element is ``AnchoredSearch``,
 which finds the copies through a chosen element of a host that changes
-in place (the extremal search's feasibility oracle).  Its node budget counts one node per unused
-host element a depth's scan passes over, in index order, whether or not
-it is a candidate.
+in place (the extremal search's feasibility oracle).  It returns the
+bare images; its caller certifies them against the sets they stand for.
+The node budget counts one node per unused host element a depth's scan
+passes over, in index order, whether or not it is a candidate.
 """
 
 from __future__ import annotations
@@ -386,10 +387,19 @@ class AnchoredSearch:
     """Copies of ``pattern`` through one chosen element of a changing host.
 
     The host is given by its ``host_rows`` lists, which the owner may
-    grow, shrink and edit in place between calls; they must stay a
-    strict order.  ``copy_through(anchor)`` returns a certified copy that
-    uses the host element ``anchor``, or None.  When the host minus the
-    anchor holds no copy, that settles whether the host does.
+    grow, shrink and edit in place between calls.  ``copy_through(anchor)``
+    returns the images of a copy that uses the host element ``anchor``,
+    indexed by pattern element, or None.  The images are not certified:
+    the owner checks them against whatever the host elements stand for.
+    When the host minus the anchor holds no copy, that settles whether
+    the host does.
+
+    The anchor's relations are read from its own rows only, since it is
+    pinned at depth 0 and every later depth skips it as used.  So an
+    owner may append a probe element's rows and call ``copy_through`` on
+    it without entering it in the other elements' rows; those rows must
+    form a strict order among themselves, and the anchor's rows must be
+    its true relations to them.
 
     There is one search plan per orbit of Aut(pattern), pinning the
     orbit's first element to the anchor: a copy that sends w there,
@@ -406,7 +416,6 @@ class AnchoredSearch:
         if mode not in ("weak", "induced"):
             raise PreconditionError(f"bad mode {mode!r}")
         self.pattern = pattern
-        self.mode = mode
         self.rows = rows
         self.plans = []
         everyone = (1 << pattern.k) - 1
@@ -416,21 +425,20 @@ class AnchoredSearch:
             if covered >> v & 1:
                 continue
             plan = _search_plan(pattern, mode, v)
-            self.plans.append((plan.order, _bind(plan, rows)))
+            depth_of = tuple(plan.order.index(u) for u in range(pattern.k))
+            self.plans.append((depth_of, _bind(plan, rows)))
             onto = _bind(_search_plan(pattern, "induced", v), own_rows)
             for u in range(v, pattern.k):
                 if _search_loop(onto, [everyone] * pattern.k, everyone, u) is not None:
                     covered |= 1 << u
 
-    def copy_through(self, anchor: int) -> Optional[EmbeddingMap]:
-        above, below, _ = self.rows
-        everyone = (1 << len(above)) - 1
+    def copy_through(self, anchor: int) -> Optional[tuple]:
+        everyone = (1 << len(self.rows[0])) - 1
         everywhere = [everyone] * self.pattern.k
-        for order, rules in self.plans:
+        for depth_of, rules in self.plans:
             image = _search_loop(rules, everywhere, everyone, anchor)
             if image is not None:
-                host = _from_rows(above, below)
-                return _certified(host, self.pattern, self.mode, order, image)
+                return tuple(image[d] for d in depth_of)
         return None
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, JSON reports, replay."""
 
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -284,6 +285,38 @@ class TestExtremal:
         lines = out.strip().split("\n")
         assert lines[0] == "n,value,nodes,time"
         assert lines[1].startswith("3,3,")
+
+
+class TestExtremalGolden:
+    """sha256 of the default report of benchmark-shaped queries, and the exit code."""
+
+    @pytest.mark.parametrize(
+        "args,code,digest",
+        [
+            (["13", "--pattern", "builtin:P2"], 0,
+             "8dcfd1f9d105872d2694c1bd5f77d6e6bf5540456569975ca8db000e0aa41d32"),
+            (["4", "--pattern", "builtin:V2", "--mode", "weak"], 0,
+             "b3447e49f24c1f01096cc4a8a786c6a03c890738300e179908528ef7cb6a698c"),
+            (["4", "--pattern", "builtin:V2", "--mode", "induced"], 0,
+             "82799d380629e254c5bae7af9918ab824bfe6f66208b750e885cadf4d0267dee"),
+            (["4", "--pattern", "builtin:D2", "--mode", "weak"], 0,
+             "cc035cade375f3eb2eeab3a45613636a15ea74d8104c996432f30e7bcc3b017c"),
+            (["4", "--pattern", "builtin:D2", "--mode", "induced"], 0,
+             "9099fee9873272fbe9c2e8ff54976a5003c993a10f8190396b54e67d00b2c006"),
+            (["4", "--pattern", "builtin:Q2", "--mode", "weak"], 0,
+             "7146481d9e2b571b6e55aa59b540802614d767c486b7cf756678c26efea1a2fa"),
+            (["4", "--pattern", "builtin:Q2", "--mode", "induced"], 0,
+             "5c4a6ff9b625d7415d89a73a567998a53bcfbc3e55c2c8a5a660a80e424e0b9b"),
+            (["5", "--pattern", "builtin:Q2", "--mode", "induced", "--budget-nodes", "2000"], 4,
+             "eaf5bd31d6db0f3389e8ee1a40c0620298fda35e2a164a5efec90b298a4a7427"),
+        ],
+        ids=["P2-13", "V2-weak", "V2-induced", "D2-weak", "D2-induced", "Q2-weak",
+             "Q2-induced", "Q2-induced-5-budget"],
+    )
+    def test_report_digest(self, capsys, args, code, digest):
+        assert main(["extremal", "--n", *args]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestVerifyLemma:

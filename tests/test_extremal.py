@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cubefam import (
+    CertificationError,
     FinitePoset,
     PreconditionError,
     contains_subposet,
@@ -18,13 +19,16 @@ from cubefam import (
     middle_layers_number,
 )
 from cubefam import extremal
+from cubefam.cli import main
 from cubefam.extremal import (
     _Feasibility,
+    _Search,
     chain_mass_bound_check,
     middle_layer_order,
     symmetric_chain_decomposition,
 )
 from cubefam.families import mask_size
+from cubefam.posets import AnchoredSearch
 
 from conftest import reference_chain_ids, reference_feasible
 
@@ -224,6 +228,50 @@ class TestIncrementalOracle:
                         members.append(x)
                         break
 
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    @pytest.mark.parametrize("name", ORACLE_PATTERNS)
+    def test_probe_leaves_state_unchanged(self, name, mode):
+        """``ok`` appends and pops the candidate's rows and touches no member row."""
+        pattern = ORACLE_PATTERNS[name]
+        rng = random.Random(f"probe-{name}-{mode}")
+
+        def snapshot(feas):
+            apart = None if feas.apart is None else list(feas.apart)
+            return list(feas.masks), list(feas.cols), list(feas.above), list(feas.below), apart
+
+        for _ in range(4):
+            n = rng.randint(1, 6)
+            feas = _Feasibility(n, pattern, mode)
+            members: list = []
+            for _ in range(40):
+                if members and rng.random() < 0.3:
+                    feas.pop(members.pop())
+                    continue
+                outside = [x for x in range(1 << n) if x not in members]
+                for x in rng.sample(outside, min(4, len(outside))):
+                    before = snapshot(feas)
+                    ok = feas.ok(x)
+                    assert snapshot(feas) == before, (members, x)
+                    if ok and rng.random() < 0.6:
+                        feas.push(x)
+                        members.append(x)
+                        break
+
+    def test_oracle_copies_are_certified(self, monkeypatch, capsys):
+        """A copy that fails the pairwise check against the masks is refused."""
+        found = AnchoredSearch.copy_through
+
+        def reversed_copy(self, anchor):
+            image = found(self, anchor)
+            return None if image is None else image[::-1]
+
+        monkeypatch.setattr(AnchoredSearch, "copy_through", reversed_copy)
+        with pytest.raises(CertificationError):
+            extremal_search(4, ORACLE_PATTERNS["Q2"], "induced")
+        argv = ["extremal", "--n", "4", "--pattern", "builtin:Q2", "--mode", "induced"]
+        assert main(argv) == 5
+        capsys.readouterr()
+
     def test_no_host_rebuilt_per_node(self, monkeypatch):
         calls = []
 
@@ -235,6 +283,41 @@ class TestIncrementalOracle:
         r = extremal_search(5, make_v(), "induced", budget=2000)
         assert r.nodes == 2001
         assert len(calls) == 1          # the certificate only
+
+
+class TestChainBound:
+    @pytest.mark.parametrize("objective", ["cardinality", "lubell"])
+    @pytest.mark.parametrize("name,mode", [("P3", "weak"), ("Q2", "weak"), ("V2", "induced")])
+    def test_delta_bound_matches_recomputed_sum(self, name, mode, objective):
+        """After every apply or undo the bound is the chain-by-chain sum."""
+        rng = random.Random(f"{name}-{mode}-{objective}")
+        for n in (3, 5):
+            search = _Search(n, ORACLE_PATTERNS[name], mode, objective, None)
+            taken: list = []
+            for _ in range(300):
+                i = len(taken)
+                if taken and (i == len(search.cands) or rng.random() < 0.4):
+                    search._decide(i - 1, taken.pop(), -1)
+                else:
+                    c = search.chain_ids[i]
+                    take = search.chosen_n[c] < search.cap[c] and rng.random() < 0.5
+                    search._decide(i, take, 1)
+                    taken.append(take)
+                decided = [0] * len(search.suffix)
+                chosen_n = [0] * len(search.suffix)
+                chosen_w = [0] * len(search.suffix)
+                for j, take in enumerate(taken):
+                    c = search.chain_ids[j]
+                    decided[c] += 1
+                    chosen_n[c] += take
+                    chosen_w[c] += take * search.weights[j]
+                expected = sum(
+                    chosen_w[c] + search.suffix[c][max(decided[c], search.off[c] + chosen_n[c])]
+                    for c in range(len(search.suffix))
+                )
+                assert search.bound == expected, (n, taken)
+                assert search.value == sum(chosen_w)
+                assert search.decided == decided and search.chosen_n == chosen_n
 
 
 class TestPinnedResults:
