@@ -20,7 +20,6 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .families import (
-    GroundSet,
     SetFamily,
     full_power_set,
     lubell_mass,
@@ -85,7 +84,6 @@ __all__ = [
     "DenseTruncatedFamily",
     "EmbeddingMap",
     "FinitePoset",
-    "GroundSet",
     "MassBoundReport",
     "ParseError",
     "PivotRecord",

@@ -1,7 +1,8 @@
 """Command-line front door: batch subcommands over family and poset files.
 
-Every run emits a single JSON (or CSV) report with the configuration
-echoed back, so the exact invocation can be replayed from its output.
+Every run emits a single JSON report (``extremal`` also CSV) with the
+configuration echoed back, so the exact invocation can be replayed from
+its output.
 Randomized subcommands demand an explicit --seed unless --ephemeral is
 passed; either way the seed used lands in the report.
 
@@ -47,9 +48,8 @@ from .families import (
     relative_lubell,
 )
 from .pivots import (
-    enumerate_anti_pivots,
-    enumerate_pivots,
     is_flexible,
+    pivots_in_universe,
     verify_fat_mass_bound,
     verify_flexibility_bound,
 )
@@ -192,20 +192,18 @@ class Report:
         return out
 
 
-def emit_report(rep: Report, fmt: Optional[str] = None) -> bytes:
-    fmt = fmt or rep.config.fmt
+def emit_report(rep: Report) -> bytes:
+    fmt = rep.config.fmt
     if fmt == "json":
         text = json.dumps(
             _jsonable(rep.payload()), sort_keys=True, indent=2, separators=(",", ": ")
         )
         return (text + "\n").encode("utf-8")
     if fmt == "csv":
-        rows = rep.results.get("csv_rows", [])
-        header = rep.results.get("csv_header", [])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(rep.results["csv_header"])
+        for row in rep.results["csv_rows"]:
             writer.writerow([_jsonable(v) if not isinstance(v, str) else v for v in row])
         return buf.getvalue().encode("utf-8")
     raise ParseError(f"unknown output format {fmt!r}")
@@ -232,7 +230,7 @@ def _handle_lubell(cfg: RunConfig):
         bottom = parse_subset_literal(cfg.params.get("bottom") or "-", fam.n)
         top_text = cfg.params.get("top")
         top = (
-            fam.ground.full_mask
+            fam.full_mask
             if top_text is None
             else parse_subset_literal(top_text, fam.n)
         )
@@ -249,7 +247,7 @@ def _handle_pivots(cfg: RunConfig):
     base = parse_subset_literal(cfg.params["base"], fam.n)
     r = cfg.params["r"]
     anti = bool(cfg.params.get("anti"))
-    ps = (enumerate_anti_pivots if anti else enumerate_pivots)(fam, base, r)
+    ps = pivots_in_universe(fam.member_set, fam.full_mask, base, r, anti=anti)
     results = {
         "n": fam.n,
         "base": format_subset(base),
@@ -375,15 +373,12 @@ def _handle_extract(cfg: RunConfig):
 
 def _handle_extremal(cfg: RunConfig):
     pattern = load_pattern(cfg.params["pattern"])
-    pattern_id = cfg.params["pattern"]
-    n = cfg.params["n"]
     res = extremal_search(
-        n,
+        cfg.params["n"],
         pattern,
         cfg.params["mode"],
         cfg.params["objective"],
         budget=cfg.params.get("budget_nodes"),
-        pattern_id=pattern_id,
     )
     certs = [
         {"object": "family", "check": "pattern-free re-verified", "passed": True},
@@ -392,7 +387,7 @@ def _handle_extremal(cfg: RunConfig):
     wall = round(res.wall_time, 6) if cfg.with_timings else ""
     results = {
         "n": res.n,
-        "pattern": pattern_id,
+        "pattern": cfg.params["pattern"],
         "mode": res.mode,
         "objective": res.objective,
         "value": res.value,
@@ -576,6 +571,8 @@ def _check_seed_policy(cfg: RunConfig) -> None:
 
 def run(cfg: RunConfig) -> Report:
     """Dispatch a parsed configuration and assemble the report."""
+    if cfg.fmt == "csv" and cfg.subcommand != "extremal":
+        raise ParseError(f"--format csv: {cfg.subcommand} has no table (only extremal has one)")
     _check_seed_policy(cfg)
     if cfg.subcommand not in _HANDLERS:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")

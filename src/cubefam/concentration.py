@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import PreconditionError
+from .families import check_tolerance
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -36,6 +37,21 @@ def _mpf(x) -> mp.mpf:
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
+
+
+def at_most(a, b) -> bool:
+    """a <= b, each side an exact rational or an mpmath value.
+
+    The one comparison of an exact mass with a bound that may have no
+    binary64 form: two rationals compare exactly, anything else in mpmath
+    at ``_MP_DPS`` digits (mpmath is loaded only then).
+    """
+    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
+        return a <= b
+    import mpmath as mp
+
+    with mp.workdps(_MP_DPS):
+        return _mpf(a) <= _mpf(b)
 
 
 def _shuffled_batches(n: int, trials: int, seed: int):
@@ -92,7 +108,6 @@ class MonteCarloReport:
     flags suspicion -- empirical frequency above bound + 3 sigma.
     """
 
-    lemma: str
     params: dict
     trials: int
     seed: int
@@ -126,9 +141,7 @@ def verify_tail_bound(
         raise PreconditionError("trials must be nonnegative")
     params = {"m": m, "k": k, "n": n, "t": float(t)}
     if trials == 0:
-        return MonteCarloReport(
-            "tail", params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive"
-        )
+        return MonteCarloReport(params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
     subs = sample_uniform_subsets(n, m, trials, seed)
     z = (subs < k).sum(axis=1)
     z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
@@ -136,17 +149,13 @@ def verify_tail_bound(
     empirical = hits / trials
     margin = _three_sigma(bound, trials)
     verdict = "pass" if empirical <= bound + margin else "fail"
-    return MonteCarloReport(
-        "tail", params, trials, seed, hits, empirical, bound, margin, verdict
-    )
+    return MonteCarloReport(params, trials, seed, hits, empirical, bound, margin, verdict)
 
 
 @dataclass(frozen=True)
 class ConcentrationConstants:
     """The (eta, c, m0) triple attached to a trace tolerance (eps, r)."""
 
-    eps: Fraction
-    r: int
     eta: Fraction
     c: Fraction
     m0: int
@@ -165,9 +174,7 @@ def concentration_constants(eps, r: int) -> ConcentrationConstants:
     eta and c are exact rationals; m0 is an exact integer (it can be
     enormous for small eps -- the search is logarithmic in its value).
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
+    eps = check_tolerance(eps)
     if r < 0:
         raise PreconditionError("order r must be nonnegative")
     key = (eps, r)
@@ -175,9 +182,9 @@ def concentration_constants(eps, r: int) -> ConcentrationConstants:
     if hit is not None:
         return hit
     if r == 0:
-        out = ConcentrationConstants(eps, 0, Fraction(1, 2), Fraction(1), 0)
+        out = ConcentrationConstants(Fraction(1, 2), Fraction(1), 0)
     elif r == 1:
-        out = ConcentrationConstants(eps, 1, eps / 2, eps * eps / 2, 1)
+        out = ConcentrationConstants(eps / 2, eps * eps / 2, 1)
     else:
         single = concentration_constants(eps / 2, 1)
         lower = concentration_constants(eps / 2, r - 1)
@@ -185,7 +192,7 @@ def concentration_constants(eps, r: int) -> ConcentrationConstants:
         c = min(single.c, lower.c) / 2
         m_star = _dominance_threshold(single.c, lower.c, c)
         m0 = max(single.m0, lower.m0 + 1, m_star)
-        out = ConcentrationConstants(eps, r, eta, c, m0)
+        out = ConcentrationConstants(eta, c, m0)
     _constants_cache[key] = out
     return out
 
@@ -199,6 +206,11 @@ def _dominance_threshold(c1: Fraction, c2: Fraction, c: Fraction) -> int:
     derivative is negative once m >= 1/(c2-c): past that point R is
     strictly decreasing, which is the dominance certificate that lets a
     doubling-plus-bisection search stand in for an infinite scan.
+
+    The search starts above m_dec = floor(1/g2) + 1, which always fails:
+    only r >= 2 gets here, so c2 <= (eps/2)^2 / 2 <= 1/8, and with
+    g2 m_dec <= 1 + g2 and g2 = c2 - c,
+    R(m_dec) >= m_dec e^(c2) e^(-g2 m_dec) >= (1/g2) e^(c - 1) >= 8/e > 1.
     """
     import mpmath as mp
 
@@ -216,12 +228,6 @@ def _dominance_threshold(c1: Fraction, c2: Fraction, c: Fraction) -> int:
             ratio = mp.exp(-gg1 * mm) + mm * mp.exp(cc2) * mp.exp(-gg2 * mm)
             return ratio <= 1 - guard
 
-        if ok(m_dec):
-            # R(1) = exp(-g1) + exp(c) > 1, so this walk always stops.
-            m = m_dec
-            while m > 1 and ok(m - 1):
-                m -= 1
-            return m
         lo, hi = m_dec, 2 * m_dec
         while not ok(hi):
             lo, hi = hi, hi * 2
@@ -298,15 +304,11 @@ def verify_trace_probability(
         and n >= m
     )
     if not hypothesis_ok:
-        return MonteCarloReport(
-            "trace", params, trials, seed, 0, 0.0, bound, 0.0, "hypothesis-failed"
-        )
+        return MonteCarloReport(params, trials, seed, 0, 0.0, bound, 0.0, "hypothesis-failed")
     if trials == 0:
-        return MonteCarloReport(
-            "trace", params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive"
-        )
+        return MonteCarloReport(params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
 
-    thr = Fraction(eps) * math.comb(m, r)
+    thr = eps * math.comb(m, r)
     count_min = math.floor(thr) + 1  # least integer > thr
     t_idx = np.array(
         [_mask_to_indices(mask, n) for mask in t_list], dtype=np.int64
@@ -323,6 +325,4 @@ def verify_trace_probability(
     empirical = hits / trials
     margin = _three_sigma(bound, trials)
     verdict = "pass" if empirical <= bound + margin else "fail"
-    return MonteCarloReport(
-        "trace", params, trials, seed, hits, empirical, bound, margin, verdict
-    )
+    return MonteCarloReport(params, trials, seed, hits, empirical, bound, margin, verdict)

@@ -19,6 +19,7 @@ from .errors import CertificationError, PreconditionError
 from .families import (
     MAX_GROUND,
     SetFamily,
+    check_tolerance,
     dense_need,
     expand_mask,
     mask_size,
@@ -68,9 +69,7 @@ class DenseTruncatedFamily:
 
 def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
     """True iff every truncation layer keeps at least a (1-eps) fraction."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
+    eps = check_tolerance(eps)
     counts = Counter(map(mask_size, fam.present))
     return all(counts[i] >= dense_need(eps, fam.n, i) for i in range(fam.m + 1))
 
@@ -214,7 +213,7 @@ def find_pattern_via_universality(
     if attempts < 1:
         raise PreconditionError("need at least one attempt")
     k = pattern.k
-    n = host_fam.ground.n
+    n = host_fam.n
     if stats is not None:
         stats["attempts_used"] = 0
     if k == 0:

@@ -20,14 +20,13 @@ attempted, never what is accepted.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_bound
+from .concentration import _MP_DPS, _mpf, at_most, concentration_constants, fat_mass_bound
 from .embeddings import (
     DEFAULT_EMBED_ATTEMPTS,
     CubeEmbedResult,
@@ -40,9 +39,11 @@ from .embeddings import (
 from .errors import CertificationError, PreconditionError
 from .families import (
     SetFamily,
+    check_tolerance,
     compress_mask,
     expand_mask,
     lubell_mass,
+    lubell_weights,
     mask_size,
     mass_of_sizes,
 )
@@ -73,19 +74,6 @@ CASE_ANTI = "down"         # b-increment: new bottom boundary, anti-pivot stratu
 # Centred elements.
 
 
-@functools.cache
-def _class_weights(a: int) -> tuple:
-    """(L, w) with L = lcm_s C(a, s) and w[s] = L / C(a, s), s = 0..a.
-
-    A set A of size a then has relative mass num / L below it, with
-    num = sum_s cnt_s(A) w[s] an integer, cnt_s(A) counting the members
-    of size s inside A.
-    """
-    binoms = [math.comb(a, s) for s in range(a + 1)]
-    lcm = math.lcm(*binoms)
-    return lcm, tuple(lcm // c for c in binoms)
-
-
 def _centred(shifted: Sequence[int], universe: int) -> tuple:
     """A member whose relative mass below it covers the whole family's.
 
@@ -94,10 +82,13 @@ def _centred(shifted: Sequence[int], universe: int) -> tuple:
     the count -- so some member must carry at least the average.
     Deterministic tie-break: smallest size, then smallest mask.
 
-    Candidates of one size class share the test num >= ceil(l(F) L) of
-    ``_class_weights``.  Grounds of at most ``_SOS_BIT_CAP`` points take
-    cnt_s from count tables in int64, one row per size s the members
-    have, filled by a subset-sum transform.  num <= (a+1) L =
+    A set A of size a has relative mass num / L below it, with (L, w) =
+    ``lubell_weights(a)`` and num = sum_s cnt_s(A) w[s] an integer,
+    cnt_s(A) counting the members of size s inside A, so candidates of
+    one size class share the test num >= ceil(l(F) L).  Grounds of at
+    most ``_SOS_BIT_CAP`` points take cnt_s from count tables in int64,
+    one row per size s the members have, filled by a subset-sum
+    transform.  num <= (a+1) L =
     lcm(1..a+1) <= lcm(1..21) = 232,792,560 < 2^28.  Larger grounds scan
     the family per candidate in Python ints.
     """
@@ -121,7 +112,7 @@ def _centred(shifted: Sequence[int], universe: int) -> tuple:
     start = 0
     for a, group in itertools.groupby(sizes):
         stop = start + sum(1 for _ in group)
-        lcm, w = _class_weights(a)
+        lcm, w = lubell_weights(a)
         need = math.ceil(total * lcm)
         if u <= _SOS_BIT_CAP:
             weights = np.array([w[s] if s <= a else 0 for s in row_sizes], dtype=np.int64)
@@ -140,7 +131,7 @@ def _centred(shifted: Sequence[int], universe: int) -> tuple:
 
 def centred_element(fam: SetFamily) -> int:
     """Member A with mass below it >= l(F)."""
-    mask, _ = _centred(fam.members, fam.ground.full_mask)
+    mask, _ = _centred(fam.members, fam.full_mask)
     return mask
 
 
@@ -205,10 +196,7 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
 
     if m < 1:
         raise PreconditionError("pattern size m must be at least 1")
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
-    eps_j = [eps]
+    eps_j = [check_tolerance(eps)]
     for _ in range(2, 2 * m + 2):
         prev = eps_j[-1]
         eps_j.append(
@@ -236,9 +224,7 @@ def override_cascade(m: int, q, p, eps=None) -> ConstantCascade:
     q, p = Fraction(q), Fraction(p)
     if q < 0 or p < 0:
         raise PreconditionError("surrogate constants must be nonnegative")
-    eps = universality_epsilon(m) if eps is None else Fraction(eps)
-    if not 0 < eps <= 1:
-        raise PreconditionError(f"tolerance must be in (0, 1], got {eps}")
+    eps = universality_epsilon(m) if eps is None else check_tolerance(eps)
     eps_j = (eps,) * (2 * m + 1)
     return ConstantCascade(m, "override", eps_j, q, p, _threshold_formula(m, q, p))
 
@@ -279,16 +265,6 @@ def _prune_and_centre(
     if not survivors:
         return None
     return _centred(survivors, universe)
-
-
-def _mass_ge(mass: Fraction, floor) -> bool:
-    """The threshold check: a Fraction against a Fraction or an mpmath value."""
-    if isinstance(floor, (Fraction, int)):
-        return mass >= floor
-    import mpmath as mp
-
-    with mp.workdps(_MP_DPS):
-        return _mpf(mass) >= floor
 
 
 def _step(
@@ -387,10 +363,10 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
     """
     if cascade.m != m:
         raise PreconditionError(f"cascade built for m={cascade.m}, asked for m={m}")
-    n = fam.ground.n
+    n = fam.n
     warnings: list = []
     mass0 = lubell_mass(fam)
-    if not _mass_ge(mass0, cascade.threshold):
+    if not at_most(cascade.threshold, mass0):
         if cascade.mode == "paper":
             return ExtractionTrace(
                 cascade.mode, m, n, STATUS_NO_MASS, (), -1, None, (), mass0,
@@ -399,7 +375,7 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
         warnings.append("initial mass below the configured threshold")
 
     members = frozenset(fam.members)
-    A, B = fam.ground.full_mask, 0
+    A, B = fam.full_mask, 0
     a = b = -1
     steps: list = []
     strata: list = []          # (r_i, frozenset moved masks) in original coordinates
@@ -503,8 +479,7 @@ class WitnessAssembly:
     status: str
     branch: Optional[str]
     X: int
-    levels: dict                     # k -> tuple of moved-set masks within X
-    psi: dict                        # moved-set mask -> witness mask
+    psi: dict                        # stratum member within X -> witness mask
 
 
 def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembly:
@@ -527,16 +502,12 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
     if [s.a if case == CASE_FLEX else s.b for s in picked] != list(range(m + 1)):
         raise CertificationError("branch steps do not carry orders 0..m")
     if mask_size(X) < 2 * m:
-        return WitnessAssembly(STATUS_SMALL_X, case, X, {}, {})
+        return WitnessAssembly(STATUS_SMALL_X, case, X, {})
 
-    levels: dict = {}
     psi: dict = {}
     member_set = fam.member_set
     for s in picked:
-        k = s.a if case == CASE_FLEX else s.b
-        inside = tuple(sorted(x for x in s.stratum_witness if x & ~X == 0))
-        levels[k] = inside
-        for x in inside:
+        for x in sorted(x for x in s.stratum_witness if x & ~X == 0):
             w = s.stratum_witness[x]
             if w not in member_set:
                 raise CertificationError(f"witness {w:#x} is not in the family")
@@ -550,7 +521,7 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
         strata = strata.dual()
     if not verify_embedding_masks(strata, list(psi.values()), "induced"):
         raise CertificationError("order mismatch between the strata and their witnesses")
-    return WitnessAssembly(STATUS_OK, case, X, levels, psi)
+    return WitnessAssembly(STATUS_OK, case, X, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +553,17 @@ def extract_induced_copy(
     the mass threshold (see ``build_sequences``).  A returned map is
     always certified induced against the pattern.  ``attempts`` is the
     cube location's draw limit, at least 1.
+
+    The density check before cube location, at min(eps_1,
+    ``universality_epsilon(m)``), can only fail ("not dense enough") when
+    eps_1 exceeds ``universality_epsilon(m)``: at or below it, the last
+    step's fatness check on X at a tolerance of at most eps_1 already
+    implies the density of every stratum.
     """
     if attempts < 1:
         raise PreconditionError("need at least one attempt")
     m = pattern.k
-    n = fam.ground.n
+    n = fam.n
     if m == 0:
         return ExtractionResult(
             STATUS_OK, "override" if overrides else "paper",
@@ -606,9 +583,7 @@ def extract_induced_copy(
 
     X = assembly.X
     u = mask_size(X)
-    present = frozenset(
-        compress_mask(x, X) for xs in assembly.levels.values() for x in xs
-    )
+    present = frozenset(compress_mask(x, X) for x in assembly.psi)
     dtf = DenseTruncatedFamily(u, m, present)
     embed_eps = min(cascade.eps_level(1), universality_epsilon(m))
     if not dense_class_check(dtf, embed_eps):

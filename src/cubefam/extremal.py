@@ -20,14 +20,13 @@ before the result is returned.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import CertificationError, PreconditionError
-from .families import SetFamily, lubell_mass, mask_size
+from .families import SetFamily, lubell_mass, lubell_weights, mask_size
 from .posets import (
     AnchoredSearch,
     FinitePoset,
@@ -165,7 +164,6 @@ class _Feasibility:
 @dataclass(frozen=True)
 class ExtremalResult:
     n: int
-    pattern_id: str
     mode: str
     objective: str
     value: Union[int, Fraction]
@@ -180,14 +178,13 @@ class _Search:
         self.feas = _Feasibility(n, pattern, mode)
         self.budget = budget
         self.nodes = 0
-        # Integer weights: 1 for cardinality, lcm-scaled layer weights
+        # Integer weights: 1 for cardinality, the integer Lubell weights
         # for the mass objective, so the bound arithmetic stays exact.
         if objective == "cardinality":
             self.scale = 1
             weight = [1] * (n + 1)
         else:
-            self.scale = math.lcm(*(math.comb(n, s) for s in range(n + 1)))
-            weight = [self.scale // math.comb(n, s) for s in range(n + 1)]
+            self.scale, weight = lubell_weights(n)
         layers = [[] for _ in range(n + 1)]
         for m in range(1 << n):
             layers[mask_size(m)].append(m)
@@ -305,7 +302,6 @@ def extremal_search(
     mode: str = "weak",
     objective: str = "cardinality",
     budget: Optional[int] = None,
-    pattern_id: str = "pattern",
 ) -> ExtremalResult:
     """Maximum size (or mass) of a pattern-avoiding family on [n].
 
@@ -335,7 +331,7 @@ def extremal_search(
         value = lubell_mass(fam)
         if value != Fraction(best, search.scale):
             raise CertificationError("optimum does not match its certificate family")
-    return ExtremalResult(n, pattern_id, mode, objective, value, fam, nodes, wall, exact)
+    return ExtremalResult(n, mode, objective, value, fam, nodes, wall, exact)
 
 
 def middle_layers_number(pattern: FinitePoset, n: int) -> int:
@@ -364,7 +360,7 @@ def chain_mass_bound_check(n: int, k: int) -> dict:
         raise PreconditionError("exhaustive mass check is limited to n <= 6, k <= 4")
     if k < 1:
         raise PreconditionError("chain length must be positive")
-    result = extremal_search(n, make_chain(k), "weak", "lubell", pattern_id=f"P{k}")
+    result = extremal_search(n, make_chain(k), "weak", "lubell")
     expected = Fraction(min(k - 1, n + 1))
     sizes = set(middle_layer_order(n)[: k - 1])
     layer_members = [x for x in range(1 << n) if mask_size(x) in sizes]

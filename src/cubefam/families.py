@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -78,50 +77,33 @@ def submasks_of_size(mask: int, r: int) -> Iterator[int]:
         yield sum(combo)
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """The ground set [n].  Masks of members must fit in ``n`` bits."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_GROUND:
-            raise PreconditionError(
-                f"ground set size must be in [0, {MAX_GROUND}], got {self.n}"
-            )
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-
 class SetFamily:
     """An immutable, duplicate-free family of subsets of [n].
 
     Iteration order is ascending mask value.
     """
 
-    __slots__ = ("ground", "_members", "_member_set")
+    __slots__ = ("n", "full_mask", "_members", "_member_set")
 
-    def __init__(self, n: int | GroundSet, members: Iterable[int] = ()):
-        ground = n if isinstance(n, GroundSet) else GroundSet(n)
+    def __init__(self, n: int, members: Iterable[int] = ()):
+        if not 0 <= n <= MAX_GROUND:
+            raise PreconditionError(
+                f"ground set size must be in [0, {MAX_GROUND}], got {n}"
+            )
         member_set = frozenset(int(m) for m in members)
-        full = ground.full_mask
+        full = (1 << n) - 1
         for m in member_set:
             if m < 0 or m & ~full:
                 raise PreconditionError(
-                    f"mask {m:#x} has bits outside the {ground.n}-bit ground set"
+                    f"mask {m:#x} has bits outside the {n}-bit ground set"
                 )
-        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full_mask", full)
         object.__setattr__(self, "_members", tuple(sorted(member_set)))
         object.__setattr__(self, "_member_set", member_set)
 
     def __setattr__(self, *_):
         raise AttributeError("SetFamily is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.ground.n
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -157,7 +139,7 @@ def full_power_set(n: int) -> SetFamily:
 
 
 def _check_interval(fam: SetFamily, B: int, A: int) -> None:
-    full = fam.ground.full_mask
+    full = fam.full_mask
     if A & ~full or B & ~full:
         raise PreconditionError("interval endpoints must live inside the ground set")
     if B & ~A:
@@ -165,6 +147,19 @@ def _check_interval(fam: SetFamily, B: int, A: int) -> None:
             f"lower endpoint {mask_elements(B)} is not a subset of upper endpoint"
             f" {mask_elements(A)}"
         )
+
+
+def check_tolerance(value, name: str = "tolerance") -> Fraction:
+    """``value`` as a Fraction, which must lie in (0, 1].
+
+    The one range check of the paper's tolerances: eps of the layer
+    density check, the constant cascades and the trace lemma's constants,
+    gamma of flexibility.
+    """
+    value = Fraction(value)
+    if not 0 < value <= 1:
+        raise PreconditionError(f"{name} must be in (0, 1], got {value}")
+    return value
 
 
 @functools.cache
@@ -178,14 +173,23 @@ def dense_need(eps, width: int, r: int) -> int:
     return math.ceil((1 - eps) * math.comb(width, r))
 
 
-def mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
-    """Sum of 1/C(width, s) over ``sizes``, exactly.
+@functools.cache
+def lubell_weights(width: int) -> tuple:
+    """(L, w) with L = lcm_s C(width, s) and w[s] = L / C(width, s), s = 0..width.
 
-    One common denominator: 1 / C(width, s) = s! (width - s)! / width!.
+    The one integer form of the Lubell weights 1 / C(width, s): a family
+    with c_s members of size s has mass sum_s c_s w[s] / L.
     """
-    f = math.factorial
-    counts = Counter(sizes)
-    return Fraction(sum(c * f(s) * f(width - s) for s, c in counts.items()), f(width))
+    binoms = [math.comb(width, s) for s in range(width + 1)]
+    lcm = math.lcm(*binoms)
+    return lcm, tuple(lcm // c for c in binoms)
+
+
+def mass_of_sizes(sizes: Iterable[int], width: int) -> Fraction:
+    """Sum of 1/C(width, s) over ``sizes``, exactly, over the common
+    denominator L of ``lubell_weights``."""
+    lcm, w = lubell_weights(width)
+    return Fraction(sum(c * w[s] for s, c in Counter(sizes).items()), lcm)
 
 
 def lubell_mass(fam: SetFamily) -> Fraction:

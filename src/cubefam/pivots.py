@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .concentration import _MP_DPS, _mpf, concentration_constants, fat_mass_bound
+from .concentration import at_most, concentration_constants, fat_mass_bound
 from .errors import PreconditionError
 from .families import (
     SetFamily,
+    check_tolerance,
     dense_need,
     lubell_mass,
     mask_size,
@@ -77,8 +78,16 @@ def _landings(member_set, universe: int, A: int, r: int, anti: bool):
             yield x, next((k | y for y in ins if k | y in member_set), None)
 
 
-def _enumerate(member_set, universe: int, A: int, r: int, anti: bool) -> PivotSet:
-    kind = "anti-pivot" if anti else "pivot"
+def pivots_in_universe(member_set, universe: int, A: int, r: int, anti: bool = False) -> PivotSet:
+    """The r-pivots of A (r-anti-pivots with ``anti``) within ``universe``.
+
+    Pivots are the r-subsets X of A swappable for some Y outside A into
+    the family; anti-pivots the outside r-sets Y swappable into A.  A
+    itself need not belong to the family (only the witness must), except
+    in the r=0 convention where A is its own witness.  r > |A| yields an
+    empty result, not an error.  The extraction pipeline passes interval
+    sub-universes in original coordinates, the CLI a family's ground set.
+    """
     if A & ~universe:
         raise PreconditionError("base set leaves the universe")
     if r < 0:
@@ -86,31 +95,18 @@ def _enumerate(member_set, universe: int, A: int, r: int, anti: bool) -> PivotSe
     scan = _landings(member_set, universe, A, r, anti)
     found = {moved: w for moved, w in scan if w is not None}
     pivots = tuple(sorted(found))
+    kind = "anti-pivot" if anti else "pivot"
     return PivotSet(A, r, kind, pivots, {x: found[x] for x in pivots})
 
 
 def enumerate_pivots(fam: SetFamily, A: int, r: int) -> PivotSet:
-    """The r-subsets X of A swappable for some outside Y into the family.
-
-    A itself need not belong to the family (only the witness must),
-    except in the r=0 convention where A is its own witness.  r > |A|
-    yields an empty result, not an error.
-    """
-    return _enumerate(fam.member_set, fam.ground.full_mask, A, r, False)
+    """``pivots_in_universe`` over the family's ground set."""
+    return pivots_in_universe(fam.member_set, fam.full_mask, A, r)
 
 
 def enumerate_anti_pivots(fam: SetFamily, A: int, r: int) -> PivotSet:
-    """Same with roles swapped: outside r-sets Y swappable into A."""
-    return _enumerate(fam.member_set, fam.ground.full_mask, A, r, True)
-
-
-def pivots_in_universe(member_set, universe: int, A: int, r: int, anti: bool = False) -> PivotSet:
-    """Enumeration kernel against an explicit universe mask.
-
-    The extraction pipeline works on interval sub-universes in original
-    coordinates; everything else should prefer the SetFamily wrappers.
-    """
-    return _enumerate(member_set, universe, A, r, anti)
+    """``pivots_in_universe`` over the family's ground set, anti-pivots."""
+    return pivots_in_universe(fam.member_set, fam.full_mask, A, r, anti=True)
 
 
 def validate_record(fam: SetFamily, rec: PivotRecord) -> None:
@@ -121,7 +117,7 @@ def validate_record(fam: SetFamily, rec: PivotRecord) -> None:
         raise PreconditionError("record order must be nonnegative")
     if rec.witness not in fam.member_set:
         raise PreconditionError("witness is not a family member")
-    full = fam.ground.full_mask
+    full = fam.full_mask
     if (rec.base | rec.moved | rec.witness) & ~full:
         raise PreconditionError("record leaves the ground set")
     if rec.r == 0:
@@ -180,16 +176,14 @@ def is_flexible(
     A itself for pivots and its complement for anti-pivots.
     """
     return flexible_in_universe(
-        fam.member_set, fam.ground.full_mask, A, gamma, r, anti=anti
+        fam.member_set, fam.full_mask, A, gamma, r, anti=anti
     )
 
 
 def flexible_in_universe(
     member_set, universe: int, A: int, gamma, r: int, *, anti: bool = False
 ) -> bool:
-    gamma = Fraction(gamma)
-    if not 0 < gamma <= 1:
-        raise PreconditionError(f"gamma must be in (0, 1], got {gamma}")
+    gamma = check_tolerance(gamma, "gamma")
     if A & ~universe:
         raise PreconditionError("base set leaves the universe")
     pool = mask_size(universe & ~A) if anti else mask_size(A)
@@ -238,9 +232,7 @@ class MassBoundReport:
 
 def flexibility_mass_bound(gamma, r: int) -> Fraction:
     """The bound r + 2 r^2 / gamma on the mass of flexibility-free families."""
-    gamma = Fraction(gamma)
-    if not 0 < gamma <= 1:
-        raise PreconditionError(f"gamma must be in (0, 1], got {gamma}")
+    gamma = check_tolerance(gamma, "gamma")
     if r < 0:
         raise PreconditionError("order r must be nonnegative")
     return r + Fraction(2 * r * r) / gamma
@@ -251,7 +243,7 @@ def verify_flexibility_bound(fam: SetFamily, gamma, r: int) -> MassBoundReport:
     gamma = Fraction(gamma)
     bound = flexibility_mass_bound(gamma, r)
     mass = lubell_mass(fam)
-    n = fam.ground.n
+    n = fam.n
     oversized = [a for a in fam.members if 2 * mask_size(a) > n]
     if oversized:
         return MassBoundReport(
@@ -267,28 +259,21 @@ def verify_flexibility_bound(fam: SetFamily, gamma, r: int) -> MassBoundReport:
     return MassBoundReport(True, "hypothesis holds", mass, bound, mass <= bound)
 
 
-def verify_fat_mass_bound(
-    fam: SetFamily, S: Iterable[int], eps, r: Optional[int] = None
-) -> MassBoundReport:
+def verify_fat_mass_bound(fam: SetFamily, S: Iterable[int], eps) -> MassBoundReport:
     """Check: an almost-complete S with no fat member forces small mass.
 
-    The bound is the mpmath value of m0 + 1/(1 - exp(-c)); the mass
-    comparison runs at mpmath precision.
+    S is a nonempty set of r-subsets, one r for all; the bound is the
+    mpmath value of m0 + 1/(1 - exp(-c)), compared by ``at_most``.
     """
-    import mpmath as mp
-
     eps = Fraction(eps)
     s_set = frozenset(S)
     sizes = sorted({mask_size(s) for s in s_set})
     if len(sizes) > 1:
         raise PreconditionError(f"S mixes subset sizes {sizes}")
-    if r is None:
-        if not sizes:
-            raise PreconditionError("empty S: the order r must be given")
-        r = sizes[0]
-    elif sizes and sizes != [r]:
-        raise PreconditionError("declared r disagrees with S")
-    n = fam.ground.n
+    if not sizes:
+        raise PreconditionError("empty S has no order r")
+    r = sizes[0]
+    n = fam.n
     consts = concentration_constants(eps, r)
     bound = fat_mass_bound(eps, r)
     mass = lubell_mass(fam)
@@ -303,9 +288,7 @@ def verify_fat_mass_bound(
         return MassBoundReport(
             False, f"{len(fat)} members are fat", mass, bound, None
         )
-    with mp.workdps(_MP_DPS):
-        ok = _mpf(mass) <= bound
-    return MassBoundReport(True, "hypothesis holds", mass, bound, bool(ok))
+    return MassBoundReport(True, "hypothesis holds", mass, bound, at_most(mass, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +304,7 @@ def max_flexfree_layer(n: int, k: int, gamma, r: int) -> tuple:
     swap-sets of every chosen member; counts only grow when members are
     added, so a threshold hit prunes the whole include-branch.
     """
-    gamma = Fraction(gamma)
-    if not 0 < gamma <= 1:
-        raise PreconditionError(f"gamma must be in (0, 1], got {gamma}")
+    gamma = check_tolerance(gamma, "gamma")
     if r == 0:
         # Every member 0-witnesses itself, so only the empty family
         # avoids flexibility (matching the bound's value of 0).

@@ -5,8 +5,10 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,10 @@ import pytest
 from cubefam import SetFamily, full_power_set, write_family
 from cubefam import cli
 from cubefam.cli import main
+from cubefam.concentration import verify_trace_probability
 from cubefam.embeddings import find_pattern_via_universality
+from cubefam.families import parse_subset_literal
+from cubefam.posets import make_chain, verify_embedding_masks
 
 
 @pytest.fixture
@@ -224,6 +229,23 @@ class TestEmbed:
         assert res["status"] == "unknown" and res["map"] is None
         assert payload["certifications"] == []
 
+    def test_weak_map_found_and_certified(self, capsys, fam_file):
+        path = fam_file(full_power_set(3))
+        code, payload = run_json(capsys, [
+            "embed", "--family", path, "--pattern", "builtin:P3",
+            "--mode", "weak", "--seed", "0",
+        ])
+        assert code == 0
+        res = payload["results"]
+        assert res["status"] == "found" and res["attempts_used"] == 0
+        emb = res["map"]
+        assert (emb["kind"], emb["mode"], emb["target_n"]) == ("masks", "weak", 3)
+        images = [parse_subset_literal(text, 3) for text in emb["images"]]
+        assert verify_embedding_masks(make_chain(3), images, "weak")
+        assert payload["certifications"] == [
+            {"object": "embedding", "check": "order-preserving pairwise", "passed": True},
+        ]
+
     def test_ephemeral_allows_randomness(self, capsys, fam_file):
         path = fam_file(full_power_set(3))
         code, payload = run_json(capsys, [
@@ -256,6 +278,56 @@ class TestExtract:
         assert payload["results"]["status"] in (
             "constants too aggressive", "insufficient mass", "X too small",
         )
+
+
+class TestExtractOutcomes:
+    """Override runs at m = 1 (a one-element poset file) and eps 3/4, above
+    the cube tolerance 1/4, so the density check before cube location can
+    fail; seeds pinned."""
+
+    ARGS = ["--mode", "override", "--q", "1/2", "--p", "1/2", "--eps", "3/4"]
+
+    def run(self, capsys, fam_file, tmp_path, fam, *extra):
+        pattern = tmp_path / "one.poset"
+        pattern.write_text("k=1\n")
+        return run_json(capsys, [
+            "extract", "--family", fam_file(fam), "--pattern", str(pattern),
+            *self.ARGS, *extra,
+        ])
+
+    def test_map_emitted_with_cube_and_certificates(self, capsys, fam_file, tmp_path):
+        code, payload = self.run(capsys, fam_file, tmp_path, full_power_set(12), "--seed", "0")
+        assert code == 0
+        res = payload["results"]
+        assert res["status"] == "ok" and res["trace"]["branch"] is not None
+        assert res["cube"]["status"] == "ok" and res["cube"]["attempts_used"] >= 1
+        emb = res["map"]
+        assert (emb["kind"], emb["mode"], emb["target_n"]) == ("masks", "induced", 12)
+        assert len(emb["images"]) == 1
+        assert [c["object"] for c in payload["certifications"]] == [
+            "trace", "witnesses", "embedding",
+        ]
+        assert all(c["passed"] for c in payload["certifications"])
+
+    def test_not_dense_enough(self, capsys, fam_file, tmp_path):
+        rng = random.Random(10)
+        fam = SetFamily(12, [m for m in range(1 << 12) if rng.random() >= 0.5])
+        code, payload = self.run(capsys, fam_file, tmp_path, fam, "--seed", "0")
+        assert code == 0
+        res = payload["results"]
+        assert res["status"] == "not dense enough"
+        assert res["map"] is None and "cube" not in res
+        assert payload["certifications"] == []
+
+    def test_embed_exhausted_exits_4(self, capsys, fam_file, tmp_path):
+        code, payload = self.run(
+            capsys, fam_file, tmp_path, full_power_set(12), "--attempts", "1", "--seed", "15",
+        )
+        assert code == 4
+        res = payload["results"]
+        assert res["status"] == "embed exhausted" and res["map"] is None
+        assert res["cube"] == {"status": "exhausted", "attempts_used": 1}
+        assert payload["certifications"] == []
 
 
 class TestExtremal:
@@ -365,6 +437,20 @@ class TestVerifyLemma:
         ])
         assert code == 3
 
+    def test_trace_reads_tset(self, capsys, fam_file):
+        tset = {1 << i for i in range(5)}
+        path = fam_file(SetFamily(40, tset), "tset.txt")
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "trace", "--n", "40", "-m", "10", "-r", "1",
+            "--eps", "1/4", "--tset", path, "--trials", "2000", "--seed", "11",
+        ])
+        assert code == 0
+        res = payload["results"]
+        rep = verify_trace_probability(40, 10, 1, Fraction(1, 4), tset, 2000, 11)
+        assert res["params"]["T_size"] == 5
+        assert res["empirical"] == repr(rep.empirical) and rep.hits > 0
+        assert res["verdict"] == rep.verdict == "pass"
+
     def test_flexbound_pass(self, capsys, fam_file):
         # A lone member has no swap partners, hence no pivots at all.
         path = fam_file(SetFamily(4, [0b0001]))
@@ -446,6 +532,32 @@ class TestReportReplay:
         captured = capsys.readouterr()
         assert captured.err.startswith("parse error:") and message in captured.err
         assert captured.out == ""
+
+
+class TestCsvFormat:
+    """CSV holds one table, and only extremal reports one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lubell", "--family", "FAMILY"],
+        ["pivots", "--family", "FAMILY", "--base", "1", "-r", "1"],
+        ["middle-layers", "--n", "3", "--pattern", "builtin:P2"],
+        ["cascade", "-m", "1", "--eps", "1/4"],
+    ], ids=lambda argv: argv[0])
+    def test_no_table_is_parse_error(self, capsys, fam_file, argv):
+        path = fam_file(full_power_set(2))
+        code = main(["--format", "csv", *[path if a == "FAMILY" else a for a in argv]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("parse error:") and f" {argv[0]} has no table" in captured.err
+
+    def test_report_replay_is_parse_error(self, capsys, tmp_path):
+        code, payload = run_json(capsys, ["extremal", "--n", "3", "--pattern", "builtin:P2"])
+        assert code == 0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["--format", "csv", "report", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and " report has no table" in captured.err
 
 
 class TestOutputHandling:

@@ -112,6 +112,25 @@ class TestConstantsRecursion:
             for eps in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 64)):
                 assert concentration_constants(eps, r).eta <= Fraction(1, 2)
 
+    # m0 for r >= 2, recorded before the dominance search lost its
+    # walk-down branch (which no r >= 2 start ever took).
+    M0 = {
+        "1": (71, 869, 9367, 93791),
+        "3/4": (144, 1694, 17821, 175896),
+        "1/2": (383, 4284, 43776, 424643),
+        "1/3": (997, 10690, 106704, 1020057),
+        "1/4": (1941, 20317, 199986, 1894584),
+        "1/5": (3235, 33328, 324899, 3058361),
+        "2/7": (1426, 15089, 149462, 1421728),
+        "1/10": (15433, 152794, 1452968, 13446542),
+        "3/37": (24610, 241314, 2280328, 21009772),
+    }
+
+    @pytest.mark.parametrize("eps", sorted(M0))
+    def test_pinned_thresholds(self, eps):
+        got = tuple(concentration_constants(Fraction(eps), r).m0 for r in (2, 3, 4, 5))
+        assert got == self.M0[eps]
+
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):
             concentration_constants(Fraction(0), 1)

@@ -245,7 +245,7 @@ class TestBuildSequences:
         X = last.A & ~last.B
         x = next(x for x in last.stratum_witness if x & ~X == 0)
         witness = dict(last.stratum_witness)
-        witness[x] = fam.ground.full_mask
+        witness[x] = fam.full_mask
         broken = dataclasses.replace(
             trace,
             steps=trace.steps[:-1] + (dataclasses.replace(last, stratum_witness=witness),),

@@ -146,8 +146,8 @@ class TestSearchControls:
                 extremal_search(n, make_chain(2), budget=10)
 
     def test_result_metadata(self):
-        r = extremal_search(3, make_chain(2), pattern_id="P2")
-        assert r.pattern_id == "P2" and r.n == 3
+        r = extremal_search(3, make_chain(2))
+        assert r.n == 3
         assert r.nodes > 0 and r.wall_time >= 0
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used; nothing raises the recursion
 limit; numpy and mpmath are not imported with the package; the CLI reads
-every rational flag through one parser; every module-level function and
-class of the package is used by the package, or kept by name.
+every rational flag through one parser; the tolerance range check and
+the integer Lubell weights are each written once; every module-level
+function and class of the package is used by the package, or kept by name.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -153,20 +154,30 @@ def test_eager_import_scan_flags_module_level_only():
     assert eager_heavy_imports(tree) == [2, 11, 13, 19]
 
 
-def fraction_calls_outside(tree: ast.Module, allowed: str) -> list[int]:
-    """Lines that call ``Fraction(`` anywhere but inside the function ``allowed``."""
+def lines_outside(tree: ast.Module, allowed, match) -> list[int]:
+    """Lines of the nodes ``match`` accepts anywhere but inside the function ``allowed``."""
     found = []
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == allowed:
             continue
-        if isinstance(node, ast.Call) and (
-            getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
-        ):
+        if match(node):
             found.append(node.lineno)
         stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def calls_to(name: str):
+    """Matches a call of ``name`` or of any ``<module>.name``."""
+    return lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+def fraction_calls_outside(tree: ast.Module, allowed: str) -> list[int]:
+    """Lines that call ``Fraction(`` anywhere but inside the function ``allowed``."""
+    return lines_outside(tree, allowed, calls_to("Fraction"))
 
 
 def test_cli_parses_rationals_in_one_place():
@@ -190,6 +201,53 @@ def test_fraction_scan_flags_calls_outside_the_parser():
     assert fraction_calls_outside(tree, "_fraction_arg") == [6, 8, 9]
 
 
+def says_unit_interval(node: ast.AST) -> bool:
+    """A string literal (an f-string's too) naming the range "(0, 1]"."""
+    return isinstance(node, ast.Constant) and "(0, 1]" in str(node.value)
+
+
+def outside_families_owner(owner: str, match) -> dict:
+    """{module: lines} of the package's nodes ``match`` accepts, except
+    inside the function ``owner`` of ``families``."""
+    found = {}
+    for path in sorted((ROOT / "src" / "cubefam").glob("*.py")):
+        allowed = owner if path.name == "families.py" else None
+        lines = lines_outside(ast.parse(path.read_text(), str(path)), allowed, match)
+        if lines:
+            found[path.name] = lines
+    return found
+
+
+def test_tolerance_range_checked_in_one_place():
+    """Every "(0, 1]" tolerance error comes from ``families.check_tolerance``."""
+    assert outside_families_owner("check_tolerance", says_unit_interval) == {}
+
+
+def test_lubell_weights_computed_in_one_place():
+    """``math.lcm`` runs only in ``families.lubell_weights``, the one
+    integer form of the Lubell weights."""
+    assert outside_families_owner("lubell_weights", calls_to("lcm")) == {}
+
+
+def test_one_place_scans_flag_copies():
+    tree = ast.parse(
+        "import math\n"
+        "from math import lcm\n"
+        "def check_tolerance(x):\n"
+        "    raise ValueError(f'tolerance must be in (0, 1], got {x}')\n"
+        "def lubell_weights(n):\n"
+        "    return math.lcm(*range(1, n + 2))\n"
+        "def other(x, n):\n"
+        "    if not 0 < x <= 1:\n"
+        "        raise ValueError(f'gamma must be in (0, 1], got {x}')\n"
+        "    msg = 'eps in (0, 1]'\n"
+        "    return lcm(n, 2), math.gcd(n, 2), msg\n"
+    )
+    assert lines_outside(tree, "check_tolerance", says_unit_interval) == [9, 10]
+    assert lines_outside(tree, "lubell_weights", calls_to("lcm")) == [11]
+    assert lines_outside(tree, None, calls_to("lcm")) == [6, 11]
+
+
 # Module-level functions and classes that no package module refers to,
 # kept on purpose, one reason each.  Everything else unreferenced is dead.
 KEEP = {
@@ -201,6 +259,8 @@ KEEP = {
     "restrict_interval": "the reference that relative_lubell is tested against",
     "full_power_set": "public constructor of families for the family file format",
     "write_family": "public writer of the documented family file format",
+    "enumerate_pivots": "public SetFamily form of pivots_in_universe, traced by perfbench",
+    "enumerate_anti_pivots": "public SetFamily form of pivots_in_universe, traced by perfbench",
 }
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -263,7 +263,7 @@ class TestMassBoundReports:
         n = 8
         s = {1 << i for i in range(7)}
         fam = SetFamily(n, [1 << 7])
-        rep = verify_fat_mass_bound(fam, s, Fraction(1, 2), 1)
+        rep = verify_fat_mass_bound(fam, s, Fraction(1, 2))
         assert rep.hypothesis_ok and rep.satisfied
         assert rep.mass == Fraction(1, 8)
 
@@ -271,12 +271,12 @@ class TestMassBoundReports:
         n = 8
         s = {1 << i for i in range(7)}
         fam = SetFamily(n, [0b11000000])  # {7,8}: one of two inside S
-        rep = verify_fat_mass_bound(fam, s, Fraction(1, 2), 1)
+        rep = verify_fat_mass_bound(fam, s, Fraction(1, 2))
         assert not rep.hypothesis_ok and "fat" in rep.detail
 
     def test_fat_bound_detects_thin_s(self):
         fam = SetFamily(8, [1 << 7])
-        rep = verify_fat_mass_bound(fam, {1 << 0}, Fraction(1, 2), 1)
+        rep = verify_fat_mass_bound(fam, {1 << 0}, Fraction(1, 2))
         assert not rep.hypothesis_ok and "fraction" in rep.detail
 
 
@@ -292,8 +292,8 @@ class TestFatness:
     def test_empty_x_is_vacuously_fat(self):
         assert is_fat(0, frozenset(), Fraction(1, 4), 1)
 
-    def test_empty_s_needs_declared_r(self):
-        with pytest.raises(PreconditionError, match="order r"):
+    def test_empty_s_rejected(self):
+        with pytest.raises(PreconditionError, match="empty S has no order r"):
             verify_fat_mass_bound(SetFamily(3, [0b111]), frozenset(), Fraction(1, 4))
 
     def test_mixed_sizes_rejected(self):
@@ -301,10 +301,6 @@ class TestFatness:
             verify_fat_mass_bound(
                 SetFamily(3, [0b111]), frozenset({0b001, 0b011}), Fraction(1, 4)
             )
-
-    def test_declared_r_must_agree(self):
-        with pytest.raises(PreconditionError, match="disagrees"):
-            verify_fat_mass_bound(SetFamily(3, [0b111]), frozenset({0b001}), Fraction(1, 4), 2)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(PreconditionError):
