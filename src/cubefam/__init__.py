@@ -29,7 +29,6 @@ from .families import (
     write_family,
 )
 from .posets import (
-    EmbeddingMap,
     FinitePoset,
     contains_subposet,
     enumerate_posets,
@@ -82,7 +81,6 @@ __all__ = [
     "CertificationError",
     "CubefamError",
     "DenseTruncatedFamily",
-    "EmbeddingMap",
     "FinitePoset",
     "MassBoundReport",
     "ParseError",

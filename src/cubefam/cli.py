@@ -54,7 +54,6 @@ from .pivots import (
     verify_flexibility_bound,
 )
 from .posets import (
-    EmbeddingMap,
     FinitePoset,
     contains_subposet,
     family_as_poset,
@@ -213,13 +212,14 @@ def emit_report(rep: Report) -> bytes:
 # Subcommand handlers.  Each returns (results, certifications, exit_code).
 
 
-def _embedding_payload(emb) -> dict:
-    """A mask map (every map the CLI prints is one) as JSON."""
+def _embedding_payload(images: tuple, mode: str, n: int) -> dict:
+    """A copy as member masks of a family on [n] (every map the CLI prints
+    is one), as JSON."""
     return {
-        "kind": emb.kind,
-        "mode": emb.mode,
-        "target_n": emb.target_n,
-        "images": [format_subset(m) for m in emb.images],
+        "kind": "masks",
+        "mode": mode,
+        "target_n": n,
+        "images": [format_subset(m) for m in images],
     }
 
 
@@ -275,8 +275,7 @@ def _handle_embed(cfg: RunConfig):
     if mode == "weak":
         emb = contains_subposet(family_as_poset(fam), pattern, "weak")
         if emb is not None:
-            images = tuple(fam.members[i] for i in emb.images)
-            emb = EmbeddingMap(images, "weak", "masks", target_n=fam.n)
+            emb = tuple(fam.members[i] for i in emb)
     else:
         attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
         try:
@@ -293,7 +292,7 @@ def _handle_embed(cfg: RunConfig):
         status = "absent"
     results = {
         "status": status,
-        "map": None if emb is None else _embedding_payload(emb),
+        "map": None if emb is None else _embedding_payload(emb, mode, fam.n),
         "seed": cfg.seed,
         "attempts_used": stats["attempts_used"],
     }
@@ -347,7 +346,7 @@ def _handle_extract(cfg: RunConfig):
         overrides = None
     attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
     res = extract_induced_copy(
-        fam, pattern, overrides, seed=cfg.seed or 0, attempts=attempts
+        fam, pattern, overrides, seed=cfg.seed, attempts=attempts
     )
     certs = []
     results = {
@@ -359,11 +358,11 @@ def _handle_extract(cfg: RunConfig):
     }
     if res.embed is not None:
         results["cube"] = {
-            "status": res.embed.status,
+            "status": "exhausted" if res.embed.mask is None else "ok",
             "attempts_used": res.embed.attempts_used,
         }
     if res.map is not None:
-        results["map"] = _embedding_payload(res.map)
+        results["map"] = _embedding_payload(res.map, "induced", fam.n)
         certs.append({"object": "trace", "check": "per-step structural claims", "passed": True})
         certs.append({"object": "witnesses", "check": "pairwise order against strata", "passed": True})
         certs.append({"object": "embedding", "check": "induced pairwise", "passed": True})
@@ -458,7 +457,7 @@ def _handle_verify_lemma(cfg: RunConfig):
     if lemma == "tail":
         rep = verify_tail_bound(
             cfg.params["m"], cfg.params["k"], cfg.params["n"],
-            _fraction_arg(cfg.params["t"]), trials, cfg.seed or 0,
+            _fraction_arg(cfg.params["t"]), trials, cfg.seed,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     if lemma == "trace":
@@ -470,7 +469,7 @@ def _handle_verify_lemma(cfg: RunConfig):
             tset = set()
         rep = verify_trace_probability(
             cfg.params["n"], cfg.params["m"], cfg.params["r"],
-            _fraction_arg(cfg.params["eps"]), tset, trials, cfg.seed or 0,
+            _fraction_arg(cfg.params["eps"]), tset, trials, cfg.seed,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
     fam = read_family(cfg.params["family"])

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import PreconditionError
-from .families import check_tolerance
+from .families import check_tolerance, mask_elements
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -165,7 +165,7 @@ _constants_cache: dict = {}
 
 
 def concentration_constants(eps, r: int) -> ConcentrationConstants:
-    """Constants (eta, c, m0) by direct recursion on r.
+    """Constants (eta, c, m0) by the recursion on r.
 
     Base cases: r=0 gives (1/2, 1, 0) and r=1 gives (eps/2, eps^2/2, 1).
     For r >= 2 the tolerance halves, eta multiplies, c halves the
@@ -173,28 +173,41 @@ def concentration_constants(eps, r: int) -> ConcentrationConstants:
     past which exp(-c1 m) + m exp(-c2 (m-1)) stays below exp(-c m).
     eta and c are exact rationals; m0 is an exact integer (it can be
     enormous for small eps -- the search is logarithmic in its value).
+
+    (eps, r) is built from (eps/2, 1) and (eps/2, r-1), so it tops the
+    chain (eps/2^(r-1), 1), ..., (eps/2, r-1), (eps, r), which is walked
+    upward in a loop from its highest cached link: the depth of Python
+    calls does not grow with r.
     """
     eps = check_tolerance(eps)
     if r < 0:
         raise PreconditionError("order r must be nonnegative")
-    key = (eps, r)
-    hit = _constants_cache.get(key)
-    if hit is not None:
-        return hit
-    if r == 0:
-        out = ConcentrationConstants(Fraction(1, 2), Fraction(1), 0)
-    elif r == 1:
-        out = ConcentrationConstants(eps / 2, eps * eps / 2, 1)
-    else:
-        single = concentration_constants(eps / 2, 1)
-        lower = concentration_constants(eps / 2, r - 1)
-        eta = lower.eta * single.eta
+    links = []
+    while r > 1 and (eps, r) not in _constants_cache:
+        links.append((eps, r))
+        eps, r = eps / 2, r - 1
+    lower = _constants_cache[(eps, r)] if r > 1 else _base_constants(eps, r)
+    for eps, r in reversed(links):
+        single = _base_constants(eps / 2, 1)
         c = min(single.c, lower.c) / 2
         m_star = _dominance_threshold(single.c, lower.c, c)
         m0 = max(single.m0, lower.m0 + 1, m_star)
-        out = ConcentrationConstants(eta, c, m0)
-    _constants_cache[key] = out
-    return out
+        lower = ConcentrationConstants(lower.eta * single.eta, c, m0)
+        _constants_cache[(eps, r)] = lower
+    return lower
+
+
+def _base_constants(eps: Fraction, r: int) -> ConcentrationConstants:
+    """The constants at r = 0 or r = 1, entered in the cache."""
+    key = (eps, r)
+    hit = _constants_cache.get(key)
+    if hit is None:
+        if r == 0:
+            hit = ConcentrationConstants(Fraction(1, 2), Fraction(1), 0)
+        else:
+            hit = ConcentrationConstants(eps / 2, eps * eps / 2, 1)
+        _constants_cache[key] = hit
+    return hit
 
 
 def _dominance_threshold(c1: Fraction, c2: Fraction, c: Fraction) -> int:
@@ -253,16 +266,6 @@ def fat_mass_bound(eps, r: int) -> mp.mpf:
         return mp.mpf(consts.m0) + 1 / (-mp.expm1(-_mpf(consts.c)))
 
 
-def _mask_to_indices(mask: int, n: int) -> list:
-    out = []
-    for pos in range(mask.bit_length()):
-        if mask & (1 << pos):
-            if pos >= n:
-                raise PreconditionError(f"mask bit {pos} outside ground of size {n}")
-            out.append(pos)
-    return out
-
-
 def verify_trace_probability(
     n: int,
     m: int,
@@ -279,7 +282,9 @@ def verify_trace_probability(
     Hypotheses |T| <= eta(eps, r) C(n, r) and m >= m0(eps, r) and n >= m
     are checked first; a violation yields a "hypothesis-failed" report
     rather than an error, since the caller may be probing the boundary.
-    A negative n, m or trial count is an error.
+    A negative n, m or trial count, or a member of T that is not an
+    r-subset of [n], is an error, raised before the zero-trial shortcut so
+    that an "inconclusive" report always describes a well-posed question.
     """
     import mpmath as mp
     import numpy as np
@@ -294,6 +299,8 @@ def verify_trace_probability(
     for mask in t_list:
         if mask.bit_count() != r:
             raise PreconditionError(f"member {mask:#x} of T is not an r-subset")
+        if mask >> n:
+            raise PreconditionError(f"member {mask:#x} of T leaves the ground of size {n}")
     with mp.workdps(_MP_DPS):
         bound_mp = mp.exp(-_mpf(consts.c) * m)
         bound = float(bound_mp) if bound_mp > mp.mpf("1e-300") else 0.0
@@ -310,9 +317,8 @@ def verify_trace_probability(
 
     thr = eps * math.comb(m, r)
     count_min = math.floor(thr) + 1  # least integer > thr
-    t_idx = np.array(
-        [_mask_to_indices(mask, n) for mask in t_list], dtype=np.int64
-    ).reshape(len(t_list), r)
+    t_idx = np.array([mask_elements(mask) for mask in t_list], dtype=np.int64)
+    t_idx = t_idx.reshape(len(t_list), r) - 1     # mask_elements counts from 1
 
     hits = 0
     for _, mat in _shuffled_batches(n, trials, seed):

@@ -5,7 +5,8 @@ poset injectively onto down-sets, so any induced copy of a (truncated)
 cube pulls back to an induced copy of the poset.  The randomized one
 locates an m-dimensional cube inside a family containing almost all of
 the nonempty small subsets of [n]: sample a Bernoulli vertex set, delete
-one vertex from every missing subset it contains, and shrink.
+one vertex from every missing subset it contains, and shrink.  A copy of
+a pattern is a plain tuple of masks indexed by the pattern's elements.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .families import (
     submasks_of_size,
 )
 from .posets import (
-    EmbeddingMap,
     FinitePoset,
     contains_subposet,
     family_as_poset,
@@ -81,18 +81,17 @@ def universality_epsilon(m: int) -> Fraction:
     return Fraction(1, (2 * m) ** (m + 1))
 
 
-def downset_embedding(p: FinitePoset) -> EmbeddingMap:
-    """Map element x to the mask of its down-set {z : z <= x}.
+def downset_embedding(p: FinitePoset) -> tuple:
+    """The masks of the down-sets {z : z <= x}, one per element x.
 
     Always an induced embedding into the nonempty subsets of [p.k]:
     inclusion of down-sets reproduces the order, and the reflexive bit
     keeps incomparable elements on incomparable masks.
     """
     images = tuple((1 << x) | p.below[x] for x in range(p.k))
-    emb = EmbeddingMap(images, "induced", "masks", target_n=p.k)
     if not verify_embedding_masks(p, images, "induced"):
         raise CertificationError("down-set map failed the induced check")
-    return emb
+    return images
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class CubeEmbedResult:
     """
 
     mask: Optional[int]
-    status: str             # "ok" | "exhausted"
     attempts_used: int
 
 
@@ -183,8 +181,8 @@ def randomized_cube_embed(
             shrunk |= low
             x_mask ^= low
         _certify_cube_copy(fam, shrunk, m)
-        return CubeEmbedResult(shrunk, "ok", attempt + 1)
-    return CubeEmbedResult(None, "exhausted", max_attempts)
+        return CubeEmbedResult(shrunk, attempt + 1)
+    return CubeEmbedResult(None, max_attempts)
 
 
 def find_pattern_via_universality(
@@ -195,16 +193,18 @@ def find_pattern_via_universality(
     attempts: int = DEFAULT_EMBED_ATTEMPTS,
     node_budget: Optional[int] = DEFAULT_ORACLE_BUDGET,
     stats: Optional[dict] = None,
-) -> Optional[EmbeddingMap]:
-    """Induced copy of ``pattern`` among the members of ``host_fam``.
+) -> Optional[tuple]:
+    """Induced copy of ``pattern`` among the members of ``host_fam``, as
+    a tuple of member masks indexed by pattern element.
 
     A pattern on k elements embeds into the nonempty subsets of [k] by
     down-sets, so one full k-cube inside the host yields the pattern.
     When the host is dense among the small (or co-small) subsets, the
     cube comes from randomized location; otherwise a complete backtracking
     search looks for the pattern itself (a cube copy would contain one).
-    The map is re-verified pairwise.  None means no copy exists; a budget
-    stop raises SearchBudgetExceeded (the answer is unknown).
+    The map is re-verified pairwise.  None means no copy exists (test it
+    with ``is None``: the empty pattern's copy is ``()``); a budget stop
+    raises SearchBudgetExceeded (the answer is unknown).
 
     When ``stats`` is a dict, "attempts_used" is written into it: the
     number of randomized draws consumed (0 for purely oracle routes).
@@ -217,19 +217,19 @@ def find_pattern_via_universality(
     if stats is not None:
         stats["attempts_used"] = 0
     if k == 0:
-        return EmbeddingMap((), "induced", "masks", target_n=n)
+        return ()
     if k > len(host_fam):
         return None
     members = host_fam.members
     member_set = host_fam.member_set
     full = (1 << n) - 1
 
-    def certified(images: tuple) -> Optional[EmbeddingMap]:
+    def certified(images: tuple) -> tuple:
         if any(img not in member_set for img in images):
             raise CertificationError("composed image left the host family")
         if not verify_embedding_masks(pattern, images, "induced"):
             raise CertificationError("composed map failed the induced check")
-        return EmbeddingMap(images, "induced", "masks", target_n=n)
+        return images
 
     # Randomized route: host dense among small subsets, or among co-small
     # subsets (then locate the dual pattern in the complement and flip).
@@ -242,12 +242,12 @@ def find_pattern_via_universality(
                 if stats is not None:
                     stats["attempts_used"] += res.attempts_used
                 if res.mask is not None:
-                    psi = downset_embedding(oriented).images
+                    psi = downset_embedding(oriented)
                     return certified(tuple(flip ^ expand_mask(s, res.mask) for s in psi))
 
     # Oracle route: search for the pattern itself.  A budget stop
     # propagates, since "not found" would read as absent.
-    emb = contains_subposet(family_as_poset(host_fam), pattern, "induced", node_budget)
-    if emb is None:
+    found = contains_subposet(family_as_poset(host_fam), pattern, "induced", node_budget)
+    if found is None:
         return None
-    return certified(tuple(members[i] for i in emb.images))
+    return certified(tuple(members[i] for i in found))

@@ -55,7 +55,7 @@ from .pivots import (
     is_fat,
     pivots_in_universe,
 )
-from .posets import EmbeddingMap, FinitePoset, family_as_poset, verify_embedding_masks
+from .posets import FinitePoset, family_as_poset, verify_embedding_masks
 
 _SOS_BIT_CAP = 20          # ground sizes up to this use the subset-sum tables
 
@@ -530,9 +530,12 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """``map`` is the certified copy, a tuple of member masks indexed by
+    pattern element, or None; the empty pattern's copy is ``()``."""
+
     status: str
     mode: str
-    map: Optional[EmbeddingMap]
+    map: Optional[tuple]
     trace: Optional[ExtractionTrace]
     assembly: Optional[WitnessAssembly]
     embed: Optional[CubeEmbedResult]
@@ -563,11 +566,9 @@ def extract_induced_copy(
     if attempts < 1:
         raise PreconditionError("need at least one attempt")
     m = pattern.k
-    n = fam.n
     if m == 0:
         return ExtractionResult(
-            STATUS_OK, "override" if overrides else "paper",
-            EmbeddingMap((), "induced", "masks", target_n=n), None, None, None,
+            STATUS_OK, "override" if overrides else "paper", (), None, None, None
         )
     if overrides is not None:
         cascade = override_cascade(m, **overrides)
@@ -592,7 +593,7 @@ def extract_induced_copy(
     if res.mask is None:
         return ExtractionResult(STATUS_EXHAUSTED, cascade.mode, None, trace, assembly, res)
 
-    psi_ds = downset_embedding(pattern).images
+    psi_ds = downset_embedding(pattern)
     x_prime = res.mask
     images = []
     for e in range(m):
@@ -605,7 +606,6 @@ def extract_induced_copy(
             raise CertificationError("located cube left the certified strata")
         images.append(w)
     images = tuple(images)
-    if len(set(images)) != m or not verify_embedding_masks(pattern, images, "induced"):
+    if not verify_embedding_masks(pattern, images, "induced"):
         raise CertificationError("composed extraction map failed the induced check")
-    emb = EmbeddingMap(images, "induced", "masks", target_n=n)
-    return ExtractionResult(STATUS_OK, cascade.mode, emb, trace, assembly, res)
+    return ExtractionResult(STATUS_OK, cascade.mode, images, trace, assembly, res)

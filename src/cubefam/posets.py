@@ -14,7 +14,9 @@ incremental host.
 
 ``contains_subposet`` is the independent oracle the rest of the package
 uses to validate every embedding it produces, so it re-verifies its own
-output before returning it.  It is a pattern-side plan (assignment
+output before returning it.  A copy is a plain tuple of images indexed by
+the pattern's elements: host indices here, member masks in ``embeddings``
+and ``extraction``.  It is a pattern-side plan (assignment
 order, row rules, chain-room levels) run by one bitset loop; the same
 loop with depth 0 pinned to one host element is ``AnchoredSearch``,
 which finds the copies through a chosen element of a host that changes
@@ -27,7 +29,6 @@ passes over, in index order, whether or not it is a candidate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -266,29 +267,6 @@ def height(p: FinitePoset) -> int:
     return len(peel(p.below, (1 << p.k) - 1))
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
-    """An injective order map, either into poset indices or subset masks.
-
-    ``kind`` says how to read ``images``: "indices" means host-poset
-    element indices, "masks" means subsets of a ground set of size
-    ``target_n``.  ``mode`` records what the map claims to preserve.
-    """
-
-    images: tuple[int, ...]
-    mode: str          # "weak" | "induced"
-    kind: str          # "indices" | "masks"
-    target_n: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in ("weak", "induced"):
-            raise PreconditionError(f"bad mode {self.mode!r}")
-        if self.kind not in ("indices", "masks"):
-            raise PreconditionError(f"bad kind {self.kind!r}")
-        if len(set(self.images)) != len(self.images):
-            raise PreconditionError("embedding images must be injective")
-
-
 def verify_embedding_indices(
     host: FinitePoset, pattern: FinitePoset, images: Sequence[int], mode: str
 ) -> bool:
@@ -326,12 +304,13 @@ def contains_subposet(
     pattern: FinitePoset,
     mode: str = "induced",
     node_budget: Optional[int] = None,
-) -> Optional[EmbeddingMap]:
+) -> Optional[tuple]:
     """Backtracking search for a weak or induced copy of ``pattern`` in ``host``.
 
-    Returns a certified EmbeddingMap, or None if no copy exists.  If the
-    node budget runs out first, raises SearchBudgetExceeded -- an explicit
-    third outcome, distinct from absence.
+    Returns the copy as a tuple of host indices, one per pattern element,
+    re-verified pair by pair against ``host``; or None if no copy exists.
+    If the node budget runs out first, raises SearchBudgetExceeded -- an
+    explicit third outcome, distinct from absence.
 
     Pattern elements are assigned in decreasing comparability degree
     (``_search_plan``).  The candidates for the element at each depth
@@ -356,7 +335,7 @@ def contains_subposet(
     if pattern.k > host.k:
         return None
     if pattern.k == 0:
-        return EmbeddingMap((), mode, "indices")
+        return ()
     plan = _search_plan(pattern, mode)
     everyone = (1 << host.k) - 1
     h_down = peel(host.below, everyone)
@@ -368,7 +347,12 @@ def contains_subposet(
     ]
     rules = _bind(plan, host_rows(host, mode))
     image = _search_loop(rules, room, everyone, None, node_budget)
-    return None if image is None else _certified(host, pattern, mode, plan.order, image)
+    if image is None:
+        return None
+    images = tuple(image[plan.order.index(v)] for v in range(pattern.k))
+    if not verify_embedding_indices(host, pattern, images, mode):
+        raise CertificationError("search returned a map that fails re-verification")
+    return images
 
 
 def host_rows(host: FinitePoset, mode: str) -> tuple:
@@ -557,16 +541,6 @@ def _search_loop(
             c &= row[image[e]]
         cand[d] = c
         rest[d] = free
-
-
-def _certified(
-    host: FinitePoset, pattern: FinitePoset, mode: str, order: Sequence[int], image: list
-) -> EmbeddingMap:
-    """The copy found, re-verified pair by pair against ``host``."""
-    images = tuple(image[order.index(v)] for v in range(pattern.k))
-    if not verify_embedding_indices(host, pattern, images, mode):
-        raise CertificationError("search returned a map that fails re-verification")
-    return EmbeddingMap(images, mode, "indices")
 
 
 def enumerate_posets(k: int) -> list[FinitePoset]:

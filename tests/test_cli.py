@@ -391,6 +391,86 @@ class TestExtremalGolden:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _layers(n, keep):
+    return SetFamily(n, [m for m in range(1 << n) if keep(bin(m).count("1"))])
+
+
+class TestCopyReportGolden:
+    """sha256 of the default ``embed`` and ``extract`` report on each copy
+    route and outcome, and the exit code.  Files are written under relative
+    names in a scratch working directory, so the echoed paths are fixed."""
+
+    EXTRACT = ["--pattern", "one.poset", "--mode", "override", "--q", "1/2", "--p", "1/2",
+               "--eps", "3/4"]
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(10)
+        fams = {
+            "p3": full_power_set(3),
+            "low8": _layers(8, lambda s: s <= 3),
+            "high8": _layers(8, lambda s: s >= 5),
+            "anti4": _layers(4, lambda s: s == 2),
+            "mid10": _layers(10, lambda s: s in (5, 6)),
+            "p12": full_power_set(12),
+            "half12": SetFamily(12, [m for m in range(1 << 12) if rng.random() >= 0.5]),
+        }
+        for name, fam in fams.items():
+            write_family(fam, f"{name}.txt")
+        Path("one.poset").write_text("k=1\n")
+
+    @pytest.mark.parametrize(
+        "argv,code,digest",
+        [
+            (["p3.txt", "--pattern", "builtin:P3", "--mode", "weak", "--seed", "0"], 0,
+             "f93a27892170552fe348c5361245333ba1d9b97e4b67d1e3c8a5896c40281cae"),
+            (["low8.txt", "--pattern", "builtin:V2", "--seed", "7"], 0,
+             "fa23eb2d98f730ae423cac472a029d2289ff1bea206d91190822b3d63c1818b7"),
+            (["high8.txt", "--pattern", "builtin:V2", "--seed", "7"], 0,
+             "1865c7c2f1ca8b07fcf0383aaff861cab3da2a0f74f5c37187e1d04f1cbb2631"),
+            (["p3.txt", "--pattern", "builtin:V2", "--seed", "0"], 0,
+             "8e271740ffd61f338d28ee90e068f5df2f843f4d4001b0e430b6836566653dbb"),
+            (["anti4.txt", "--pattern", "builtin:P2", "--seed", "0"], 0,
+             "c6d3e42cf871df6bd643de7bd445fa7bb0d1be4db784139410af6580c5dd9343"),
+        ],
+        ids=["weak-found", "induced-cube", "induced-co-small", "induced-oracle",
+             "induced-absent"],
+    )
+    def test_embed_digest(self, capsys, argv, code, digest):
+        assert main(["embed", "--family", *argv]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_embed_budget_stop_digest(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "find_pattern_via_universality",
+            functools.partial(find_pattern_via_universality, node_budget=10),
+        )
+        argv = ["embed", "--family", "mid10.txt", "--pattern", "builtin:V2", "--seed", "0"]
+        assert main(argv) == 4
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "a1e93b267690da117129daa1c32a6a0b4df0ba5844eab12876dce939724059b5")
+
+    @pytest.mark.parametrize(
+        "argv,code,digest",
+        [
+            (["p12.txt", "--seed", "0"], 0,
+             "6dfbb32cf3dfc773a794747a095179153cc76783593134b4a9329d6abea13f86"),
+            (["half12.txt", "--seed", "0"], 0,
+             "e77851b117ef31e0c249dc5980451ca24de44e30039e9b046f7ae5dc1c9e690a"),
+            (["p12.txt", "--attempts", "1", "--seed", "15"], 4,
+             "49406cd7a2b66564364434684132ee37f85fd260d43b9df49f42535090cfdeb7"),
+        ],
+        ids=["map-emitted", "not-dense-enough", "embed-exhausted"],
+    )
+    def test_extract_digest(self, capsys, argv, code, digest):
+        assert main(["extract", "--family", argv[0], *self.EXTRACT, *argv[1:]]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestVerifyLemma:
     def test_tail_small_run(self, capsys):
         code, payload = run_json(capsys, [
@@ -426,6 +506,17 @@ class TestVerifyLemma:
     ])
     def test_ill_posed_parameters_exit_3(self, capsys, lemma_args):
         code = main(["verify-lemma", *lemma_args, "--seed", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("trials", ["0", "10"])
+    def test_trace_member_outside_ground_exits_3(self, capsys, fam_file, trials):
+        path = fam_file(SetFamily(20, [1 << 19]), "tset.txt")
+        code = main([
+            "verify-lemma", "--lemma", "trace", "--n", "10", "-m", "5", "-r", "1",
+            "--eps", "1/2", "--tset", path, "--trials", trials, "--seed", "1",
+        ])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err

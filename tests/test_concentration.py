@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubefam import concentration
 from cubefam.errors import PreconditionError
 from cubefam.concentration import (
     concentration_constants,
@@ -130,6 +131,13 @@ class TestConstantsRecursion:
     def test_pinned_thresholds(self, eps):
         got = tuple(concentration_constants(Fraction(eps), r).m0 for r in (2, 3, 4, 5))
         assert got == self.M0[eps]
+
+    def test_deep_order_needs_no_recursion(self, monkeypatch):
+        """r far above the recursion limit; m* is stubbed to 1, since its
+        search takes minutes at large r, so m0 grows by one per order."""
+        monkeypatch.setattr(concentration, "_dominance_threshold", lambda c1, c2, c: 1)
+        monkeypatch.setattr(concentration, "_constants_cache", {})
+        assert concentration_constants(Fraction(1, 2), 3000).m0 == 3000
 
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):

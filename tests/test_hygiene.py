@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used; nothing raises the recursion
-limit; numpy and mpmath are not imported with the package; the CLI reads
-every rational flag through one parser; the tolerance range check and
-the integer Lubell weights are each written once; every module-level
-function and class of the package is used by the package, or kept by name.
+limit, and no function calls itself unless kept by name; numpy and mpmath
+are not imported with the package; the CLI reads every rational flag
+through one parser; the tolerance range check and the integer Lubell
+weights are each written once; every module-level function and class of
+the package is used by the package, or kept by name.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -84,6 +85,63 @@ def test_recursion_scan_flags_calls():
         "setrecursionlimit(5000)\n"
     )
     assert recursion_limit_calls(tree) == [3, 5]
+
+
+# Functions that call themselves, kept on purpose, one reason each.
+RECURSIVE_KEEP = {
+    "_jsonable": "walks a report's own nesting, a few levels deep",
+}
+
+
+def calls_own_name(node: ast.AST, name: str) -> bool:
+    """A call of ``name`` or of ``self.name``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == name and getattr(func.value, "id", None) == "self"
+    return getattr(func, "id", None) == name
+
+
+def self_calling(tree: ast.Module) -> list[str]:
+    """Functions, nested ones and methods too, whose body calls their own
+    name (a method: ``self.<name>``)."""
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(calls_own_name(inner, node.name) for inner in ast.walk(node))
+    )
+
+
+def test_no_function_calls_itself():
+    """Nothing relies on deep Python recursion: a self-calling function
+    goes one frame deeper per level of its input."""
+    found = set()
+    for path in sorted((ROOT / "src" / "cubefam").glob("*.py")):
+        found.update(self_calling(ast.parse(path.read_text(), str(path))))
+    assert found == set(RECURSIVE_KEEP)
+
+
+def test_self_call_scan_flags_recursion():
+    tree = ast.parse(
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "def loop(n):\n"
+        "    while n:\n"
+        "        n = step(n)\n"
+        "    return n\n"
+        "class Walker(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "    def visit(self, node):\n"
+        "        return [self.visit(kid) for kid in node]\n"
+        "def outer(x):\n"
+        "    def inner(y):\n"
+        "        return inner(y - 1) if y else 0\n"
+        "    return inner(x)\n"
+    )
+    assert self_calling(tree) == ["fact", "inner", "visit"]
 
 
 HEAVY = {"numpy", "mpmath"}
