@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     SearchBudgetExceeded,
+    open_text,
 )
 from .extraction import STATUS_EXHAUSTED, compute_cascade, extract_induced_copy
 from .extremal import extremal_search, middle_layers_number
@@ -498,7 +499,7 @@ def _handle_cascade(cfg: RunConfig):
 
 
 def _handle_report(cfg: RunConfig):
-    with open(cfg.params["config"], "r", encoding="utf-8") as fh:
+    with open_text(cfg.params["config"], "utf-8", "config file") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -6,6 +6,8 @@ failures are distinct, so callers never have to guess which contract
 broke.
 """
 
+import contextlib
+
 
 class CubefamError(Exception):
     """Base class for all package-specific errors."""
@@ -36,3 +38,16 @@ class CertificationError(CubefamError, AssertionError):
     This always indicates an implementation bug, never a data error, and
     therefore derives from AssertionError on purpose.
     """
+
+
+@contextlib.contextmanager
+def open_text(path, encoding: str, what: str):
+    """``path`` opened for reading text; a byte the codec rejects is a ParseError."""
+    with open(path, "r", encoding=encoding) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{what} is not {encoding} text: byte {exc.object[exc.start]:#04x}"
+                f" ({exc.reason})"
+            ) from None

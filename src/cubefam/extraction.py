@@ -44,6 +44,7 @@ from .families import (
     expand_mask,
     lubell_mass,
     lubell_weights,
+    mask_elements,
     mask_size,
     mass_of_sizes,
 )
@@ -94,16 +95,22 @@ def _centred(shifted: Sequence[int], universe: int) -> tuple:
     """
     import numpy as np
 
-    members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
+    members = sorted(set(shifted))
+    members.sort(key=mask_size)      # stable: ascending mask within a size
     if not members:
         raise PreconditionError("centred element of an empty family")
     u = mask_size(universe)
-    sizes = [mask_size(f) for f in members]
+    sizes = list(map(mask_size, members))
     total = mass_of_sizes(sizes, u)
     if u <= _SOS_BIT_CAP:
         row_sizes = sorted(set(sizes))
         row_of = {s: r for r, s in enumerate(row_sizes)}
-        comp = np.array([compress_mask(f, universe) for f in members], dtype=np.int64)
+        # compress onto u low bits: gather the universe's bits (uint64, as
+        # a mask on 64 points may use bit 63)
+        wide = np.array(members, dtype=np.uint64)
+        comp = np.zeros(len(members), dtype=np.int64)
+        for i, e in enumerate(mask_elements(universe)):
+            comp |= ((wide >> np.uint64(e - 1)) & np.uint64(1)).astype(np.int64) << i
         tables = np.zeros((len(row_sizes), 1 << u), dtype=np.int64)
         tables[[row_of[s] for s in sizes], comp] = 1
         for i in range(u):

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, open_text
 
 MAX_GROUND = 64
 
@@ -90,16 +90,17 @@ class SetFamily:
             raise PreconditionError(
                 f"ground set size must be in [0, {MAX_GROUND}], got {n}"
             )
-        member_set = frozenset(int(m) for m in members)
+        member_set = frozenset(map(int, members))
+        ordered = tuple(sorted(member_set))
         full = (1 << n) - 1
-        for m in member_set:
-            if m < 0 or m & ~full:
-                raise PreconditionError(
-                    f"mask {m:#x} has bits outside the {n}-bit ground set"
-                )
+        if ordered and (ordered[0] < 0 or ordered[-1] > full):
+            bad = next(m for m in member_set if m < 0 or m & ~full)
+            raise PreconditionError(
+                f"mask {bad:#x} has bits outside the {n}-bit ground set"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "full_mask", full)
-        object.__setattr__(self, "_members", tuple(sorted(member_set)))
+        object.__setattr__(self, "_members", ordered)
         object.__setattr__(self, "_member_set", member_set)
 
     def __setattr__(self, *_):
@@ -238,6 +239,14 @@ def relative_lubell(fam: SetFamily, B: int, A: int) -> Fraction:
 
 
 def parse_family(lines: Iterable[str]) -> SetFamily:
+    """The family of an ``n=<int>`` header and one subset literal a line.
+
+    A line in canonical form -- the elements in ascending order, written
+    as ``str(e)`` and joined by "," -- costs one table lookup per element.
+    Every other line (``-``, blank lines, spaces, leading zeros or signs,
+    a "\\r" before the newline) goes to ``parse_subset_literal``, which
+    alone decides whether it is legal and which error it raises.
+    """
     it = iter(lines)
     try:
         header = next(it).strip()
@@ -252,14 +261,26 @@ def parse_family(lines: Iterable[str]) -> SetFamily:
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"ground set size {n} outside [0, {MAX_GROUND}]")
 
+    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}
     seen: set[int] = set()
     for lineno, raw in enumerate(it, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        mask = parse_subset_literal(line, n)
+        try:
+            bits = [bit_of[t] for t in raw.rstrip("\n").split(",")]
+            mask = sum(bits)
+            # distinct powers of two in ascending order
+            canonical = mask.bit_count() == len(bits) and bits == sorted(bits)
+        except KeyError:
+            canonical = False
+        if not canonical:
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                mask = parse_subset_literal(line, n)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         if mask in seen:
-            raise ParseError(f"line {lineno}: duplicate subset {line!r}")
+            raise ParseError(f"line {lineno}: duplicate subset {raw.strip()!r}")
         seen.add(mask)
     return SetFamily(n, seen)
 
@@ -300,7 +321,7 @@ def format_family(fam: SetFamily) -> str:
 
 
 def read_family(path) -> SetFamily:
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path, "ascii", "family file") as fh:
         return parse_family(fh)
 
 

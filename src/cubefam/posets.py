@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     SearchBudgetExceeded,
+    open_text,
 )
 
 CUBE_DIM_CAP = 5
@@ -601,5 +602,5 @@ def parse_poset(lines: Iterable[str]) -> FinitePoset:
 
 
 def read_poset(path) -> FinitePoset:
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path, "ascii", "poset file") as fh:
         return parse_poset(fh)

@@ -81,6 +81,21 @@ class TestErrorExits:
         assert main(["lubell", "--family", str(bad)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,data,message", [
+        (["lubell", "--family"], b"n=3\n1,2\n\xc3\xa9\n", "family file is not ascii text"),
+        (["middle-layers", "--n", "3", "--pattern"], b"k=2\n0 < 1\n\xc3\xa9\n",
+         "poset file is not ascii text"),
+        (["report", "--config"], b'{"subcommand": "lubell", "params": {"family": "\xff"}}',
+         "config file is not utf-8 text"),
+    ], ids=["family", "poset", "config"])
+    def test_undecodable_byte_exits_2(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parse error: {message}: byte ")
+        assert captured.out == ""
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["lubell", "--family", str(tmp_path / "nope.txt")]) == 2
 

@@ -189,6 +189,12 @@ class TestCentredElement:
             for _ in range(10):
                 universe = (1 << u) - 1
                 cases.append((universe, members_of(universe, rng.randint(1, 80), u)))
+        for _ in range(60):
+            # sparse universes on 64 points holding bit 63: the table path
+            # gathers member bits as uint64
+            universe = 1 << 63 | sum(1 << i for i in rng.sample(range(63), rng.randint(1, 13)))
+            members = members_of(universe, rng.randint(1, 60), 14) + [1 << 63]
+            cases.append((universe, members))
         for universe, members in cases:
             assert _centred(members, universe) == reference_centred(members, universe)
 

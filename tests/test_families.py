@@ -1,8 +1,10 @@
+import io
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubefam.errors import ParseError, PreconditionError
@@ -21,6 +23,7 @@ from cubefam.families import (
     mass_of_sizes,
     parse_family,
     parse_subset_literal,
+    read_family,
     relative_lubell,
     restrict_interval,
     submasks_of_size,
@@ -45,8 +48,19 @@ def test_family_is_normalized_and_immutable():
 
 
 def test_member_outside_ground_rejected():
-    with pytest.raises(PreconditionError):
-        SetFamily(2, [0b100])
+    with pytest.raises(PreconditionError, match="^mask 0x4 has bits outside the 2-bit ground set$"):
+        SetFamily(2, [0b01, 0b100])
+    with pytest.raises(PreconditionError, match="^mask -0x1 has bits outside the 2-bit ground set$"):
+        SetFamily(2, [0b10, -1])
+    with pytest.raises(PreconditionError, match="^mask 0x1 has bits outside the 0-bit ground set$"):
+        SetFamily(0, [0, 1])
+
+
+def test_numpy_integer_members_become_ints():
+    fam = SetFamily(3, np.array([5, 1, 5], dtype=np.int64))
+    assert fam.members == (1, 5) and all(type(m) is int for m in fam.members)
+    top = SetFamily(64, np.array([1 << 63, 1], dtype=np.uint64))
+    assert top.members == (1, 1 << 63) and all(type(m) is int for m in top.members)
 
 
 @pytest.mark.parametrize(
@@ -125,10 +139,40 @@ def test_submasks_of_size_follow_combinations_order():
 
 def test_parse_format_round_trip_random():
     rng = random.Random(2024)
-    for _ in range(50):
-        fam = random_family(rng, rng.randint(0, 10))
-        again = parse_family(format_family(fam).splitlines())
-        assert again.n == fam.n and again.members == fam.members
+    for n in [*range(17), *(rng.randint(0, 12) for _ in range(40))]:
+        fam = random_family(rng, n, rng.uniform(0.05, 0.95))
+        text = format_family(fam)
+        for lines in (text.splitlines(), io.StringIO(text)):
+            again = parse_family(lines)
+            assert again.n == fam.n and again.members == fam.members
+
+
+def reference_parse(text: str) -> SetFamily:
+    """The family of ``text`` read line by line with ``parse_subset_literal``."""
+    header, *lines = text.splitlines()
+    n = int(header[2:])
+    return SetFamily(n, [parse_subset_literal(line, n) for line in lines if line.strip()])
+
+
+@pytest.mark.parametrize("text", [
+    "n=5\n 3\n03,4\n+2\n1, 3\n4 \n\t5\n",
+    "n=5\r\n1,3\r\n2\r\n-\r\n",
+    "n=5\n\n1,2\n   \n\t\n3,4,5\n\n",
+    "n=5\n1,2\n2,5",
+    "n=5\n-\n+1,02, 3\n",
+    "n=0\n-\n",
+    "n=0\n-",
+    "n=0\n",
+    "n=12\n10,11,12\n1,10\n9,10\n1,2,3,4,5,6,7,8,9,10,11,12\n",
+], ids=["spaces-zeros-signs", "crlf", "blank-lines", "no-final-newline", "mixed",
+        "n0", "n0-no-newline", "n0-empty", "two-digit"])
+def test_parse_matches_line_by_line_reference(text, tmp_path):
+    want = reference_parse(text)
+    assert parse_family(io.StringIO(text)) == want
+    assert parse_family(text.splitlines()) == want
+    path = tmp_path / "fam.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert read_family(path) == want
 
 
 def test_parse_rejects_garbage():
@@ -158,9 +202,20 @@ def test_duplicate_members_in_file_rejected():
         parse_subset_literal("2,1", 3)      # literals must come sorted
 
 
-@pytest.mark.parametrize(
-    "text", ["", ",", "1,", ",1", "1,,2", "a", "1;2", "0", "-1", "4", "1,4", "2,1", "1,1", "--"]
-)
+MALFORMED = ["", ",", "1,", ",1", "1,,2", "a", "1;2", "0", "-1", "4", "1,4", "2,1", "1,1", "--"]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_malformed_subset_literal_rejected(text):
     with pytest.raises(ParseError):
         parse_subset_literal(text, 3)
+
+
+@pytest.mark.parametrize("text", [t for t in MALFORMED if t])   # a blank line is skipped
+def test_malformed_line_names_its_line(text):
+    with pytest.raises(ParseError) as info:
+        parse_family(io.StringIO(f"n=3\n1,2\n{text}\n3\n"))
+    assert str(info.value).startswith("line 3: ")
+    with pytest.raises(ParseError) as bare:
+        parse_subset_literal(text, 3)
+    assert str(info.value) == f"line 3: {bare.value}"
