@@ -520,21 +520,19 @@ def _handle_report(cfg: RunConfig):
 
 def _check_replayed_config(cfg: RunConfig) -> None:
     """A config file is outside input: each param must have the type and
-    choices of its flag in ``build_parser``, and no required flag may be absent."""
-    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    parser = subs.choices.get(cfg.subcommand) if isinstance(cfg.subcommand, str) else None
-    if parser is None:
+    choices of its flag in ``_SUBCOMMANDS``, and no required flag may be absent."""
+    entry = _SUBCOMMANDS.get(cfg.subcommand) if isinstance(cfg.subcommand, str) else None
+    if entry is None:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
     if cfg.seed is not None and type(cfg.seed) is not int:
         raise ParseError(f"seed must be an integer, got {cfg.seed!r}")
-    for action in parser._actions:
-        value = cfg.params.get(action.dest)
-        flag = action.option_strings[0]
-        if value is None and action.required:
+    for flag, spec in entry[1]:
+        value = cfg.params.get(spec.get("dest", flag.lstrip("-").replace("-", "_")))
+        if value is None and spec.get("required"):
             raise ParseError(f"{cfg.subcommand} config needs {flag}")
-        want = action.type or (bool if action.nargs == 0 else str)
+        want = bool if spec.get("action") == "store_true" else spec.get("type", str)
         if value is not None and (
-            type(value) is not want or (action.choices and value not in action.choices)
+            type(value) is not want or ("choices" in spec and value not in spec["choices"])
         ):
             raise ParseError(f"bad {flag} value in config: {value!r}")
 
@@ -583,90 +581,134 @@ def run(cfg: RunConfig) -> Report:
     return rep
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every flag, as (flag, add_argument keywords), in help order.  The
+# parsers and the replay check of ``report --config`` all read these.
+_GLOBAL_FLAGS = (
+    ("--output", {"help": "write the report here instead of stdout"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"}),
+    ("--with-timings", {"action": "store_true"}),
+)
+_SEED_FLAGS = (
+    ("--seed", {"type": int}),
+    ("--ephemeral", {"action": "store_true"}),
+)
+_SUBCOMMANDS = {
+    "lubell": ("exact mass of a family file", (
+        ("--family", {"required": True}),
+        ("--bottom", {"help": "interval bottom, subset literal"}),
+        ("--top", {"help": "interval top, subset literal"}),
+    )),
+    "pivots": ("enumerate pivots of a member", (
+        ("--family", {"required": True}),
+        ("--base", {"required": True, "help": 'subset literal, e.g. "1,3,4"'}),
+        ("-r", {"type": int, "required": True}),
+        ("--anti", {"action": "store_true"}),
+        ("--gamma", {"help": "also report flexibility at this tolerance"}),
+    )),
+    "embed": ("find a pattern copy inside a family", (
+        ("--family", {"required": True}),
+        ("--pattern", {"required": True}),
+        ("--mode", {"choices": ("weak", "induced"), "default": "induced"}),
+        ("--attempts", {"type": int}),
+        *_SEED_FLAGS,
+    )),
+    "extract": ("run the full extraction pipeline", (
+        ("--family", {"required": True}),
+        ("--pattern", {"required": True}),
+        ("--mode", {"choices": ("paper", "override"), "default": "paper"}),
+        ("--q", {}),
+        ("--p", {}),
+        ("--eps", {}),
+        ("--attempts", {"type": int}),
+        *_SEED_FLAGS,
+    )),
+    "extremal": ("exact pattern-avoiding optimum", (
+        ("--n", {"type": int, "required": True}),
+        ("--pattern", {"required": True, "help": "poset file or builtin:P2|V2|D2|Q2"}),
+        ("--mode", {"choices": ("weak", "induced"), "default": "weak"}),
+        ("--objective", {"choices": ("cardinality", "lubell"), "default": "cardinality"}),
+        ("--budget-nodes", {"type": int}),
+    )),
+    "middle-layers": ("widest pattern-free middle band", (
+        ("--n", {"type": int, "required": True}),
+        ("--pattern", {"required": True}),
+    )),
+    "verify-lemma": ("statistical and exact bound checks", (
+        ("--lemma", {"choices": ("tail", "trace", "flexbound", "fatbound"), "required": True}),
+        ("-m", {"type": int}),
+        ("-k", {"type": int}),
+        ("--n", {"type": int}),
+        ("-r", {"type": int}),
+        ("-t", {}),
+        ("--eps", {}),
+        ("--gamma", {}),
+        ("--family", {}),
+        ("--sset", {"help": "family file holding the r-subset collection"}),
+        ("--tset", {"help": "family file holding the trace collection"}),
+        ("--trials", {"type": int}),
+        *_SEED_FLAGS,
+    )),
+    "cascade": ("exact constants for a pattern size", (
+        ("-m", {"type": int, "required": True}),
+        ("--eps", {"required": True}),
+    )),
+    "report": ("replay a saved run configuration", (
+        ("--config", {"required": True}),
+    )),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple) -> None:
+    for flag, spec in flags:
+        parser.add_argument(flag, **spec)
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, or the subcommand ``only``.
+
+    Both trees come from ``_SUBCOMMANDS``, so a subcommand's help and
+    errors read the same in either.
+    """
     parser = argparse.ArgumentParser(
         prog="cubefam",
         description="Set families in the subset lattice: masses, pivots, "
         "embeddings, extraction, exact extremal search.",
     )
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", dest="fmt"
-    )
-    parser.add_argument("--with-timings", action="store_true")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_seed(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--ephemeral", action="store_true")
-
-    p = sub.add_parser("lubell", help="exact mass of a family file")
-    p.add_argument("--family", required=True)
-    p.add_argument("--bottom", help="interval bottom, subset literal")
-    p.add_argument("--top", help="interval top, subset literal")
-
-    p = sub.add_parser("pivots", help="enumerate pivots of a member")
-    p.add_argument("--family", required=True)
-    p.add_argument("--base", required=True, help='subset literal, e.g. "1,3,4"')
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--anti", action="store_true")
-    p.add_argument("--gamma", help="also report flexibility at this tolerance")
-
-    p = sub.add_parser("embed", help="find a pattern copy inside a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--mode", choices=("weak", "induced"), default="induced")
-    p.add_argument("--attempts", type=int)
-    add_seed(p)
-
-    p = sub.add_parser("extract", help="run the full extraction pipeline")
-    p.add_argument("--family", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--mode", choices=("paper", "override"), default="paper")
-    p.add_argument("--q")
-    p.add_argument("--p")
-    p.add_argument("--eps")
-    p.add_argument("--attempts", type=int)
-    add_seed(p)
-
-    p = sub.add_parser("extremal", help="exact pattern-avoiding optimum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pattern", required=True, help="poset file or builtin:P2|V2|D2|Q2")
-    p.add_argument("--mode", choices=("weak", "induced"), default="weak")
-    p.add_argument(
-        "--objective", choices=("cardinality", "lubell"), default="cardinality"
-    )
-    p.add_argument("--budget-nodes", type=int, dest="budget_nodes")
-
-    p = sub.add_parser("middle-layers", help="widest pattern-free middle band")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pattern", required=True)
-
-    p = sub.add_parser("verify-lemma", help="statistical and exact bound checks")
-    p.add_argument(
-        "--lemma", choices=("tail", "trace", "flexbound", "fatbound"), required=True
-    )
-    p.add_argument("-m", type=int)
-    p.add_argument("-k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("-r", type=int)
-    p.add_argument("-t")
-    p.add_argument("--eps")
-    p.add_argument("--gamma")
-    p.add_argument("--family")
-    p.add_argument("--sset", help="family file holding the r-subset collection")
-    p.add_argument("--tset", help="family file holding the trace collection")
-    p.add_argument("--trials", type=int)
-    add_seed(p)
-
-    p = sub.add_parser("cascade", help="exact constants for a pattern size")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--eps", required=True)
-
-    p = sub.add_parser("report", help="replay a saved run configuration")
-    p.add_argument("--config", required=True)
-
+    _add_flags(parser, _GLOBAL_FLAGS)
+    # The usage line of a top-level error lists every subcommand, even in
+    # a tree that holds one.
+    shown = {} if only is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="subcommand", required=True, **shown)
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            _add_flags(sub.add_parser(name, help=help_text), flags)
     return parser
+
+
+class _ArgvReader(argparse.ArgumentParser):
+    """Raises instead of printing and exiting, so that every complaint,
+    worded as the user sees it, comes from the full tree."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _named_subcommand(argv: list) -> Optional[str]:
+    """The subcommand ``argv`` names, read as the full tree reads it.
+
+    None when the full tree is needed to answer: top-level help, no
+    subcommand or an unknown one, a bad or unknown global flag.
+    """
+    reader = _ArgvReader(add_help=False)
+    _add_flags(reader, _GLOBAL_FLAGS)
+    reader.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        args, unknown = reader.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return None
+    if unknown or not args.rest or args.rest[0] not in _SUBCOMMANDS:
+        return None
+    return args.rest[0]
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -684,8 +726,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_named_subcommand(argv)).parse_args(argv)
     cfg = _config_from_args(args)
     try:
         rep = run(cfg)

@@ -96,11 +96,11 @@ def _centred(shifted: Sequence[int], universe: int) -> tuple:
     import numpy as np
 
     members = sorted(set(shifted))
-    members.sort(key=mask_size)      # stable: ascending mask within a size
+    members.sort(key=int.bit_count)  # stable: ascending mask within a size
     if not members:
         raise PreconditionError("centred element of an empty family")
     u = mask_size(universe)
-    sizes = list(map(mask_size, members))
+    sizes = [f.bit_count() for f in members]
     total = mass_of_sizes(sizes, u)
     if u <= _SOS_BIT_CAP:
         row_sizes = sorted(set(sizes))
@@ -262,16 +262,17 @@ def _prune_and_centre(
     """Case worker: keep the small half, drop inflexible and slim members,
     centre what remains.  Returns (Y, mass) or None if nothing survives."""
     u = mask_size(universe)
-    lower = [f for f in member_set if 2 * mask_size(f) <= u]
+    lower = [f for f in member_set if 2 * f.bit_count() <= u]
     if r > 0:  # at r = 0 each member is its own 0-landing, hence flexible
         lower_set = frozenset(lower)
         lower = [f for f in lower if flexible_in_universe(lower_set, universe, f, eps, r)]
-    survivors = [
-        f for f in lower if all(is_fat(f, s_masks, eps, s_r) for s_r, s_masks in fats)
-    ]
-    if not survivors:
+    if fats:  # the first step has no strata to be fat against
+        lower = [
+            f for f in lower if all(is_fat(f, s_masks, eps, s_r) for s_r, s_masks in fats)
+        ]
+    if not lower:
         return None
-    return _centred(survivors, universe)
+    return _centred(lower, universe)
 
 
 def _step(
@@ -289,14 +290,13 @@ def _step(
     if len(fats) != d:
         raise PreconditionError(f"expected {d} pivot strata, got {len(fats)}")
     u = mask_size(universe)
-    mass = mass_of_sizes(map(mask_size, member_set), u)
+    sizes = [f.bit_count() for f in member_set]
+    mass = mass_of_sizes(sizes, u)
     if mass <= cascade.step_demand():
         return StepOutcome(STATUS_NO_MASS, None, None, None, None)
     eps = cascade.eps_level(2 * m + 1 - d)
 
-    lower_mass = mass_of_sizes(
-        (mask_size(f) for f in member_set if 2 * mask_size(f) <= u), u
-    )
+    lower_mass = mass_of_sizes((s for s in sizes if 2 * s <= u), u)
     order = (CASE_FLEX, CASE_ANTI) if lower_mass >= mass / 2 else (CASE_ANTI, CASE_FLEX)
     for which, case in enumerate(order):
         # The anti case runs the same worker on the family of complements,

@@ -238,6 +238,22 @@ def relative_lubell(fam: SetFamily, B: int, A: int) -> Fraction:
 # Duplicate lines are data errors, not merges.
 
 
+def parse_decimal(text: str) -> int:
+    """An integer written in ASCII decimal digits, with an optional sign,
+    leading zeros and spaces around it: the one integer spelling of the
+    family and poset file formats and of subset literals.
+
+    Raises ValueError, as ``int`` does, on anything else -- also on what
+    ``int`` alone would take: ``_`` separators and non-ASCII digits.
+    """
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_family(lines: Iterable[str]) -> SetFamily:
     """The family of an ``n=<int>`` header and one subset literal a line.
 
@@ -255,7 +271,7 @@ def parse_family(lines: Iterable[str]) -> SetFamily:
     if not header.startswith("n="):
         raise ParseError(f"expected 'n=<int>' header, got {header!r}")
     try:
-        n = int(header[2:])
+        n = parse_decimal(header[2:])
     except ValueError:
         raise ParseError(f"bad ground set size in header {header!r}") from None
     if not 0 <= n <= MAX_GROUND:
@@ -294,7 +310,7 @@ def parse_subset_literal(text: str, n: int) -> int:
     prev = 0
     for part in text.split(","):
         try:
-            e = int(part)
+            e = parse_decimal(part)
         except ValueError:
             raise ParseError(f"bad subset literal {text!r}") from None
         if not 1 <= e <= n:

@@ -38,6 +38,7 @@ from .errors import (
     SearchBudgetExceeded,
     open_text,
 )
+from .families import parse_decimal
 
 CUBE_DIM_CAP = 5
 
@@ -579,7 +580,7 @@ def parse_poset(lines: Iterable[str]) -> FinitePoset:
     if not header.startswith("k="):
         raise ParseError(f"expected 'k=<int>' header, got {header!r}")
     try:
-        k = int(header[2:])
+        k = parse_decimal(header[2:])
     except ValueError:
         raise ParseError(f"bad element count in header {header!r}") from None
     pairs = []
@@ -591,7 +592,7 @@ def parse_poset(lines: Iterable[str]) -> FinitePoset:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<i> < <j>', got {line!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = parse_decimal(parts[0]), parse_decimal(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: bad cover relation {line!r}") from None
         pairs.append((i, j))

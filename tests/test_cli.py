@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, JSON reports, replay."""
 
+import argparse
 import functools
 import hashlib
 import itertools
@@ -94,6 +95,16 @@ class TestErrorExits:
         assert main([*argv, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"parse error: {message}: byte ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,literal", [
+        ("--top", "\u0661,1_0"), ("--top", "0_2"), ("--bottom", "\u0661"),
+    ])
+    def test_subset_flag_takes_ascii_digits_only(self, capsys, fam_file, flag, literal):
+        path = fam_file(full_power_set(10))
+        assert main(["lubell", "--family", path, flag, literal]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: bad subset literal {literal!r}\n"
         assert captured.out == ""
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
@@ -735,3 +746,191 @@ class TestLazyImports:
             "--n", "100", "-t", "6", "--trials", "100", "--seed", "1",
         ])
         assert "numpy" in loaded
+
+
+SUBCOMMANDS = ["lubell", "pivots", "embed", "extract", "extremal", "middle-layers",
+               "verify-lemma", "cascade", "report"]
+P2_QUERY = ["extremal", "--n", "3", "--pattern", "builtin:P2"]
+
+
+def parse_outcome(capsys, parser, argv):
+    """What parsing ``argv`` gives: (namespace or None, exit code, stdout, stderr)."""
+    try:
+        found, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        found, code = None, exc.code
+    captured = capsys.readouterr()
+    return found, code, captured.out, captured.err
+
+
+def lazy_and_full(capsys, argv):
+    """The outcome of ``argv`` under the tree ``main`` builds, and under the full tree."""
+    return (
+        parse_outcome(capsys, cli.build_parser(cli._named_subcommand(argv)), argv),
+        parse_outcome(capsys, cli.build_parser(), argv),
+    )
+
+
+class TestFrontDoor:
+    """``main`` builds the named subcommand's parser alone; help, usage and
+    errors read exactly as from the tree of all nine."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv,code,text", [
+        pytest.param(argv, code, text, id=" ".join(argv) or "no-arguments")
+        for argv, code, text in [
+            (["--help"], 0, "{" + ",".join(SUBCOMMANDS) + "}"),
+            (["-h", "extremal"], 0, "exact constants for a pattern size"),
+            *[([sub, "--help"], 0, f"usage: cubefam {sub} [-h]") for sub in SUBCOMMANDS],
+            (["bogus"], 2, "argument subcommand: invalid choice: 'bogus'"),
+            ([], 2, "the following arguments are required: subcommand"),
+            (["--format", "xml", *P2_QUERY], 2, "argument --format: invalid choice: 'xml'"),
+            (["--output"], 2, "argument --output: expected one argument"),
+            (["--bogus", *P2_QUERY], 2, "unrecognized arguments: --bogus"),
+            ([*P2_QUERY, "--bogus"], 2, "unrecognized arguments: --bogus"),
+            ([*P2_QUERY, "--format", "csv"], 2, "unrecognized arguments: --format csv"),
+            (["extremal", "--n", "x", "--pattern", "builtin:P2"], 2,
+             "argument --n: invalid int value: 'x'"),
+            (["--=x", *P2_QUERY], 2, "ambiguous option: --=x could match"),
+        ]
+    ])
+    def test_exits_as_the_full_tree(self, capsys, argv, code, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == code
+        assert text in (captured.out if code == 0 else captured.err)
+        assert lazy_and_full(capsys, argv)[1] == (None, code, captured.out, captured.err)
+
+    def test_unknown_subcommand_lists_all_nine(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        err = capsys.readouterr().err
+        assert all(f"'{sub}'" in err.split("choose from", 1)[1] for sub in SUBCOMMANDS)
+
+    def test_abbreviated_global_flags(self, capsys, fam_file, tmp_path):
+        assert main(["--form", "csv", *P2_QUERY]) == 0
+        assert capsys.readouterr().out.startswith("n,value,nodes,time\n3,3,")
+        dest = tmp_path / "out.json"
+        assert main(["--out", str(dest), "lubell", "--family", fam_file(full_power_set(2))]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(dest.read_text())["results"]["mass"] == "3/1"
+
+    def test_builds_the_named_subcommand_only_and_keeps_nothing(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        for _ in range(2):
+            assert main(P2_QUERY) == 0
+        assert [prog for prog in built if prog.startswith("cubefam ")] == ["cubefam extremal"] * 2
+
+    def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cubefam", "--format", "csv", *P2_QUERY])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("n,value,nodes,time\n")
+
+
+def _valid_text(spec: dict) -> str:
+    return spec["choices"][0] if "choices" in spec else "1"
+
+
+def _replay_cases() -> list:
+    """(subcommand, flag, config value, argv tail) for each way a replayed
+    config can break a flag, from the flag table: a value of the wrong
+    type, a value outside the choices, a required flag left out (value
+    None).  The argv tail breaks the flag the same way on the command
+    line; None where argparse has nothing to reject (every text is a str)."""
+    cases = []
+    for sub, (_, flags) in cli._SUBCOMMANDS.items():
+        if sub == "report":      # a replayed report is refused (exit 3) before its flags are read
+            continue
+        for flag, spec in flags:
+            if spec.get("action") == "store_true":
+                breaks = [("type", "yes", [f"{flag}=yes"])]
+            elif spec.get("type") is int:
+                breaks = [("type", "1", [flag, "x"])]
+            else:
+                breaks = [("type", 1, None)]
+            if "choices" in spec:
+                breaks.append(("choice", "nope", [flag, "nope"]))
+            if spec.get("required"):
+                breaks.append(("missing", None, []))
+            cases += [
+                pytest.param(sub, flag, bad, tail, id=f"{sub} {flag} {kind}")
+                for kind, bad, tail in breaks
+            ]
+    return cases
+
+
+class TestReplayAgreesWithArgparse:
+    """``report --config`` validates a config against the same flag table
+    argparse is built from, so both refuse the same breakages (exit 2)."""
+
+    @pytest.mark.parametrize("sub,flag,bad,tail", _replay_cases())
+    def test_both_refuse(self, capsys, tmp_path, sub, flag, bad, tail):
+        flags = dict(cli._SUBCOMMANDS[sub][1])
+        spec = flags[flag]
+        others = [
+            arg for f, s in flags.items() if s.get("required") and f != flag
+            for arg in (f, _valid_text(s))
+        ]
+        given = [flag, _valid_text(spec)] if spec.get("required") else []
+        parser = cli.build_parser()
+        params = cli._config_from_args(parser.parse_args([sub, *others, *given])).params
+        cli._check_replayed_config(cli.RunConfig(sub, params, seed=1))  # the control passes
+        # the key argparse stores the flag under: the one two values of it change
+        if spec.get("action") == "store_true":
+            values = ([], [flag])
+        else:
+            a, b = spec.get("choices", ("1", "2"))[:2]
+            values = ([flag, a], [flag, b])
+        one, two = (vars(parser.parse_args([sub, *others, *v])) for v in values)
+        [dest] = [key for key in one if one[key] != two[key]]
+        if bad is None:
+            del params[dest]
+        else:
+            params[dest] = bad
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"subcommand": sub, "params": params, "seed": 1}))
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:") and flag in captured.err
+        assert captured.out == ""
+        if tail is not None:
+            with pytest.raises(SystemExit) as exc:
+                main([sub, *others, *tail])
+            assert exc.value.code == 2
+
+
+def _parametrised_argvs() -> list:
+    """Every argv, or argv tail, among this module's parametrised cases."""
+    found = {}
+    for obj in list(globals().values()):
+        for test in vars(obj).values() if isinstance(obj, type) else (obj,):
+            for mark in getattr(test, "pytestmark", ()):
+                if mark.name != "parametrize":
+                    continue
+                for case in mark.args[1]:
+                    case = getattr(case, "values", case)     # a pytest.param
+                    for value in case if isinstance(case, tuple) else (case,):
+                        if isinstance(value, list) and all(isinstance(a, str) for a in value):
+                            found[tuple(value)] = list(value)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("argv", _parametrised_argvs(), ids=" ".join)
+def test_lazy_tree_parses_as_the_full_tree(capsys, monkeypatch, argv):
+    """Each case as written and behind each subcommand name: the same
+    namespace, or the same exit and text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for variant in [argv, *([sub, *argv] for sub in SUBCOMMANDS)]:
+        lazy, full = lazy_and_full(capsys, variant)
+        assert lazy == full, variant

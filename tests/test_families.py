@@ -21,6 +21,7 @@ from cubefam.families import (
     mask_elements,
     mask_size,
     mass_of_sizes,
+    parse_decimal,
     parse_family,
     parse_subset_literal,
     read_family,
@@ -186,6 +187,13 @@ def test_parse_rejects_garbage():
         parse_family(["n=-1"])
 
 
+@pytest.mark.parametrize("header", ["n=0_3", "n=\u0663", "n=3_", "n="])
+def test_header_size_is_ascii_decimal(header):
+    with pytest.raises(ParseError, match="bad ground set size in header"):
+        parse_family([header, "1"])
+    assert parse_family(["n= +03 ", "1"]) == SetFamily(3, [1])
+
+
 def test_subset_literal():
     assert parse_subset_literal("1,3,4", 6) == 0b001101
     assert parse_subset_literal("-", 6) == 0
@@ -202,7 +210,27 @@ def test_duplicate_members_in_file_rejected():
         parse_subset_literal("2,1", 3)      # literals must come sorted
 
 
-MALFORMED = ["", ",", "1,", ",1", "1,,2", "a", "1;2", "0", "-1", "4", "1,4", "2,1", "1,1", "--"]
+@pytest.mark.parametrize("text,value", [
+    ("3", 3), (" 3", 3), ("3 ", 3), ("\t3\r\n", 3), ("+3", 3), ("03", 3), (" +007 ", 7),
+    ("-2", -2), ("0", 0), ("12345678901234567890", 12345678901234567890),
+])
+def test_decimal_spellings_accepted(text, value):
+    assert parse_decimal(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "+", "-", "1_0", "0_1", "\u0663", "1\u0660", "\uff13", "\u00b2", "3.0", "0x3",
+    "1e2", "3 4", "+ 3", "++3", "+-3", "3+",
+])
+def test_decimal_rejects_what_int_alone_would_take(text):
+    """Among them ``_`` separators and non-ASCII digits, which ``int`` reads."""
+    with pytest.raises(ValueError):
+        parse_decimal(text)
+
+
+# "0_1" and the Arabic-Indic digits read as 1, 2 and 3 under a bare int().
+MALFORMED = ["", ",", "1,", ",1", "1,,2", "a", "1;2", "0", "-1", "4", "1,4", "2,1", "1,1", "--",
+             "0_1", "1_0", "\u0662", "1,\u0663"]
 
 
 @pytest.mark.parametrize("text", MALFORMED)

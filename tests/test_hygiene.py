@@ -1,9 +1,10 @@
 """Source hygiene: every imported name is used; nothing raises the recursion
 limit, and no function calls itself unless kept by name; numpy and mpmath
 are not imported with the package; the CLI reads every rational flag
-through one parser; the tolerance range check and the integer Lubell
-weights are each written once; every module-level function and class of
-the package is used by the package, or kept by name.
+through one parser and touches no argparse private; the tolerance range
+check and the integer Lubell weights are each written once; every
+module-level function and class of the package is used by the package, or
+kept by name.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -257,6 +258,47 @@ def test_fraction_scan_flags_calls_outside_the_parser():
         "y = Fraction('1/3')\n"
     )
     assert fraction_calls_outside(tree, "_fraction_arg") == [6, 8, 9]
+
+
+def argparse_privates(tree: ast.Module) -> list[int]:
+    """Lines that use a private name of argparse, or a parser's ``_actions``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            private = node.attr == "_actions" or (
+                node.attr.startswith("_") and getattr(node.value, "id", None) == "argparse"
+            )
+        elif isinstance(node, ast.ImportFrom):
+            private = node.module == "argparse" and any(
+                alias.name.startswith("_") for alias in node.names
+            )
+        else:
+            private = False
+        if private:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "cubefam").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_argparse_privates(path):
+    """The CLI's flags live in its own table, so nothing reads them back
+    out of argparse's internals, which may change in any Python release."""
+    assert argparse_privates(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_argparse_scan_flags_privates():
+    tree = ast.parse(
+        "import argparse\n"
+        "from argparse import ArgumentParser, _SubParsersAction\n"
+        "p = ArgumentParser(exit_on_error=False)\n"
+        "rest = p.add_argument('rest', nargs=argparse.REMAINDER)\n"
+        "subs = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]\n"
+        "members = self._members\n"
+        "err = argparse.ArgumentError(None, 'x')\n"
+    )
+    assert argparse_privates(tree) == [2, 5, 5]
 
 
 def says_unit_interval(node: ast.AST) -> bool:

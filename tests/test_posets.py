@@ -267,6 +267,19 @@ def test_poset_parse_errors():
         parse_poset(["k=2", "0 1"])
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["k=1_2"], "bad element count in header"),
+    (["k=\u0662"], "bad element count in header"),
+    (["k=2", "0 < 0_1"], "line 2: bad cover relation"),
+    (["k=2", "", "\u0660 < 1"], "line 3: bad cover relation"),
+])
+def test_poset_numbers_are_ascii_decimal(lines, message):
+    """``_`` separators and non-ASCII digits are parse errors, not numbers."""
+    with pytest.raises(ParseError, match=message):
+        parse_poset(lines)
+    assert parse_poset(["k= +02 ", " 00 < +1 "]).pairs() == make_chain(2).pairs()
+
+
 def test_all_small_posets_embed_into_chain_weakly():
     for p in enumerate_posets(3):
         assert contains_subposet(make_chain(3), p, "weak") is not None
