@@ -56,11 +56,8 @@ from .pivots import (
     MassBoundReport,
     PivotRecord,
     PivotSet,
-    enumerate_anti_pivots,
-    enumerate_pivots,
     flexibility_mass_bound,
     is_fat,
-    is_flexible,
     max_flexfree_mass,
     observation_check,
     validate_record,
@@ -94,8 +91,6 @@ __all__ = [
     "concentration_constants",
     "contains_subposet",
     "downset_embedding",
-    "enumerate_anti_pivots",
-    "enumerate_pivots",
     "enumerate_posets",
     "extract_induced_copy",
     "extremal_search",
@@ -105,7 +100,6 @@ __all__ = [
     "flexibility_mass_bound",
     "full_power_set",
     "is_fat",
-    "is_flexible",
     "lubell_mass",
     "max_flexfree_mass",
     "make_chain",

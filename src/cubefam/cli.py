@@ -49,7 +49,7 @@ from .families import (
     relative_lubell,
 )
 from .pivots import (
-    is_flexible,
+    flexible_in_universe,
     pivots_in_universe,
     verify_fat_mass_bound,
     verify_flexibility_bound,
@@ -263,7 +263,9 @@ def _handle_pivots(cfg: RunConfig):
     if cfg.params.get("gamma") is not None:
         gamma = _fraction_arg(cfg.params["gamma"])
         results["gamma"] = gamma
-        results["flexible"] = is_flexible(fam, base, gamma, r, anti=anti)
+        results["flexible"] = flexible_in_universe(
+            fam.member_set, fam.full_mask, base, gamma, r, anti=anti
+        )
     return results, [], EXIT_OK
 
 
@@ -342,7 +344,7 @@ def _handle_extract(cfg: RunConfig):
         if cfg.params.get("eps") is not None:
             overrides["eps"] = _fraction_arg(cfg.params["eps"])
     else:
-        if cfg.params.get("q") is not None or cfg.params.get("p") is not None:
+        if any(cfg.params.get(key) is not None for key in ("q", "p", "eps")):
             raise PreconditionError("constant overrides are only legal with --mode override")
         overrides = None
     attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
@@ -519,15 +521,20 @@ def _handle_report(cfg: RunConfig):
 
 
 def _check_replayed_config(cfg: RunConfig) -> None:
-    """A config file is outside input: each param must have the type and
-    choices of its flag in ``_SUBCOMMANDS``, and no required flag may be absent."""
+    """A config file is outside input: each param must name a flag of
+    ``_SUBCOMMANDS`` and have its type and choices, and no required flag
+    may be absent."""
     entry = _SUBCOMMANDS.get(cfg.subcommand) if isinstance(cfg.subcommand, str) else None
     if entry is None:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
     if cfg.seed is not None and type(cfg.seed) is not int:
         raise ParseError(f"seed must be an integer, got {cfg.seed!r}")
-    for flag, spec in entry[1]:
-        value = cfg.params.get(spec.get("dest", flag.lstrip("-").replace("-", "_")))
+    dests = [spec.get("dest", flag.lstrip("-").replace("-", "_")) for flag, spec in entry[1]]
+    unknown = sorted(set(cfg.params) - set(dests))
+    if unknown:
+        raise ParseError(f"{cfg.subcommand} config has no flag for param {unknown[0]!r}")
+    for dest, (flag, spec) in zip(dests, entry[1]):
+        value = cfg.params.get(dest)
         if value is None and spec.get("required"):
             raise ParseError(f"{cfg.subcommand} config needs {flag}")
         want = bool if spec.get("action") == "store_true" else spec.get("type", str)
@@ -732,9 +739,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         rep = run(cfg)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -118,8 +118,18 @@ class MonteCarloReport:
     verdict: str
 
 
-def _three_sigma(bound: float, trials: int) -> float:
-    return 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
+def _monte_carlo_report(
+    params: dict, trials: int, seed: int, hits: int, bound: float
+) -> MonteCarloReport:
+    """The verdict on ``hits`` in ``trials``: "inconclusive" with no
+    trials, else "pass" when the empirical rate is at most the bound plus
+    3 sigma of a Bernoulli(bound) mean over ``trials``, and "fail" above."""
+    if trials == 0:
+        return MonteCarloReport(params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
+    empirical = hits / trials
+    margin = 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
+    verdict = "pass" if empirical <= bound + margin else "fail"
+    return MonteCarloReport(params, trials, seed, hits, empirical, bound, margin, verdict)
 
 
 def verify_tail_bound(
@@ -141,15 +151,12 @@ def verify_tail_bound(
         raise PreconditionError("trials must be nonnegative")
     params = {"m": m, "k": k, "n": n, "t": float(t)}
     if trials == 0:
-        return MonteCarloReport(params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
+        return _monte_carlo_report(params, 0, seed, 0, bound)
     subs = sample_uniform_subsets(n, m, trials, seed)
     z = (subs < k).sum(axis=1)
     z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
     hits = int((z >= z_min).sum())
-    empirical = hits / trials
-    margin = _three_sigma(bound, trials)
-    verdict = "pass" if empirical <= bound + margin else "fail"
-    return MonteCarloReport(params, trials, seed, hits, empirical, bound, margin, verdict)
+    return _monte_carlo_report(params, trials, seed, hits, bound)
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ def verify_trace_probability(
     if not hypothesis_ok:
         return MonteCarloReport(params, trials, seed, 0, 0.0, bound, 0.0, "hypothesis-failed")
     if trials == 0:
-        return MonteCarloReport(params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
+        return _monte_carlo_report(params, 0, seed, 0, bound)
 
     thr = eps * math.comb(m, r)
     count_min = math.floor(thr) + 1  # least integer > thr
@@ -327,8 +334,4 @@ def verify_trace_probability(
         if len(t_list):
             inside = picked[:, t_idx].all(axis=2).sum(axis=1)
             hits += int((inside >= count_min).sum())
-
-    empirical = hits / trials
-    margin = _three_sigma(bound, trials)
-    verdict = "pass" if empirical <= bound + margin else "fail"
-    return MonteCarloReport(params, trials, seed, hits, empirical, bound, margin, verdict)
+    return _monte_carlo_report(params, trials, seed, hits, bound)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import CertificationError, PreconditionError
 from .families import (
@@ -23,7 +23,6 @@ from .families import (
     check_tolerance,
     dense_need,
     expand_mask,
-    mask_size,
     submasks_of_size,
 )
 from .posets import (
@@ -32,9 +31,6 @@ from .posets import (
     family_as_poset,
     verify_embedding_masks,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_EMBED_ATTEMPTS = 200
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -62,7 +58,7 @@ class DenseTruncatedFamily:
         for mask in self.present:
             if mask & ~full:
                 raise PreconditionError(f"mask {mask:#x} leaves the ground set")
-            size = mask_size(mask)
+            size = mask.bit_count()
             if size > self.m:
                 raise PreconditionError(f"mask of size {size} above truncation {self.m}")
 
@@ -70,7 +66,7 @@ class DenseTruncatedFamily:
 def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
     """True iff every truncation layer keeps at least a (1-eps) fraction."""
     eps = check_tolerance(eps)
-    counts = Counter(map(mask_size, fam.present))
+    counts = Counter(mask.bit_count() for mask in fam.present)
     return all(counts[i] >= dense_need(eps, fam.n, i) for i in range(fam.m + 1))
 
 
@@ -105,19 +101,8 @@ class CubeEmbedResult:
     attempts_used: int
 
 
-def bernoulli_subset_mask(rng: np.random.Generator, n: int, p: float) -> int:
-    """One Bernoulli(p) draw per element of [n], packed into a mask."""
-    import numpy as np
-
-    draws = rng.random(n) < p
-    mask = 0
-    for pos in np.flatnonzero(draws):
-        mask |= 1 << int(pos)
-    return mask
-
-
-def _certify_cube_copy(fam: DenseTruncatedFamily, x_mask: int, m: int) -> None:
-    for size in range(m + 1):
+def _certify_cube_copy(fam: DenseTruncatedFamily, x_mask: int) -> None:
+    for size in range(fam.m + 1):
         for sub in submasks_of_size(x_mask, size):
             if sub not in fam.present:
                 raise CertificationError(
@@ -127,11 +112,11 @@ def _certify_cube_copy(fam: DenseTruncatedFamily, x_mask: int, m: int) -> None:
 
 def randomized_cube_embed(
     fam: DenseTruncatedFamily,
-    m: int,
     seed: int,
     max_attempts: int = DEFAULT_EMBED_ATTEMPTS,
 ) -> CubeEmbedResult:
-    """Find an m-subset X of [n] all of whose small subsets lie in ``fam``.
+    """Find an m-subset X of [n], m = ``fam.m``, all of whose small subsets
+    lie in ``fam``.
 
     The guarantee is S in fam for every S subseteq X with |S| <= m.  Per
     attempt: draw each element with probability 2m/n, delete the smallest
@@ -146,8 +131,9 @@ def randomized_cube_embed(
     """
     import numpy as np
 
-    if not 1 <= m <= fam.m:
-        raise PreconditionError(f"need 1 <= m <= truncation {fam.m}, got m={m}")
+    m = fam.m
+    if m < 1:
+        raise PreconditionError(f"need truncation m >= 1, got m={m}")
     if fam.n < 2 * m:
         raise PreconditionError(f"need n >= 2m, got n={fam.n}, m={m}")
     if not dense_class_check(fam, universality_epsilon(m)):
@@ -163,7 +149,7 @@ def randomized_cube_embed(
 
     for attempt in range(max_attempts):
         rng = np.random.Generator(base.jumped(attempt))
-        x_mask = bernoulli_subset_mask(rng, n, p)
+        x_mask = sum(1 << int(pos) for pos in np.flatnonzero(rng.random(n) < p))
         bad = [
             sub
             for size in range(m + 1)
@@ -173,14 +159,14 @@ def randomized_cube_embed(
         for sub in bad:
             if sub & x_mask == sub:    # still intact; drop its smallest element
                 x_mask ^= sub & -sub
-        if mask_size(x_mask) < m:
+        if x_mask.bit_count() < m:
             continue
         shrunk = 0
         for _ in range(m):
             low = x_mask & -x_mask
             shrunk |= low
             x_mask ^= low
-        _certify_cube_copy(fam, shrunk, m)
+        _certify_cube_copy(fam, shrunk)
         return CubeEmbedResult(shrunk, attempt + 1)
     return CubeEmbedResult(None, max_attempts)
 
@@ -235,10 +221,10 @@ def find_pattern_via_universality(
     # subsets (then locate the dual pattern in the complement and flip).
     if n >= 2 * k:
         for flip, oriented in ((0, pattern), (full, pattern.dual())):
-            small = frozenset(flip ^ a for a in members if mask_size(flip ^ a) <= k)
+            small = frozenset(flip ^ a for a in members if (flip ^ a).bit_count() <= k)
             dtf = DenseTruncatedFamily(n, k, small)
             if dense_class_check(dtf, universality_epsilon(k)):
-                res = randomized_cube_embed(dtf, k, seed, attempts)
+                res = randomized_cube_embed(dtf, seed, attempts)
                 if stats is not None:
                     stats["attempts_used"] += res.attempts_used
                 if res.mask is not None:

@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the package.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES): parse errors,
+Each class maps to one CLI exit code (see cli.main): parse errors,
 precondition violations, exhausted search budgets and certification
 failures are distinct, so callers never have to guess which contract
 broke.
@@ -42,8 +42,13 @@ class CertificationError(CubefamError, AssertionError):
 
 @contextlib.contextmanager
 def open_text(path, encoding: str, what: str):
-    """``path`` opened for reading text; a byte the codec rejects is a ParseError."""
-    with open(path, "r", encoding=encoding) as fh:
+    """``path`` opened for reading text; a path that cannot be opened, or a
+    byte the codec rejects, is a ParseError."""
+    try:
+        fh = open(path, "r", encoding=encoding)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

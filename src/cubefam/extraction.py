@@ -45,7 +45,6 @@ from .families import (
     lubell_mass,
     lubell_weights,
     mask_elements,
-    mask_size,
     mass_of_sizes,
 )
 from .pivots import (
@@ -99,7 +98,7 @@ def _centred(shifted: Sequence[int], universe: int) -> tuple:
     members.sort(key=int.bit_count)  # stable: ascending mask within a size
     if not members:
         raise PreconditionError("centred element of an empty family")
-    u = mask_size(universe)
+    u = universe.bit_count()
     sizes = [f.bit_count() for f in members]
     total = mass_of_sizes(sizes, u)
     if u <= _SOS_BIT_CAP:
@@ -172,17 +171,14 @@ class ConstantCascade:
 
     def step_floor(self, d: int):
         """Mass that must survive after step d (telescopes by halving)."""
-        return cond5_floor(self.m, d, self.q, self.p)
+        m = self.m
+        qp = 2 * m * self.q + self.p
+        k = 2 * m - d
+        return (1 << k) * (2 * m + 1) + sum((1 << i) * qp for i in range(1, k + 1))
 
     def step_demand(self):
         """Mass a single step consumes: the dichotomy needs > 4mq + 2p."""
         return 4 * self.m * self.q + 2 * self.p
-
-
-def cond5_floor(m: int, d: int, q: Fraction, p: Fraction) -> Fraction:
-    qp = 2 * m * q + p
-    k = 2 * m - d
-    return (1 << k) * (2 * m + 1) + sum((1 << i) * qp for i in range(1, k + 1))
 
 
 def _threshold_formula(m: int, q, p):
@@ -261,7 +257,7 @@ def _prune_and_centre(
 ) -> Optional[tuple]:
     """Case worker: keep the small half, drop inflexible and slim members,
     centre what remains.  Returns (Y, mass) or None if nothing survives."""
-    u = mask_size(universe)
+    u = universe.bit_count()
     lower = [f for f in member_set if 2 * f.bit_count() <= u]
     if r > 0:  # at r = 0 each member is its own 0-landing, hence flexible
         lower_set = frozenset(lower)
@@ -289,7 +285,7 @@ def _step(
         raise PreconditionError(f"step index d={d} out of range [0, {2 * m}]")
     if len(fats) != d:
         raise PreconditionError(f"expected {d} pivot strata, got {len(fats)}")
-    u = mask_size(universe)
+    u = universe.bit_count()
     sizes = [f.bit_count() for f in member_set]
     mass = mass_of_sizes(sizes, u)
     if mass <= cascade.step_demand():
@@ -311,7 +307,7 @@ def _step(
         y, y_mass = got
         element = universe ^ y if anti else y
         stratum = pivots_in_universe(member_set, universe, element, r, anti=anti)
-        if len(stratum.pivots) < flex_need(eps, mask_size(y), r):
+        if len(stratum.pivots) < flex_need(eps, y.bit_count(), r):
             raise CertificationError(
                 "stratum count contradicts the flexibility that selected it"
             )
@@ -432,8 +428,8 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
             moved_out, moved_in = base & ~w, w & ~base
             expected = moved_out if out.case == CASE_FLEX else moved_in
             if (
-                mask_size(moved_out) != r_d
-                or mask_size(moved_in) != r_d
+                moved_out.bit_count() != r_d
+                or moved_in.bit_count() != r_d
                 or x != expected
             ):
                 raise CertificationError(f"step {d}: witness for {x:#x} malformed")
@@ -443,7 +439,7 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
                 raise CertificationError(f"step {d}: new gap not fat for order {r_i}")
 
         step_mass = mass_of_sizes(
-            (mask_size(f & gap) for f in new_members), mask_size(gap)
+            ((f & gap).bit_count() for f in new_members), gap.bit_count()
         )
         # The centred element was chosen inside the pruned survivor family,
         # a subfamily of the interval: its one-sided mass is a lower bound.
@@ -508,7 +504,7 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
     picked = [s for s in trace.steps if s.case == case]
     if [s.a if case == CASE_FLEX else s.b for s in picked] != list(range(m + 1)):
         raise CertificationError("branch steps do not carry orders 0..m")
-    if mask_size(X) < 2 * m:
+    if X.bit_count() < 2 * m:
         return WitnessAssembly(STATUS_SMALL_X, case, X, {})
 
     psi: dict = {}
@@ -590,13 +586,13 @@ def extract_induced_copy(
         return ExtractionResult(assembly.status, cascade.mode, None, trace, assembly, None)
 
     X = assembly.X
-    u = mask_size(X)
+    u = X.bit_count()
     present = frozenset(compress_mask(x, X) for x in assembly.psi)
     dtf = DenseTruncatedFamily(u, m, present)
     embed_eps = min(cascade.eps_level(1), universality_epsilon(m))
     if not dense_class_check(dtf, embed_eps):
         return ExtractionResult(STATUS_NOT_DENSE, cascade.mode, None, trace, assembly, None)
-    res = randomized_cube_embed(dtf, m, seed, attempts)
+    res = randomized_cube_embed(dtf, seed, attempts)
     if res.mask is None:
         return ExtractionResult(STATUS_EXHAUSTED, cascade.mode, None, trace, assembly, res)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import CertificationError, PreconditionError
-from .families import SetFamily, lubell_mass, lubell_weights, mask_size
+from .families import SetFamily, lubell_mass, lubell_weights
 from .posets import (
     AnchoredSearch,
     FinitePoset,
@@ -187,9 +187,9 @@ class _Search:
             self.scale, weight = lubell_weights(n)
         layers = [[] for _ in range(n + 1)]
         for m in range(1 << n):
-            layers[mask_size(m)].append(m)
+            layers[m.bit_count()].append(m)
         self.cands = [m for s in middle_layer_order(n) for m in layers[s]]
-        self.weights = [weight[mask_size(m)] for m in self.cands]
+        self.weights = [weight[m.bit_count()] for m in self.cands]
         if pattern.is_chain() or mode == "weak":
             cap = pattern.k - 1
             # Height <= k-1 splits the family into k-1 antichains, and an
@@ -255,7 +255,7 @@ class _Search:
         # Any family can be relabeled so that its first chosen mask (in
         # search order) is the smallest of its size, so other first
         # picks need not be explored.
-        may_start = self.feas.masks or x == (1 << mask_size(x)) - 1
+        may_start = self.feas.masks or x == (1 << x.bit_count()) - 1
         return (
             may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(x)
         )
@@ -348,7 +348,7 @@ def middle_layers_number(pattern: FinitePoset, n: int) -> int:
     first_try = max(1, height(pattern))
     for m in range(first_try, n + 2):
         sizes = set(order[:m])
-        host = family_as_poset(x for x in range(1 << n) if mask_size(x) in sizes)
+        host = family_as_poset(x for x in range(1 << n) if x.bit_count() in sizes)
         if contains_subposet(host, pattern, "weak") is not None:
             return m - 1
     return n + 1
@@ -363,7 +363,7 @@ def chain_mass_bound_check(n: int, k: int) -> dict:
     result = extremal_search(n, make_chain(k), "weak", "lubell")
     expected = Fraction(min(k - 1, n + 1))
     sizes = set(middle_layer_order(n)[: k - 1])
-    layer_members = [x for x in range(1 << n) if mask_size(x) in sizes]
+    layer_members = [x for x in range(1 << n) if x.bit_count() in sizes]
     layers_mass = lubell_mass(SetFamily(n, layer_members))
     if result.value != expected:
         raise CertificationError(

@@ -20,10 +20,6 @@ from .errors import ParseError, PreconditionError, open_text
 MAX_GROUND = 64
 
 
-def mask_size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def mask_elements(mask: int) -> tuple[int, ...]:
     """1-based, sorted element indices of a mask."""
     out = []
@@ -80,10 +76,11 @@ def submasks_of_size(mask: int, r: int) -> Iterator[int]:
 class SetFamily:
     """An immutable, duplicate-free family of subsets of [n].
 
-    Iteration order is ascending mask value.
+    Iteration order is ascending mask value: ``members`` holds the masks
+    in that order, ``member_set`` the same masks as a frozenset.
     """
 
-    __slots__ = ("n", "full_mask", "_members", "_member_set")
+    __slots__ = ("n", "full_mask", "members", "member_set")
 
     def __init__(self, n: int, members: Iterable[int] = ()):
         if not 0 <= n <= MAX_GROUND:
@@ -100,39 +97,31 @@ class SetFamily:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "full_mask", full)
-        object.__setattr__(self, "_members", ordered)
-        object.__setattr__(self, "_member_set", member_set)
+        object.__setattr__(self, "members", ordered)
+        object.__setattr__(self, "member_set", member_set)
 
     def __setattr__(self, *_):
         raise AttributeError("SetFamily is immutable")
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self._members
-
-    @property
-    def member_set(self) -> frozenset[int]:
-        return self._member_set
-
     def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set
+        return mask in self.member_set
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.members)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self.n == other.n and self._member_set == other._member_set
+        return self.n == other.n and self.member_set == other.member_set
 
     def __hash__(self) -> int:
-        return hash((self.n, self._member_set))
+        return hash((self.n, self.member_set))
 
     def __repr__(self) -> str:
-        return f"SetFamily(n={self.n}, members={len(self._members)})"
+        return f"SetFamily(n={self.n}, members={len(self.members)})"
 
 
 def full_power_set(n: int) -> SetFamily:
@@ -199,7 +188,7 @@ def lubell_mass(fam: SetFamily) -> Fraction:
     Equals the expected number of members met by a uniformly random
     maximal chain in the lattice of subsets of [n].
     """
-    return mass_of_sizes(map(mask_size, fam.members), fam.n)
+    return mass_of_sizes(map(int.bit_count, fam.members), fam.n)
 
 
 def interval_members(fam: SetFamily, B: int, A: int) -> list[int]:
@@ -216,7 +205,7 @@ def restrict_interval(fam: SetFamily, B: int, A: int) -> SetFamily:
     """
     universe = A & ~B
     shifted = [compress_mask(m & ~B, universe) for m in interval_members(fam, B, A)]
-    return SetFamily(mask_size(universe), shifted)
+    return SetFamily(universe.bit_count(), shifted)
 
 
 def relative_lubell(fam: SetFamily, B: int, A: int) -> Fraction:
@@ -225,7 +214,7 @@ def relative_lubell(fam: SetFamily, B: int, A: int) -> Fraction:
     Identical, by construction, to ``lubell_mass(restrict_interval(fam, B, A))``.
     """
     return mass_of_sizes(
-        (mask_size(m & ~B) for m in interval_members(fam, B, A)), mask_size(A & ~B)
+        ((m & ~B).bit_count() for m in interval_members(fam, B, A)), (A & ~B).bit_count()
     )
 
 

@@ -21,7 +21,6 @@ from .families import (
     check_tolerance,
     dense_need,
     lubell_mass,
-    mask_size,
     submasks_of_size,
 )
 
@@ -67,7 +66,7 @@ def _landings(member_set, universe: int, A: int, r: int, anti: bool):
     """
     outside = universe & ~A
     if anti:
-        keep = mask_size(A) - r          # below 0: no X to swap out, no landing
+        keep = A.bit_count() - r         # below 0: no X to swap out, no landing
         kept = list(submasks_of_size(A, keep)) if keep >= 0 else []
         for y in submasks_of_size(outside, r):
             yield y, next((k | y for k in kept if k | y in member_set), None)
@@ -99,16 +98,6 @@ def pivots_in_universe(member_set, universe: int, A: int, r: int, anti: bool = F
     return PivotSet(A, r, kind, pivots, {x: found[x] for x in pivots})
 
 
-def enumerate_pivots(fam: SetFamily, A: int, r: int) -> PivotSet:
-    """``pivots_in_universe`` over the family's ground set."""
-    return pivots_in_universe(fam.member_set, fam.full_mask, A, r)
-
-
-def enumerate_anti_pivots(fam: SetFamily, A: int, r: int) -> PivotSet:
-    """``pivots_in_universe`` over the family's ground set, anti-pivots."""
-    return pivots_in_universe(fam.member_set, fam.full_mask, A, r, anti=True)
-
-
 def validate_record(fam: SetFamily, rec: PivotRecord) -> None:
     """Raise unless ``rec`` satisfies the structural pivot invariants."""
     if rec.kind not in ("pivot", "anti-pivot"):
@@ -124,11 +113,11 @@ def validate_record(fam: SetFamily, rec: PivotRecord) -> None:
         if rec.moved != 0 or rec.witness != rec.base:
             raise PreconditionError("0-swap records must move nothing and witness the base")
         return
-    if mask_size(rec.moved) != rec.r:
+    if rec.moved.bit_count() != rec.r:
         raise PreconditionError("moved set has the wrong size")
     x = rec.base & ~rec.witness       # what left the base
     y = rec.witness & ~rec.base       # what came in
-    if mask_size(x) != rec.r or mask_size(y) != rec.r:
+    if x.bit_count() != rec.r or y.bit_count() != rec.r:
         raise PreconditionError("witness is not an r-swap of the base")
     expected = x if rec.kind == "pivot" else y
     if rec.moved != expected:
@@ -167,26 +156,20 @@ def flex_need(gamma, pool: int, r: int) -> int:
     return max(1, dense_need(gamma, pool, r))
 
 
-def is_flexible(
-    fam: SetFamily, A: int, gamma, r: int, *, anti: bool = False
-) -> bool:
-    """Does A have at least max(1, (1-gamma) C(pool, r)) r-(anti-)pivots?
-
-    The threshold is compared in exact rational arithmetic; the pool is
-    A itself for pivots and its complement for anti-pivots.
-    """
-    return flexible_in_universe(
-        fam.member_set, fam.full_mask, A, gamma, r, anti=anti
-    )
-
-
 def flexible_in_universe(
     member_set, universe: int, A: int, gamma, r: int, *, anti: bool = False
 ) -> bool:
+    """Does A have at least max(1, (1-gamma) C(pool, r)) r-(anti-)pivots
+    within ``universe``?
+
+    The threshold is compared in exact rational arithmetic; the pool is
+    A itself for pivots and its complement in ``universe`` for
+    anti-pivots.
+    """
     gamma = check_tolerance(gamma, "gamma")
     if A & ~universe:
         raise PreconditionError("base set leaves the universe")
-    pool = mask_size(universe & ~A) if anti else mask_size(A)
+    pool = (universe & ~A).bit_count() if anti else A.bit_count()
     need = flex_need(gamma, pool, r)
     # Scan until the count is decided: reached, or out of reach of the
     # moved sets not yet scanned.
@@ -206,7 +189,7 @@ def is_fat(X: int, S, eps, r: int) -> bool:
     eps = Fraction(eps)
     if eps <= 0:
         raise PreconditionError(f"fatness tolerance must be positive, got {eps}")
-    width = mask_size(X)
+    width = X.bit_count()
     if len(S) < math.comb(width, r):
         count = sum(1 for s in S if s & ~X == 0)
     else:
@@ -244,14 +227,17 @@ def verify_flexibility_bound(fam: SetFamily, gamma, r: int) -> MassBoundReport:
     bound = flexibility_mass_bound(gamma, r)
     mass = lubell_mass(fam)
     n = fam.n
-    oversized = [a for a in fam.members if 2 * mask_size(a) > n]
+    oversized = [a for a in fam.members if 2 * a.bit_count() > n]
     if oversized:
         return MassBoundReport(
             False,
             f"{len(oversized)} members exceed half the ground size",
             mass, bound, None,
         )
-    flexible = [a for a in fam.members if is_flexible(fam, a, gamma, r)]
+    flexible = [
+        a for a in fam.members
+        if flexible_in_universe(fam.member_set, fam.full_mask, a, gamma, r)
+    ]
     if flexible:
         return MassBoundReport(
             False, f"{len(flexible)} members are flexible", mass, bound, None
@@ -267,7 +253,7 @@ def verify_fat_mass_bound(fam: SetFamily, S: Iterable[int], eps) -> MassBoundRep
     """
     eps = Fraction(eps)
     s_set = frozenset(S)
-    sizes = sorted({mask_size(s) for s in s_set})
+    sizes = sorted({s.bit_count() for s in s_set})
     if len(sizes) > 1:
         raise PreconditionError(f"S mixes subset sizes {sizes}")
     if not sizes:
@@ -323,7 +309,7 @@ def max_flexfree_layer(n: int, k: int, gamma, r: int) -> tuple:
         c_swaps = set()
         for a, a_swaps in zip(chosen, swaps):
             x = a & ~c
-            if mask_size(x) != r:
+            if x.bit_count() != r:
                 continue
             if x not in a_swaps:
                 if len(a_swaps) + 1 >= limit:

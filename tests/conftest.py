@@ -14,7 +14,6 @@ from cubefam.families import (
     SetFamily,
     compress_mask,
     mask_elements,
-    mask_size,
     mass_of_sizes,
     submasks_of_size,
 )
@@ -65,23 +64,23 @@ def reference_centred(shifted, universe: int) -> tuple:
     mask).  Returns (member, mass) of the first one whose mass covers the
     family's, or None.
     """
-    members = sorted(set(shifted), key=lambda f: (mask_size(f), f))
-    u = mask_size(universe)
-    total = mass_of_sizes(map(mask_size, members), u)
+    members = sorted(set(shifted), key=lambda f: (f.bit_count(), f))
+    u = universe.bit_count()
+    total = mass_of_sizes((f.bit_count() for f in members), u)
     tables = None
     if u <= 20:
         tables = {}
-        for s in set(map(mask_size, members)):
+        for s in {f.bit_count() for f in members}:
             arr = np.zeros(1 << u, dtype=np.int64)
             for f in members:
-                if mask_size(f) == s:
+                if f.bit_count() == s:
                     arr[compress_mask(f, universe)] += 1
             for i in range(u):
                 view = arr.reshape(-1, 2, 1 << i)
                 view[:, 1, :] += view[:, 0, :]
             tables[s] = arr
     for A in members:
-        a = mask_size(A)
+        a = A.bit_count()
         if tables is not None:
             c = compress_mask(A, universe)
             mass = sum(
@@ -89,7 +88,7 @@ def reference_centred(shifted, universe: int) -> tuple:
                 Fraction(0),
             )
         else:
-            mass = mass_of_sizes((mask_size(g) for g in members if g & ~A == 0), a)
+            mass = mass_of_sizes((g.bit_count() for g in members if g & ~A == 0), a)
         if mass >= total:
             return A, mass
     return None

@@ -20,14 +20,11 @@ from cubefam import (
     compute_cascade,
     contains_subposet,
     downset_embedding,
-    enumerate_anti_pivots,
-    enumerate_pivots,
     enumerate_posets,
     extract_induced_copy,
     extremal_search,
     family_as_poset,
     flexibility_mass_bound,
-    is_flexible,
     lubell_mass,
     make_chain,
     max_flexfree_mass,
@@ -38,7 +35,7 @@ from cubefam import (
     verify_flexibility_bound,
     verify_tail_bound,
 )
-from cubefam.families import mask_size
+from cubefam.pivots import flexible_in_universe, pivots_in_universe
 from cubefam.posets import verify_embedding_masks
 
 from conftest import nonempty_random_family, random_poset
@@ -118,8 +115,9 @@ def test_criterion_05_pivot_records_hold():
         fam = nonempty_random_family(rng, n, density=rng.uniform(0.2, 0.5))
         base = rng.choice(fam.members)
         r = rng.randint(0, 2)
-        enum = enumerate_anti_pivots if rng.random() < 0.5 else enumerate_pivots
-        for rec in enum(fam, base, r).records():
+        anti = rng.random() < 0.5
+        ps = pivots_in_universe(fam.member_set, fam.full_mask, base, r, anti=anti)
+        for rec in ps.records():
             if checked == 1000:
                 break
             checked += 1
@@ -150,11 +148,14 @@ def test_criterion_06_flexibility_mass_bound():
     for _ in range(500):
         n = rng.randint(5, 14)
         gamma, r = cases[rng.randrange(2)]
-        pool = [m for m in range(1 << n) if 2 * mask_size(m) <= n]
+        pool = [m for m in range(1 << n) if 2 * m.bit_count() <= n]
         members = rng.sample(pool, min(len(pool), rng.randint(5, 120)))
         fam = SetFamily(n, members)
         while True:
-            flexible = [a for a in fam.members if is_flexible(fam, a, gamma, r)]
+            flexible = [
+                a for a in fam.members
+                if flexible_in_universe(fam.member_set, fam.full_mask, a, gamma, r)
+            ]
             if not flexible:
                 break
             keep = [a for a in fam.members if a not in set(flexible)]
@@ -234,7 +235,7 @@ def test_criterion_09_randomized_cube_location():
             drop = set(rng.sample(layer, rng.randint(0, cap))) if cap else set()
             present |= set(layer) - drop
         dtf = DenseTruncatedFamily(n, m, frozenset(present))
-        res = randomized_cube_embed(dtf, m, seed=9_000_000 + trial, max_attempts=200)
+        res = randomized_cube_embed(dtf, seed=9_000_000 + trial, max_attempts=200)
         if res.mask is None:
             continue
         bits = [b for b in range(n) if res.mask >> b & 1]

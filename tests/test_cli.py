@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, JSON reports, replay."""
 
 import argparse
+import errno
 import functools
 import hashlib
 import itertools
@@ -69,6 +70,14 @@ class TestLubell:
         assert interval["relative_mass"] == "3/1"
         assert interval["top"] == "1,2" and interval["bottom"] == "-"
 
+    def test_bottom_alone_reaches_the_full_ground_set(self, capsys, fam_file):
+        path = fam_file(full_power_set(3))
+        code, payload = run_json(capsys, ["lubell", "--family", path, "--bottom", "1"])
+        assert code == 0
+        interval = payload["results"]["interval"]
+        assert interval["bottom"] == "1" and interval["top"] == "1,2,3"
+        assert interval["relative_mass"] == "3/1"
+
     def test_timings_flag(self, capsys, fam_file):
         path = fam_file(full_power_set(2))
         code, payload = run_json(capsys, ["--with-timings", "lubell", "--family", path])
@@ -108,7 +117,24 @@ class TestErrorExits:
         assert captured.out == ""
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
-        assert main(["lubell", "--family", str(tmp_path / "nope.txt")]) == 2
+        path = str(tmp_path / "nope.txt")
+        assert main(["lubell", "--family", path]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
+        )
+
+    @pytest.mark.parametrize("name,code", [
+        (".", errno.EISDIR),
+        ("file.txt/x", errno.ENOTDIR),
+        ("x" * 300, errno.ENAMETOOLONG),
+    ], ids=["directory", "through-a-file", "name-too-long"])
+    def test_unopenable_path_exits_2(self, capsys, tmp_path, name, code):
+        (tmp_path / "file.txt").write_text("n=1\n")
+        path = os.path.normpath(tmp_path / name)
+        assert main(["lubell", "--family", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+        assert captured.out == ""
 
     def test_randomized_without_seed_exits_3(self, capsys, fam_file):
         path = fam_file(full_power_set(3))
@@ -131,6 +157,18 @@ class TestErrorExits:
             "--q", "1/2", "--p", "1/2", "--seed", "1",
         ])
         assert code == 3
+
+    def test_paper_mode_forbids_eps(self, capsys, fam_file):
+        path = fam_file(full_power_set(3))
+        code = main([
+            "extract", "--family", path, "--pattern", "builtin:P2",
+            "--eps", "1/8", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "precondition violated: constant overrides are only legal with --mode override\n"
+        )
 
 
 class TestFlagErrors:
@@ -271,6 +309,14 @@ class TestEmbed:
         assert payload["certifications"] == [
             {"object": "embedding", "check": "order-preserving pairwise", "passed": True},
         ]
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_exits_3(self, capsys, fam_file, seed):
+        path = fam_file(full_power_set(3))
+        code = main(["embed", "--family", path, "--pattern", "builtin:P2", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "precondition violated: seed must fit in 64 bits\n"
 
     def test_ephemeral_allows_randomness(self, capsys, fam_file):
         path = fam_file(full_power_set(3))
@@ -641,7 +687,13 @@ class TestReportReplay:
         ({"subcommand": "embed", "seed": "x",
           "params": {"family": "f.txt", "pattern": "builtin:P2", "mode": "induced"}},
          "seed must be an integer"),
-    ], ids=["unknown-subcommand", "missing-flag", "json-list", "string-seed"])
+        ({"params": {"family": "f.txt"}}, "config file missing key: 'subcommand'"),
+        ({"subcommand": "lubell", "params": {"family": "f.txt", "bottm": "1"}},
+         "lubell config has no flag for param 'bottm'"),
+        ({"subcommand": "lubell", "params": {"family": "f.txt", "help": True}},
+         "lubell config has no flag for param 'help'"),
+    ], ids=["unknown-subcommand", "missing-flag", "json-list", "string-seed",
+            "missing-subcommand", "misspelt-param", "help-param"])
     def test_bad_config_is_parse_error(self, capsys, tmp_path, config, message):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config))

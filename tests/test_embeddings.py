@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cubefam.errors import PreconditionError, SearchBudgetExceeded
-from cubefam.families import SetFamily, full_power_set, mask_size
+from cubefam.families import SetFamily, full_power_set
 from cubefam.posets import (
     contains_subposet,
     enumerate_posets,
@@ -72,9 +72,9 @@ def test_randomized_cube_embed_on_full_truncation():
         mask for k in range(m + 1) for mask in _layer_masks(n, k)
     )
     dtf = DenseTruncatedFamily(n, m, present)
-    res = randomized_cube_embed(dtf, m, seed=31337, max_attempts=50)
+    res = randomized_cube_embed(dtf, seed=31337, max_attempts=50)
     assert res.mask is not None
-    assert mask_size(res.mask) == m
+    assert res.mask.bit_count() == m
     # certified: every subset of the located cube is present
     for r in range(m + 1):
         for sub in itertools.combinations(
@@ -89,8 +89,8 @@ def test_randomized_cube_embed_deterministic_per_seed():
         mask for k in range(m + 1) for mask in _layer_masks(n, k)
     )
     dtf = DenseTruncatedFamily(n, m, present)
-    a = randomized_cube_embed(dtf, m, seed=99, max_attempts=20)
-    b = randomized_cube_embed(dtf, m, seed=99, max_attempts=20)
+    a = randomized_cube_embed(dtf, seed=99, max_attempts=20)
+    b = randomized_cube_embed(dtf, seed=99, max_attempts=20)
     assert (a.mask, a.attempts_used) == (b.mask, b.attempts_used)
 
 
@@ -122,7 +122,7 @@ def test_find_pattern_cosmall_route():
     """A family dense only near the top forces the complement route."""
     n = 9
     members = [
-        m for m in range(1 << n) if mask_size(m) >= n - 3
+        m for m in range(1 << n) if m.bit_count() >= n - 3
     ]
     fam = SetFamily(n, members)
     emb = find_pattern_via_universality(fam, make_v(), seed=12)

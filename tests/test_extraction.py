@@ -34,7 +34,6 @@ from cubefam.extraction import (
     assemble_witnesses,
     _centred,
     build_sequences,
-    cond5_floor,
 )
 from cubefam.families import MAX_GROUND
 from cubefam.posets import verify_embedding_masks
@@ -117,9 +116,9 @@ class TestOverrideCascade:
 
     def test_step_floor_telescopes(self):
         q = p = Fraction(1, 2)
-        assert cond5_floor(1, 2, q, p) == 3
-        assert cond5_floor(1, 1, q, p) == 6 + Fraction(3, 2) * 2
-        assert cond5_floor(1, 0, q, p) == 21
+        assert override_cascade(1, q, p).step_floor(2) == 3
+        assert override_cascade(1, q, p).step_floor(1) == 6 + Fraction(3, 2) * 2
+        assert override_cascade(1, q, p).step_floor(0) == 21
         c = override_cascade(1, q, p, Fraction(1, 8))
         assert c.step_floor(0) == 21
 

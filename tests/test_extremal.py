@@ -27,7 +27,6 @@ from cubefam.extremal import (
     middle_layer_order,
     symmetric_chain_decomposition,
 )
-from cubefam.families import mask_size
 from cubefam.posets import AnchoredSearch
 
 from conftest import reference_chain_ids, reference_feasible
@@ -43,12 +42,12 @@ class TestSymmetricChains:
             chains.setdefault(cid, []).append(mask)
         assert len(chains) == math.comb(n, n // 2)
         for members in chains.values():
-            members.sort(key=mask_size)
-            lo, hi = mask_size(members[0]), mask_size(members[-1])
+            members.sort(key=int.bit_count)
+            lo, hi = members[0].bit_count(), members[-1].bit_count()
             assert lo + hi == n                   # symmetric around the middle
             assert len(members) == hi - lo + 1
             for a, b in zip(members, members[1:]):
-                assert a & ~b == 0 and mask_size(b) == mask_size(a) + 1
+                assert a & ~b == 0 and b.bit_count() == a.bit_count() + 1
 
     def test_chain_id_is_a_member(self, n=6):
         chain_of = symmetric_chain_decomposition(n)

@@ -19,7 +19,6 @@ from cubefam.families import (
     interval_members,
     lubell_mass,
     mask_elements,
-    mask_size,
     mass_of_sizes,
     parse_decimal,
     parse_family,
@@ -36,7 +35,6 @@ from conftest import random_family
 def test_mask_round_trip():
     assert mask_elements(0b01101) == (1, 3, 4)
     assert mask_elements(0) == ()
-    assert mask_size(0b01101) == 3
 
 
 def test_family_is_normalized_and_immutable():
@@ -110,7 +108,7 @@ def test_relative_mass_matches_direct_computation():
         inside = [f for f in fam.members if b & ~f == 0 and f & ~a == 0]
         assert interval_members(fam, b, a) == inside
         sub = restrict_interval(fam, b, a)
-        assert sub.n == mask_size(a & ~b)
+        assert sub.n == (a & ~b).bit_count()
         got = relative_lubell(fam, b, a)
         assert got == lubell_mass(sub)
         assert relative_lubell(fam, 0, full) == lubell_mass(fam)
@@ -125,7 +123,7 @@ def test_compress_expand_inverse():
         positions = [p for p in range(12) if universe >> p & 1]
         assert bits == sum(1 << i for i, p in enumerate(positions) if sub >> p & 1)
         assert expand_mask(bits, universe) == sub
-        assert bits < (1 << mask_size(universe))
+        assert bits < (1 << universe.bit_count())
 
 
 def test_submasks_of_size_follow_combinations_order():

@@ -4,7 +4,8 @@ are not imported with the package; the CLI reads every rational flag
 through one parser and touches no argparse private; the tolerance range
 check and the integer Lubell weights are each written once; every
 module-level function and class of the package is used by the package, or
-kept by name.
+kept by name; no function only hands its arguments on to another one of
+the package, unless kept by name.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -359,8 +360,6 @@ KEEP = {
     "restrict_interval": "the reference that relative_lubell is tested against",
     "full_power_set": "public constructor of families for the family file format",
     "write_family": "public writer of the documented family file format",
-    "enumerate_pivots": "public SetFamily form of pivots_in_universe, traced by perfbench",
-    "enumerate_anti_pivots": "public SetFamily form of pivots_in_universe, traced by perfbench",
 }
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -407,3 +406,93 @@ def test_definition_scan_flags_dead_and_stale():
     )
     assert unreferenced([a, b]) == ["Kept", "recursive"]
     assert unkept_and_stale([a, b], {"Kept": "", "used": ""}) == (["recursive"], ["used"])
+
+
+# Functions and methods that only hand their arguments on to another
+# function of the package, kept on purpose, one reason each.
+PASS_THROUGH_KEEP = {
+    "dual": "the dual order: the above and below rows swapped",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_docstring(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Expr) and isinstance(getattr(stmt.value, "value", None), str)
+
+
+def pass_through(trees: list[ast.Module]) -> list[str]:
+    """Functions and methods whose body, after its docstring, is one
+    ``return`` of a call to a function defined in ``trees``, every
+    argument a parameter, an attribute of a parameter or a constant.
+
+    Such a function adds a name and nothing else: its callers could call
+    the function behind it with what they already hold.
+    """
+    defined = {
+        node.name for tree in trees for node in ast.walk(tree) if isinstance(node, FUNCTIONS)
+    }
+    found = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCTIONS):
+                continue
+            body = node.body[1:] if _is_docstring(node.body[0]) else node.body
+            if not (len(body) == 1 and isinstance(body[0], ast.Return)):
+                continue
+            call = body[0].value
+            if not isinstance(call, ast.Call):
+                continue
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) not in defined:
+                continue
+            a = node.args
+            params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            params |= {arg.arg for arg in (a.vararg, a.kwarg) if arg is not None}
+
+            def handed_on(arg: ast.expr) -> bool:
+                arg = arg.value if isinstance(arg, ast.Starred) else arg
+                if isinstance(arg, ast.Attribute):
+                    arg = arg.value
+                return isinstance(arg, ast.Constant) or getattr(arg, "id", None) in params
+
+            if all(handed_on(arg) for arg in call.args + [kw.value for kw in call.keywords]):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_no_pass_through_functions():
+    """A wrapper whose callers already hold everything it passes on is
+    replaced by a direct call to the function behind it."""
+    trees = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "cubefam").glob("*.py"))
+    ]
+    assert pass_through(trees) == sorted(PASS_THROUGH_KEEP)
+
+
+def test_pass_through_scan_flags_forwards_only():
+    tree = ast.parse(
+        "def core(a, b=0, *, anti=False):\n"
+        "    return a + b\n"
+        "def forward(fam, a):\n"
+        "    \"Docstring.\"\n"
+        "    return core(fam.members, a, anti=True)\n"
+        "def spread(*args, **kwargs):\n"
+        "    return core(*args, **kwargs)\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        return self.core(self.k, None)\n"
+        "    def core(self, k, x):\n"
+        "        return k\n"
+        "def computes(a):\n"
+        "    return core(a + 1)\n"
+        "def nests(a):\n"
+        "    return core(len(a))\n"
+        "def outside(a):\n"
+        "    return sorted(a)\n"
+        "def global_arg(a):\n"
+        "    return core(a, LIMIT)\n"
+        "def two_steps(a):\n"
+        "    b = a\n"
+        "    return core(b)\n"
+    )
+    assert pass_through([tree]) == ["forward", "method", "spread"]

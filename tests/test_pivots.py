@@ -10,11 +10,8 @@ from cubefam import (
     PivotRecord,
     PreconditionError,
     SetFamily,
-    enumerate_anti_pivots,
-    enumerate_pivots,
     flexibility_mass_bound,
     is_fat,
-    is_flexible,
     lubell_mass,
     max_flexfree_mass,
     observation_check,
@@ -22,7 +19,7 @@ from cubefam import (
     verify_fat_mass_bound,
     verify_flexibility_bound,
 )
-from cubefam.families import mask_size, submasks_of_size
+from cubefam.families import submasks_of_size
 from cubefam.pivots import flexible_in_universe, max_flexfree_layer, pivots_in_universe
 
 from conftest import random_family, reference_pivot_scan
@@ -30,7 +27,7 @@ from conftest import random_family, reference_pivot_scan
 
 def middle_layer(n):
     k = n // 2
-    masks = [m for m in range((1 << n)) if mask_size(m) == k]
+    masks = [m for m in range((1 << n)) if m.bit_count() == k]
     return SetFamily(n, masks)
 
 
@@ -39,7 +36,7 @@ class TestEnumeration:
         # Base {1,2} in the 2-layer of P[4]: dropping either element
         # reaches a member, so both singletons are pivots.
         fam = middle_layer(4)
-        ps = enumerate_pivots(fam, 0b0011, 1)
+        ps = pivots_in_universe(fam.member_set, fam.full_mask, 0b0011, 1)
         assert ps.pivots == (0b0001, 0b0010)
         assert ps.witness_of[0b0001] == 0b0110  # {2,3}: lex-min replacement
         assert ps.witness_of[0b0010] == 0b0101  # {1,3}
@@ -47,7 +44,7 @@ class TestEnumeration:
 
     def test_anti_pivots_hand_case(self):
         fam = middle_layer(4)
-        ps = enumerate_anti_pivots(fam, 0b0011, 1)
+        ps = pivots_in_universe(fam.member_set, fam.full_mask, 0b0011, 1, anti=True)
         assert ps.pivots == (0b0100, 0b1000)
         assert ps.kind == "anti-pivot"
         # Witness of an incoming element contains it and stays in the family.
@@ -56,9 +53,9 @@ class TestEnumeration:
 
     def test_zero_order_pivots(self):
         fam = middle_layer(4)
-        inside = enumerate_pivots(fam, 0b0011, 0)
+        inside = pivots_in_universe(fam.member_set, fam.full_mask, 0b0011, 0)
         assert inside.pivots == (0,) and inside.witness_of[0] == 0b0011
-        outside = enumerate_pivots(fam, 0b0111, 0)
+        outside = pivots_in_universe(fam.member_set, fam.full_mask, 0b0111, 0)
         assert len(outside) == 0
         # At r = 0 flexibility is membership, whatever gamma and side: a
         # base's only 0-landing is itself.  Extraction skips the test there.
@@ -74,8 +71,9 @@ class TestEnumeration:
 
     def test_isolated_base_has_no_pivots(self):
         fam = SetFamily(5, [0b00011])
-        assert len(enumerate_pivots(fam, 0b00011, 1)) == 0
-        assert len(enumerate_anti_pivots(fam, 0b00011, 1)) == 0
+        S, full = fam.member_set, fam.full_mask
+        assert len(pivots_in_universe(S, full, 0b00011, 1)) == 0
+        assert len(pivots_in_universe(S, full, 0b00011, 1, anti=True)) == 0
 
     def test_enumeration_is_deterministic(self):
         rng = random.Random(4425)
@@ -85,8 +83,8 @@ class TestEnumeration:
                 continue
             a = rng.choice(fam.members)
             r = rng.randint(0, 2)
-            first = enumerate_pivots(fam, a, r)
-            second = enumerate_pivots(fam, a, r)
+            first = pivots_in_universe(fam.member_set, fam.full_mask, a, r)
+            second = pivots_in_universe(fam.member_set, fam.full_mask, a, r)
             assert first == second
             assert first.witness_of == second.witness_of
 
@@ -102,14 +100,14 @@ class TestEnumeration:
             A = universe & rng.randrange(1 << n)
             r = rng.randint(0, n)
             anti = rng.random() < 0.5
-            r_above_a += r > mask_size(A)
-            r_above_outside += r > mask_size(universe & ~A)
+            r_above_a += r > A.bit_count()
+            r_above_outside += r > (universe & ~A).bit_count()
             want = reference_pivot_scan(fam.member_set, universe, A, r, anti)
             got = pivots_in_universe(fam.member_set, universe, A, r, anti=anti)
             assert got.pivots == tuple(sorted(want))
             assert got.witness_of == want
             gamma = Fraction(rng.randint(1, 6), 6)
-            pool = mask_size(universe & ~A) if anti else mask_size(A)
+            pool = (universe & ~A).bit_count() if anti else A.bit_count()
             flexible = len(want) >= max(1, (1 - gamma) * math.comb(pool, r))
             got_flex = flexible_in_universe(fam.member_set, universe, A, gamma, r, anti=anti)
             assert got_flex == flexible
@@ -127,8 +125,9 @@ class TestRecords:
                 continue
             a = rng.choice(fam.members)
             r = rng.randint(0, 2)
-            enum = enumerate_anti_pivots if rng.random() < 0.5 else enumerate_pivots
-            for rec in enum(fam, a, r).records():
+            anti = rng.random() < 0.5
+            ps = pivots_in_universe(fam.member_set, fam.full_mask, a, r, anti=anti)
+            for rec in ps.records():
                 assert observation_check(fam, rec)
                 checked += 1
         assert checked > 50
@@ -169,30 +168,32 @@ class TestRecords:
 class TestFlexibility:
     def test_middle_layer_base_is_flexible(self):
         fam = middle_layer(4)
-        assert is_flexible(fam, 0b0011, Fraction(1, 2), 1)
-        assert is_flexible(fam, 0b0011, Fraction(1), 1)
-        assert is_flexible(fam, 0b0011, Fraction(1, 2), 1, anti=True)
+        S, full = fam.member_set, fam.full_mask
+        assert flexible_in_universe(S, full, 0b0011, Fraction(1, 2), 1)
+        assert flexible_in_universe(S, full, 0b0011, Fraction(1), 1)
+        assert flexible_in_universe(S, full, 0b0011, Fraction(1, 2), 1, anti=True)
 
     def test_threshold_floor_is_one(self):
         # gamma = 1 makes (1-gamma)C(pool,r) vanish, but one pivot is
         # still required: an isolated base never counts as flexible.
         fam = SetFamily(5, [0b00011])
-        assert not is_flexible(fam, 0b00011, Fraction(1), 1)
+        assert not flexible_in_universe(fam.member_set, fam.full_mask, 0b00011, Fraction(1), 1)
 
     def test_threshold_boundary_exact(self):
         # Base {1,2,3} with exactly one 1-pivot: flexible iff the
         # threshold max(1, (1-gamma)*3) stays at its floor.
         fam = SetFamily(6, [0b000111, 0b001011])  # {1,2,3}, {1,2,4}
         base = 0b000111
-        assert len(enumerate_pivots(fam, base, 1)) == 1
-        assert is_flexible(fam, base, Fraction(1), 1)
-        assert is_flexible(fam, base, Fraction(2, 3), 1)
-        assert not is_flexible(fam, base, Fraction(1, 3), 1)  # needs 2
+        S, full = fam.member_set, fam.full_mask
+        assert len(pivots_in_universe(S, full, base, 1)) == 1
+        assert flexible_in_universe(S, full, base, Fraction(1), 1)
+        assert flexible_in_universe(S, full, base, Fraction(2, 3), 1)
+        assert not flexible_in_universe(S, full, base, Fraction(1, 3), 1)  # needs 2
 
     def test_flexibility_counts_pivots_not_witnesses(self):
         # Two witnesses for the same departing element are one pivot.
         fam = SetFamily(5, [0b00011, 0b00110, 0b01010])
-        ps = enumerate_pivots(fam, 0b00011, 1)
+        ps = pivots_in_universe(fam.member_set, fam.full_mask, 0b00011, 1)
         assert ps.pivots == (0b00001,)
 
 
