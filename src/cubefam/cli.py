@@ -7,8 +7,8 @@ Randomized subcommands demand an explicit --seed unless --ephemeral is
 passed; either way the seed used lands in the report.
 
 Exit codes: 0 success (including honest "absent"/"insufficient"
-outcomes), 2 parse error, 3 precondition violation, 4 budget exhausted,
-5 certification failure.
+outcomes), 2 parse error or an --output that cannot be written,
+3 precondition violation, 4 budget exhausted, 5 certification failure.
 """
 
 from __future__ import annotations
@@ -523,7 +523,8 @@ def _handle_report(cfg: RunConfig):
 def _check_replayed_config(cfg: RunConfig) -> None:
     """A config file is outside input: each param must name a flag of
     ``_SUBCOMMANDS`` and have its type and choices, and no required flag
-    may be absent."""
+    may be absent.  The seed flags are keys of the config itself, so
+    params may not hold them."""
     entry = _SUBCOMMANDS.get(cfg.subcommand) if isinstance(cfg.subcommand, str) else None
     if entry is None:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
@@ -533,6 +534,9 @@ def _check_replayed_config(cfg: RunConfig) -> None:
     unknown = sorted(set(cfg.params) - set(dests))
     if unknown:
         raise ParseError(f"{cfg.subcommand} config has no flag for param {unknown[0]!r}")
+    for flag, _ in _SEED_FLAGS:     # read from the top level only, never from params
+        if flag.lstrip("-") in cfg.params:
+            raise ParseError(f"{flag} belongs at the config's top level, not in params")
     for dest, (flag, spec) in zip(dests, entry[1]):
         value = cfg.params.get(dest)
         if value is None and spec.get("required"):
@@ -752,8 +756,12 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CERTIFICATION
     data = emit_report(rep)
     if cfg.output:
-        with open(cfg.output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(cfg.output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"output error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(data.decode("utf-8"))
     return rep.exit_code

@@ -24,6 +24,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BATCH_ROWS = 16384
+# Rows shuffled at a time inside a batch: 1.6 MB of int32 at n = 400.
+_CHUNK_ROWS = 1024
 _MP_DPS = 60
 # Comparisons against 1 in the m* search get this one-sided slack, so a
 # value within guard of the boundary is treated as failing the inequality
@@ -55,11 +57,14 @@ def at_most(a, b) -> bool:
 
 
 def _shuffled_batches(n: int, trials: int, seed: int):
-    """(first row, batch): ``trials`` rows of independently shuffled 0..n-1.
+    """(first row, chunk): ``trials`` rows of independently shuffled 0..n-1.
 
-    Batch j holds at most ``_BATCH_ROWS`` int32 rows, shuffled on the
+    Batch j holds at most ``_BATCH_ROWS`` rows, shuffled on the
     counter-based stream jumped j times off ``seed``, so every row depends
-    only on (n, its index, seed).  One batch is alive at a time.
+    only on (n, its index, seed).  A batch is filled and shuffled in
+    chunks of at most ``_CHUNK_ROWS`` int32 rows, one alive at a time;
+    ``Generator.permuted`` draws row after row from its stream, so the
+    chunks hold the very rows a whole batch would.
     """
     import numpy as np
 
@@ -67,13 +72,15 @@ def _shuffled_batches(n: int, trials: int, seed: int):
     for start in range(0, trials, _BATCH_ROWS):
         rows = min(_BATCH_ROWS, trials - start)
         gen = np.random.Generator(base.jumped(start // _BATCH_ROWS))
-        mat = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
-        gen.permuted(mat, axis=1, out=mat)
-        yield start, mat
+        for first in range(start, start + rows, _CHUNK_ROWS):
+            size = min(_CHUNK_ROWS, start + rows - first)
+            mat = np.tile(np.arange(n, dtype=np.int32), (size, 1))
+            gen.permuted(mat, axis=1, out=mat)
+            yield first, mat
 
 
 def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray:
-    """(trials, m) array of uniform m-subsets of {0..n-1}, row-sorted not.
+    """(trials, m) array of uniform m-subsets of {0..n-1}; rows are not sorted.
 
     Each row is the prefix of an independently shuffled 0..n-1
     (``_shuffled_batches``), so output depends only on (n, m, trials, seed).
@@ -273,6 +280,27 @@ def fat_mass_bound(eps, r: int) -> mp.mpf:
         return mp.mpf(consts.m0) + 1 / (-mp.expm1(-_mpf(consts.c)))
 
 
+def _trace_rates(eps, r: int) -> tuple[Fraction, Fraction]:
+    """(eta, c) of ``concentration_constants(eps, r)``, without m0.
+
+    The same recursion walked up the same chain, in exact rationals only:
+    level (e, k) combines the single (e/2, 1), whose constants are
+    (e/4, e^2/8), with the level (e/2, k-1) below it, so eta gains a
+    factor e/4 and c becomes min(e^2/8, c)/2.  No m* search, no mpmath.
+    """
+    eps = check_tolerance(eps)
+    if r < 0:
+        raise PreconditionError("order r must be nonnegative")
+    if r == 0:
+        return Fraction(1, 2), Fraction(1)
+    e = eps / 2 ** (r - 1)
+    eta, c = e / 2, e * e / 2
+    for _ in range(r - 1):
+        e *= 2
+        eta, c = eta * e / 4, min(e * e / 8, c) / 2
+    return eta, c
+
+
 def verify_trace_probability(
     n: int,
     m: int,
@@ -289,9 +317,12 @@ def verify_trace_probability(
     Hypotheses |T| <= eta(eps, r) C(n, r) and m >= m0(eps, r) and n >= m
     are checked first; a violation yields a "hypothesis-failed" report
     rather than an error, since the caller may be probing the boundary.
+    m0 grows by at least 1 per order from m0 = 1 at r = 1, so m < r
+    fails without the m* search behind m0.
     A negative n, m or trial count, or a member of T that is not an
     r-subset of [n], is an error, raised before the zero-trial shortcut so
     that an "inconclusive" report always describes a well-posed question.
+    The rows are counted one chunk at a time (``_members_inside``).
     """
     import mpmath as mp
     import numpy as np
@@ -301,7 +332,7 @@ def verify_trace_probability(
             f"need n, m, trials >= 0, got n={n}, m={m}, trials={trials}"
         )
     eps = Fraction(eps)
-    consts = concentration_constants(eps, r)
+    eta, c = _trace_rates(eps, r)
     t_list = sorted(set(T))
     for mask in t_list:
         if mask.bit_count() != r:
@@ -309,13 +340,13 @@ def verify_trace_probability(
         if mask >> n:
             raise PreconditionError(f"member {mask:#x} of T leaves the ground of size {n}")
     with mp.workdps(_MP_DPS):
-        bound_mp = mp.exp(-_mpf(consts.c) * m)
+        bound_mp = mp.exp(-_mpf(c) * m)
         bound = float(bound_mp) if bound_mp > mp.mpf("1e-300") else 0.0
     params = {"n": n, "m": m, "r": r, "eps": str(eps), "T_size": len(t_list)}
     hypothesis_ok = (
-        Fraction(len(t_list)) <= consts.eta * math.comb(n, r)
-        and m >= consts.m0
-        and n >= m
+        Fraction(len(t_list)) <= eta * math.comb(n, r)
+        and n >= m >= r
+        and m >= concentration_constants(eps, r).m0
     )
     if not hypothesis_ok:
         return MonteCarloReport(params, trials, seed, 0, 0.0, bound, 0.0, "hypothesis-failed")
@@ -324,14 +355,37 @@ def verify_trace_probability(
 
     thr = eps * math.comb(m, r)
     count_min = math.floor(thr) + 1  # least integer > thr
-    t_idx = np.array([mask_elements(mask) for mask in t_list], dtype=np.int64)
-    t_idx = t_idx.reshape(len(t_list), r) - 1     # mask_elements counts from 1
+    # row j: the j-th smallest element of every member of T, counted from 0
+    cols = np.array([mask_elements(mask) for mask in t_list], dtype=np.intp)
+    cols = cols.reshape(len(t_list), r).T - 1
 
     hits = 0
     for _, mat in _shuffled_batches(n, trials, seed):
-        picked = np.zeros((len(mat), n), dtype=bool)
-        np.put_along_axis(picked, mat[:, :m], True, axis=1)
-        if len(t_list):
-            inside = picked[:, t_idx].all(axis=2).sum(axis=1)
-            hits += int((inside >= count_min).sum())
+        hits += int((_members_inside(mat, m, cols) >= count_min).sum())
     return _monte_carlo_report(params, trials, seed, hits, bound)
+
+
+def _members_inside(mat: np.ndarray, m: int, cols: np.ndarray) -> np.ndarray:
+    """For each shuffled row of ``mat``, how many members of T lie in X,
+    the row's first m entries.
+
+    ``cols[j]`` holds the j-th smallest element of every member.  X is
+    marked from the shorter side of the shuffle in ``picked``, which has
+    one row per element, so that the gather at a member's elements copies
+    whole rows; a member counts when the marks at all its elements are set.
+    """
+    import numpy as np
+
+    rows, n = mat.shape
+    which = np.arange(rows)[:, None]
+    if 2 * m <= n:
+        picked = np.zeros((n, rows), dtype=bool)
+        picked[mat[:, :m], which] = True
+    else:
+        picked = np.ones((n, rows), dtype=bool)
+        picked[mat[:, m:], which] = False
+    # at r = 0 the one possible member, the empty set, lies in every X
+    inside = np.ones((cols.shape[1], rows), dtype=bool)
+    for col in cols:
+        inside &= picked[col]
+    return np.count_nonzero(inside, axis=0)

@@ -692,8 +692,12 @@ class TestReportReplay:
          "lubell config has no flag for param 'bottm'"),
         ({"subcommand": "lubell", "params": {"family": "f.txt", "help": True}},
          "lubell config has no flag for param 'help'"),
+        ({"subcommand": "embed", "seed": 1,
+          "params": {"family": "f.txt", "pattern": "builtin:P2", "mode": "induced",
+                     "seed": 5, "ephemeral": True}},
+         "--seed belongs at the config's top level, not in params"),
     ], ids=["unknown-subcommand", "missing-flag", "json-list", "string-seed",
-            "missing-subcommand", "misspelt-param", "help-param"])
+            "missing-subcommand", "misspelt-param", "help-param", "seed-in-params"])
     def test_bad_config_is_parse_error(self, capsys, tmp_path, config, message):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config))
@@ -738,6 +742,15 @@ class TestOutputHandling:
         assert capsys.readouterr().out == ""
         payload = json.loads(dest.read_text())
         assert payload["results"]["mass"] == "3/1"
+
+    @pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+    def test_unwritable_output_exits_2(self, capsys, fam_file, tmp_path, where):
+        path = fam_file(full_power_set(2))
+        code = main(["--output", str(tmp_path / where), "lubell", "--family", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("output error: cannot write the report:")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestBuiltinPatterns:
@@ -898,8 +911,10 @@ def _replay_cases() -> list:
     """(subcommand, flag, config value, argv tail) for each way a replayed
     config can break a flag, from the flag table: a value of the wrong
     type, a value outside the choices, a required flag left out (value
-    None).  The argv tail breaks the flag the same way on the command
-    line; None where argparse has nothing to reject (every text is a str)."""
+    None), and for the seed flags, which a config holds at its top level,
+    any value in params.  The argv tail breaks the flag the same way on
+    the command line; None where argparse has nothing to reject (every
+    text is a str, and a seed flag is right on the command line)."""
     cases = []
     for sub, (_, flags) in cli._SUBCOMMANDS.items():
         if sub == "report":      # a replayed report is refused (exit 3) before its flags are read
@@ -911,6 +926,9 @@ def _replay_cases() -> list:
                 breaks = [("type", "1", [flag, "x"])]
             else:
                 breaks = [("type", 1, None)]
+            if (flag, spec) in cli._SEED_FLAGS:
+                valid = True if spec.get("action") == "store_true" else 1
+                breaks.append(("params", valid, None))
             if "choices" in spec:
                 breaks.append(("choice", "nope", [flag, "nope"]))
             if spec.get("required"):

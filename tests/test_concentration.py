@@ -208,3 +208,111 @@ def test_monte_carlo_reports_are_reproducible():
     r1 = verify_tail_bound(12, 30, 80, Fraction(3), 5000, seed=42)
     r2 = verify_tail_bound(12, 30, 80, Fraction(3), 5000, seed=42)
     assert (r1.hits, r1.empirical) == (r2.hits, r2.empirical)
+
+
+def _t2_pairs() -> set:
+    """1200 two-element members of T on a ground of 400: the shape of the
+    largest trace query of the benchmark."""
+    rng = np.random.default_rng(400)
+    pairs = set()
+    while len(pairs) < 1200:
+        a, b = rng.choice(400, 2, replace=False).tolist()
+        pairs.add((1 << a) | (1 << b))
+    return pairs
+
+
+@pytest.mark.parametrize("chunk", [1, 7, concentration._BATCH_ROWS])
+def test_chunk_size_leaves_draws_unchanged(monkeypatch, chunk):
+    """The rows, and so every report, do not depend on how a batch is cut."""
+    T2 = _t2_pairs()
+    t2_report = verify_trace_probability(400, 390, 2, Fraction(1, 2), T2, 3000, seed=5)
+    monkeypatch.setattr(concentration, "_CHUNK_ROWS", chunk)
+    subs = sample_uniform_subsets(20, 5, 40000, seed=7)
+    digest = hashlib.sha256(subs.tobytes()).hexdigest()
+    assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
+    T = {1 << i for i in range(5)}
+    assert verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11).hits == 3589
+    assert verify_trace_probability(400, 390, 2, Fraction(1, 2), T2, 3000, seed=5) == t2_report
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("n,m", [(20, 6), (20, 10), (12, 8), (9, 9)])
+@pytest.mark.parametrize("size", [0, 1, 30])
+def test_members_inside_matches_full_gather(r, n, m, size):
+    """Row by row, the chunked count equals the (rows x |T| x r) gather it
+    replaced, on both sides of 2m = n; with count_min 1, T nonempty hits."""
+    rng = np.random.default_rng(1000 * r + n + m)
+    members = {
+        sum(1 << int(e) for e in rng.choice(n, r, replace=False)) for _ in range(size)
+    }
+    t_list = sorted(members)
+    t_idx = np.array(
+        [concentration.mask_elements(mask) for mask in t_list], dtype=np.intp
+    ).reshape(len(t_list), r) - 1
+    for _, mat in concentration._shuffled_batches(n, 500, seed=r + size):
+        picked = np.zeros((len(mat), n), dtype=bool)
+        np.put_along_axis(picked, mat[:, :m], True, axis=1)
+        old = picked[:, t_idx].all(axis=2).sum(axis=1)
+        new = concentration._members_inside(mat, m, t_idx.T)
+        assert np.array_equal(new, old)
+        assert ((new >= 1).sum() > 0) == bool(t_list)
+
+
+def test_t2_trace_memory_is_a_few_mib():
+    """A trace call of the benchmark's largest shape (n 400, m 390, r 2,
+    1200 pairs, 16,384 trials) keeps a chunk, not a batch, alive: numpy
+    reports its buffers to tracemalloc.  A whole batch's tile alone is
+    26 MB, its gather 39 MB."""
+    import tracemalloc
+
+    T2 = _t2_pairs()
+    concentration_constants(Fraction(1, 2), 2)     # m0's search allocates too
+    tracemalloc.start()
+    try:
+        rep = verify_trace_probability(400, 390, 2, Fraction(1, 2), T2, 16384, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 16384 and rep.verdict == "pass"
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10)])
+def test_trace_rates_are_the_constants(eps):
+    for r in range(6):
+        consts = concentration_constants(eps, r)
+        assert concentration._trace_rates(eps, r) == (consts.eta, consts.c)
+
+
+def test_trace_order_above_m_fails_without_m0(monkeypatch):
+    """m0 >= r, so m < r fails the hypothesis before the m* search, which
+    takes seconds at r = 150."""
+    import time
+
+    verify_trace_probability(100, 10, 1, Fraction(1, 2), set(), 0, seed=1)  # loads mpmath
+    monkeypatch.setattr(concentration, "_constants_cache", {})
+    start = time.perf_counter()
+    rep = verify_trace_probability(100, 10, 150, Fraction(1, 2), set(), 0, seed=1)
+    assert time.perf_counter() - start < 0.5
+    assert rep.verdict == "hypothesis-failed" and rep.bound == 1.0
+    assert concentration._constants_cache == {}
+
+
+def test_trace_order_above_m_report_matches_full_constants():
+    import mpmath as mp
+
+    n, m, r, eps = 30, 2, 3, Fraction(1, 2)
+    consts = concentration_constants(eps, r)
+    assert m < consts.m0
+    with mp.workdps(60):
+        bound = float(mp.exp(-mp.mpf(consts.c.numerator) / consts.c.denominator * m))
+    params = {"n": n, "m": m, "r": r, "eps": "1/2", "T_size": 1}
+    want = concentration.MonteCarloReport(
+        params, 100, 4, 0, 0.0, bound, 0.0, "hypothesis-failed"
+    )
+    assert verify_trace_probability(n, m, r, eps, {0b111}, 100, seed=4) == want
+
+
+def test_trace_member_error_comes_before_the_hypothesis():
+    with pytest.raises(PreconditionError, match="not an r-subset"):
+        verify_trace_probability(100, 10, 150, Fraction(1, 2), {0b11}, 0, seed=1)
