@@ -24,7 +24,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BATCH_ROWS = 16384
-# Rows shuffled at a time inside a batch: 1.6 MB of int32 at n = 400.
+# Rows shuffled at a time inside a batch: 3.3 MB of intp at n = 400.
 _CHUNK_ROWS = 1024
 _MP_DPS = 60
 # Comparisons against 1 in the m* search get this one-sided slack, so a
@@ -62,19 +62,26 @@ def _shuffled_batches(n: int, trials: int, seed: int):
     Batch j holds at most ``_BATCH_ROWS`` rows, shuffled on the
     counter-based stream jumped j times off ``seed``, so every row depends
     only on (n, its index, seed).  A batch is filled and shuffled in
-    chunks of at most ``_CHUNK_ROWS`` int32 rows, one alive at a time;
-    ``Generator.permuted`` draws row after row from its stream, so the
-    chunks hold the very rows a whole batch would.
+    chunks of at most ``_CHUNK_ROWS`` rows; ``Generator.permuted`` draws
+    row after row from its stream, so the chunks hold the very rows a
+    whole batch would.  The rows are ``intp``, the item size numpy's
+    fast swap loop takes; the permutation depends only on the draws, so
+    they equal ``int32`` rows shuffled the same way.
+
+    Every chunk is a view of one buffer that the next chunk overwrites:
+    consume it before asking for the next.
     """
     import numpy as np
 
     base = np.random.Philox(key=seed)
+    identity = np.arange(n, dtype=np.intp)
+    buf = np.empty((min(_CHUNK_ROWS, trials), n), dtype=np.intp)
     for start in range(0, trials, _BATCH_ROWS):
         rows = min(_BATCH_ROWS, trials - start)
         gen = np.random.Generator(base.jumped(start // _BATCH_ROWS))
         for first in range(start, start + rows, _CHUNK_ROWS):
-            size = min(_CHUNK_ROWS, start + rows - first)
-            mat = np.tile(np.arange(n, dtype=np.int32), (size, 1))
+            mat = buf[: min(_CHUNK_ROWS, start + rows - first)]
+            mat[:] = identity
             gen.permuted(mat, axis=1, out=mat)
             yield first, mat
 
@@ -283,22 +290,20 @@ def fat_mass_bound(eps, r: int) -> mp.mpf:
 def _trace_rates(eps, r: int) -> tuple[Fraction, Fraction]:
     """(eta, c) of ``concentration_constants(eps, r)``, without m0.
 
-    The same recursion walked up the same chain, in exact rationals only:
-    level (e, k) combines the single (e/2, 1), whose constants are
-    (e/4, e^2/8), with the level (e/2, k-1) below it, so eta gains a
-    factor e/4 and c becomes min(e^2/8, c)/2.  No m* search, no mpmath.
+    Level (e, k) of the recursion combines the single (e/2, 1), whose
+    constants are (e/4, e^2/8), with the level (e/2, k-1) below it: eta
+    gains a factor e/4 and c becomes min(e^2/8, c)/2, the lower branch's
+    c from k = 2 on.  Up the chain from (eps/2^(r-1), 1) this unrolls to
+    eta = eps^r / 2^((r^2 + 3r - 2)/2) and c = eps^2 / 2^(3r - 2) for
+    r >= 1: one power each, not r products of growing rationals.  No m*
+    search, no mpmath.
     """
     eps = check_tolerance(eps)
     if r < 0:
         raise PreconditionError("order r must be nonnegative")
     if r == 0:
         return Fraction(1, 2), Fraction(1)
-    e = eps / 2 ** (r - 1)
-    eta, c = e / 2, e * e / 2
-    for _ in range(r - 1):
-        e *= 2
-        eta, c = eta * e / 4, min(e * e / 8, c) / 2
-    return eta, c
+    return eps**r / 2 ** ((r * r + 3 * r - 2) // 2), eps * eps / 2 ** (3 * r - 2)
 
 
 def verify_trace_probability(
@@ -317,7 +322,9 @@ def verify_trace_probability(
     Hypotheses |T| <= eta(eps, r) C(n, r) and m >= m0(eps, r) and n >= m
     are checked first; a violation yields a "hypothesis-failed" report
     rather than an error, since the caller may be probing the boundary.
-    m0 grows by at least 1 per order from m0 = 1 at r = 1, so m < r
+    m0 = r at r <= 1.  From r = 2 on, m0 is at least the top level's m*,
+    whose search starts above m_dec = floor(1/g2) + 1, where g2 = c (the
+    lower branch has the smaller constant 2c); so m <= floor(1/c) + 1
     fails without the m* search behind m0.
     A negative n, m or trial count, or a member of T that is not an
     r-subset of [n], is an error, raised before the zero-trial shortcut so
@@ -343,9 +350,10 @@ def verify_trace_probability(
         bound_mp = mp.exp(-_mpf(c) * m)
         bound = float(bound_mp) if bound_mp > mp.mpf("1e-300") else 0.0
     params = {"n": n, "m": m, "r": r, "eps": str(eps), "T_size": len(t_list)}
+    m0_floor = r if r <= 1 else int(1 / c) + 2
     hypothesis_ok = (
         Fraction(len(t_list)) <= eta * math.comb(n, r)
-        and n >= m >= r
+        and n >= m >= m0_floor
         and m >= concentration_constants(eps, r).m0
     )
     if not hypothesis_ok:

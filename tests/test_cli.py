@@ -593,6 +593,18 @@ class TestVerifyLemma:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    def test_deep_trace_hypothesis_fails_well_under_a_second(self, capsys):
+        import time
+
+        start = time.perf_counter()
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "trace", "--n", "5000", "-m", "2000",
+            "-r", "1100", "--eps", "1/2", "--trials", "0", "--seed", "1",
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert payload["results"]["verdict"] == "hypothesis-failed"
+
     def test_tail_needs_seed(self, capsys):
         code = main([
             "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",

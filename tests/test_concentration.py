@@ -316,3 +316,66 @@ def test_trace_order_above_m_report_matches_full_constants():
 def test_trace_member_error_comes_before_the_hypothesis():
     with pytest.raises(PreconditionError, match="not an r-subset"):
         verify_trace_probability(100, 10, 150, Fraction(1, 2), {0b11}, 0, seed=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_shuffled_batches_match_whole_batch_reference(n):
+    """Each chunk equals the rows of one int32 whole-batch ``permuted`` on
+    ``Philox(key=seed).jumped(j)``, across a batch boundary."""
+    trials, seed = concentration._BATCH_ROWS + 5, 9
+    base = np.random.Philox(key=seed)
+    ref = []
+    for j, start in enumerate(range(0, trials, concentration._BATCH_ROWS)):
+        rows = min(concentration._BATCH_ROWS, trials - start)
+        batch = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
+        np.random.Generator(base.jumped(j)).permuted(batch, axis=1, out=batch)
+        ref.append(batch)
+    ref = np.concatenate(ref)
+    seen = 0
+    for first, mat in concentration._shuffled_batches(n, trials, seed):
+        assert first == seen and mat.dtype == np.intp
+        assert np.array_equal(mat, ref[first : first + len(mat)])
+        seen += len(mat)
+    assert seen == trials
+
+
+def _recursive_trace_rates(eps: Fraction, r: int) -> tuple[Fraction, Fraction]:
+    """(eta, c) by walking the recursion up the chain (eps/2^(r-1), 1), ...,
+    (eps, r): each level gains a factor e/4 in eta and takes min(e^2/8, c)/2."""
+    if r == 0:
+        return Fraction(1, 2), Fraction(1)
+    e = eps / 2 ** (r - 1)
+    eta, c = e / 2, e * e / 2
+    for _ in range(r - 1):
+        e *= 2
+        eta, c = eta * e / 4, min(e * e / 8, c) / 2
+    return eta, c
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10), Fraction(5, 9)]
+)
+def test_trace_rates_closed_form_matches_recursion(eps):
+    for r in range(61):
+        assert concentration._trace_rates(eps, r) == _recursive_trace_rates(eps, r)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7)])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_m0_clears_the_m_dec_floor(monkeypatch, eps, r):
+    """From r = 2 on, m0 > m_dec = floor(1/c) + 1, so m = m_dec fails the
+    hypothesis, with the report m0 would give, before m0 is computed."""
+    import mpmath as mp
+
+    consts = concentration_constants(eps, r)
+    m_dec = int(1 / consts.c) + 1
+    assert consts.m0 > m_dec
+    with mp.workdps(60):
+        bound = float(mp.exp(-mp.mpf(consts.c.numerator) / consts.c.denominator * m_dec))
+    params = {"n": m_dec, "m": m_dec, "r": r, "eps": str(eps), "T_size": 0}
+    want = concentration.MonteCarloReport(
+        params, 10, 2, 0, 0.0, bound, 0.0, "hypothesis-failed"
+    )
+    monkeypatch.setattr(concentration, "_constants_cache", {})
+    assert verify_trace_probability(m_dec, m_dec, r, eps, set(), 10, seed=2) == want
+    assert concentration._constants_cache == {}
