@@ -20,7 +20,7 @@ from cubefam import cli
 from cubefam.cli import main
 from cubefam.concentration import verify_trace_probability
 from cubefam.embeddings import find_pattern_via_universality
-from cubefam.families import parse_subset_literal
+from cubefam.families import _BULK_BYTES, format_family, parse_subset_literal
 from cubefam.posets import make_chain, verify_embedding_masks
 
 
@@ -823,6 +823,19 @@ class TestLazyImports:
             "--n", "100", "-t", "6", "--trials", "100", "--seed", "1",
         ])
         assert "numpy" in loaded
+
+    @pytest.mark.parametrize("size,heavy", [
+        (_BULK_BYTES - 1, []),
+        (_BULK_BYTES, ["numpy"]),
+    ], ids=["one-byte-under-the-gate", "at-the-gate"])
+    def test_lubell_loads_numpy_from_the_bulk_gate(self, tmp_path, size, heavy):
+        """read_family reads a file of ``_BULK_BYTES`` or more with numpy;
+        one byte less keeps ``lubell`` free of both heavy modules."""
+        head = format_family(SetFamily(4, [m for m in range(16) if m.bit_count() == 2]))
+        path = tmp_path / "fam.txt"
+        path.write_bytes((head + " " * (size - len(head) - 1) + "\n").encode("ascii"))
+        assert path.stat().st_size == size
+        assert self.loaded_after(["lubell", "--family", str(path)]) == heavy
 
 
 SUBCOMMANDS = ["lubell", "pivots", "embed", "extract", "extremal", "middle-layers",

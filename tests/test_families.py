@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubefam import families
 from cubefam.errors import ParseError, PreconditionError
 from cubefam.families import (
     SetFamily,
@@ -153,7 +154,7 @@ def reference_parse(text: str) -> SetFamily:
     return SetFamily(n, [parse_subset_literal(line, n) for line in lines if line.strip()])
 
 
-@pytest.mark.parametrize("text", [
+REFERENCE_CASES = pytest.mark.parametrize("text", [
     "n=5\n 3\n03,4\n+2\n1, 3\n4 \n\t5\n",
     "n=5\r\n1,3\r\n2\r\n-\r\n",
     "n=5\n\n1,2\n   \n\t\n3,4,5\n\n",
@@ -165,6 +166,9 @@ def reference_parse(text: str) -> SetFamily:
     "n=12\n10,11,12\n1,10\n9,10\n1,2,3,4,5,6,7,8,9,10,11,12\n",
 ], ids=["spaces-zeros-signs", "crlf", "blank-lines", "no-final-newline", "mixed",
         "n0", "n0-no-newline", "n0-empty", "two-digit"])
+
+
+@REFERENCE_CASES
 def test_parse_matches_line_by_line_reference(text, tmp_path):
     want = reference_parse(text)
     assert parse_family(io.StringIO(text)) == want
@@ -245,3 +249,129 @@ def test_malformed_line_names_its_line(text):
     with pytest.raises(ParseError) as bare:
         parse_subset_literal(text, 3)
     assert str(info.value) == f"line 3: {bare.value}"
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader: read_family on a file at or above families._BULK_BYTES.
+
+
+def read_outcome(path):
+    """What read_family gives for ``path``: the family, or the error text."""
+    try:
+        return read_family(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def read_both(path, monkeypatch, chunk=7):
+    """read_family's outcome for ``path`` on the per-line path, then on the
+    bulk path in ``chunk``-character chunks."""
+    assert path.stat().st_size < families._BULK_BYTES
+    per_line = read_outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(families, "_BULK_BYTES", 0)
+        patch.setattr(families, "_CHUNK_CHARS", chunk)
+        return per_line, read_outcome(path)
+
+
+def write_text(tmp_path, text: str, encoding="ascii"):
+    path = tmp_path / "fam.txt"
+    path.write_bytes(text.encode(encoding))
+    return path
+
+
+@REFERENCE_CASES
+def test_bulk_reader_matches_line_by_line_reference(text, tmp_path, monkeypatch):
+    per_line, bulk = read_both(write_text(tmp_path, text), monkeypatch)
+    assert bulk == per_line == reference_parse(text)
+
+
+ALL_ELEMENTS = ",".join(map(str, range(1, 65)))
+
+
+@pytest.mark.parametrize("text", [
+    f"n=64\n64\n1,64\n63,64\n{ALL_ELEMENTS}\n-\n9,10,19,20,59,60\n",
+    f"n=64\n1\n{ALL_ELEMENTS}\n{', '.join(map(str, range(2, 65)))} \n2\n",
+    "n=5\r\n1,3\r\n2,4,5\r\n\r\n-\r\n",
+    "n=5\n1,3\n2,4,5",
+    "n=5\n",
+    "n=5",
+], ids=["element-64", "long-line", "crlf", "no-final-newline", "header-only",
+        "header-only-no-newline"])
+def test_bulk_reader_edge_cases(text, tmp_path, monkeypatch):
+    per_line, bulk = read_both(write_text(tmp_path, text), monkeypatch)
+    assert bulk == per_line == reference_parse(text)
+
+
+def test_bulk_reader_puts_element_64_at_bit_63(tmp_path, monkeypatch):
+    _, bulk = read_both(write_text(tmp_path, "n=64\n64\n1,64\n"), monkeypatch)
+    assert bulk.members == (1 << 63, 1 << 63 | 1)
+
+
+@pytest.mark.parametrize("text", [t for t in MALFORMED if t])
+def test_bulk_reader_names_malformed_line(text, tmp_path, monkeypatch):
+    """Non-ASCII cases are written as UTF-8: both paths reject the byte."""
+    body = f"n=3\n1,2\n{text}\n3\n"
+    per_line, bulk = read_both(write_text(tmp_path, body, "utf-8"), monkeypatch)
+    assert bulk == per_line
+    if text.isascii():
+        with pytest.raises(ParseError) as bare:
+            parse_subset_literal(text, 3)
+        assert bulk == f"ParseError: line 3: {bare.value}"
+
+
+@pytest.mark.parametrize("text,error", [
+    ("n=3\n1,2\n1,2\n", "line 3: duplicate subset '1,2'"),
+    ("n=3\n1,2\n01,2\n", "line 3: duplicate subset '01,2'"),
+    ("n=3\n1,2\n3\n-\n\n 1, 2\n", "line 6: duplicate subset '1, 2'"),
+    ("n=3\n1\n2\n1\n4\n", "line 4: duplicate subset '1'"),
+    ("n=3\n1\n2\n4\n1\n", "line 4: element 4 outside ground set [3]"),
+    ("n=3\n-\n1,2\n-\n", "line 4: duplicate subset '-'"),
+], ids=["same-line", "leading-zero", "far-apart", "before-malformed", "after-malformed",
+        "empty-set"])
+def test_bulk_reader_rejects_duplicates(text, error, tmp_path, monkeypatch):
+    for chunk in (1, 4, 7, 1 << 16):
+        per_line, bulk = read_both(write_text(tmp_path, text), monkeypatch, chunk)
+        assert bulk == per_line == f"ParseError: {error}"
+
+
+def test_bulk_reader_defers_to_per_line_on_a_non_ascii_byte(tmp_path, monkeypatch):
+    """A malformed line, then a byte outside ASCII in the same chunk but
+    past the text reader's first 8 KiB block: the per-line reader names
+    the line before it decodes the byte, and so does the bulk path."""
+    path = write_text(tmp_path, "n=3\n1\n4\n" + "\n" * 20000 + "\xff\n", "latin-1")
+    per_line, bulk = read_both(path, monkeypatch, chunk=1 << 16)
+    assert bulk == per_line == "ParseError: line 3: element 4 outside ground set [3]"
+
+
+def random_line(rng: random.Random, n: int, earlier: list, wild: float) -> str:
+    """One family line: canonical, spelt otherwise, blank, or -- each with
+    probability ``wild`` / 2 -- a repeat or a malformed line."""
+    kind = rng.random()
+    if kind < wild / 2 and earlier:
+        return rng.choice(earlier)
+    if kind < wild:
+        return rng.choice([
+            ",", "1,", ",1", "0", "a", "1;2", "--", "1,,2", "2,1", "1,1",
+            str(n + 1), "100", "1 2", "6" * 70,
+        ])
+    elems = sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 6))))
+    if rng.random() < 0.7:
+        return ",".join(map(str, elems)) or "-"
+    spell = rng.choice(["{}", "0{}", " {}", "{} ", "+{}", "\t{}", "00{}"])
+    return ",".join(spell.format(e) for e in elems) or rng.choice(["-", " - ", "", " "])
+
+
+def test_bulk_reader_matches_per_line_on_random_files(tmp_path, monkeypatch):
+    rng = random.Random(20)
+    for _ in range(400):
+        n = rng.choice([0, 1, 3, 9, 10, 12, 63, 64, rng.randint(0, 64)])
+        wild = rng.choice([0.0, 0.03, 0.2])
+        lines: list = []
+        for _ in range(rng.randint(0, min(40, 1 << n))):
+            lines.append(random_line(rng, n, lines, wild))
+        newline = rng.choice(["\n", "\n", "\r\n", "\r"])
+        text = newline.join([f"n={n}", *lines]) + rng.choice(["", newline])
+        per_line, bulk = read_both(write_text(tmp_path, text), monkeypatch,
+                                   rng.randint(1, 64))
+        assert bulk == per_line, text
