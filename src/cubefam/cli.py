@@ -419,6 +419,7 @@ def _monte_carlo_payload(lemma: str, rep) -> dict:
         "lemma": lemma,
         "params": dict(rep.params),
         "trials": rep.trials,
+        "drawn": rep.drawn,
         "seed": rep.seed,
         "empirical": rep.empirical,
         "bound": rep.bound,

@@ -120,10 +120,18 @@ class MonteCarloReport:
     verdict is "pass" / "fail" / "inconclusive" (plus "hypothesis-failed"
     where the inequality's own hypotheses were not met); "fail" only
     flags suspicion -- empirical frequency above bound + 3 sigma.
+
+    ``trials`` is the number of seeded draws the verdict covers, as asked
+    for; ``drawn`` is the number of rows actually shuffled.  The two agree
+    when the draws decide ``hits``.  ``drawn`` is 0 when the support of
+    the count decides every draw alike (``_forced_hits``), so that the
+    verdict over ``trials`` draws needs none of them, and on the
+    "inconclusive" and "hypothesis-failed" routes, which draw nothing.
     """
 
     params: dict
     trials: int
+    drawn: int
     seed: int
     hits: int
     empirical: float
@@ -133,23 +141,60 @@ class MonteCarloReport:
 
 
 def _monte_carlo_report(
-    params: dict, trials: int, seed: int, hits: int, bound: float
+    params: dict, trials: int, seed: int, hits: int, bound: float, drawn: int
 ) -> MonteCarloReport:
     """The verdict on ``hits`` in ``trials``: "inconclusive" with no
     trials, else "pass" when the empirical rate is at most the bound plus
     3 sigma of a Bernoulli(bound) mean over ``trials``, and "fail" above."""
     if trials == 0:
-        return MonteCarloReport(params, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
+        return MonteCarloReport(params, 0, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
     empirical = hits / trials
     margin = 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
     verdict = "pass" if empirical <= bound + margin else "fail"
-    return MonteCarloReport(params, trials, seed, hits, empirical, bound, margin, verdict)
+    return MonteCarloReport(
+        params, trials, drawn, seed, hits, empirical, bound, margin, verdict
+    )
+
+
+def _tail_support(m: int, k: int, n: int) -> tuple[int, int]:
+    """[lo, hi] holding |X cap {0..k-1}| for every m-subset X of {0..n-1}:
+    X has at most k elements below k and at most n - k at or above it."""
+    return max(0, m - (n - k)), min(k, m)
+
+
+def _trace_support(m: int, r: int, t_size: int) -> tuple[int, int]:
+    """[lo, hi] holding |X^{(r)} cap T| for every m-set X: X^{(r)} has
+    C(m, r) members and T has ``t_size``."""
+    return 0, min(t_size, math.comb(m, r))
+
+
+def _forced_hits(lo: int, hi: int, least: int, trials: int) -> int | None:
+    """Hits of the event "count >= least" in ``trials`` draws of an integer
+    count that always lies in [lo, hi], when that range decides them: 0
+    when ``least`` is above ``hi``, since no draw can reach it, and
+    ``trials`` when ``least`` is at most ``lo``, since every draw does.
+    None when draws on both sides are possible, as far as [lo, hi] tells.
+
+    Exact, not a shortcut: on a decided event every seed gives these hits.
+    """
+    if least > hi:
+        return 0
+    if least <= lo:
+        return trials
+    return None
 
 
 def verify_tail_bound(
     m: int, k: int, n: int, t, trials: int, seed: int
 ) -> MonteCarloReport:
     """Estimate P(Z >= km/n + t) and compare with exp(-2 t^2 / m).
+
+    Z = |X cap {0..k-1}| for X uniform in the m-subsets of {0..n-1} is
+    hypergeometric on [max(0, m - (n - k)), min(k, m)] (``_tail_support``).
+    When the least integer z_min >= km/n + t lies above that range, every
+    draw misses whatever the seed; at or below its bottom (say m = n with
+    t = 0), every draw hits.  Either way the report is built without
+    drawing a row (``drawn`` 0); otherwise the rows are drawn.
 
     The threshold comparison is exact (integer Z against a rational
     threshold); only the frequency-vs-bound comparison is floating.
@@ -165,12 +210,15 @@ def verify_tail_bound(
         raise PreconditionError("trials must be nonnegative")
     params = {"m": m, "k": k, "n": n, "t": float(t)}
     if trials == 0:
-        return _monte_carlo_report(params, 0, seed, 0, bound)
+        return _monte_carlo_report(params, 0, seed, 0, bound, 0)
+    z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
+    hits = _forced_hits(*_tail_support(m, k, n), z_min, trials)
+    if hits is not None:
+        return _monte_carlo_report(params, trials, seed, hits, bound, 0)
     subs = sample_uniform_subsets(n, m, trials, seed)
     z = (subs < k).sum(axis=1)
-    z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
     hits = int((z >= z_min).sum())
-    return _monte_carlo_report(params, trials, seed, hits, bound)
+    return _monte_carlo_report(params, trials, seed, hits, bound, trials)
 
 
 @dataclass(frozen=True)
@@ -329,10 +377,15 @@ def verify_trace_probability(
     A negative n, m or trial count, or a member of T that is not an
     r-subset of [n], is an error, raised before the zero-trial shortcut so
     that an "inconclusive" report always describes a well-posed question.
-    The rows are counted one chunk at a time (``_members_inside``).
+
+    The event needs count_min = floor(eps C(m, r)) + 1 members of T inside
+    X, but X^{(r)} has C(m, r) members and T has |T|: the count is at most
+    min(|T|, C(m, r)).  When count_min is above that, the event is
+    impossible, every draw misses whatever the seed, and the report is
+    built without drawing a row or loading numpy (``drawn`` 0).
+    Otherwise the rows are drawn and counted (``_sampled_hits``).
     """
     import mpmath as mp
-    import numpy as np
 
     if min(n, m, trials) < 0:
         raise PreconditionError(
@@ -357,20 +410,36 @@ def verify_trace_probability(
         and m >= concentration_constants(eps, r).m0
     )
     if not hypothesis_ok:
-        return MonteCarloReport(params, trials, seed, 0, 0.0, bound, 0.0, "hypothesis-failed")
+        return MonteCarloReport(
+            params, trials, 0, seed, 0, 0.0, bound, 0.0, "hypothesis-failed"
+        )
     if trials == 0:
-        return _monte_carlo_report(params, 0, seed, 0, bound)
+        return _monte_carlo_report(params, 0, seed, 0, bound, 0)
 
-    thr = eps * math.comb(m, r)
-    count_min = math.floor(thr) + 1  # least integer > thr
+    count_min = math.floor(eps * math.comb(m, r)) + 1  # least integer > eps C(m, r)
+    hits = _forced_hits(*_trace_support(m, r, len(t_list)), count_min, trials)
+    if hits is not None:
+        return _monte_carlo_report(params, trials, seed, hits, bound, 0)
+
+    import numpy as np
+
     # row j: the j-th smallest element of every member of T, counted from 0
     cols = np.array([mask_elements(mask) for mask in t_list], dtype=np.intp)
     cols = cols.reshape(len(t_list), r).T - 1
+    hits = _sampled_hits(n, m, cols, count_min, trials, seed)
+    return _monte_carlo_report(params, trials, seed, hits, bound, trials)
 
+
+def _sampled_hits(
+    n: int, m: int, cols: np.ndarray, count_min: int, trials: int, seed: int
+) -> int:
+    """How many of ``trials`` seeded rows have at least ``count_min``
+    members of T inside X, the row's first m entries; ``cols`` as in
+    ``_members_inside``.  The rows are counted one chunk at a time."""
     hits = 0
     for _, mat in _shuffled_batches(n, trials, seed):
         hits += int((_members_inside(mat, m, cols) >= count_min).sum())
-    return _monte_carlo_report(params, trials, seed, hits, bound)
+    return hits
 
 
 def _members_inside(mat: np.ndarray, m: int, cols: np.ndarray) -> np.ndarray:

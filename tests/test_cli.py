@@ -625,6 +625,26 @@ class TestVerifyLemma:
         assert res["params"]["T_size"] == 5
         assert res["empirical"] == repr(rep.empirical) and rep.hits > 0
         assert res["verdict"] == rep.verdict == "pass"
+        assert res == {
+            "bound": "0.7316156289466418", "drawn": 2000, "empirical": "0.0835",
+            "lemma": "trace", "margin": "0.029725307431958246",
+            "params": {"T_size": 5, "eps": "1/4", "m": 10, "n": 40, "r": 1},
+            "seed": 11, "trials": 2000, "verdict": "pass",
+        }
+
+    def test_impossible_trace_draws_nothing(self, capsys, fam_file):
+        """Two singletons cannot put the needed 3 members of T in X (more
+        than eps * C(10, 1) = 2.5): the report covers the 2000 trials asked
+        for, with no row drawn."""
+        path = fam_file(SetFamily(40, {1, 2}), "tset.txt")
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "trace", "--n", "40", "-m", "10", "-r", "1",
+            "--eps", "1/4", "--tset", path, "--trials", "2000", "--seed", "11",
+        ])
+        assert code == 0
+        res = payload["results"]
+        assert res["trials"] == 2000 and res["drawn"] == 0
+        assert res["empirical"] == "0.0" and res["verdict"] == "pass"
 
     def test_flexbound_pass(self, capsys, fam_file):
         # A lone member has no swap partners, hence no pivots at all.
@@ -823,6 +843,16 @@ class TestLazyImports:
             "--n", "100", "-t", "6", "--trials", "100", "--seed", "1",
         ])
         assert "numpy" in loaded
+
+    def test_impossible_trace_loads_mpmath_only(self, fam_file):
+        """A trace query whose event cannot happen decides it without drawing
+        rows, so numpy stays unloaded; mpmath still gives the bound and m0."""
+        path = fam_file(SetFamily(40, {1, 2}), "tset.txt")
+        loaded = self.loaded_after([
+            "verify-lemma", "--lemma", "trace", "--n", "40", "-m", "10", "-r", "1",
+            "--eps", "1/4", "--tset", path, "--trials", "100", "--seed", "1",
+        ])
+        assert loaded == ["mpmath"]
 
     @pytest.mark.parametrize("size,heavy", [
         (_BULK_BYTES - 1, []),

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -221,18 +223,29 @@ def _t2_pairs() -> set:
     return pairs
 
 
+def _columns(members, r: int) -> np.ndarray:
+    """``cols`` of ``_members_inside``: row j holds the j-th smallest
+    element, from 0, of every member."""
+    t_list = sorted(members)
+    cols = np.array([concentration.mask_elements(mask) for mask in t_list], dtype=np.intp)
+    return cols.reshape(len(t_list), r).T - 1
+
+
 @pytest.mark.parametrize("chunk", [1, 7, concentration._BATCH_ROWS])
 def test_chunk_size_leaves_draws_unchanged(monkeypatch, chunk):
-    """The rows, and so every report, do not depend on how a batch is cut."""
-    T2 = _t2_pairs()
-    t2_report = verify_trace_probability(400, 390, 2, Fraction(1, 2), T2, 3000, seed=5)
+    """The rows, and so every count, do not depend on how a batch is cut.
+    At count_min 1141, near the mean count of the T2 pairs inside X, the
+    T2 draws hit about half the time."""
+    cols = _columns(_t2_pairs(), 2)
+    t2_hits = concentration._sampled_hits(400, 390, cols, 1141, 3000, seed=5)
+    assert 0 < t2_hits < 3000
     monkeypatch.setattr(concentration, "_CHUNK_ROWS", chunk)
     subs = sample_uniform_subsets(20, 5, 40000, seed=7)
     digest = hashlib.sha256(subs.tobytes()).hexdigest()
     assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
     T = {1 << i for i in range(5)}
     assert verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11).hits == 3589
-    assert verify_trace_probability(400, 390, 2, Fraction(1, 2), T2, 3000, seed=5) == t2_report
+    assert concentration._sampled_hits(400, 390, cols, 1141, 3000, seed=5) == t2_hits
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
@@ -259,21 +272,20 @@ def test_members_inside_matches_full_gather(r, n, m, size):
 
 
 def test_t2_trace_memory_is_a_few_mib():
-    """A trace call of the benchmark's largest shape (n 400, m 390, r 2,
+    """Drawing the benchmark's largest trace shape (n 400, m 390, r 2,
     1200 pairs, 16,384 trials) keeps a chunk, not a batch, alive: numpy
     reports its buffers to tracemalloc.  A whole batch's tile alone is
     26 MB, its gather 39 MB."""
     import tracemalloc
 
-    T2 = _t2_pairs()
-    concentration_constants(Fraction(1, 2), 2)     # m0's search allocates too
+    cols = _columns(_t2_pairs(), 2)
     tracemalloc.start()
     try:
-        rep = verify_trace_probability(400, 390, 2, Fraction(1, 2), T2, 16384, seed=1)
+        hits = concentration._sampled_hits(400, 390, cols, 37928, 16384, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.trials == 16384 and rep.verdict == "pass"
+    assert hits == 0
     assert peak < 8 * 2**20
 
 
@@ -308,7 +320,7 @@ def test_trace_order_above_m_report_matches_full_constants():
         bound = float(mp.exp(-mp.mpf(consts.c.numerator) / consts.c.denominator * m))
     params = {"n": n, "m": m, "r": r, "eps": "1/2", "T_size": 1}
     want = concentration.MonteCarloReport(
-        params, 100, 4, 0, 0.0, bound, 0.0, "hypothesis-failed"
+        params, 100, 0, 4, 0, 0.0, bound, 0.0, "hypothesis-failed"
     )
     assert verify_trace_probability(n, m, r, eps, {0b111}, 100, seed=4) == want
 
@@ -374,8 +386,108 @@ def test_m0_clears_the_m_dec_floor(monkeypatch, eps, r):
         bound = float(mp.exp(-mp.mpf(consts.c.numerator) / consts.c.denominator * m_dec))
     params = {"n": m_dec, "m": m_dec, "r": r, "eps": str(eps), "T_size": 0}
     want = concentration.MonteCarloReport(
-        params, 10, 2, 0, 0.0, bound, 0.0, "hypothesis-failed"
+        params, 10, 0, 2, 0, 0.0, bound, 0.0, "hypothesis-failed"
     )
     monkeypatch.setattr(concentration, "_constants_cache", {})
     assert verify_trace_probability(m_dec, m_dec, r, eps, set(), 10, seed=2) == want
     assert concentration._constants_cache == {}
+
+
+def _drawing(monkeypatch):
+    """Send every query down the sampled route, as if no support decided it."""
+    monkeypatch.setattr(concentration, "_forced_hits", lambda lo, hi, least, trials: None)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 104729])
+@pytest.mark.parametrize("shape", ["T1", "T2"])
+def test_impossible_trace_event_is_decided_as_drawn(monkeypatch, shape, seed):
+    """The benchmark's trace shapes ask for more members of T inside X than
+    T has: T1 (n 100, m 50, r 1, 24 singletons) needs 26, T2 (n 400, m 390,
+    r 2, 1200 pairs) 37,928.  The draws miss on every seed, and the report
+    that skips them equals the drawn one in every field but ``drawn``."""
+    if shape == "T1":
+        n, m, r, T, trials = 100, 50, 1, {1 << i for i in range(24)}, 16384
+    else:
+        n, m, r, T, trials = 400, 390, 2, _t2_pairs(), 3000
+    eps = Fraction(1, 2)
+    count_min = math.floor(eps * math.comb(m, r)) + 1
+    assert len(T) < count_min
+    assert concentration._sampled_hits(n, m, _columns(T, r), count_min, trials, seed) == 0
+    exact = verify_trace_probability(n, m, r, eps, T, trials, seed)
+    assert exact.drawn == 0 and exact.trials == trials and exact.verdict == "pass"
+    _drawing(monkeypatch)
+    drawn = verify_trace_probability(n, m, r, eps, T, trials, seed)
+    assert drawn.drawn == trials
+    assert dataclasses.replace(exact, drawn=trials) == drawn
+
+
+@pytest.mark.parametrize("m,k,n,t,hits", [
+    (10, 4, 10, Fraction(0), 30),    # X is the ground: Z = k = z_min on every draw
+    (6, 10, 10, Fraction(0), 30),    # every element is below k: Z = m = z_min
+    (5, 2, 10, Fraction(2), 0),      # z_min 3 above min(k, m) = 2
+    (3, 10, 10, Fraction(1, 2), 0),  # z_min 4 above m = 3
+    (9, 8, 10, Fraction(0), None),   # z_min 8 inside Z's range [7, 8]: drawn
+])
+def test_decided_tail_matches_the_draws(monkeypatch, m, k, n, t, hits):
+    """Z lies in [max(0, m - (n - k)), min(k, m)]; a z_min outside it
+    decides every draw, and the report equals the drawn one but for
+    ``drawn``."""
+    exact = verify_tail_bound(m, k, n, t, 30, seed=4)
+    assert exact.drawn == (30 if hits is None else 0)
+    if hits is not None:
+        assert exact.hits == hits
+    _drawing(monkeypatch)
+    drawn = verify_tail_bound(m, k, n, t, 30, seed=4)
+    assert drawn.drawn == 30
+    assert dataclasses.replace(exact, drawn=30) == drawn
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 8, 10])
+def test_supports_hold_over_every_subset(n):
+    """Over every m-subset X of an n-set: both counts lie in the range the
+    rule uses (the tail's exactly, and the trace's top is reached when T
+    is empty or a whole layer), and every event the range decides gets
+    the hits the enumeration counts."""
+    by_m = [
+        [sum(1 << e for e in c) for c in itertools.combinations(range(n), m)]
+        for m in range(n + 1)
+    ]
+
+    def agree(lo, hi, counts):
+        assert lo <= min(counts) and max(counts) <= hi
+        for least in range(-1, hi + 3):
+            forced = concentration._forced_hits(lo, hi, least, len(counts))
+            if forced is not None:
+                assert forced == sum(c >= least for c in counts)
+
+    for m, xs in enumerate(by_m):
+        for k in range(n + 1):
+            zs = [(x & ((1 << k) - 1)).bit_count() for x in xs]
+            assert concentration._tail_support(m, k, n) == (min(zs), max(zs))
+            agree(*concentration._tail_support(m, k, n), zs)
+    rng = np.random.default_rng(n)
+    for r in range(4):
+        layer = [sum(1 << e for e in c) for c in itertools.combinations(range(n), r)]
+        part = [t for t in layer if rng.random() < 0.3]
+        for T, reached in ((layer, True), ([], True), (part, False), (layer[:2], False)):
+            for m, xs in enumerate(by_m):
+                counts = [sum(t & x == t for t in T) for x in xs]
+                lo, hi = concentration._trace_support(m, r, len(T))
+                agree(lo, hi, counts)
+                if reached:
+                    assert max(counts) == hi
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+def test_singleton_trace_draws_exactly_when_possible(eps):
+    """At r = 1 the count reaches min(|T|, m), so a query draws rows iff
+    its event can happen: count_min = floor(eps m) + 1 <= min(|T|, m)."""
+    n = 10
+    for size in range(int(eps / 2 * n) + 1):
+        T = {1 << i for i in range(size)}
+        for m in range(1, n + 1):
+            rep = verify_trace_probability(n, m, 1, eps, T, 4, seed=m)
+            possible = math.floor(eps * m) + 1 <= min(size, m)
+            assert rep.verdict == "pass" and rep.drawn == (4 if possible else 0)
+            if not possible:
+                assert rep.hits == 0
