@@ -162,8 +162,8 @@ class RunConfig:
                 subcommand=payload["subcommand"],
                 params=dict(payload.get("params", {})),
                 seed=payload.get("seed"),
-                ephemeral=bool(payload.get("ephemeral", False)),
-                with_timings=bool(payload.get("with_timings", False)),
+                ephemeral=payload.get("ephemeral", False),
+                with_timings=payload.get("with_timings", False),
                 output=payload.get("output"),
                 fmt=payload.get("format", "json"),
             )
@@ -521,16 +521,30 @@ def _handle_report(cfg: RunConfig):
     return {"replayed": inner.subcommand, "results": results}, certs, code
 
 
+def _check_flag_value(name: str, spec: dict, value) -> None:
+    """``value``, read from a config file for ``name``, must have the
+    flag's type and be one of its choices, if it has any."""
+    want = bool if spec.get("action") == "store_true" else spec.get("type", str)
+    if type(value) is not want or value not in spec.get("choices", (value,)):
+        what = (f"one of {', '.join(spec['choices'])}" if "choices" in spec
+                else {int: "an integer", bool: "a boolean", str: "a string"}[want])
+        raise ParseError(f"{name} must be {what}, got {value!r}")
+
+
 def _check_replayed_config(cfg: RunConfig) -> None:
     """A config file is outside input: each param must name a flag of
     ``_SUBCOMMANDS`` and have its type and choices, and no required flag
-    may be absent.  The seed flags are keys of the config itself, so
-    params may not hold them."""
+    may be absent.  The global and seed flags are keys of the config
+    itself, checked the same way, so params may not hold the seed flags;
+    such a key may be null only where the parser's default is null."""
     entry = _SUBCOMMANDS.get(cfg.subcommand) if isinstance(cfg.subcommand, str) else None
     if entry is None:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
-    if cfg.seed is not None and type(cfg.seed) is not int:
-        raise ParseError(f"seed must be an integer, got {cfg.seed!r}")
+    for flag, spec in _GLOBAL_FLAGS + _SEED_FLAGS:
+        key = flag.lstrip("-").replace("-", "_")
+        value = getattr(cfg, spec.get("dest", key))
+        if value is not None or spec.get("action") == "store_true" or "default" in spec:
+            _check_flag_value(key, spec, value)
     dests = [spec.get("dest", flag.lstrip("-").replace("-", "_")) for flag, spec in entry[1]]
     unknown = sorted(set(cfg.params) - set(dests))
     if unknown:
@@ -542,11 +556,8 @@ def _check_replayed_config(cfg: RunConfig) -> None:
         value = cfg.params.get(dest)
         if value is None and spec.get("required"):
             raise ParseError(f"{cfg.subcommand} config needs {flag}")
-        want = bool if spec.get("action") == "store_true" else spec.get("type", str)
-        if value is not None and (
-            type(value) is not want or ("choices" in spec and value not in spec["choices"])
-        ):
-            raise ParseError(f"bad {flag} value in config: {value!r}")
+        if value is not None:
+            _check_flag_value(flag, spec, value)
 
 
 _HANDLERS: dict = {

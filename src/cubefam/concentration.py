@@ -11,6 +11,7 @@ unbounded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,12 +106,20 @@ def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray
 
 
 def tail_bound(m: int, t) -> float:
-    """Upper bound exp(-2 t^2 / m) for the upper tail at offset t."""
+    """Upper bound exp(-2 t^2 / m) for the upper tail at offset t.
+
+    An offset whose square overflows binary64 gives the bound 0.0; an
+    offset with no binary64 form at all is refused.
+    """
     if m < 1:
         raise PreconditionError("need m >= 1")
     if t < 0:
         raise PreconditionError("tail offset must be nonnegative")
-    return math.exp(-2 * float(t) ** 2 / m)
+    try:
+        tf = float(t)
+    except OverflowError:
+        raise PreconditionError(f"tail offset {t} exceeds binary64") from None
+    return math.exp(-2 * (tf * tf) / m)
 
 
 @dataclass(frozen=True)
@@ -230,80 +239,57 @@ class ConcentrationConstants:
     m0: int
 
 
-_constants_cache: dict = {}
-
-
 def concentration_constants(eps, r: int) -> ConcentrationConstants:
-    """Constants (eta, c, m0) by the recursion on r.
+    """Constants (eta, c, m0) of the trace lemma at tolerance eps and order r.
 
-    Base cases: r=0 gives (1/2, 1, 0) and r=1 gives (eps/2, eps^2/2, 1).
-    For r >= 2 the tolerance halves, eta multiplies, c halves the
-    smaller branch, and m0 additionally clears m*, the least threshold
-    past which exp(-c1 m) + m exp(-c2 (m-1)) stays below exp(-c m).
-    eta and c are exact rationals; m0 is an exact integer (it can be
-    enormous for small eps -- the search is logarithmic in its value).
+    eta and c are the closed forms of ``_trace_rates``.  m0 is the
+    recursion on r: m0(., 0) = 0, m0(., 1) = 1, and from k = 2 on
+    m0(e, k) = max(1, m0(e/2, k-1) + 1, m*_k), where m*_k is the least
+    threshold past which level (e, k)'s two branches stay below exp(-c m)
+    (``_level_threshold``).  Down the chain from (eps, r), level k has
+    tolerance eps/2^(r-k), so the recursion unrolls to
 
-    (eps, r) is built from (eps/2, 1) and (eps/2, r-1), so it tops the
-    chain (eps/2^(r-1), 1), ..., (eps/2, r-1), (eps, r), which is walked
-    upward in a loop from its highest cached link: the depth of Python
-    calls does not grow with r.
+        m0 = max(r, max over k = 2..r of m*_k + r - k):
+
+    each step up adds one, so the base m0(., 1) = 1 arrives as r (which
+    also covers every max(1, ...) term), and level k's m*_k arrives
+    r - k steps later as m*_k + r - k.  Each m*_k is searched once and
+    cached; the search is logarithmic in m*_k, which is enormous for small
+    eps.  eta and c are exact rationals; m0 is an exact integer.
     """
-    eps = check_tolerance(eps)
-    if r < 0:
-        raise PreconditionError("order r must be nonnegative")
-    links = []
-    while r > 1 and (eps, r) not in _constants_cache:
-        links.append((eps, r))
-        eps, r = eps / 2, r - 1
-    lower = _constants_cache[(eps, r)] if r > 1 else _base_constants(eps, r)
-    for eps, r in reversed(links):
-        single = _base_constants(eps / 2, 1)
-        c = min(single.c, lower.c) / 2
-        m_star = _dominance_threshold(single.c, lower.c, c)
-        m0 = max(single.m0, lower.m0 + 1, m_star)
-        lower = ConcentrationConstants(lower.eta * single.eta, c, m0)
-        _constants_cache[(eps, r)] = lower
-    return lower
+    eta, c = _trace_rates(eps, r)
+    eps = Fraction(eps)
+    levels = [_level_threshold(eps / 2 ** (r - k), k) + r - k for k in range(2, r + 1)]
+    return ConcentrationConstants(eta, c, max([r] + levels))
 
 
-def _base_constants(eps: Fraction, r: int) -> ConcentrationConstants:
-    """The constants at r = 0 or r = 1, entered in the cache."""
-    key = (eps, r)
-    hit = _constants_cache.get(key)
-    if hit is None:
-        if r == 0:
-            hit = ConcentrationConstants(Fraction(1, 2), Fraction(1), 0)
-        else:
-            hit = ConcentrationConstants(eps / 2, eps * eps / 2, 1)
-        _constants_cache[key] = hit
-    return hit
+@functools.cache
+def _level_threshold(e: Fraction, k: int) -> int:
+    """m*_k of level (e, k), k >= 2: the least m with
+    exp(-c1 m') + m' exp(-c2 (m'-1)) <= exp(-c m') for all m' >= m.
 
-
-def _dominance_threshold(c1: Fraction, c2: Fraction, c: Fraction) -> int:
-    """Least m with exp(-c1 m') + m' exp(-c2 (m'-1)) <= exp(-c m') for all m' >= m.
-
-    Divide through by exp(-c m): the ratio R(m) = exp(-(c1-c) m)
-    + m exp(c2) exp(-(c2-c) m) must stay <= 1.  Both exponent gaps are
-    positive (c is half the smaller constant), so R(m) -> 0, and its
-    derivative is negative once m >= 1/(c2-c): past that point R is
+    Level (e, k) joins the single (e/2, 1), with c1 = e^2/8, to the level
+    (e/2, k-1) below it, with c2 = 2c, where c = e^2/2^(3k-2) is the
+    level's own constant (``_trace_rates``).  Divide through by
+    exp(-c m): the ratio R(m) = exp(-g1 m) + m exp(c2) exp(-g2 m) must
+    stay <= 1, with exponent gaps g1 = c1 - c = c (2^(3k-5) - 1) >= c
+    and g2 = c2 - c = c, both positive for every k >= 2.  So R(m) -> 0,
+    and its derivative is negative once m >= 1/g2: past that point R is
     strictly decreasing, which is the dominance certificate that lets a
     doubling-plus-bisection search stand in for an infinite scan.
 
     The search starts above m_dec = floor(1/g2) + 1, which always fails:
-    only r >= 2 gets here, so c2 <= (eps/2)^2 / 2 <= 1/8, and with
-    g2 m_dec <= 1 + g2 and g2 = c2 - c,
+    c2 <= (e/2)^2 / 2 <= 1/8, and with g2 m_dec <= 1 + g2,
     R(m_dec) >= m_dec e^(c2) e^(-g2 m_dec) >= (1/g2) e^(c - 1) >= 8/e > 1.
     """
     import mpmath as mp
 
-    g1 = c1 - c
-    g2 = c2 - c
-    if g1 <= 0 or g2 <= 0:
-        raise PreconditionError("dominance certificate needs positive exponent gaps")
-    m_dec = int(Fraction(1) / g2) + 1
+    c = _trace_rates(e, k)[1]
+    g1 = _trace_rates(e / 2, 1)[1] - c      # c1 - c; g2 = c
+    m_dec = int(1 / c) + 1
     with mp.workdps(_MP_DPS):
         guard = mp.mpf(_GUARD)
-        gg1, gg2, cc2 = _mpf(g1), _mpf(g2), _mpf(c2)
+        gg1, gg2, cc2 = _mpf(g1), _mpf(c), _mpf(2 * c)
 
         def ok(m: int) -> bool:
             mm = mp.mpf(m)
@@ -336,7 +322,8 @@ def fat_mass_bound(eps, r: int) -> mp.mpf:
 
 
 def _trace_rates(eps, r: int) -> tuple[Fraction, Fraction]:
-    """(eta, c) of ``concentration_constants(eps, r)``, without m0.
+    """(eta, c) of the trace lemma at (eps, r): the one source of both,
+    which ``concentration_constants`` completes with m0.
 
     Level (e, k) of the recursion combines the single (e/2, 1), whose
     constants are (e/4, e^2/8), with the level (e/2, k-1) below it: eta

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .concentration import _MP_DPS, _mpf, at_most, concentration_constants, fat_mass_bound
+from .concentration import _MP_DPS, _mpf, _trace_rates, at_most, fat_mass_bound
 from .embeddings import (
     DEFAULT_EMBED_ATTEMPTS,
     CubeEmbedResult,
@@ -192,6 +192,9 @@ def _threshold_formula(m: int, q, p):
 def compute_cascade(m: int, eps) -> ConstantCascade:
     """Exact cascade: eta shrinks the tolerance, h and f cap the strata.
 
+    eps_(j+1) = eta(eps_j, m), the least of eps_j and eta(eps_j, i) over
+    orders i <= m: eta(e, i+1) / eta(e, i) = e / 2^(i+2) <= 1 for i >= 1,
+    eta(e, 1) = e/2 <= eta(e, 0) = 1/2, and eta(e, m) <= e/2 < e.
     All eps_j and p are exact rationals; q and the threshold are mpmath
     (finite for every m, but far beyond binary64 already at m = 2).
     """
@@ -201,10 +204,7 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
         raise PreconditionError("pattern size m must be at least 1")
     eps_j = [check_tolerance(eps)]
     for _ in range(2, 2 * m + 2):
-        prev = eps_j[-1]
-        eps_j.append(
-            min([prev] + [concentration_constants(prev, i).eta for i in range(m + 1)])
-        )
+        eps_j.append(_trace_rates(eps_j[-1], m)[0])
     with mp.workdps(_MP_DPS):
         q = max(
             fat_mass_bound(eps_j[j - 2], i)

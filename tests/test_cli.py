@@ -605,6 +605,25 @@ class TestVerifyLemma:
         assert code == 0
         assert payload["results"]["verdict"] == "hypothesis-failed"
 
+    def test_tail_offset_squaring_past_binary64_bounds_at_zero(self, capsys):
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50", "--n", "100",
+            "-t", "1e200", "--trials", "100", "--seed", "1",
+        ])
+        assert code == 0
+        res = payload["results"]
+        assert float(res["bound"]) == 0.0 and res["drawn"] == 0 and res["verdict"] == "pass"
+
+    def test_tail_offset_beyond_binary64_exits_3(self, capsys):
+        code = main([
+            "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50", "--n", "100",
+            "-t", "1e400", "--trials", "100", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("precondition violated:")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_tail_needs_seed(self, capsys):
         code = main([
             "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",
@@ -737,6 +756,38 @@ class TestReportReplay:
         captured = capsys.readouterr()
         assert captured.err.startswith("parse error:") and message in captured.err
         assert captured.out == ""
+
+    EMBED = {"family": "f.txt", "pattern": "builtin:P2", "mode": "induced"}
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("ephemeral", "false", "ephemeral must be a boolean, got 'false'"),
+        ("ephemeral", None, "ephemeral must be a boolean, got None"),
+        ("with_timings", "no", "with_timings must be a boolean, got 'no'"),
+        ("format", "xml", "format must be one of json, csv, got 'xml'"),
+        ("output", 5, "output must be a string, got 5"),
+    ], ids=["string-ephemeral", "null-ephemeral", "string-timings", "unknown-format",
+            "number-output"])
+    def test_bad_top_level_key_is_parse_error(self, capsys, tmp_path, key, value, message):
+        """The global and seed keys are type-checked, never coerced: a
+        string "false" is not a false."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"subcommand": "embed", "seed": 1, key: value, "params": self.EMBED}
+        ))
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"parse error: {message}\n" and captured.out == ""
+
+    def test_ephemeral_config_replays(self, capsys, fam_file, tmp_path):
+        path = fam_file(full_power_set(3))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "subcommand": "embed", "ephemeral": True, "output": None,
+            "params": {**self.EMBED, "family": path},
+        }))
+        code, payload = run_json(capsys, ["report", "--config", str(cfg_path)])
+        assert code == 0 and payload["results"]["replayed"] == "embed"
+        assert payload["results"]["results"]["status"] == "found"
 
 
 class TestCsvFormat:

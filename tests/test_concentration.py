@@ -136,10 +136,14 @@ class TestConstantsRecursion:
 
     def test_deep_order_needs_no_recursion(self, monkeypatch):
         """r far above the recursion limit; m* is stubbed to 1, since its
-        search takes minutes at large r, so m0 grows by one per order."""
-        monkeypatch.setattr(concentration, "_dominance_threshold", lambda c1, c2, c: 1)
-        monkeypatch.setattr(concentration, "_constants_cache", {})
+        search takes minutes at large r, so m0 is the order itself.  With
+        eta and c in closed form the rest takes milliseconds."""
+        import time
+
+        monkeypatch.setattr(concentration, "_level_threshold", lambda e, k: 1)
+        start = time.perf_counter()
         assert concentration_constants(Fraction(1, 2), 3000).m0 == 3000
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_bad_eps(self):
         with pytest.raises(PreconditionError):
@@ -296,18 +300,21 @@ def test_trace_rates_are_the_constants(eps):
         assert concentration._trace_rates(eps, r) == (consts.eta, consts.c)
 
 
+def _no_search(e, k):
+    raise AssertionError(f"m* of level ({e}, {k}) was searched")
+
+
 def test_trace_order_above_m_fails_without_m0(monkeypatch):
     """m0 >= r, so m < r fails the hypothesis before the m* search, which
     takes seconds at r = 150."""
     import time
 
     verify_trace_probability(100, 10, 1, Fraction(1, 2), set(), 0, seed=1)  # loads mpmath
-    monkeypatch.setattr(concentration, "_constants_cache", {})
+    monkeypatch.setattr(concentration, "_level_threshold", _no_search)
     start = time.perf_counter()
     rep = verify_trace_probability(100, 10, 150, Fraction(1, 2), set(), 0, seed=1)
     assert time.perf_counter() - start < 0.5
     assert rep.verdict == "hypothesis-failed" and rep.bound == 1.0
-    assert concentration._constants_cache == {}
 
 
 def test_trace_order_above_m_report_matches_full_constants():
@@ -372,6 +379,34 @@ def test_trace_rates_closed_form_matches_recursion(eps):
         assert concentration._trace_rates(eps, r) == _recursive_trace_rates(eps, r)
 
 
+def _chained_m0(eps: Fraction, r: int, m_star) -> int:
+    """m0 by walking the recursion up the chain (eps/2^(r-1), 1), ...,
+    (eps, r): m0(., 0) = 0, m0(., 1) = 1, and each level k >= 2 takes
+    max(1, m0(e/2, k-1) + 1, m_star(e, k))."""
+    if r == 0:
+        return 0
+    m0 = 1
+    for k in range(2, r + 1):
+        m0 = max(1, m0 + 1, m_star(eps / 2 ** (r - k), k))
+    return m0
+
+
+def _stub_m_star(e: Fraction, k: int) -> int:
+    """A deterministic stand-in for m*, from k - 2 to k + 2, so that the
+    order decides some chains (eps 1 at r = 2, eps 1/2 at r = 2 and 3)
+    and a level's m* the others."""
+    return k - 2 + (7 * e.numerator + 3 * e.denominator + 11 * k) % 5
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10), Fraction(5, 9)]
+)
+def test_m0_unrolled_matches_recursion(monkeypatch, eps):
+    monkeypatch.setattr(concentration, "_level_threshold", _stub_m_star)
+    for r in range(9):
+        assert concentration_constants(eps, r).m0 == _chained_m0(eps, r, _stub_m_star)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7)])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_m0_clears_the_m_dec_floor(monkeypatch, eps, r):
@@ -388,9 +423,8 @@ def test_m0_clears_the_m_dec_floor(monkeypatch, eps, r):
     want = concentration.MonteCarloReport(
         params, 10, 0, 2, 0, 0.0, bound, 0.0, "hypothesis-failed"
     )
-    monkeypatch.setattr(concentration, "_constants_cache", {})
+    monkeypatch.setattr(concentration, "_level_threshold", _no_search)
     assert verify_trace_probability(m_dec, m_dec, r, eps, set(), 10, seed=2) == want
-    assert concentration._constants_cache == {}
 
 
 def _drawing(monkeypatch):

@@ -35,6 +35,8 @@ from cubefam.extraction import (
     _centred,
     build_sequences,
 )
+from cubefam import extraction
+from cubefam.concentration import _trace_rates
 from cubefam.families import MAX_GROUND
 from cubefam.posets import verify_embedding_masks
 
@@ -84,6 +86,19 @@ class TestCascade:
                 # threshold: paper mode always stops at the first check.
                 assert c.threshold > MAX_GROUND + 1
             assert c.p > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 4), Fraction(2, 7)])
+    def test_levels_are_the_least_eta(self, monkeypatch, m, eps):
+        """Each tolerance is the least of the last one and eta over the
+        orders 0..m; the mass bounds are stubbed, as they play no part."""
+        monkeypatch.setattr(extraction, "fat_mass_bound", lambda e, i: 0)
+        monkeypatch.setattr(extraction, "flexibility_mass_bound", lambda e, i: 0)
+        want = [eps]
+        for _ in range(2 * m):
+            prev = want[-1]
+            want.append(min([prev] + [_trace_rates(prev, i)[0] for i in range(m + 1)]))
+        assert compute_cascade(m, eps).eps_j == tuple(want)
 
     def test_input_validation(self):
         with pytest.raises(PreconditionError):
