@@ -21,17 +21,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import __version__
-from .concentration import (
-    verify_tail_bound,
-    verify_trace_probability,
-)
-from .embeddings import (
-    DEFAULT_EMBED_ATTEMPTS,
-    find_pattern_via_universality,
-)
 from .errors import (
     CertificationError,
     ParseError,
@@ -39,30 +31,9 @@ from .errors import (
     SearchBudgetExceeded,
     open_text,
 )
-from .extraction import STATUS_EXHAUSTED, compute_cascade, extract_induced_copy
-from .extremal import extremal_search, middle_layers_number
-from .families import (
-    format_subset,
-    lubell_mass,
-    parse_subset_literal,
-    read_family,
-    relative_lubell,
-)
-from .pivots import (
-    flexible_in_universe,
-    pivots_in_universe,
-    verify_fat_mass_bound,
-    verify_flexibility_bound,
-)
-from .posets import (
-    FinitePoset,
-    contains_subposet,
-    family_as_poset,
-    make_chain,
-    make_cube,
-    make_v,
-    read_poset,
-)
+
+if TYPE_CHECKING:
+    from .posets import FinitePoset
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,6 +48,8 @@ _MP_PRINT_DPS = 30
 def builtin_pattern(name: str) -> FinitePoset:
     """P2: two-chain; V2: one bottom under two tops; D2: its dual;
     Q2: the four subsets of a two-set."""
+    from .posets import make_chain, make_cube, make_v
+
     table: dict[str, Callable[[], FinitePoset]] = {
         "P2": lambda: make_chain(2),
         "P3": lambda: make_chain(3),
@@ -95,6 +68,8 @@ def builtin_pattern(name: str) -> FinitePoset:
 def load_pattern(spec: str) -> FinitePoset:
     if spec.startswith("builtin:"):
         return builtin_pattern(spec.split(":", 1)[1])
+    from .posets import read_poset
+
     return read_poset(spec)
 
 
@@ -216,6 +191,8 @@ def emit_report(rep: Report) -> bytes:
 def _embedding_payload(images: tuple, mode: str, n: int) -> dict:
     """A copy as member masks of a family on [n] (every map the CLI prints
     is one), as JSON."""
+    from .families import format_subset
+
     return {
         "kind": "masks",
         "mode": mode,
@@ -225,6 +202,14 @@ def _embedding_payload(images: tuple, mode: str, n: int) -> dict:
 
 
 def _handle_lubell(cfg: RunConfig):
+    from .families import (
+        format_subset,
+        lubell_mass,
+        parse_subset_literal,
+        read_family,
+        relative_lubell,
+    )
+
     fam = read_family(cfg.params["family"])
     results = {"n": fam.n, "size": len(fam), "mass": lubell_mass(fam)}
     if cfg.params.get("bottom") is not None or cfg.params.get("top") is not None:
@@ -244,6 +229,9 @@ def _handle_lubell(cfg: RunConfig):
 
 
 def _handle_pivots(cfg: RunConfig):
+    from .families import format_subset, parse_subset_literal, read_family
+    from .pivots import flexible_in_universe, pivots_in_universe
+
     fam = read_family(cfg.params["family"])
     base = parse_subset_literal(cfg.params["base"], fam.n)
     r = cfg.params["r"]
@@ -270,6 +258,9 @@ def _handle_pivots(cfg: RunConfig):
 
 
 def _handle_embed(cfg: RunConfig):
+    from .families import read_family
+    from .posets import contains_subposet, family_as_poset
+
     fam = read_family(cfg.params["family"])
     pattern = load_pattern(cfg.params["pattern"])
     mode = cfg.params["mode"]
@@ -280,6 +271,8 @@ def _handle_embed(cfg: RunConfig):
         if emb is not None:
             emb = tuple(fam.members[i] for i in emb)
     else:
+        from .embeddings import DEFAULT_EMBED_ATTEMPTS, find_pattern_via_universality
+
         attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
         try:
             emb = find_pattern_via_universality(
@@ -303,6 +296,8 @@ def _handle_embed(cfg: RunConfig):
 
 
 def _trace_payload(trace) -> dict:
+    from .families import format_subset
+
     return {
         "mode": trace.mode,
         "m": trace.m,
@@ -334,6 +329,10 @@ def _trace_payload(trace) -> dict:
 
 
 def _handle_extract(cfg: RunConfig):
+    from .embeddings import DEFAULT_EMBED_ATTEMPTS
+    from .extraction import STATUS_EXHAUSTED, extract_induced_copy
+    from .families import read_family
+
     fam = read_family(cfg.params["family"])
     pattern = load_pattern(cfg.params["pattern"])
     mode = cfg.params["mode"]
@@ -374,6 +373,9 @@ def _handle_extract(cfg: RunConfig):
 
 
 def _handle_extremal(cfg: RunConfig):
+    from .extremal import extremal_search
+    from .families import format_subset
+
     pattern = load_pattern(cfg.params["pattern"])
     res = extremal_search(
         cfg.params["n"],
@@ -405,6 +407,8 @@ def _handle_extremal(cfg: RunConfig):
 
 
 def _handle_middle_layers(cfg: RunConfig):
+    from .extremal import middle_layers_number
+
     pattern = load_pattern(cfg.params["pattern"])
     value = middle_layers_number(pattern, cfg.params["n"])
     return (
@@ -451,6 +455,9 @@ _LEMMA_FLAGS = {
 
 
 def _handle_verify_lemma(cfg: RunConfig):
+    from .concentration import verify_tail_bound, verify_trace_probability
+    from .families import read_family
+
     lemma = cfg.params["lemma"]
     if lemma not in _LEMMA_FLAGS:
         raise ParseError(f"unknown lemma {lemma!r}")
@@ -476,6 +483,8 @@ def _handle_verify_lemma(cfg: RunConfig):
             _fraction_arg(cfg.params["eps"]), tset, trials, cfg.seed,
         )
         return _monte_carlo_payload(lemma, rep), [], EXIT_OK
+    from .pivots import verify_fat_mass_bound, verify_flexibility_bound
+
     fam = read_family(cfg.params["family"])
     if lemma == "flexbound":
         gamma = _fraction_arg(cfg.params["gamma"])
@@ -489,6 +498,8 @@ def _handle_verify_lemma(cfg: RunConfig):
 
 
 def _handle_cascade(cfg: RunConfig):
+    from .extraction import compute_cascade
+
     cascade = compute_cascade(cfg.params["m"], _fraction_arg(cfg.params["eps"]))
     results = {
         "m": cascade.m,

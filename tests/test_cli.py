@@ -282,7 +282,7 @@ class TestEmbed:
         ]
         path = fam_file(SetFamily(10, members))
         monkeypatch.setattr(
-            cli, "find_pattern_via_universality",
+            "cubefam.embeddings.find_pattern_via_universality",
             functools.partial(find_pattern_via_universality, node_budget=10),
         )
         code, payload = run_json(capsys, [
@@ -516,7 +516,7 @@ class TestCopyReportGolden:
 
     def test_embed_budget_stop_digest(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "find_pattern_via_universality",
+            "cubefam.embeddings.find_pattern_via_universality",
             functools.partial(find_pattern_via_universality, node_budget=10),
         )
         argv = ["embed", "--family", "mid10.txt", "--pattern", "builtin:V2", "--seed", "0"]
@@ -853,18 +853,25 @@ class TestBuiltinPatterns:
 
 
 class TestLazyImports:
-    """numpy and mpmath load only in the subcommands that compute with them."""
+    """numpy, mpmath and each cubefam layer load only in the subcommands
+    that compute with them."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
     HEAVY = ("numpy", "mpmath")
 
-    def loaded_after(self, argv):
-        """Run main(argv) in a fresh interpreter; the heavy modules it loaded."""
+    def modules_after(self, argv):
+        """Run main(argv) in a fresh interpreter (only ``import cubefam``
+        when argv is None); every module loaded by then."""
         script = (
             "import json, sys\n"
-            "from cubefam.cli import main\n"
-            "code = main(json.loads(sys.argv[1]))\n"
-            f"print(json.dumps([code, [m for m in {self.HEAVY!r} if m in sys.modules]]))\n"
+            "import cubefam\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "if argv is None:\n"
+            "    code = 0\n"
+            "else:\n"
+            "    from cubefam.cli import main\n"
+            "    code = main(argv)\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(self.SRC))
         proc = subprocess.run(
@@ -874,6 +881,15 @@ class TestLazyImports:
         code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         assert code == 0, proc.stderr
         return loaded
+
+    def loaded_after(self, argv):
+        """The heavy modules main(argv) loaded in a fresh interpreter."""
+        return [m for m in self.HEAVY if m in self.modules_after(argv)]
+
+    def layers_after(self, argv):
+        """The cubefam modules main(argv) loaded in a fresh interpreter."""
+        return [m.split(".", 1)[1] for m in self.modules_after(argv)
+                if m.startswith("cubefam.")]
 
     @pytest.mark.parametrize("argv", [
         ["extremal", "--n", "4", "--pattern", "builtin:V2", "--mode", "induced"],
@@ -904,6 +920,36 @@ class TestLazyImports:
             "--eps", "1/4", "--tset", path, "--trials", "100", "--seed", "1",
         ])
         assert loaded == ["mpmath"]
+
+    @pytest.mark.parametrize("argv,layers", [
+        (None, ["errors"]),
+        (["lubell", "--family", "FAMILY"], ["cli", "errors", "families"]),
+        (["pivots", "--family", "FAMILY", "--base", "1,2", "-r", "1", "--gamma", "1/2"],
+         ["cli", "concentration", "errors", "families", "pivots"]),
+        (["embed", "--family", "FAMILY", "--pattern", "builtin:P2",
+          "--mode", "weak", "--seed", "0"],
+         ["cli", "errors", "families", "posets"]),
+        (["extremal", "--n", "4", "--pattern", "builtin:V2", "--mode", "induced"],
+         ["cli", "errors", "extremal", "families", "posets"]),
+        (["middle-layers", "--n", "4", "--pattern", "builtin:V2"],
+         ["cli", "errors", "extremal", "families", "posets"]),
+        (["verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",
+          "--n", "100", "-t", "6", "--trials", "100", "--seed", "1"],
+         ["cli", "concentration", "errors", "families"]),
+        (["extract", "--family", "FAMILY", "--pattern", "builtin:P2", "--mode", "override",
+          "--q", "1/2", "--p", "1/2", "--seed", "0"],
+         ["cli", "concentration", "embeddings", "errors", "extraction", "families",
+          "pivots", "posets"]),
+    ], ids=["import-only", "lubell", "pivots", "weak-embed", "extremal", "middle-layers",
+            "tail", "extract-override"])
+    def test_subcommands_load_only_their_layers(self, fam_file, argv, layers):
+        """``import cubefam`` loads ``errors`` alone, and each subcommand the
+        layers its handler calls into; ``extract --mode override`` is the
+        control that loads nearly all of them."""
+        if argv is not None:
+            path = fam_file(SetFamily(4, [m for m in range(16) if m.bit_count() == 2]))
+            argv = [path if a == "FAMILY" else a for a in argv]
+        assert self.layers_after(argv) == layers
 
     @pytest.mark.parametrize("size,heavy", [
         (_BULK_BYTES - 1, []),

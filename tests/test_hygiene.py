@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used; nothing raises the recursion
 limit, and no function calls itself unless kept by name; numpy and mpmath
-are not imported with the package; the CLI reads every rational flag
+are not imported with the package, and ``cli`` and ``__init__`` import no
+layer but ``errors`` with themselves; the CLI reads every rational flag
 through one parser and touches no argparse private; the tolerance range
 check and the integer Lubell weights are each written once; every
 module-level function and class of the package is used by the package, or
@@ -153,24 +154,17 @@ def _is_type_checking(test: ast.expr) -> bool:
     return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
 
 
-def eager_heavy_imports(tree: ast.Module) -> list[int]:
-    """Lines that import numpy or mpmath while the module itself is imported.
+def import_time_imports(tree: ast.Module):
+    """The import statements that run while the module itself is imported.
 
     Function bodies run later and ``if TYPE_CHECKING:`` bodies never run;
     everything else at module or class level counts.
     """
-    found = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            names = []
-        if any(name.split(".")[0] in HEAVY for name in names):
-            found.append(node.lineno)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -178,6 +172,18 @@ def eager_heavy_imports(tree: ast.Module) -> list[int]:
                 stack.extend(child.orelse)
                 continue
             stack.append(child)
+
+
+def eager_heavy_imports(tree: ast.Module) -> list[int]:
+    """Lines that import numpy or mpmath while the module itself is imported."""
+    found = []
+    for node in import_time_imports(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module] if node.level == 0 else []
+        if any(name.split(".")[0] in HEAVY for name in names):
+            found.append(node.lineno)
     return sorted(found)
 
 
@@ -212,6 +218,61 @@ def test_eager_import_scan_flags_module_level_only():
         "    import mpmath\n"
     )
     assert eager_heavy_imports(tree) == [2, 11, 13, 19]
+
+
+# Modules of the package that ``cli`` and ``__init__`` may import while
+# they are themselves imported: ``errors`` only, so a query loads the
+# layers its handler calls into and no others.
+LAYERS = {p.stem for p in (ROOT / "src" / "cubefam").glob("*.py")} - {"__init__", "errors"}
+
+
+def package_modules(node: ast.stmt) -> list[str]:
+    """The package modules a relative import names: ``from .posets import
+    x`` and ``from . import posets`` both name ``posets``."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    return [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+
+
+def eager_layer_imports(tree: ast.Module, layers) -> list[int]:
+    """Lines that import one of ``layers`` while the module itself is imported."""
+    return sorted(
+        node.lineno for node in import_time_imports(tree)
+        if set(package_modules(node)) & set(layers)
+    )
+
+
+@pytest.mark.parametrize("name", ["cli.py", "__init__.py"])
+def test_front_door_loads_no_layer_eagerly(name):
+    """``import cubefam`` and ``cubefam.cli`` load ``errors`` alone; the
+    package resolves its exports on first access, and each CLI handler
+    imports the layers it calls in its own body."""
+    path = ROOT / "src" / "cubefam" / name
+    assert eager_layer_imports(ast.parse(path.read_text(), str(path)), LAYERS) == []
+
+
+def test_layer_import_scan_flags_module_level_only():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import importlib\n"
+        "from . import __version__\n"
+        "from .errors import ParseError\n"
+        "from .posets import make_v\n"
+        "from . import errors, extremal\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .posets import FinitePoset\n"
+        "try:\n"
+        "    from .concentration import at_most\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def handler():\n"
+        "    from .extremal import extremal_search\n"
+        "class C:\n"
+        "    from .posets import read_poset\n"
+    )
+    layers = {"posets", "extremal", "concentration"}
+    assert eager_layer_imports(tree, layers) == [5, 6, 11, 17]
 
 
 def lines_outside(tree: ast.Module, allowed, match) -> list[int]:
