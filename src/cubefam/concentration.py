@@ -57,29 +57,41 @@ def at_most(a, b) -> bool:
         return _mpf(a) <= _mpf(b)
 
 
-def _shuffled_batches(n: int, trials: int, seed: int):
-    """(first row, chunk): ``trials`` rows of independently shuffled 0..n-1.
+def _batches(trials: int, seed: int):
+    """(first row, rows, generator) for each batch of ``trials`` seeded rows.
 
-    Batch j holds at most ``_BATCH_ROWS`` rows, shuffled on the
-    counter-based stream jumped j times off ``seed``, so every row depends
-    only on (n, its index, seed).  A batch is filled and shuffled in
-    chunks of at most ``_CHUNK_ROWS`` rows; ``Generator.permuted`` draws
-    row after row from its stream, so the chunks hold the very rows a
-    whole batch would.  The rows are ``intp``, the item size numpy's
-    fast swap loop takes; the permutation depends only on the draws, so
-    they equal ``int32`` rows shuffled the same way.
+    Batch j holds at most ``_BATCH_ROWS`` rows and draws them on the
+    counter-based stream jumped j times off ``seed``, so no batch's draws
+    depend on another's.
+    """
+    import numpy as np
+
+    base = np.random.Philox(key=seed)
+    for start in range(0, trials, _BATCH_ROWS):
+        gen = np.random.Generator(base.jumped(start // _BATCH_ROWS))
+        yield start, min(_BATCH_ROWS, trials - start), gen
+
+
+def _shuffled_batches(n: int, trials: int, seed: int):
+    """(first row, chunk): ``trials`` rows of independently shuffled 0..n-1,
+    the trace lemma's draws.
+
+    The rows are laid out in ``_batches``.  A batch is filled and shuffled
+    in chunks of at most ``_CHUNK_ROWS`` rows; ``Generator.permuted`` draws
+    row after row from its stream, so every row depends only on (n, its
+    index, seed) and the chunks hold the very rows a whole batch would.
+    The rows are ``intp``, the item size numpy's fast swap loop takes; the
+    permutation depends only on the draws, so they equal ``int32`` rows
+    shuffled the same way.
 
     Every chunk is a view of one buffer that the next chunk overwrites:
     consume it before asking for the next.
     """
     import numpy as np
 
-    base = np.random.Philox(key=seed)
     identity = np.arange(n, dtype=np.intp)
     buf = np.empty((min(_CHUNK_ROWS, trials), n), dtype=np.intp)
-    for start in range(0, trials, _BATCH_ROWS):
-        rows = min(_BATCH_ROWS, trials - start)
-        gen = np.random.Generator(base.jumped(start // _BATCH_ROWS))
+    for start, rows, gen in _batches(trials, seed):
         for first in range(start, start + rows, _CHUNK_ROWS):
             mat = buf[: min(_CHUNK_ROWS, start + rows - first)]
             mat[:] = identity
@@ -87,22 +99,28 @@ def _shuffled_batches(n: int, trials: int, seed: int):
             yield first, mat
 
 
-def sample_uniform_subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray:
-    """(trials, m) array of uniform m-subsets of {0..n-1}; rows are not sorted.
+def _urn_counts(m: int, k: int, n: int, trials: int, seed: int):
+    """Z = |X cap {0..k-1}| for ``trials`` seeded uniform m-subsets X of
+    {0..n-1}, the tail lemma's draws: one count vector per batch of
+    ``_batches``.
 
-    Each row is the prefix of an independently shuffled 0..n-1
-    (``_shuffled_batches``), so output depends only on (n, m, trials, seed).
+    Z depends only on which elements X holds, so X is drawn from an urn
+    one element at a time and never stored.  Step j draws uniformly from
+    the n - j elements not yet drawn; ``room`` of them lie in K = {0..k-1},
+    so the new element is in K exactly when its draw is below ``room``,
+    which then drops by one.  The urn draws the shorter side: X itself
+    when 2m <= n, else its complement, whose n - m draws leave ``room``
+    = k - |complement cap K| = Z elements of K in X.  Each step draws for
+    every row of a batch at once, so a row's Z depends on its batch's size.
     """
     import numpy as np
 
-    if not 0 <= m <= n:
-        raise PreconditionError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if trials < 0:
-        raise PreconditionError("trials must be nonnegative")
-    out = np.empty((trials, m), dtype=np.int32)
-    for start, mat in _shuffled_batches(n, trials, seed):
-        out[start : start + len(mat)] = mat[:, :m]
-    return out
+    inside = 2 * m <= n
+    for _, rows, gen in _batches(trials, seed):
+        room = np.full(rows, k, dtype=np.intp)
+        for j in range(m if inside else n - m):
+            room -= gen.integers(0, n - j, size=rows) < room
+        yield k - room if inside else room
 
 
 def tail_bound(m: int, t) -> float:
@@ -131,9 +149,11 @@ class MonteCarloReport:
     flags suspicion -- empirical frequency above bound + 3 sigma.
 
     ``trials`` is the number of seeded draws the verdict covers, as asked
-    for; ``drawn`` is the number of rows actually shuffled.  The two agree
-    when the draws decide ``hits``.  ``drawn`` is 0 when the support of
-    the count decides every draw alike (``_forced_hits``), so that the
+    for; ``drawn`` is the number of draws actually made: subsets X drawn
+    from an urn for the tail lemma (``_urn_counts``), shuffled rows for
+    the trace lemma (``_shuffled_batches``).  The two agree when the draws
+    decide ``hits``.  ``drawn`` is 0 when the support of the count
+    decides every draw alike (``_forced_hits``), so that the
     verdict over ``trials`` draws needs none of them, and on the
     "inconclusive" and "hypothesis-failed" routes, which draw nothing.
     """
@@ -203,7 +223,9 @@ def verify_tail_bound(
     When the least integer z_min >= km/n + t lies above that range, every
     draw misses whatever the seed; at or below its bottom (say m = n with
     t = 0), every draw hits.  Either way the report is built without
-    drawing a row (``drawn`` 0); otherwise the rows are drawn.
+    drawing (``drawn`` 0); otherwise each of the ``trials`` subsets is
+    drawn from an urn (``_urn_counts``), which gives Z its exact
+    distribution in min(m, n - m) steps and O(batch) memory.
 
     The threshold comparison is exact (integer Z against a rational
     threshold); only the frequency-vs-bound comparison is floating.
@@ -224,9 +246,7 @@ def verify_tail_bound(
     hits = _forced_hits(*_tail_support(m, k, n), z_min, trials)
     if hits is not None:
         return _monte_carlo_report(params, trials, seed, hits, bound, 0)
-    subs = sample_uniform_subsets(n, m, trials, seed)
-    z = (subs < k).sum(axis=1)
-    hits = int((z >= z_min).sum())
+    hits = sum(int((z >= z_min).sum()) for z in _urn_counts(m, k, n, trials, seed))
     return _monte_carlo_report(params, trials, seed, hits, bound, trials)
 
 

@@ -12,15 +12,27 @@ from cubefam.errors import PreconditionError
 from cubefam.concentration import (
     concentration_constants,
     fat_mass_bound,
-    sample_uniform_subsets,
     tail_bound,
     verify_tail_bound,
     verify_trace_probability,
 )
 
 
+def _subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray:
+    """(trials, m) ``int32`` array of the first m entries of every row of
+    ``_shuffled_batches``: the uniform m-subsets the trace lemma counts in."""
+    return np.concatenate([
+        mat[:, :m].astype(np.int32) for _, mat in concentration._shuffled_batches(n, trials, seed)
+    ])
+
+
+def _urn(m: int, k: int, n: int, trials: int, seed: int) -> np.ndarray:
+    """Every Z the tail lemma draws, in one array."""
+    return np.concatenate(list(concentration._urn_counts(m, k, n, trials, seed)))
+
+
 def test_sample_uniform_subsets_shape_and_range():
-    subs = sample_uniform_subsets(30, 7, 500, seed=2)
+    subs = _subsets(30, 7, 500, seed=2)
     assert subs.shape == (500, 7)
     assert subs.min() >= 0 and subs.max() < 30
     # rows are subsets: no repeated element inside a row
@@ -29,16 +41,16 @@ def test_sample_uniform_subsets_shape_and_range():
 
 
 def test_sample_uniform_subsets_deterministic():
-    a = sample_uniform_subsets(20, 5, 100, seed=17)
-    b = sample_uniform_subsets(20, 5, 100, seed=17)
+    a = _subsets(20, 5, 100, seed=17)
+    b = _subsets(20, 5, 100, seed=17)
     assert np.array_equal(a, b)
-    c = sample_uniform_subsets(20, 5, 100, seed=18)
+    c = _subsets(20, 5, 100, seed=18)
     assert not np.array_equal(a, c)
 
 
 def test_sample_uniform_subsets_pinned_across_batches():
     """Three batches of rows (16384, 16384, 7232), each on its own jumped stream."""
-    subs = sample_uniform_subsets(20, 5, 40000, seed=7)
+    subs = _subsets(20, 5, 40000, seed=7)
     assert subs.shape == (40000, 5) and subs.dtype == np.int32
     assert subs[0].tolist() == [17, 11, 0, 9, 16]
     assert subs[16383].tolist() == [19, 13, 8, 1, 2]
@@ -50,14 +62,54 @@ def test_sample_uniform_subsets_pinned_across_batches():
 
 
 def test_uniform_subsets_hit_a_block_hypergeometrically():
-    """Z = |row cap {0..k-1}| is hypergeometric: its support, and its mean
-    inside a 5-sigma band of mk/n (the variance in closed form)."""
-    m, k, n = 25, 40, 100
-    trials = 4000
-    z = (sample_uniform_subsets(n, m, trials, seed=1009) < k).sum(axis=1)
-    assert z.min() >= max(0, m + k - n) and z.max() <= min(m, k)
-    var = m * (k / n) * (1 - k / n) * (n - m) / (n - 1)
-    assert abs(z.mean() - m * k / n) < 5 * math.sqrt(var / trials)
+    """The urn's Z = |X cap {0..k-1}| is hypergeometric: its support, and
+    its mean inside a 5-sigma band of mk/n (the variance in closed form),
+    on both sides of 2m = n."""
+    k, n, trials = 40, 100, 4000
+    for m in (25, 75):
+        z = _urn(m, k, n, trials, seed=1009)
+        assert len(z) == trials
+        assert z.min() >= max(0, m + k - n) and z.max() <= min(m, k)
+        var = m * (k / n) * (1 - k / n) * (n - m) / (n - 1)
+        assert abs(z.mean() - m * k / n) < 5 * math.sqrt(var / trials)
+
+
+def _hypergeometric_pmf(m: int, k: int, n: int) -> list[Fraction]:
+    """P(Z = z) for z = 0..m: C(k, z) C(n - k, m - z) / C(n, m)."""
+    return [
+        Fraction(math.comb(k, z) * math.comb(n - k, m - z), math.comb(n, m))
+        for z in range(m + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_hypergeometric_pmf_counts_every_subset(n):
+    """The closed form equals a count over every m-subset of {0..n-1}."""
+    for m in range(n + 1):
+        subsets = list(itertools.combinations(range(n), m))
+        for k in range(n + 1):
+            seen = [0] * (m + 1)
+            for x in subsets:
+                seen[sum(e < k for e in x)] += 1
+            assert _hypergeometric_pmf(m, k, n) == [Fraction(c, len(subsets)) for c in seen]
+
+
+@pytest.mark.parametrize("m,k,n", [
+    (3, 5, 8), (4, 4, 8), (6, 3, 8),       # below, at and above 2m = n
+    (5, 0, 8), (2, 8, 8), (7, 8, 8),       # k = 0 and k = n
+    (7, 9, 20), (15, 12, 20), (8, 0, 20),
+    (40, 100, 400), (360, 100, 400),
+])
+def test_urn_draws_the_hypergeometric_law(m, k, n):
+    """Each cell of the urn's histogram of Z lies within 5 sigma of the
+    exact pmf; a cell of probability 0 stays empty."""
+    trials = 40_000
+    counts = np.bincount(_urn(m, k, n, trials, seed=m + 31 * k + n), minlength=m + 1)
+    assert len(counts) == m + 1
+    for z, p in enumerate(_hypergeometric_pmf(m, k, n)):
+        mean = trials * p
+        sigma = math.sqrt(trials * p * (1 - p))
+        assert abs(counts[z] - mean) <= 5 * sigma, (z, counts[z], float(mean))
 
 
 def test_tail_bound_formula():
@@ -183,6 +235,15 @@ def test_trace_probability_pinned_hits():
     assert rep.hits == 3589 and rep.verdict == "pass"
 
 
+def test_tail_pinned_hits():
+    """40,000 trials span three batches; Z >= z_min = 16 has exact
+    p = 87654517/34785102294 = 0.0025199, and 102 hits are z = 0.12 from
+    the expected 100.8."""
+    rep = verify_tail_bound(20, 50, 100, Fraction(6), 40_000, seed=11)
+    assert rep.hits == 102 and rep.drawn == 40_000 and rep.verdict == "pass"
+    assert verify_tail_bound(20, 50, 100, Fraction(6), 40_000, seed=11) == rep
+
+
 def test_trace_probability_empty_t_never_hits():
     rep = verify_trace_probability(30, 10, 1, Fraction(1, 4), set(), 2000, seed=3)
     assert rep.hits == 0 and rep.verdict == "pass"
@@ -244,7 +305,7 @@ def test_chunk_size_leaves_draws_unchanged(monkeypatch, chunk):
     t2_hits = concentration._sampled_hits(400, 390, cols, 1141, 3000, seed=5)
     assert 0 < t2_hits < 3000
     monkeypatch.setattr(concentration, "_CHUNK_ROWS", chunk)
-    subs = sample_uniform_subsets(20, 5, 40000, seed=7)
+    subs = _subsets(20, 5, 40000, seed=7)
     digest = hashlib.sha256(subs.tobytes()).hexdigest()
     assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
     T = {1 << i for i in range(5)}
@@ -291,6 +352,22 @@ def test_t2_trace_memory_is_a_few_mib():
         tracemalloc.stop()
     assert hits == 0
     assert peak < 8 * 2**20
+
+
+def test_tail_memory_is_a_few_mib():
+    """A drawn tail query at (40, 100, 400) keeps one count vector per
+    batch alive, whatever the trial count: storing its 200,000 subsets
+    would take 32 MB of int32."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = verify_tail_bound(40, 100, 400, Fraction(8), 200_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.drawn == 200_000 and rep.verdict == "pass"
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10)])
