@@ -73,52 +73,8 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
-__all__ = [
-    "CertificationError",
-    "CubefamError",
-    "DenseTruncatedFamily",
-    "FinitePoset",
-    "MassBoundReport",
-    "ParseError",
-    "PivotRecord",
-    "PivotSet",
-    "PreconditionError",
-    "SearchBudgetExceeded",
-    "SetFamily",
-    "centred_element",
-    "compute_cascade",
-    "concentration_constants",
-    "contains_subposet",
-    "downset_embedding",
-    "enumerate_posets",
-    "extract_induced_copy",
-    "extremal_search",
-    "family_as_poset",
-    "fat_mass_bound",
-    "find_pattern_via_universality",
-    "flexibility_mass_bound",
-    "full_power_set",
-    "is_fat",
-    "lubell_mass",
-    "max_flexfree_mass",
-    "make_chain",
-    "make_cube",
-    "make_v",
-    "middle_layers_number",
-    "observation_check",
-    "override_cascade",
-    "parse_family",
-    "parse_poset",
-    "randomized_cube_embed",
-    "read_family",
-    "read_poset",
-    "relative_lubell",
-    "universality_epsilon",
-    "validate_record",
-    "verify_fat_mass_bound",
-    "verify_flexibility_bound",
-    "verify_tail_bound",
-    "verify_trace_probability",
-    "write_family",
-    "__version__",
-]
+__all__ = sorted(
+    [cls.__name__ for cls in (
+        CertificationError, CubefamError, ParseError, PreconditionError, SearchBudgetExceeded,
+    )] + list(_HOME_OF)
+) + ["__version__"]

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -74,11 +75,16 @@ def load_pattern(spec: str) -> FinitePoset:
 
 
 def _fraction_arg(text: str) -> Fraction:
-    """A rational flag value; the config keeps the string, so echoes stay as typed."""
+    """A rational flag value; the config keeps the string, so echoes stay as
+    typed.  A value that a report could not print is refused here."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        _jsonable(value)
+    except PreconditionError:
+        raise ParseError(f"rational {text!r} has too many digits to print") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
+    return value
 
 
 def _count_arg(cfg: RunConfig, key: str, default: int) -> int:
@@ -88,9 +94,21 @@ def _count_arg(cfg: RunConfig, key: str, default: int) -> int:
 
 
 def _jsonable(x):
-    """Exact values only: rationals as "p/q" strings, big reals via mpmath."""
+    """Exact values only: rationals as "p/q" strings, big reals via mpmath.
+
+    Python prints no integer of more than ``sys.get_int_max_str_digits()``
+    digits, so a rational with such a part is a PreconditionError that
+    names its order of magnitude.
+    """
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        except ValueError:
+            exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+            raise PreconditionError(
+                f"a derived rational near {'-' if x < 0 else ''}1e{exponent:.0f}"
+                " has too many digits to print"
+            ) from None
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, float):
@@ -542,6 +560,11 @@ def _check_flag_value(name: str, spec: dict, value) -> None:
         raise ParseError(f"{name} must be {what}, got {value!r}")
 
 
+def _dest(flag: str, spec: dict) -> str:
+    """The attribute argparse stores ``flag``'s value under."""
+    return spec.get("dest", flag.lstrip("-").replace("-", "_"))
+
+
 def _check_replayed_config(cfg: RunConfig) -> None:
     """A config file is outside input: each param must name a flag of
     ``_SUBCOMMANDS`` and have its type and choices, and no required flag
@@ -552,11 +575,10 @@ def _check_replayed_config(cfg: RunConfig) -> None:
     if entry is None:
         raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
     for flag, spec in _GLOBAL_FLAGS + _SEED_FLAGS:
-        key = flag.lstrip("-").replace("-", "_")
-        value = getattr(cfg, spec.get("dest", key))
+        value = getattr(cfg, _dest(flag, spec))
         if value is not None or spec.get("action") == "store_true" or "default" in spec:
-            _check_flag_value(key, spec, value)
-    dests = [spec.get("dest", flag.lstrip("-").replace("-", "_")) for flag, spec in entry[1]]
+            _check_flag_value(flag.lstrip("-").replace("-", "_"), spec, value)
+    dests = [_dest(flag, spec) for flag, spec in entry[1]]
     unknown = sorted(set(cfg.params) - set(dests))
     if unknown:
         raise ParseError(f"{cfg.subcommand} config has no flag for param {unknown[0]!r}")
@@ -746,7 +768,7 @@ def _named_subcommand(argv: list) -> Optional[str]:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    skip = {"subcommand", "seed", "ephemeral", "with_timings", "output", "fmt"}
+    skip = {"subcommand"} | {_dest(flag, spec) for flag, spec in _GLOBAL_FLAGS + _SEED_FLAGS}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     return RunConfig(
         subcommand=args.subcommand,
@@ -765,6 +787,7 @@ def main(argv: Optional[list] = None) -> int:
     cfg = _config_from_args(args)
     try:
         rep = run(cfg)
+        data = emit_report(rep)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -777,7 +800,6 @@ def main(argv: Optional[list] = None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    data = emit_report(rep)
     if cfg.output:
         try:
             with open(cfg.output, "wb") as fh:

@@ -24,9 +24,11 @@ if TYPE_CHECKING:
     import mpmath as mp
     import numpy as np
 
+# Rows per batch: 16384 for the tail lemma, whose urn keeps one count per
+# row, and 1024 for the trace lemma, whose urn keeps one membership row per
+# element it walks.
 _BATCH_ROWS = 16384
-# Rows shuffled at a time inside a batch: 3.3 MB of intp at n = 400.
-_CHUNK_ROWS = 1024
+_TRACE_ROWS = 1024
 _MP_DPS = 60
 # Comparisons against 1 in the m* search get this one-sided slack, so a
 # value within guard of the boundary is treated as failing the inequality
@@ -57,70 +59,56 @@ def at_most(a, b) -> bool:
         return _mpf(a) <= _mpf(b)
 
 
-def _batches(trials: int, seed: int):
-    """(first row, rows, generator) for each batch of ``trials`` seeded rows.
+def _batches(trials: int, seed: int, size: int):
+    """(rows, generator) for each batch of ``trials`` seeded rows.
 
-    Batch j holds at most ``_BATCH_ROWS`` rows and draws them on the
+    Batch j holds at most ``size`` rows and draws them on the
     counter-based stream jumped j times off ``seed``, so no batch's draws
     depend on another's.
     """
     import numpy as np
 
     base = np.random.Philox(key=seed)
-    for start in range(0, trials, _BATCH_ROWS):
-        gen = np.random.Generator(base.jumped(start // _BATCH_ROWS))
-        yield start, min(_BATCH_ROWS, trials - start), gen
+    for j, start in enumerate(range(0, trials, size)):
+        yield min(size, trials - start), np.random.Generator(base.jumped(j))
 
 
-def _shuffled_batches(n: int, trials: int, seed: int):
-    """(first row, chunk): ``trials`` rows of independently shuffled 0..n-1,
-    the trace lemma's draws.
+def _urn(gen, n: int, room: int, steps: int, rows: int, out=None):
+    """``rows`` independent walks of ``steps`` draws without replacement
+    from an urn of n elements, ``room`` of them marked; the marked ones
+    left in each row's urn after the walk.
 
-    The rows are laid out in ``_batches``.  A batch is filled and shuffled
-    in chunks of at most ``_CHUNK_ROWS`` rows; ``Generator.permuted`` draws
-    row after row from its stream, so every row depends only on (n, its
-    index, seed) and the chunks hold the very rows a whole batch would.
-    The rows are ``intp``, the item size numpy's fast swap loop takes; the
-    permutation depends only on the draws, so they equal ``int32`` rows
-    shuffled the same way.
-
-    Every chunk is a view of one buffer that the next chunk overwrites:
-    consume it before asking for the next.
+    Draw j picks uniformly among the n - j elements not yet drawn, so it
+    hits a marked one exactly when it falls below the marked count left,
+    which then drops by one.  Row j of ``out``, if given, records which
+    rows draw j hit.  One draw, one compare and one in-place subtract per
+    step, for every row at once.
     """
     import numpy as np
 
-    identity = np.arange(n, dtype=np.intp)
-    buf = np.empty((min(_CHUNK_ROWS, trials), n), dtype=np.intp)
-    for start, rows, gen in _batches(trials, seed):
-        for first in range(start, start + rows, _CHUNK_ROWS):
-            mat = buf[: min(_CHUNK_ROWS, start + rows - first)]
-            mat[:] = identity
-            gen.permuted(mat, axis=1, out=mat)
-            yield first, mat
+    left = np.full(rows, room, dtype=np.intp)
+    for j in range(steps):
+        left -= np.less(gen.integers(0, n - j, size=rows), left,
+                        out=None if out is None else out[j])
+    return left
 
 
 def _urn_counts(m: int, k: int, n: int, trials: int, seed: int):
     """Z = |X cap {0..k-1}| for ``trials`` seeded uniform m-subsets X of
     {0..n-1}, the tail lemma's draws: one count vector per batch of
-    ``_batches``.
+    ``_BATCH_ROWS`` rows.
 
     Z depends only on which elements X holds, so X is drawn from an urn
-    one element at a time and never stored.  Step j draws uniformly from
-    the n - j elements not yet drawn; ``room`` of them lie in K = {0..k-1},
-    so the new element is in K exactly when its draw is below ``room``,
-    which then drops by one.  The urn draws the shorter side: X itself
-    when 2m <= n, else its complement, whose n - m draws leave ``room``
-    = k - |complement cap K| = Z elements of K in X.  Each step draws for
+    one element at a time and never stored: the k marked elements are
+    K = {0..k-1}, and each draw that hits puts one of them in X.  The urn
+    draws the shorter side: X itself when 2m <= n, else its complement,
+    whose n - m draws leave Z elements of K undrawn.  Each step draws for
     every row of a batch at once, so a row's Z depends on its batch's size.
     """
-    import numpy as np
-
     inside = 2 * m <= n
-    for _, rows, gen in _batches(trials, seed):
-        room = np.full(rows, k, dtype=np.intp)
-        for j in range(m if inside else n - m):
-            room -= gen.integers(0, n - j, size=rows) < room
-        yield k - room if inside else room
+    for rows, gen in _batches(trials, seed, _BATCH_ROWS):
+        left = _urn(gen, n, k, m if inside else n - m, rows)
+        yield k - left if inside else left
 
 
 def tail_bound(m: int, t) -> float:
@@ -136,7 +124,7 @@ def tail_bound(m: int, t) -> float:
     try:
         tf = float(t)
     except OverflowError:
-        raise PreconditionError(f"tail offset {t} exceeds binary64") from None
+        raise PreconditionError("tail offset exceeds binary64") from None
     return math.exp(-2 * (tf * tf) / m)
 
 
@@ -149,13 +137,13 @@ class MonteCarloReport:
     flags suspicion -- empirical frequency above bound + 3 sigma.
 
     ``trials`` is the number of seeded draws the verdict covers, as asked
-    for; ``drawn`` is the number of draws actually made: subsets X drawn
-    from an urn for the tail lemma (``_urn_counts``), shuffled rows for
-    the trace lemma (``_shuffled_batches``).  The two agree when the draws
-    decide ``hits``.  ``drawn`` is 0 when the support of the count
-    decides every draw alike (``_forced_hits``), so that the
-    verdict over ``trials`` draws needs none of them, and on the
-    "inconclusive" and "hypothesis-failed" routes, which draw nothing.
+    for; ``drawn`` is the number of subsets X actually drawn from an urn
+    (``_urn``: ``_urn_counts`` for the tail lemma, ``_trace_counts`` for
+    the trace lemma).  The two agree when the draws decide ``hits``.
+    ``drawn`` is 0 when the support of the count decides every draw alike
+    (``_forced_hits``), so that the verdict over ``trials`` draws needs
+    none of them, and on the "inconclusive" and "hypothesis-failed"
+    routes, which draw nothing.
     """
 
     params: dict
@@ -389,8 +377,9 @@ def verify_trace_probability(
     X, but X^{(r)} has C(m, r) members and T has |T|: the count is at most
     min(|T|, C(m, r)).  When count_min is above that, the event is
     impossible, every draw misses whatever the seed, and the report is
-    built without drawing a row or loading numpy (``drawn`` 0).
-    Otherwise the rows are drawn and counted (``_sampled_hits``).
+    built without drawing or loading numpy (``drawn`` 0).  Otherwise each
+    X is drawn element by element up to T's largest element and counted
+    (``_trace_counts``), in time and memory that do not grow with n.
     """
     import mpmath as mp
 
@@ -433,43 +422,31 @@ def verify_trace_probability(
     # row j: the j-th smallest element of every member of T, counted from 0
     cols = np.array([mask_elements(mask) for mask in t_list], dtype=np.intp)
     cols = cols.reshape(len(t_list), r).T - 1
-    hits = _sampled_hits(n, m, cols, count_min, trials, seed)
+    hits = sum(int((c >= count_min).sum()) for c in _trace_counts(n, m, cols, trials, seed))
     return _monte_carlo_report(params, trials, seed, hits, bound, trials)
 
 
-def _sampled_hits(
-    n: int, m: int, cols: np.ndarray, count_min: int, trials: int, seed: int
-) -> int:
-    """How many of ``trials`` seeded rows have at least ``count_min``
-    members of T inside X, the row's first m entries; ``cols`` as in
-    ``_members_inside``.  The rows are counted one chunk at a time."""
-    hits = 0
-    for _, mat in _shuffled_batches(n, trials, seed):
-        hits += int((_members_inside(mat, m, cols) >= count_min).sum())
-    return hits
+def _trace_counts(n: int, m: int, cols: np.ndarray, trials: int, seed: int):
+    """|X^{(r)} cap T| for ``trials`` seeded uniform m-subsets X of
+    {0..n-1}, the trace lemma's draws: one count vector per batch of
+    ``_TRACE_ROWS`` rows.  ``cols[j]`` holds the j-th smallest element of
+    every member of T.
 
-
-def _members_inside(mat: np.ndarray, m: int, cols: np.ndarray) -> np.ndarray:
-    """For each shuffled row of ``mat``, how many members of T lie in X,
-    the row's first m entries.
-
-    ``cols[j]`` holds the j-th smallest element of every member.  X is
-    marked from the shorter side of the shuffle in ``picked``, which has
-    one row per element, so that the gather at a member's elements copies
-    whole rows; a member counts when the marks at all its elements are set.
+    X is picked by selection sampling: the urn walks the elements 0, 1, ...
+    in order with m of the n marked, and element j joins X when draw j
+    hits.  Only X's elements in T's members matter, so the walk stops
+    after top = T's largest element + 1 steps, and its ``(top, rows)``
+    membership rows are the whole of X the count needs; a member counts
+    when the rows at all its elements are set.
     """
     import numpy as np
 
-    rows, n = mat.shape
-    which = np.arange(rows)[:, None]
-    if 2 * m <= n:
-        picked = np.zeros((n, rows), dtype=bool)
-        picked[mat[:, :m], which] = True
-    else:
-        picked = np.ones((n, rows), dtype=bool)
-        picked[mat[:, m:], which] = False
-    # at r = 0 the one possible member, the empty set, lies in every X
-    inside = np.ones((cols.shape[1], rows), dtype=bool)
-    for col in cols:
-        inside &= picked[col]
-    return np.count_nonzero(inside, axis=0)
+    top = int(cols.max(initial=-1)) + 1
+    for rows, gen in _batches(trials, seed, _TRACE_ROWS):
+        picked = np.empty((top, rows), dtype=bool)
+        _urn(gen, n, m, top, rows, picked)
+        # at r = 0 the one possible member, the empty set, lies in every X
+        inside = np.ones((cols.shape[1], rows), dtype=bool)
+        for col in cols:
+            inside &= picked[col]
+        yield np.count_nonzero(inside, axis=0)

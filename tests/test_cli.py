@@ -192,6 +192,42 @@ class TestFlagErrors:
         captured = capsys.readouterr()
         assert "not a rational number" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemma", "--lemma", "trace", "--n", "40", "-m", "10", "-r", "1",
+         "--eps", "1e-5000", "--trials", "10", "--seed", "1"],
+        ["pivots", "--family", "{}", "--base", "1", "-r", "1", "--gamma", "1e-5000"],
+        ["verify-lemma", "--lemma", "flexbound", "--family", "{}", "-r", "1",
+         "--gamma", "1e-5000"],
+        ["extract", "--family", "{}", "--pattern", "builtin:P2", "--mode", "override",
+         "--q", "1e5000", "--p", "0", "--seed", "1"],
+        ["verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50", "--n", "100",
+         "-t", "1e5000", "--trials", "10", "--seed", "1"],
+    ], ids=["trace", "pivots", "flexbound", "extract", "tail"])
+    def test_rational_too_long_to_print_exits_2(self, capsys, fam_file, argv):
+        """Python prints no integer of more than 4300 digits, so a report
+        could not echo these rationals."""
+        path = fam_file(full_power_set(3))
+        assert main([a.format(path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        value = "1e5000" if "1e5000" in argv else "1e-5000"
+        assert captured.err == f"parse error: rational {value!r} has too many digits to print\n"
+        assert captured.out == ""
+
+    def test_derived_rational_too_long_to_print_exits_3(self, capsys, monkeypatch):
+        """eps 1e-3000 prints, but a cascade level below it has more than
+        4300 digits.  The m* search behind the mass bounds takes about a
+        minute at this eps, and no printed level depends on it, so it is
+        stubbed to 1."""
+        from cubefam import concentration
+
+        monkeypatch.setattr(concentration, "_level_threshold", lambda e, k: 1)
+        assert main(["cascade", "-m", "2", "--eps", "1e-3000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "precondition violated: a derived rational near 1e-6001 has too many digits to print\n"
+        )
+        assert captured.out == ""
+
     def test_rational_flag_echoed_as_typed(self, capsys, fam_file):
         path = fam_file(full_power_set(3))
         code, payload = run_json(capsys, [
@@ -645,7 +681,7 @@ class TestVerifyLemma:
         assert res["empirical"] == repr(rep.empirical) and rep.hits > 0
         assert res["verdict"] == rep.verdict == "pass"
         assert res == {
-            "bound": "0.7316156289466418", "drawn": 2000, "empirical": "0.0835",
+            "bound": "0.7316156289466418", "drawn": 2000, "empirical": "0.098",
             "lemma": "trace", "margin": "0.029725307431958246",
             "params": {"T_size": 5, "eps": "1/4", "m": 10, "n": 40, "r": 1},
             "seed": 11, "trials": 2000, "verdict": "pass",

@@ -19,25 +19,39 @@ from cubefam.concentration import (
 
 
 def _subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray:
-    """(trials, m) ``int32`` array of the first m entries of every row of
-    ``_shuffled_batches``: the uniform m-subsets the trace lemma counts in."""
-    return np.concatenate([
-        mat[:, :m].astype(np.int32) for _, mat in concentration._shuffled_batches(n, trials, seed)
-    ])
+    """(trials, n) membership rows of the uniform m-subsets X the trace
+    lemma counts in: its urn, on its batches, walked over every element."""
+    rows = []
+    for size, gen in concentration._batches(trials, seed, concentration._TRACE_ROWS):
+        picked = np.empty((n, size), dtype=bool)
+        concentration._urn(gen, n, m, n, size, picked)
+        rows.append(picked.T)
+    return np.concatenate(rows)
 
 
-def _urn(m: int, k: int, n: int, trials: int, seed: int) -> np.ndarray:
+def _tail_draws(m: int, k: int, n: int, trials: int, seed: int) -> np.ndarray:
     """Every Z the tail lemma draws, in one array."""
     return np.concatenate(list(concentration._urn_counts(m, k, n, trials, seed)))
 
 
+def _trace_draws(n: int, m: int, cols: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Every count |X^{(r)} cap T| the trace lemma draws, in one array."""
+    return np.concatenate(list(concentration._trace_counts(n, m, cols, trials, seed)))
+
+
+def _trace_hits(n: int, m: int, cols: np.ndarray, count_min: int, trials: int, seed: int) -> int:
+    """Draws of the trace lemma with at least ``count_min`` members of T in X."""
+    return int((_trace_draws(n, m, cols, trials, seed) >= count_min).sum())
+
+
 def test_sample_uniform_subsets_shape_and_range():
+    """A walk over all n elements puts exactly m of them in X and leaves
+    no marked element in the urn."""
     subs = _subsets(30, 7, 500, seed=2)
-    assert subs.shape == (500, 7)
-    assert subs.min() >= 0 and subs.max() < 30
-    # rows are subsets: no repeated element inside a row
-    for row in subs[:50]:
-        assert len(set(row.tolist())) == 7
+    assert subs.shape == (500, 30)
+    assert (subs.sum(axis=1) == 7).all()
+    gen = np.random.Generator(np.random.Philox(key=2))
+    assert not concentration._urn(gen, 30, 7, 30, 500).any()
 
 
 def test_sample_uniform_subsets_deterministic():
@@ -49,16 +63,16 @@ def test_sample_uniform_subsets_deterministic():
 
 
 def test_sample_uniform_subsets_pinned_across_batches():
-    """Three batches of rows (16384, 16384, 7232), each on its own jumped stream."""
-    subs = _subsets(20, 5, 40000, seed=7)
-    assert subs.shape == (40000, 5) and subs.dtype == np.int32
-    assert subs[0].tolist() == [17, 11, 0, 9, 16]
-    assert subs[16383].tolist() == [19, 13, 8, 1, 2]
-    assert subs[16384].tolist() == [16, 7, 17, 18, 13]
-    assert subs[32768].tolist() == [18, 8, 19, 15, 5]
-    assert subs[39999].tolist() == [9, 5, 0, 4, 15]
+    """Three batches of rows (1024, 1024, 952), each on its own jumped stream."""
+    subs = _subsets(20, 5, 3000, seed=7)
+    assert subs.shape == (3000, 20)
+    assert np.flatnonzero(subs[0]).tolist() == [0, 2, 6, 7, 8]
+    assert np.flatnonzero(subs[1023]).tolist() == [1, 2, 5, 16, 17]
+    assert np.flatnonzero(subs[1024]).tolist() == [0, 5, 13, 14, 19]
+    assert np.flatnonzero(subs[2048]).tolist() == [5, 8, 11, 12, 16]
+    assert np.flatnonzero(subs[2999]).tolist() == [5, 6, 15, 18, 19]
     digest = hashlib.sha256(subs.tobytes()).hexdigest()
-    assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
+    assert digest == "a82203555b28bbcfcc5b42d475987d48ec86757ca5a8f25ca0ffe4e635ce0996"
 
 
 def test_uniform_subsets_hit_a_block_hypergeometrically():
@@ -67,7 +81,7 @@ def test_uniform_subsets_hit_a_block_hypergeometrically():
     on both sides of 2m = n."""
     k, n, trials = 40, 100, 4000
     for m in (25, 75):
-        z = _urn(m, k, n, trials, seed=1009)
+        z = _tail_draws(m, k, n, trials, seed=1009)
         assert len(z) == trials
         assert z.min() >= max(0, m + k - n) and z.max() <= min(m, k)
         var = m * (k / n) * (1 - k / n) * (n - m) / (n - 1)
@@ -101,20 +115,44 @@ def test_hypergeometric_pmf_counts_every_subset(n):
     (40, 100, 400), (360, 100, 400),
 ])
 def test_urn_draws_the_hypergeometric_law(m, k, n):
-    """Each cell of the urn's histogram of Z lies within 5 sigma of the
-    exact pmf; a cell of probability 0 stays empty."""
-    trials = 40_000
-    counts = np.bincount(_urn(m, k, n, trials, seed=m + 31 * k + n), minlength=m + 1)
-    assert len(counts) == m + 1
-    for z, p in enumerate(_hypergeometric_pmf(m, k, n)):
-        mean = trials * p
-        sigma = math.sqrt(trials * p * (1 - p))
-        assert abs(counts[z] - mean) <= 5 * sigma, (z, counts[z], float(mean))
+    """Each cell of the histogram of Z lies within 5 sigma of the exact
+    pmf, and a cell of probability 0 stays empty: Z drawn by the tail
+    lemma, and |X cap T| drawn by the trace lemma at r = 1 with T the k
+    singletons {0}, ..., {k-1}, which has the same law."""
+    trials, seed = 40_000, m + 31 * k + n
+    singletons = _columns({1 << i for i in range(k)}, 1)
+    for draws in (_tail_draws(m, k, n, trials, seed), _trace_draws(n, m, singletons, trials, seed)):
+        counts = np.bincount(draws, minlength=m + 1)
+        assert len(counts) == m + 1
+        for z, p in enumerate(_hypergeometric_pmf(m, k, n)):
+            mean = trials * p
+            sigma = math.sqrt(trials * p * (1 - p))
+            assert abs(counts[z] - mean) <= 5 * sigma, (z, counts[z], float(mean))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (3, 17), (18, 19)])
+def test_trace_draws_hold_a_pair_at_its_rate(pair):
+    """At r = 2, X holds a given pair with probability m(m-1) / (n(n-1));
+    the count of a whole layer [n]^(2) is C(m, 2) on every draw."""
+    n, m, trials = 20, 6, 40_000
+    a, b = pair
+    got = _trace_hits(n, m, _columns({(1 << a) | (1 << b)}, 2), 1, trials, seed=a + b)
+    p = m * (m - 1) / (n * (n - 1))
+    assert abs(got - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+    layer = {(1 << i) | (1 << j) for i, j in itertools.combinations(range(n), 2)}
+    assert (_trace_draws(n, m, _columns(layer, 2), 2000, seed=a) == math.comb(m, 2)).all()
 
 
 def test_tail_bound_formula():
     assert tail_bound(20, Fraction(6)) == pytest.approx(math.exp(-2 * 36 / 20))
     assert tail_bound(8, 0) == 1.0
+
+
+def test_tail_offset_beyond_binary64_is_refused_without_its_digits():
+    """An offset of 5001 digits has no binary64 form; Python could not
+    print it, so the message does not try to."""
+    with pytest.raises(PreconditionError, match=r"^tail offset exceeds binary64$"):
+        verify_tail_bound(20, 50, 100, Fraction(10**5000), 10, seed=1)
 
 
 def test_verify_tail_bound_passes_easily():
@@ -228,11 +266,11 @@ def test_verify_trace_probability_pass_and_hypothesis_failure():
 
 
 def test_trace_probability_pinned_hits():
-    # 40,000 trials span three batches; at least 3 of the 5 singletons
+    # 40,000 trials span 40 batches; at least 3 of the 5 singletons
     # must land in the 10-subset (more than eps * C(10, 1) = 2.5).
     T = {1 << i for i in range(5)}
     rep = verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11)
-    assert rep.hits == 3589 and rep.verdict == "pass"
+    assert rep.hits == 3544 and rep.verdict == "pass"
 
 
 def test_tail_pinned_hits():
@@ -289,69 +327,63 @@ def _t2_pairs() -> set:
 
 
 def _columns(members, r: int) -> np.ndarray:
-    """``cols`` of ``_members_inside``: row j holds the j-th smallest
+    """``cols`` of ``_trace_counts``: row j holds the j-th smallest
     element, from 0, of every member."""
     t_list = sorted(members)
     cols = np.array([concentration.mask_elements(mask) for mask in t_list], dtype=np.intp)
     return cols.reshape(len(t_list), r).T - 1
 
 
-@pytest.mark.parametrize("chunk", [1, 7, concentration._BATCH_ROWS])
-def test_chunk_size_leaves_draws_unchanged(monkeypatch, chunk):
-    """The rows, and so every count, do not depend on how a batch is cut.
-    At count_min 1141, near the mean count of the T2 pairs inside X, the
-    T2 draws hit about half the time."""
-    cols = _columns(_t2_pairs(), 2)
-    t2_hits = concentration._sampled_hits(400, 390, cols, 1141, 3000, seed=5)
-    assert 0 < t2_hits < 3000
-    monkeypatch.setattr(concentration, "_CHUNK_ROWS", chunk)
-    subs = _subsets(20, 5, 40000, seed=7)
-    digest = hashlib.sha256(subs.tobytes()).hexdigest()
-    assert digest == "3bbc2724a0d868ae4040088364dd4f63d451d3d83a3905e2dd6b9fe758910562"
-    T = {1 << i for i in range(5)}
-    assert verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11).hits == 3589
-    assert concentration._sampled_hits(400, 390, cols, 1141, 3000, seed=5) == t2_hits
-
-
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 @pytest.mark.parametrize("n,m", [(20, 6), (20, 10), (12, 8), (9, 9)])
 @pytest.mark.parametrize("size", [0, 1, 30])
 def test_members_inside_matches_full_gather(r, n, m, size):
-    """Row by row, the chunked count equals the (rows x |T| x r) gather it
-    replaced, on both sides of 2m = n; with count_min 1, T nonempty hits."""
+    """Row by row, across a batch boundary, the count from a walk that
+    stops at T's largest element equals the (rows x |T| x r) gather of
+    the X that the same urn draws when it walks all n elements; with
+    count_min 1, T nonempty hits."""
     rng = np.random.default_rng(1000 * r + n + m)
     members = {
         sum(1 << int(e) for e in rng.choice(n, r, replace=False)) for _ in range(size)
     }
-    t_list = sorted(members)
-    t_idx = np.array(
-        [concentration.mask_elements(mask) for mask in t_list], dtype=np.intp
-    ).reshape(len(t_list), r) - 1
-    for _, mat in concentration._shuffled_batches(n, 500, seed=r + size):
-        picked = np.zeros((len(mat), n), dtype=bool)
-        np.put_along_axis(picked, mat[:, :m], True, axis=1)
-        old = picked[:, t_idx].all(axis=2).sum(axis=1)
-        new = concentration._members_inside(mat, m, t_idx.T)
-        assert np.array_equal(new, old)
-        assert ((new >= 1).sum() > 0) == bool(t_list)
+    t_idx = _columns(members, r).T
+    trials, seed = concentration._TRACE_ROWS + 100, r + size
+    new = _trace_draws(n, m, t_idx.T, trials, seed)
+    old = _subsets(n, m, trials, seed)[:, t_idx].all(axis=2).sum(axis=1)
+    assert np.array_equal(new, old)
+    assert ((new >= 1).sum() > 0) == bool(members)
 
 
 def test_t2_trace_memory_is_a_few_mib():
     """Drawing the benchmark's largest trace shape (n 400, m 390, r 2,
-    1200 pairs, 16,384 trials) keeps a chunk, not a batch, alive: numpy
-    reports its buffers to tracemalloc.  A whole batch's tile alone is
-    26 MB, its gather 39 MB."""
+    1200 pairs, 16,384 trials) keeps one 1024-row batch of membership
+    rows alive: numpy reports its buffers to tracemalloc.  A whole
+    16,384-row batch of shuffled rows of [n] alone would be 26 MB."""
     import tracemalloc
 
     cols = _columns(_t2_pairs(), 2)
     tracemalloc.start()
     try:
-        hits = concentration._sampled_hits(400, 390, cols, 37928, 16384, seed=1)
+        hits = _trace_hits(400, 390, cols, 37928, 16384, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert hits == 0
     assert peak < 8 * 2**20
+
+
+def test_drawn_trace_stops_at_the_largest_element_of_t():
+    """n = 10^6 with 25 singletons at the bottom: the event (6 of them in
+    X) is possible, so all 16,384 trials are drawn, but each walk stops
+    after 25 elements.  Rows of [n] would take 8 GB per 1024-row batch."""
+    import time
+
+    T = {1 << i for i in range(25)}
+    verify_trace_probability(10**6, 10, 1, Fraction(1, 2), T, 0, seed=1)  # loads mpmath
+    start = time.perf_counter()
+    rep = verify_trace_probability(10**6, 10, 1, Fraction(1, 2), T, 16384, seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert rep.drawn == 16384 and rep.verdict == "pass"
 
 
 def test_tail_memory_is_a_few_mib():
@@ -412,27 +444,6 @@ def test_trace_order_above_m_report_matches_full_constants():
 def test_trace_member_error_comes_before_the_hypothesis():
     with pytest.raises(PreconditionError, match="not an r-subset"):
         verify_trace_probability(100, 10, 150, Fraction(1, 2), {0b11}, 0, seed=1)
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 400])
-def test_shuffled_batches_match_whole_batch_reference(n):
-    """Each chunk equals the rows of one int32 whole-batch ``permuted`` on
-    ``Philox(key=seed).jumped(j)``, across a batch boundary."""
-    trials, seed = concentration._BATCH_ROWS + 5, 9
-    base = np.random.Philox(key=seed)
-    ref = []
-    for j, start in enumerate(range(0, trials, concentration._BATCH_ROWS)):
-        rows = min(concentration._BATCH_ROWS, trials - start)
-        batch = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
-        np.random.Generator(base.jumped(j)).permuted(batch, axis=1, out=batch)
-        ref.append(batch)
-    ref = np.concatenate(ref)
-    seen = 0
-    for first, mat in concentration._shuffled_batches(n, trials, seed):
-        assert first == seen and mat.dtype == np.intp
-        assert np.array_equal(mat, ref[first : first + len(mat)])
-        seen += len(mat)
-    assert seen == trials
 
 
 def _recursive_trace_rates(eps: Fraction, r: int) -> tuple[Fraction, Fraction]:
@@ -523,7 +534,7 @@ def test_impossible_trace_event_is_decided_as_drawn(monkeypatch, shape, seed):
     eps = Fraction(1, 2)
     count_min = math.floor(eps * math.comb(m, r)) + 1
     assert len(T) < count_min
-    assert concentration._sampled_hits(n, m, _columns(T, r), count_min, trials, seed) == 0
+    assert _trace_hits(n, m, _columns(T, r), count_min, trials, seed) == 0
     exact = verify_trace_probability(n, m, r, eps, T, trials, seed)
     assert exact.drawn == 0 and exact.trials == trials and exact.verdict == "pass"
     _drawing(monkeypatch)

@@ -38,7 +38,10 @@ def unused_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
     return sorted(
         f"line {line}: {name}" for name, line in imported.items() if name not in used
     )
