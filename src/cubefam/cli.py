@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     SearchBudgetExceeded,
+    magnitude,
     open_text,
 )
 
@@ -104,10 +104,8 @@ def _jsonable(x):
         try:
             return f"{x.numerator}/{x.denominator}"
         except ValueError:
-            exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
             raise PreconditionError(
-                f"a derived rational near {'-' if x < 0 else ''}1e{exponent:.0f}"
-                " has too many digits to print"
+                f"a derived rational near {magnitude(x)} has too many digits to print"
             ) from None
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x

@@ -7,6 +7,7 @@ broke.
 """
 
 import contextlib
+import math
 
 
 class CubefamError(Exception):
@@ -38,6 +39,13 @@ class CertificationError(CubefamError, AssertionError):
     This always indicates an implementation bug, never a data error, and
     therefore derives from AssertionError on purpose.
     """
+
+
+def magnitude(x) -> str:
+    """A nonzero rational's order of magnitude, "-1e-3000": how a message
+    names a value whose digits are too many to print."""
+    exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    return f"{'-' if x < 0 else ''}1e{round(exponent)}"
 
 
 @contextlib.contextmanager

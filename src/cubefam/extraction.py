@@ -360,9 +360,20 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
     check only override cascades run, on exact rationals, and an unmet
     threshold or per-step mass floor is recorded as a warning.
 
-    Structural claims of every step -- boundary membership, nesting,
-    stratum witnesses, fatness of the running gap -- are re-verified
-    before the step is accepted.
+    An override run then stops before the first step, at ``STATUS_SMALL_X``
+    with no steps, when n >> (m+1) < 2m: no completed branch could leave
+    the 2m points in X that the strata need.  Each step's new gap is the
+    centred member y of the small half of the old gap (in the anti case,
+    of its complements), so |y| <= floor(u/2) for a gap of u points; and
+    a branch completes only when a or b, both starting at -1, reaches m,
+    which takes at least m+1 steps.  Halving m+1 times leaves
+    |X| <= n >> (m+1).  Within ``MAX_GROUND`` = 64 points this leaves
+    1-element patterns at n >= 8 and 2-element patterns at n >= 32, and
+    no pattern of 3 or more elements.
+
+    Structural claims of every step -- boundary membership, nesting, the
+    halving of the gap, stratum witnesses, fatness of the running gap --
+    are re-verified before the step is accepted.
     """
     if cascade.m != m:
         raise PreconditionError(f"cascade built for m={cascade.m}, asked for m={m}")
@@ -376,6 +387,14 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
                 cascade.threshold,
             )
         warnings.append("initial mass below the configured threshold")
+    if n >> (m + 1) < 2 * m:
+        warnings.append(
+            f"every completed branch has |X| <= n >> (m+1) = {n >> (m + 1)} < 2m = {2 * m}"
+        )
+        return ExtractionTrace(
+            cascade.mode, m, n, STATUS_SMALL_X, (), -1, None, tuple(warnings), mass0,
+            cascade.threshold,
+        )
 
     members = frozenset(fam.members)
     A, B = fam.full_mask, 0
@@ -421,6 +440,8 @@ def build_sequences(fam: SetFamily, m: int, cascade: ConstantCascade) -> Extract
         if base not in members:
             raise CertificationError(f"step {d}: new boundary not a family member")
         gap = new_A & ~new_B
+        if gap.bit_count() > universe.bit_count() // 2:
+            raise CertificationError(f"step {d}: gap not halved")
         r_d = a if out.case == CASE_FLEX else b
         for x, w in witness_orig.items():
             if w not in members:
@@ -518,7 +539,8 @@ def assemble_witnesses(trace: ExtractionTrace, fam: SetFamily) -> WitnessAssembl
                 raise CertificationError(f"stratum member {x:#x} appears twice")
             psi[x] = w
 
-    # Every step at least halves the gap, so |X| <= n >> (m+1) and psi stays small.
+    # Every step at least halves the gap (re-verified in build_sequences),
+    # so |X| <= n >> (m+1) and psi stays small.
     strata = family_as_poset(psi)
     if case == CASE_FLEX:
         strata = strata.dual()
@@ -556,9 +578,12 @@ def extract_induced_copy(
 
     With ``overrides`` (dict with q, p and optionally eps) the run is in
     override mode; otherwise the exact cascade is used, which stops at
-    the mass threshold (see ``build_sequences``).  A returned map is
-    always certified induced against the pattern.  ``attempts`` is the
-    cube location's draw limit, at least 1.
+    the mass threshold (see ``build_sequences``).  An override run with
+    n >> (m+1) < 2m stops before the first step, at ``STATUS_SMALL_X``
+    with an empty trace and no assembly: no completed branch could leave
+    the 2m points in X that the strata need.  A returned map is always
+    certified induced against the pattern.  ``attempts`` is the cube
+    location's draw limit, at least 1.
 
     The density check before cube location, at min(eps_1,
     ``universality_epsilon(m)``), can only fail ("not dense enough") when

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import ParseError, PreconditionError, open_text
+from .errors import ParseError, PreconditionError, magnitude, open_text
 
 MAX_GROUND = 64
 
@@ -149,7 +149,10 @@ def check_tolerance(value, name: str = "tolerance") -> Fraction:
     """
     value = Fraction(value)
     if not 0 < value <= 1:
-        raise PreconditionError(f"{name} must be in (0, 1], got {value}")
+        # a value with long parts is named by its magnitude, not every digit
+        short = max(abs(value.numerator), value.denominator) < 10**20
+        shown = value if short else f"a rational near {magnitude(value)}"
+        raise PreconditionError(f"{name} must be in (0, 1], got {shown}")
     return value
 
 

@@ -272,32 +272,33 @@ def height(p: FinitePoset) -> int:
 def verify_embedding_indices(
     host: FinitePoset, pattern: FinitePoset, images: Sequence[int], mode: str
 ) -> bool:
-    """Definitional pairwise check of an index embedding.  No shortcuts."""
+    """Pairwise check of an index embedding.  h < h' in the host exactly
+    when the down-set of h lies strictly inside that of h', so the images'
+    down-sets go through the mask check."""
     if any(not 0 <= h < host.k for h in images):
         return False
-    return _keeps_order(pattern, images, host.lt, mode)
+    return verify_embedding_masks(pattern, [host.below[h] | 1 << h for h in images], mode)
 
 
 def verify_embedding_masks(pattern: FinitePoset, images: Sequence[int], mode: str) -> bool:
-    """Pairwise check of a mask embedding against strict inclusion."""
-    return _keeps_order(pattern, images, lambda a, b: a != b and a & ~b == 0, mode)
-
-
-def _keeps_order(pattern: FinitePoset, images: Sequence[int], lt, mode: str) -> bool:
     """Is ``images`` an injective weak (or induced) copy of ``pattern``
-    under the host's strict order ``lt``?
+    under strict inclusion?
 
-    Every pattern pair x < y needs lt(images[x], images[y]); in induced
-    mode an incomparable pair must also stay incomparable.
+    One row per pattern element x: the bitset of the y whose image
+    strictly contains images[x].  It must contain ``pattern.above[x]``,
+    and in induced mode equal it.
     """
     if len(images) != pattern.k or len(set(images)) != len(images):
         return False
-    for x in range(pattern.k):
-        for y in range(pattern.k):
-            if x == y or lt(images[x], images[y]) == pattern.lt(x, y):
-                continue
-            if pattern.lt(x, y) or (mode == "induced" and not pattern.lt(y, x)):
-                return False
+    for x, want in enumerate(pattern.above):
+        a = images[x]
+        row = 0
+        for y, b in enumerate(images):
+            if a & ~b == 0:
+                row |= 1 << y
+        row ^= 1 << x  # images[x] contains itself, not strictly
+        if (row if mode == "induced" else row & want) != want:
+            return False
     return True
 
 

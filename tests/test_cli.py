@@ -228,6 +228,16 @@ class TestFlagErrors:
         )
         assert captured.out == ""
 
+    def test_tolerance_out_of_range_named_by_magnitude(self, capsys):
+        """-1e-3000 prints, but the message names its magnitude rather
+        than a 3001-digit denominator."""
+        assert main(["cascade", "-m", "2", "--eps=-1e-3000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "precondition violated: tolerance must be in (0, 1], got a rational near -1e-3000\n"
+        )
+        assert captured.out == ""
+
     def test_rational_flag_echoed_as_typed(self, capsys, fam_file):
         path = fam_file(full_power_set(3))
         code, payload = run_json(capsys, [
@@ -386,6 +396,35 @@ class TestExtract:
         assert payload["results"]["status"] in (
             "constants too aggressive", "insufficient mass", "X too small",
         )
+
+
+    ARGS = ["--pattern", "builtin:P2", "--mode", "override", "--q", "1/2", "--p", "1/2",
+            "--seed", "3"]
+
+    def test_override_stops_before_the_first_step(self, capsys, fam_file):
+        """P2 needs 4 points in X, and no branch can leave more than
+        12 >> 3 = 1: the report has no steps and says why."""
+        path = fam_file(full_power_set(12))
+        code, payload = run_json(capsys, ["extract", "--family", path, *self.ARGS])
+        assert code == 0
+        res = payload["results"]
+        assert res["status"] == "X too small" and res["map"] is None
+        trace = res["trace"]
+        assert (trace["status"], trace["steps"], trace["t"], trace["branch"]) == (
+            "X too small", [], -1, None,
+        )
+        assert trace["initial_mass"] == "13/1"
+        assert trace["warnings"] == [
+            "initial mass below the configured threshold",
+            "every completed branch has |X| <= n >> (m+1) = 1 < 2m = 4",
+        ]
+        assert payload["certifications"] == []
+
+    def test_malformed_family_still_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("n=12\n1,2\n2,1\n")
+        assert main(["extract", "--family", str(bad), *self.ARGS]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
 
 
 class TestExtractOutcomes:

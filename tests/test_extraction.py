@@ -21,6 +21,7 @@ from cubefam import (
     full_power_set,
     lubell_mass,
     make_chain,
+    make_v,
     override_cascade,
     relative_lubell,
 )
@@ -306,8 +307,85 @@ class TestBuildSequences:
             assemble_witnesses(broken, fam)
 
     def test_empty_family_stops_immediately(self):
-        trace = build_sequences(SetFamily(6, []), 1, override_cascade(1, **OVR))
+        # n = 8 is the least ground on which a 1-element run takes a step.
+        trace = build_sequences(SetFamily(8, []), 1, override_cascade(1, **OVR))
         assert trace.status == STATUS_NO_MASS and trace.t == -1
+
+    def test_gap_not_halved_raises(self, monkeypatch):
+        # A case worker that keeps the whole gap: the step's boundary is
+        # still a member, but the gap it leaves is not the small half.
+        monkeypatch.setattr(
+            extraction, "_prune_and_centre", lambda pool, universe, *rest: (universe, Fraction(1))
+        )
+        with pytest.raises(CertificationError, match="step 0: gap not halved"):
+            build_sequences(full_power_set(10), 1, override_cascade(1, **OVR))
+
+
+def layered(n, lo, hi):
+    """Every subset of [n] with lo..hi points."""
+    return SetFamily(n, [f for f in range(1 << n) if lo <= bin(f).count("1") <= hi])
+
+
+class TestUpFrontStop:
+    """An override run stops before its first step when no completed
+    branch can leave the 2m points in X that the strata need."""
+
+    def test_bound_holds_and_stop_fires_exactly_below_it(self):
+        rng = random.Random(2026)
+        completed = 0
+        for n in range(1, 11):
+            for m in (1, 2):
+                bound = n >> (m + 1)
+                for _ in range(4):
+                    fam = random_family(rng, n, density=rng.uniform(0.85, 1.0))
+                    trace = build_sequences(fam, m, override_cascade(m, 0, 0))
+                    stopped = trace.status == STATUS_SMALL_X and trace.steps == ()
+                    assert stopped == (bound < 2 * m)
+                    # the gap after step d has at most n >> (d+1) points
+                    for s in trace.steps:
+                        assert bin(s.A & ~s.B).count("1") <= n >> (s.index + 1)
+                    if trace.branch is not None:
+                        completed += 1
+                        last = trace.steps[-1]
+                        assert bin(last.A & ~last.B).count("1") <= bound
+        assert completed > 0
+
+    def test_grounds_that_can_run(self):
+        """Within 64 points only 1-element patterns at n >= 8 and
+        2-element patterns at n >= 32 take a step; an empty family then
+        stops at the first step's mass check."""
+        for m in (1, 2, 3, 4):
+            cascade = override_cascade(m, 0, 0)
+            runs = [
+                n for n in range(1, MAX_GROUND + 1)
+                if build_sequences(SetFamily(n, []), m, cascade).status != STATUS_SMALL_X
+            ]
+            assert runs == {1: list(range(8, 65)), 2: list(range(32, 65))}.get(m, [])
+
+    def test_two_element_chain_at_n12(self):
+        res = extract_induced_copy(
+            full_power_set(12), make_chain(2),
+            {"q": Fraction(1, 8), "p": Fraction(1, 8), "eps": Fraction(1, 16)},
+            seed=5,
+        )
+        assert res.status == STATUS_SMALL_X and res.mode == "override"
+        assert res.map is None and res.assembly is None and res.embed is None
+        trace = res.trace
+        assert (trace.status, trace.steps, trace.t, trace.branch) == (STATUS_SMALL_X, (), -1, None)
+        assert trace.initial_mass == 13
+        assert trace.warnings == (
+            "initial mass below the configured threshold",
+            "every completed branch has |X| <= n >> (m+1) = 1 < 2m = 4",
+        )
+
+    def test_three_element_pattern_on_64_points(self):
+        rng = random.Random(64)
+        fam = SetFamily(64, {rng.getrandbits(64) | 1 << 63 for _ in range(40)})
+        res = extract_induced_copy(fam, make_v(), {"q": 0, "p": 0}, seed=1)
+        assert res.status == STATUS_SMALL_X and res.trace.steps == ()
+        assert res.trace.warnings[-1] == (
+            "every completed branch has |X| <= n >> (m+1) = 4 < 2m = 6"
+        )
 
 
 class TestExtractPipeline:
@@ -340,19 +418,23 @@ class TestExtractPipeline:
         assert any("mass floor" in w for w in res.trace.warnings)
         assert any("threshold" in w for w in res.trace.warnings)
 
-    def test_two_element_chain_stops_honestly(self):
+    def test_aggressive_constants_stop_honestly(self):
+        # The 3- and 4-sets of [8]: after two steps no member of either
+        # half survives the pruning.
         res = extract_induced_copy(
-            full_power_set(12), make_chain(2),
+            layered(8, 3, 4), make_chain(1),
             {"q": Fraction(1, 8), "p": Fraction(1, 8), "eps": Fraction(1, 16)},
             seed=5,
         )
         assert res.status == STATUS_AGGRESSIVE
-        assert res.map is None
+        assert res.map is None and len(res.trace.steps) == 2
 
     def test_small_final_gap_reported(self):
-        res = extract_induced_copy(full_power_set(4), make_chain(1), {"q": 0, "p": 0}, seed=1)
-        assert res.status == STATUS_SMALL_X
+        # The branch completes, but with one point left in X.
+        res = extract_induced_copy(layered(8, 2, 4), make_chain(1), {"q": 0, "p": 0}, seed=1)
+        assert res.status == STATUS_SMALL_X and res.trace.branch is not None
         assert res.assembly is not None and res.assembly.status == STATUS_SMALL_X
+        assert bin(res.assembly.X).count("1") == 1
 
     def test_sound_on_random_hosts(self):
         # Dense hosts complete the branch often; sparse ones stop with an

@@ -6,7 +6,8 @@ through one parser and touches no argparse private; the tolerance range
 check and the integer Lubell weights are each written once; every
 module-level function and class of the package is used by the package, or
 kept by name; no function only hands its arguments on to another one of
-the package, unless kept by name.
+the package, unless kept by name; the README lists exactly the stop
+statuses of ``extraction``.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -14,6 +15,7 @@ when the module refers to it anywhere, or lists it in ``__all__``;
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -560,3 +562,37 @@ def test_pass_through_scan_flags_forwards_only():
         "    return core(b)\n"
     )
     assert pass_through([tree]) == ["forward", "method", "spread"]
+
+
+def string_constants(tree: ast.Module, prefix: str) -> set:
+    """The string values of the module-level names starting with ``prefix``."""
+    return {
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith(prefix)
+    }
+
+
+def readme_statuses(text: str) -> list:
+    """The backquoted names in the parentheses after "Status strings from
+    `extract`"."""
+    start = text.index("Status strings from `extract`")
+    return re.findall(r"`([^`]+)`", text[text.index("(", start):text.index(")", start)])
+
+
+def test_readme_lists_every_extract_status():
+    """Every status but ``ok`` is a reason a run stopped; the README names
+    each of them once."""
+    tree = ast.parse((ROOT / "src" / "cubefam" / "extraction.py").read_text())
+    listed = readme_statuses((ROOT / "README.md").read_text())
+    assert sorted(listed) == sorted(string_constants(tree, "STATUS_") - {"ok"})
+
+
+def test_status_scans_read_names_and_list():
+    tree = ast.parse("STATUS_OK = 'ok'\nSTATUS_A = 'a b'\nCASE_X = 'up'\nSTATUS_N = 3\n")
+    assert string_constants(tree, "STATUS_") == {"ok", "a b"}
+    text = "Intro (`x`). Status strings from `extract` are (`a b`, `c`); see (`d`)."
+    assert readme_statuses(text) == ["a b", "c"]

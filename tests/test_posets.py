@@ -211,6 +211,28 @@ def test_contains_subposet_against_brute_force():
                 assert verify_embedding_indices(host, pattern, got, mode)
 
 
+def test_order_checks_agree_with_the_pairwise_definition():
+    """Every index tuple of a small host, injective or not, passes the
+    row checks exactly when it is a pairwise copy; the mask check runs on
+    an inclusion host's members."""
+    from itertools import product
+
+    rng = random.Random(2468)
+    for _ in range(60):
+        pattern = random_poset(rng, rng.randint(1, 3))
+        fam = random_family(rng, 3, density=0.6)
+        masks = sorted(fam.members)
+        hosts = [(random_poset(rng, rng.randint(1, 5)), None), (family_as_poset(fam), masks)]
+        for (host, members), mode in product(hosts, ("weak", "induced")):
+            copies = set(brute_force_copies(host, pattern, mode))
+            for images in product(range(host.k), repeat=pattern.k):
+                want = images in copies
+                assert verify_embedding_indices(host, pattern, images, mode) == want
+                if members is not None:
+                    got = verify_embedding_masks(pattern, [members[i] for i in images], mode)
+                    assert got == want
+
+
 def test_induced_implies_weak():
     rng = random.Random(77)
     for _ in range(60):
