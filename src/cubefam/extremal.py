@@ -11,8 +11,9 @@ pattern weakly can keep at most k-1 members of any chain, since a chain
 absorbs every poset of its size order-preservingly.
 
 Certificates are never trusted.  Each copy the oracle finds is mapped to
-the member masks and re-checked pair by pair against set inclusion
-(``verify_embedding_masks``) before the candidate is rejected, and the
+the member masks and re-checked against set inclusion
+(``verify_embedding_masks``) once, when it is found, and a candidate is
+rejected only on a re-checked copy whose members are all chosen.  The
 reported family is re-checked by the independent containment searcher
 before the result is returned.
 """
@@ -80,6 +81,15 @@ class _Feasibility:
     patterns search only the copies through x.  A probe appends x's own
     rows and pops them; ``AnchoredSearch`` reads the anchor's relations
     from its own rows only, so x is never entered in the members' rows.
+
+    ``copies[x]`` keeps the other members of the last copy through x that
+    passed ``verify_embedding_masks``, and ``chosen`` the members as a
+    set.  A copy (weak or induced) depends only on its own masks, so while
+    all of them stay chosen it is still a copy, and ``ok`` rejects x
+    without a search.  The DFS asks about the same candidate again after
+    every backtrack above it, so most rejections re-find a stored copy.
+    Each copy is re-checked once, when found; the memo lives as long as
+    the search.
     """
 
     def __init__(self, n: int, pattern: FinitePoset, mode: str):
@@ -87,6 +97,8 @@ class _Feasibility:
         self.mode = mode
         self.chain_k = pattern.k if pattern.is_chain() else None
         self.masks: list = []
+        self.chosen: set = set()
+        self.copies: dict = {}
         self.cols = [0] * n
         self.above: list = []
         self.below: list = []
@@ -99,14 +111,17 @@ class _Feasibility:
         return rows_from_columns(self.cols, x, (1 << len(self.masks)) - 1)
 
     def ok(self, x: int) -> bool:
-        up, down = self._rows_of(x)
         if self.chain_k is not None:
             # The longest chain through x: one below it, x, one above it.
             # Each height is peeled only up to spare + 1, so P2 costs O(1).
+            up, down = self._rows_of(x)
             spare = self.chain_k - 2
             spare -= len(peel(self.below, down, spare + 1))
             return spare >= 0 and len(peel(self.below, up, spare + 1)) <= spare
-        self._append(x, up, down)
+        known = self.copies.get(x)
+        if known is not None and self.chosen.issuperset(known):
+            return False
+        self._append(x, *self._rows_of(x))
         image = self.through.copy_through(len(self.masks) - 1)
         copy = None if image is None else [self.masks[i] for i in image]
         self._drop()
@@ -114,6 +129,7 @@ class _Feasibility:
             return True
         if not verify_embedding_masks(self.pattern, copy, self.mode):
             raise CertificationError("oracle returned a map that fails re-verification")
+        self.copies[x] = tuple(m for m in copy if m != x)
         return False
 
     def push(self, x: int) -> None:
@@ -122,6 +138,7 @@ class _Feasibility:
         toggle_bits(self.cols, x, bit)
         self._append(x, up, down)
         self._relink(up, down, bit)
+        self.chosen.add(x)
 
     def pop(self, x: int) -> None:
         up, down = self.above[-1], self.below[-1]
@@ -129,6 +146,7 @@ class _Feasibility:
         bit = 1 << len(self.masks)
         self._relink(up, down, bit)
         toggle_bits(self.cols, x, bit)
+        self.chosen.remove(x)
 
     def _append(self, x: int, up: int, down: int) -> None:
         """Give x the rows of a new last member, in its own rows only."""

@@ -341,8 +341,10 @@ def contains_subposet(
         return ()
     plan = _search_plan(pattern, mode)
     everyone = (1 << host.k) - 1
-    h_down = peel(host.below, everyone)
-    h_up = peel(host.above, everyone)
+    # Rooms past the deepest level the plan reads are never indexed.
+    stop = 1 + max(map(max, plan.levels))
+    h_down = peel(host.below, everyone, stop)
+    h_up = peel(host.above, everyone, stop)
     # room[d]: host elements with enough chain room for the element at depth d.
     room = [
         h_down[down] & h_up[up] if down < len(h_down) and up < len(h_up) else 0
