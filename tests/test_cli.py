@@ -384,18 +384,24 @@ class TestExtract:
         assert res["map"] is None
         assert res["mode"] == "paper"
 
-    def test_override_single_element_completes(self, capsys, fam_file):
+    def test_override_single_element_completes(self, capsys, fam_file, tmp_path):
+        """A 1-element pattern on the full 10-cube: two halving steps,
+        then a certified one-image map."""
         path = fam_file(full_power_set(10))
+        pattern = tmp_path / "one.poset"
+        pattern.write_text("k=1\n")
         code, payload = run_json(capsys, [
-            "extract", "--family", path, "--pattern", "builtin:P2",
+            "extract", "--family", path, "--pattern", str(pattern),
             "--mode", "override", "--q", "1/2", "--p", "1/2",
             "--eps", "1/8", "--seed", "3",
         ])
-        # builtin:P2 is the 2-chain; at desk scale it stops honestly.
         assert code == 0
-        assert payload["results"]["status"] in (
-            "constants too aggressive", "insufficient mass", "X too small",
-        )
+        res = payload["results"]
+        assert res["status"] == "ok" and len(res["trace"]["steps"]) == 2
+        emb = res["map"]
+        assert (emb["kind"], emb["mode"], emb["target_n"]) == ("masks", "induced", 10)
+        assert len(emb["images"]) == 1
+        assert payload["certifications"] and all(c["passed"] for c in payload["certifications"])
 
 
     ARGS = ["--pattern", "builtin:P2", "--mode", "override", "--q", "1/2", "--p", "1/2",

@@ -1,7 +1,9 @@
 """Exact pattern-avoidance optima and the symmetric chain machinery."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,9 +29,9 @@ from cubefam.extremal import (
     middle_layer_order,
     symmetric_chain_decomposition,
 )
-from cubefam.posets import AnchoredSearch
+from cubefam.posets import AnchoredSearch, enumerate_posets
 
-from conftest import reference_chain_ids, reference_feasible
+from conftest import brute_force_copies, reference_chain_ids, reference_feasible
 
 
 class TestSymmetricChains:
@@ -271,6 +273,92 @@ class TestIncrementalOracle:
         assert main(argv) == 5
         capsys.readouterr()
 
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        """Count ``AnchoredSearch.copy_through`` calls in ``calls[0]``."""
+        calls = [0]
+        found = AnchoredSearch.copy_through
+
+        def counted(self, anchor):
+            calls[0] += 1
+            return found(self, anchor)
+
+        monkeypatch.setattr(AnchoredSearch, "copy_through", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_stored_copy_is_reused_while_chosen(self, mode, monkeypatch):
+        """The empty set below {0} and {1} is a V, weak and induced: {1}
+        is rejected by a search, searched again once {0} is popped, and
+        rejected with no search once {0} is back."""
+        pattern = make_v()
+        calls = self.count_searches(monkeypatch)
+        feas = _Feasibility(2, pattern, mode)
+        feas.push(0b00)
+        feas.push(0b01)
+        assert not feas.ok(0b10) and calls[0] == 1
+        assert feas.copies == {0b10: (0b00, 0b01)}
+        feas.pop(0b01)
+        assert reference_feasible([0b00], 0b10, pattern, mode)
+        assert feas.ok(0b10) and calls[0] == 2
+        feas.push(0b01)
+        assert not feas.ok(0b10) and calls[0] == 2
+        assert not reference_feasible([0b00, 0b01], 0b10, pattern, mode)
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    @pytest.mark.parametrize("name", ["V2", "D2", "Q2", "N+top"])
+    def test_every_earlier_candidate_asked_again(self, name, mode):
+        """After each push and pop, every candidate asked before is asked
+        again, so stored copies are both reused and outlived; the memo
+        keeps one copy per candidate, of k - 1 other masks."""
+        pattern = ORACLE_PATTERNS[name]
+        rng = random.Random(f"again-{name}-{mode}")
+        for _ in range(3):
+            n = rng.randint(2, 5)
+            feas = _Feasibility(n, pattern, mode)
+            members: list = []
+            asked: set = set()
+            for _ in range(30):
+                if members and (rng.random() < 0.3 or len(members) == 1 << n):
+                    feas.pop(members.pop())
+                else:
+                    outside = [x for x in range(1 << n) if x not in members]
+                    x = rng.choice(outside)
+                    asked.add(x)
+                    if feas.ok(x) and rng.random() < 0.6:
+                        feas.push(x)
+                        members.append(x)
+                for x in sorted(asked.difference(members)):
+                    ok = feas.ok(x)
+                    assert ok == reference_feasible(members, x, pattern, mode), (members, x)
+                for x, copy in feas.copies.items():
+                    assert len(copy) == pattern.k - 1 and x not in copy
+                assert feas.chosen == set(members)
+
+    @pytest.mark.parametrize(
+        "n,name,mode,searches",
+        [
+            (4, "V2", "weak", 282),
+            (4, "V2", "induced", 547),
+            (4, "D2", "weak", 369),
+            (4, "D2", "induced", 498),
+            (4, "Q2", "weak", 568),
+            (4, "Q2", "induced", 1299),
+            (5, "V2", "weak", 553),
+            (5, "V2", "induced", 648),
+            (5, "D2", "weak", 545),
+            (5, "D2", "induced", 517),
+            (5, "Q2", "weak", 295),
+            (5, "Q2", "induced", 318),
+        ],
+    )
+    def test_pinned_search_counts(self, n, name, mode, searches, monkeypatch):
+        """Oracle searches of the benchmark-shaped queries: full runs at
+        n = 4, 2000-node budget stops at n = 5."""
+        calls = self.count_searches(monkeypatch)
+        extremal_search(n, ORACLE_PATTERNS[name], mode, budget=2000 if n == 5 else None)
+        assert calls[0] == searches
+
     def test_no_host_rebuilt_per_node(self, monkeypatch):
         calls = []
 
@@ -317,6 +405,57 @@ class TestChainBound:
                 assert search.bound == expected, (n, taken)
                 assert search.value == sum(chosen_w)
                 assert search.decided == decided and search.chosen_n == chosen_n
+
+
+def free_families(n: int, pattern: FinitePoset, mode: str) -> list:
+    """Every family on [n] with no weak (or induced) copy of ``pattern``.
+
+    A family holds a copy exactly when some k of its members, as an
+    inclusion poset built pair by pair, do; those k-sets are found with
+    ``brute_force_copies``.  Subfamilies of a free family are free, so a
+    depth-first walk adds masks in increasing order and stops at the
+    first one that completes a copy.
+    """
+    masks = range(1 << n)
+    copies = []
+    for group in itertools.combinations(masks, pattern.k):
+        pairs = [(i, j) for i, a in enumerate(group) for j, b in enumerate(group)
+                 if a != b and a & ~b == 0]
+        host = FinitePoset(pattern.k, pairs)
+        if next(brute_force_copies(host, pattern, mode), None) is not None:
+            copies.append(set(group))
+    found = []
+
+    def walk(family: list, start: int) -> None:
+        found.append(list(family))
+        for x in masks[start:]:
+            family.append(x)
+            if not any(copy <= set(family) for copy in copies):
+                walk(family, x + 1)
+            family.pop()
+
+    walk([], 0)
+    return found
+
+
+class TestExhaustiveCrossCheck:
+    """The branch and bound against every pattern-free family, n <= 3."""
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_optima_match_exhaustive_search(self, k, mode):
+        for pattern in enumerate_posets(k):
+            for n in range(4):
+                families = free_families(n, pattern, mode)
+                size = max(map(len, families))
+                mass = max(
+                    sum(Fraction(1, math.comb(n, x.bit_count())) for x in f) for f in families
+                )
+                free = {tuple(f) for f in families}
+                for objective, best in (("cardinality", size), ("lubell", mass)):
+                    r = extremal_search(n, pattern, mode, objective)
+                    assert (r.value, r.exact) == (best, True), (pattern.pairs(), n, objective)
+                    assert tuple(r.family) in free
 
 
 class TestPinnedResults:
