@@ -6,6 +6,14 @@ its output.
 Randomized subcommands demand an explicit --seed unless --ephemeral is
 passed; either way the seed used lands in the report.
 
+The flags live in one table, ``_GLOBAL_FLAGS`` and ``_SUBCOMMANDS``:
+``main`` reads a plain argv straight from it, the argparse parsers that
+read every other argv and word all help and errors are built from it,
+and ``report --config`` checks a replayed config's params against it.
+A result echoes the ``--pattern`` text as typed.  The module imports
+``errors`` alone; each handler imports the layer names it calls in its
+own body.
+
 Exit codes: 0 success (including honest "absent"/"insufficient"
 outcomes), 2 parse error or an --output that cannot be written,
 3 precondition violation, 4 budget exhausted, 5 certification failure.
@@ -765,6 +773,67 @@ def _named_subcommand(argv: list) -> Optional[str]:
     return args.rest[0]
 
 
+def _table_values(flags: tuple, given: dict) -> Optional[dict]:
+    """{dest: value} for each of ``flags`` in table order: the value read
+    for it, or its default; None if a required flag was not read."""
+    values = {}
+    for flag, spec in flags:
+        if flag in given:
+            values[_dest(flag, spec)] = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            store_true = spec.get("action") == "store_true"
+            values[_dest(flag, spec)] = spec.get("default", False if store_true else None)
+    return values
+
+
+def _read_plain_argv(argv: list) -> Optional[argparse.Namespace]:
+    """The namespace argparse returns for a plain ``argv``, read straight
+    from the flag table; None for any other argv.
+
+    A plain argv is zero or more global flags, a subcommand name, then
+    that subcommand's flags.  Each flag is written out in full and given
+    once; each value flag takes the next token, which does not start with
+    "-" and which the flag's own ``type`` and ``choices`` accept; and every
+    required flag is present.  The namespace has argparse's attributes,
+    values, defaults and order.  Everything else (help, an abbreviation,
+    ``--flag=value``, a repeat, a bad value, a missing flag) is None, and
+    goes to argparse, the one source of every help and error text.
+    """
+    tokens = iter(argv)
+    table, given = dict(_GLOBAL_FLAGS), {}
+    sub = top = None
+    for token in tokens:
+        spec = table.get(token)
+        if spec is None:
+            if sub is not None or token not in _SUBCOMMANDS:
+                return None
+            sub, top = token, given
+            table, given = dict(_SUBCOMMANDS[sub][1]), {}
+        elif token in given:
+            return None
+        elif spec.get("action") == "store_true":
+            given[token] = True
+        else:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+            given[token] = value
+    if sub is None:
+        return None
+    head, tail = _table_values(_GLOBAL_FLAGS, top), _table_values(_SUBCOMMANDS[sub][1], given)
+    if head is None or tail is None:
+        return None
+    return argparse.Namespace(**{**head, "subcommand": sub, **tail})
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     skip = {"subcommand"} | {_dest(flag, spec) for flag, spec in _GLOBAL_FLAGS + _SEED_FLAGS}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
@@ -780,8 +849,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one command line (``sys.argv[1:]`` by default); the exit code.
+
+    A plain argv (see ``_read_plain_argv``) is read straight from the flag
+    table and builds no parser.  Everything else goes to argparse, with
+    the named subcommand's parser alone where one is named, so help,
+    usage and every parse error read as from the tree of all nine.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(_named_subcommand(argv)).parse_args(argv)
+    args = _read_plain_argv(argv)
+    if args is None:
+        args = build_parser(_named_subcommand(argv)).parse_args(argv)
     cfg = _config_from_args(args)
     try:
         rep = run(cfg)

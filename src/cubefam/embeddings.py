@@ -40,9 +40,10 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 class DenseTruncatedFamily:
     """Subsets of [n] of size <= m, with gaps.
 
-    ``present`` holds the member masks.  The class-membership test at
-    tolerance eps is ``dense_class_check``: every layer within the
-    truncation must retain a (1-eps) fraction of its binomial count.
+    ``present`` holds the member masks; a co-small host is complemented
+    by the caller first.  The class-membership test at tolerance eps is
+    ``dense_class_check``: every layer within the truncation must retain
+    a (1-eps) fraction of its binomial count.
     """
 
     n: int
@@ -185,9 +186,11 @@ def find_pattern_via_universality(
 
     A pattern on k elements embeds into the nonempty subsets of [k] by
     down-sets, so one full k-cube inside the host yields the pattern.
-    When the host is dense among the small (or co-small) subsets, the
-    cube comes from randomized location; otherwise a complete backtracking
-    search looks for the pattern itself (a cube copy would contain one).
+    When the host is dense among the small subsets, or else among the
+    co-small ones (the host complemented, the dual pattern located and
+    its copy flipped back), the cube comes from randomized location;
+    otherwise a complete backtracking search looks for the pattern
+    itself (a cube copy would contain one).
     The map is re-verified pairwise.  None means no copy exists (test it
     with ``is None``: the empty pattern's copy is ``()``); a budget stop
     raises SearchBudgetExceeded (the answer is unknown).

@@ -1070,8 +1070,9 @@ def lazy_and_full(capsys, argv):
 
 
 class TestFrontDoor:
-    """``main`` builds the named subcommand's parser alone; help, usage and
-    errors read exactly as from the tree of all nine."""
+    """``main`` reads a plain argv from the flag table and builds the named
+    subcommand's parser alone for any other; help, usage and errors read
+    exactly as from the tree of all nine."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -1118,6 +1119,8 @@ class TestFrontDoor:
         assert json.loads(dest.read_text())["results"]["mass"] == "3/1"
 
     def test_builds_the_named_subcommand_only_and_keeps_nothing(self, capsys, monkeypatch):
+        """A plain argv builds no parser; any other builds the named
+        subcommand's alone, afresh on every call."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -1128,6 +1131,9 @@ class TestFrontDoor:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
         for _ in range(2):
             assert main(P2_QUERY) == 0
+        assert built == []
+        for _ in range(2):
+            assert main([*P2_QUERY, "--obj", "lubell"]) == 0
         assert [prog for prog in built if prog.startswith("cubefam ")] == ["cubefam extremal"] * 2
 
     def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
@@ -1237,3 +1243,132 @@ def test_lazy_tree_parses_as_the_full_tree(capsys, monkeypatch, argv):
     for variant in [argv, *([sub, *argv] for sub in SUBCOMMANDS)]:
         lazy, full = lazy_and_full(capsys, variant)
         assert lazy == full, variant
+
+
+def _flag_cases(flag: str, spec: dict) -> list:
+    """(tokens, plain) for one flag of the table: the ways to write it that
+    ``_read_plain_argv`` reads, and ways that it must leave to argparse."""
+    if spec.get("action") == "store_true":
+        cases = [([flag], True), ([flag, flag], False), ([f"{flag}=yes"], False)]
+        return cases + ([([flag[:-1]], False)] if len(flag) > 3 else [])
+    valid = _valid_text(spec)
+    cases = [
+        ([flag, valid], True),
+        ([flag, valid, flag, valid], False),
+        ([f"{flag}={valid}"], False),
+        ([flag], False),
+        ([flag, "-"], False),
+        ([flag, "-1"], False),
+        ([f"{flag}=-1e-3000"], False),
+        ([flag, ""], "type" not in spec and "choices" not in spec),
+    ]
+    if len(flag) > 3:
+        cases.append(([flag[:-1], valid], False))
+    if not flag.startswith("--"):
+        cases.append(([flag + valid], False))
+    if spec.get("type") is int:
+        cases += [([flag, "٣"], True), ([flag, "x"], False)]
+    if "choices" in spec:
+        cases.append(([flag, "nope"], False))
+    return cases
+
+
+def _generated_argvs(sub: str) -> list:
+    """(argv, plain) for ``sub``, from the flag table: every case of
+    ``_flag_cases`` for each of its flags and each global flag, a missing
+    required flag, help, a global flag after the subcommand, and stray
+    tokens."""
+    flags = cli._SUBCOMMANDS[sub][1]
+    required = {flag: [flag, _valid_text(spec)] for flag, spec in flags if spec.get("required")}
+    base = [token for pair in required.values() for token in pair]
+    cases = [
+        ([sub, *base], True),
+        (base, False),
+        (["-h", sub, *base], False),
+        ([sub, "-h", *base], False),
+        ([sub, *base, "--help"], False),
+        ([sub, "--", *base], False),
+        ([sub, *base, "extra"], False),
+        ([sub, *base, sub], False),
+        ([sub, *base, "--bogus"], False),
+    ]
+    for flag in required:
+        cases.append(([sub, *(t for f, pair in required.items() if f != flag for t in pair)], False))
+    for flag, spec in flags:
+        rest = [t for f, pair in required.items() if f != flag for t in pair]
+        cases += [([sub, *rest, *tokens], plain) for tokens, plain in _flag_cases(flag, spec)]
+    for flag, spec in cli._GLOBAL_FLAGS:
+        for tokens, plain in _flag_cases(flag, spec):
+            cases += [([*tokens, sub, *base], plain), ([sub, *base, *tokens], False)]
+    return cases
+
+
+def typed_items(namespace: dict) -> list:
+    return [(key, type(value), value) for key, value in namespace.items()]
+
+
+def refuse_run(cfg):
+    """Stands in for ``cli.run``: the whole config, in the message of an exit 2."""
+    raise cli.ParseError(repr(cfg))
+
+
+def main_outcome(capsys, argv):
+    """``main``'s exit code, stdout and stderr for ``argv``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_reads_as_argparse(capsys, monkeypatch, full, argv) -> bool:
+    """``_read_plain_argv(argv)`` is None or the exact namespace of ``full``,
+    the tree of all nine, and ``main`` (its handlers replaced by one that
+    prints the config it was given) exits and prints as it does with
+    ``full`` alone; whether the reader read ``argv``."""
+    read = cli._read_plain_argv(argv)
+    if read is not None:
+        found = parse_outcome(capsys, full, argv)
+        assert found[1:] == (None, "", ""), argv
+        assert typed_items(vars(read)) == typed_items(found[0]), argv
+    monkeypatch.setattr(cli, "run", refuse_run)
+    outcome = main_outcome(capsys, argv)
+    with monkeypatch.context() as full_tree:
+        full_tree.setattr(cli, "_read_plain_argv", lambda argv: None)
+        full_tree.setattr(cli, "build_parser", lambda only=None: full)
+        assert main_outcome(capsys, argv) == outcome, argv
+    return read is not None
+
+
+class TestPlainArgv:
+    """``main`` reads a plain argv straight from the flag table, into the
+    namespace argparse returns for it, and leaves every other to argparse."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_generated_corpus(self, capsys, monkeypatch, sub):
+        full = cli.build_parser()
+        for argv, plain in _generated_argvs(sub):
+            assert assert_reads_as_argparse(capsys, monkeypatch, full, argv) == plain, argv
+
+    @pytest.mark.parametrize("argv", _parametrised_argvs(), ids=" ".join)
+    def test_parametrised_corpus(self, capsys, monkeypatch, argv):
+        """Each argv of this module's parametrised cases, as written and
+        behind each subcommand name."""
+        full = cli.build_parser()
+        for variant in [argv, *([sub, *argv] for sub in SUBCOMMANDS)]:
+            assert_reads_as_argparse(capsys, monkeypatch, full, variant)
+
+    def test_reads_every_flag_of_a_full_query(self):
+        argv = ["--output", "out.json", "--with-timings", "embed", "--mode", "weak",
+                "--pattern", "builtin:V2", "--family", "f.txt", "--attempts", "٣",
+                "--ephemeral", "--seed", "7"]
+        assert list(vars(cli._read_plain_argv(argv)).items()) == [
+            ("output", "out.json"), ("fmt", "json"), ("with_timings", True),
+            ("subcommand", "embed"), ("family", "f.txt"), ("pattern", "builtin:V2"),
+            ("mode", "weak"), ("attempts", 3), ("seed", 7), ("ephemeral", True),
+        ]

@@ -1,5 +1,6 @@
 """Exact pattern-avoidance optima and the symmetric chain machinery."""
 
+import functools
 import itertools
 import math
 import random
@@ -456,6 +457,56 @@ class TestExhaustiveCrossCheck:
                     r = extremal_search(n, pattern, mode, objective)
                     assert (r.value, r.exact) == (best, True), (pattern.pairs(), n, objective)
                     assert tuple(r.family) in free
+
+
+@functools.cache
+def small_optima() -> dict:
+    """{(canonical key, mode, objective, n): ``extremal_search`` value} for
+    every poset on 1-4 elements, n <= 3."""
+    return {
+        (pattern.canonical_key(), mode, objective, n):
+            extremal_search(n, pattern, mode, objective).value
+        for k in range(1, 5) for pattern in enumerate_posets(k)
+        for mode in ("weak", "induced") for objective in ("cardinality", "lubell")
+        for n in range(4)
+    }
+
+
+class TestStructuralFacts:
+    """Facts the optima of TestExhaustiveCrossCheck's posets must obey
+    whatever their values (ROADMAP item 9, n <= 3)."""
+
+    def test_weak_at_most_induced(self):
+        """An induced copy is a weak one, so a weakly free family is
+        inducedly free."""
+        optima = small_optima()
+        for (key, mode, objective, n), value in optima.items():
+            if mode == "weak":
+                assert value <= optima[key, "induced", objective, n], (key, objective, n)
+
+    def test_dual_has_equal_optima(self):
+        """Complementing every member turns a P-free family into a
+        dual-free one of the same size and Lubell mass."""
+        optima = small_optima()
+        for k in range(1, 5):
+            for pattern in enumerate_posets(k):
+                key, dual = pattern.canonical_key(), pattern.dual().canonical_key()
+                for mode, objective, n in itertools.product(
+                    ("weak", "induced"), ("cardinality", "lubell"), range(4)
+                ):
+                    assert optima[key, mode, objective, n] == optima[dual, mode, objective, n]
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    def test_chains_match_erdos(self, mode):
+        """Free of a k-chain: at most the k - 1 largest layers (Erdos), and
+        Lubell mass at most min(k - 1, n + 1)."""
+        optima = small_optima()
+        for k in range(1, 5):
+            key = make_chain(k).canonical_key()
+            for n in range(4):
+                layers = sorted((math.comb(n, i) for i in range(n + 1)), reverse=True)
+                assert optima[key, mode, "cardinality", n] == sum(layers[:k - 1]), (k, n)
+                assert optima[key, mode, "lubell", n] == min(k - 1, n + 1), (k, n)
 
 
 class TestPinnedResults:

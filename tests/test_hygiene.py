@@ -2,7 +2,8 @@
 limit, and no function calls itself unless kept by name; numpy and mpmath
 are not imported with the package, and ``cli`` and ``__init__`` import no
 layer but ``errors`` with themselves; the CLI reads every rational flag
-through one parser and touches no argparse private; the tolerance range
+through one parser and touches no argparse private, and its flag table
+holds only what the plain-argv reader implements; the tolerance range
 check and the integer Lubell weights are each written once; every
 module-level function and class of the package is used by the package, or
 kept by name; no function only hands its arguments on to another one of
@@ -366,6 +367,55 @@ def test_argparse_scan_flags_privates():
         "err = argparse.ArgumentError(None, 'x')\n"
     )
     assert argparse_privates(tree) == [2, 5, 5]
+
+
+# The keys of a flag spec that ``cli._read_plain_argv`` implements; with
+# ``action``, only the value "store_true".
+READER_KEYS = {"required", "type", "choices", "default", "dest", "help", "action"}
+
+
+def unread_flag_keys(tables: dict) -> list[str]:
+    """"<table> <flag>: <key>=<value>" for each key of a flag spec that
+    the plain-argv reader does not implement: a key outside
+    ``READER_KEYS``, an ``action`` other than store_true, and a string
+    ``default`` beside a ``type`` (argparse converts it; the reader
+    does not)."""
+    found = []
+    for where, flags in tables.items():
+        for flag, spec in flags:
+            for key, value in spec.items():
+                if (key not in READER_KEYS
+                        or key == "action" and value != "store_true"
+                        or key == "default" and isinstance(value, str) and "type" in spec):
+                    found.append(f"{where} {flag}: {key}={value!r}")
+    return found
+
+
+def test_flag_table_uses_only_keys_the_reader_reads():
+    """A plain argv is read from the flag table without argparse, so the
+    table holds only what that reader implements."""
+    from cubefam import cli
+
+    tables = {"global": cli._GLOBAL_FLAGS}
+    tables.update((sub, flags) for sub, (_, flags) in cli._SUBCOMMANDS.items())
+    assert unread_flag_keys(tables) == []
+
+
+def test_flag_key_scan_names_unread_keys():
+    tables = {
+        "global": (("--a", {"action": "store_true", "help": "x", "dest": "b"}),),
+        "sub": (
+            ("--b", {"nargs": 2, "type": int}),
+            ("--c", {"action": "append", "required": True}),
+            ("--d", {"metavar": "D", "choices": ("x",), "default": "x"}),
+            ("--e", {"type": int, "default": "3"}),
+            ("-f", {"type": int, "default": 3}),
+        ),
+    }
+    assert unread_flag_keys(tables) == [
+        "sub --b: nargs=2", "sub --c: action='append'", "sub --d: metavar='D'",
+        "sub --e: default='3'",
+    ]
 
 
 def says_unit_interval(node: ast.AST) -> bool:
