@@ -6,10 +6,11 @@ its output.
 Randomized subcommands demand an explicit --seed unless --ephemeral is
 passed; either way the seed used lands in the report.
 
-The flags live in one table, ``_GLOBAL_FLAGS`` and ``_SUBCOMMANDS``:
-``main`` reads a plain argv straight from it, the argparse parsers that
-read every other argv and word all help and errors are built from it,
-and ``report --config`` checks a replayed config's params against it.
+The flags live in one table, ``_GLOBAL_FLAGS`` and ``_SUBCOMMANDS``.
+``main`` reads an argv by one of two routes: a plain argv straight from
+the table, any other through the argparse tree built from it, which
+words all help and errors.  ``report --config`` checks a replayed
+config's params against the same table.
 A result echoes the ``--pattern`` text as typed.  The module imports
 ``errors`` alone; each handler imports the layer names it calls in its
 own body.
@@ -236,14 +237,10 @@ def _handle_lubell(cfg: RunConfig):
 
     fam = read_family(cfg.params["family"])
     results = {"n": fam.n, "size": len(fam), "mass": lubell_mass(fam)}
-    if cfg.params.get("bottom") is not None or cfg.params.get("top") is not None:
-        bottom = parse_subset_literal(cfg.params.get("bottom") or "-", fam.n)
-        top_text = cfg.params.get("top")
-        top = (
-            fam.full_mask
-            if top_text is None
-            else parse_subset_literal(top_text, fam.n)
-        )
+    bottom_text, top_text = cfg.params.get("bottom"), cfg.params.get("top")
+    if bottom_text is not None or top_text is not None:
+        bottom = 0 if bottom_text is None else parse_subset_literal(bottom_text, fam.n)
+        top = fam.full_mask if top_text is None else parse_subset_literal(top_text, fam.n)
         results["interval"] = {
             "bottom": format_subset(bottom),
             "top": format_subset(top),
@@ -725,52 +722,18 @@ def _add_flags(parser: argparse.ArgumentParser, flags: tuple) -> None:
         parser.add_argument(flag, **spec)
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser: every subcommand, or the subcommand ``only``.
-
-    Both trees come from ``_SUBCOMMANDS``, so a subcommand's help and
-    errors read the same in either.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser of every subcommand, from ``_SUBCOMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="cubefam",
         description="Set families in the subset lattice: masses, pivots, "
         "embeddings, extraction, exact extremal search.",
     )
     _add_flags(parser, _GLOBAL_FLAGS)
-    # The usage line of a top-level error lists every subcommand, even in
-    # a tree that holds one.
-    shown = {} if only is None else {"metavar": "{" + ",".join(_SUBCOMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="subcommand", required=True, **shown)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, flags) in _SUBCOMMANDS.items():
-        if only in (None, name):
-            _add_flags(sub.add_parser(name, help=help_text), flags)
+        _add_flags(sub.add_parser(name, help=help_text), flags)
     return parser
-
-
-class _ArgvReader(argparse.ArgumentParser):
-    """Raises instead of printing and exiting, so that every complaint,
-    worded as the user sees it, comes from the full tree."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _named_subcommand(argv: list) -> Optional[str]:
-    """The subcommand ``argv`` names, read as the full tree reads it.
-
-    None when the full tree is needed to answer: top-level help, no
-    subcommand or an unknown one, a bad or unknown global flag.
-    """
-    reader = _ArgvReader(add_help=False)
-    _add_flags(reader, _GLOBAL_FLAGS)
-    reader.add_argument("rest", nargs=argparse.REMAINDER)
-    try:
-        args, unknown = reader.parse_known_args(argv)
-    except argparse.ArgumentError:
-        return None
-    if unknown or not args.rest or args.rest[0] not in _SUBCOMMANDS:
-        return None
-    return args.rest[0]
 
 
 def _table_values(flags: tuple, given: dict) -> Optional[dict]:
@@ -794,12 +757,13 @@ def _read_plain_argv(argv: list) -> Optional[argparse.Namespace]:
 
     A plain argv is zero or more global flags, a subcommand name, then
     that subcommand's flags.  Each flag is written out in full and given
-    once; each value flag takes the next token, which does not start with
-    "-" and which the flag's own ``type`` and ``choices`` accept; and every
-    required flag is present.  The namespace has argparse's attributes,
-    values, defaults and order.  Everything else (help, an abbreviation,
-    ``--flag=value``, a repeat, a bad value, a missing flag) is None, and
-    goes to argparse, the one source of every help and error text.
+    once; each value flag takes the next token, which is a lone "-" or
+    does not start with "-", and which the flag's own ``type`` and
+    ``choices`` accept; and every required flag is present.  The
+    namespace has argparse's attributes, values, defaults and order.
+    Everything else (help, an abbreviation, ``--flag=value``, a repeat, a
+    bad value, a missing flag) is None, and goes to argparse, the one
+    source of every help and error text.
     """
     tokens = iter(argv)
     table, given = dict(_GLOBAL_FLAGS), {}
@@ -816,8 +780,8 @@ def _read_plain_argv(argv: list) -> Optional[argparse.Namespace]:
         elif spec.get("action") == "store_true":
             given[token] = True
         else:
-            text = next(tokens, "-")
-            if text.startswith("-"):
+            text = next(tokens, None)
+            if text is None or text.startswith("-") and text != "-":
                 return None
             try:
                 value = spec.get("type", str)(text)
@@ -852,14 +816,14 @@ def main(argv: Optional[list] = None) -> int:
     """Run one command line (``sys.argv[1:]`` by default); the exit code.
 
     A plain argv (see ``_read_plain_argv``) is read straight from the flag
-    table and builds no parser.  Everything else goes to argparse, with
-    the named subcommand's parser alone where one is named, so help,
-    usage and every parse error read as from the tree of all nine.
+    table and builds no parser.  Every other argv goes to the argparse
+    tree of all nine subcommands, which words every help, usage and
+    parse error.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain_argv(argv)
     if args is None:
-        args = build_parser(_named_subcommand(argv)).parse_args(argv)
+        args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     try:
         rep = run(cfg)

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -115,6 +116,24 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.err == f"parse error: bad subset literal {literal!r}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,literal", [
+        ("--bottom", ""), ("--bottom", " "), ("--top", ""), ("--top", " "),
+    ])
+    def test_blank_subset_flag_exits_2(self, capsys, fam_file, tmp_path, flag, literal):
+        """A blank literal is a bad one, never the empty set "-", on the
+        command line and in a replayed config."""
+        path = fam_file(full_power_set(3))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"subcommand": "lubell", "params": {"family": path, flag[2:]: literal}}
+        ))
+        for argv in (["lubell", "--family", path, flag, literal],
+                     ["report", "--config", str(cfg_path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "parse error: bad subset literal ''\n"
+            assert captured.out == ""
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         path = str(tmp_path / "nope.txt")
@@ -1061,18 +1080,25 @@ def parse_outcome(capsys, parser, argv):
     return found, code, captured.out, captured.err
 
 
-def lazy_and_full(capsys, argv):
-    """The outcome of ``argv`` under the tree ``main`` builds, and under the full tree."""
-    return (
-        parse_outcome(capsys, cli.build_parser(cli._named_subcommand(argv)), argv),
-        parse_outcome(capsys, cli.build_parser(), argv),
-    )
+FULL_TREE = ["cubefam", *(f"cubefam {sub}" for sub in SUBCOMMANDS)]
+
+
+def record_parsers(monkeypatch) -> list:
+    """The prog of each ``ArgumentParser`` built from now on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    return built
 
 
 class TestFrontDoor:
-    """``main`` reads a plain argv from the flag table and builds the named
-    subcommand's parser alone for any other; help, usage and errors read
-    exactly as from the tree of all nine."""
+    """``main`` reads a plain argv from the flag table and builds the tree
+    of all nine for any other; help, usage and errors are that tree's."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -1102,7 +1128,8 @@ class TestFrontDoor:
         captured = capsys.readouterr()
         assert exc.value.code == code
         assert text in (captured.out if code == 0 else captured.err)
-        assert lazy_and_full(capsys, argv)[1] == (None, code, captured.out, captured.err)
+        assert parse_outcome(capsys, cli.build_parser(), argv) == (
+            None, code, captured.out, captured.err)
 
     def test_unknown_subcommand_lists_all_nine(self, capsys):
         with pytest.raises(SystemExit):
@@ -1118,23 +1145,16 @@ class TestFrontDoor:
         assert capsys.readouterr().out == ""
         assert json.loads(dest.read_text())["results"]["mass"] == "3/1"
 
-    def test_builds_the_named_subcommand_only_and_keeps_nothing(self, capsys, monkeypatch):
-        """A plain argv builds no parser; any other builds the named
-        subcommand's alone, afresh on every call."""
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def recording_init(parser, *args, **kwargs):
-            init(parser, *args, **kwargs)
-            built.append(parser.prog)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    def test_builds_no_parser_if_plain_else_the_full_tree_afresh(self, capsys, monkeypatch):
+        """A plain argv builds no parser; any other builds the full tree,
+        afresh on each call."""
+        built = record_parsers(monkeypatch)
         for _ in range(2):
             assert main(P2_QUERY) == 0
         assert built == []
         for _ in range(2):
             assert main([*P2_QUERY, "--obj", "lubell"]) == 0
-        assert [prog for prog in built if prog.startswith("cubefam ")] == ["cubefam extremal"] * 2
+        assert built == FULL_TREE * 2
 
     def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["cubefam", "--format", "csv", *P2_QUERY])
@@ -1237,12 +1257,16 @@ def _parametrised_argvs() -> list:
 
 @pytest.mark.parametrize("argv", _parametrised_argvs(), ids=" ".join)
 def test_lazy_tree_parses_as_the_full_tree(capsys, monkeypatch, argv):
-    """Each case as written and behind each subcommand name: the same
-    namespace, or the same exit and text."""
+    """``main`` builds its parser lazily: none where the plain reader reads
+    the argv, and the full tree for any other.  Each case as written and
+    behind each subcommand name (``TestPlainArgv`` checks the outcomes)."""
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "run", refuse_run)
+    built = record_parsers(monkeypatch)
     for variant in [argv, *([sub, *argv] for sub in SUBCOMMANDS)]:
-        lazy, full = lazy_and_full(capsys, variant)
-        assert lazy == full, variant
+        built.clear()
+        main_outcome(capsys, variant)
+        assert built == (FULL_TREE if cli._read_plain_argv(variant) is None else []), variant
 
 
 def _flag_cases(flag: str, spec: dict) -> list:
@@ -1257,7 +1281,7 @@ def _flag_cases(flag: str, spec: dict) -> list:
         ([flag, valid, flag, valid], False),
         ([f"{flag}={valid}"], False),
         ([flag], False),
-        ([flag, "-"], False),
+        ([flag, "-"], "type" not in spec and "choices" not in spec),
         ([flag, "-1"], False),
         ([f"{flag}=-1e-3000"], False),
         ([flag, ""], "type" not in spec and "choices" not in spec),
@@ -1336,7 +1360,7 @@ def assert_reads_as_argparse(capsys, monkeypatch, full, argv) -> bool:
     outcome = main_outcome(capsys, argv)
     with monkeypatch.context() as full_tree:
         full_tree.setattr(cli, "_read_plain_argv", lambda argv: None)
-        full_tree.setattr(cli, "build_parser", lambda only=None: full)
+        full_tree.setattr(cli, "build_parser", lambda: full)
         assert main_outcome(capsys, argv) == outcome, argv
     return read is not None
 
@@ -1362,6 +1386,15 @@ class TestPlainArgv:
         full = cli.build_parser()
         for variant in [argv, *([sub, *argv] for sub in SUBCOMMANDS)]:
             assert_reads_as_argparse(capsys, monkeypatch, full, variant)
+
+    def test_readme_examples_are_plain(self):
+        """Each ``cubefam`` line of the README's example block, continuation
+        lines joined, reads without argparse."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```sh\ncubefam ", 1)[1].split("```", 1)[0]
+        for line in ("cubefam " + block).replace("\\\n", " ").splitlines():
+            program, *argv = shlex.split(line)
+            assert program == "cubefam" and cli._read_plain_argv(argv) is not None, line
 
     def test_reads_every_flag_of_a_full_query(self):
         argv = ["--output", "out.json", "--with-timings", "embed", "--mode", "weak",
