@@ -251,7 +251,9 @@ def parse_family(lines: Iterable[str]) -> SetFamily:
     """The family of an ``n=<int>`` header and one subset literal a line.
 
     A line in canonical form -- the elements in ascending order, written
-    as ``str(e)`` and joined by "," -- costs one table lookup per element.
+    as ``str(e)`` and joined by "," -- costs at most two table lookups
+    when n <= 19 (three when no element is below 10), and one lookup per
+    element above that (``_add_lines``).
     Every other line (``-``, blank lines, spaces, leading zeros or signs,
     a "\\r" before the newline) goes to ``parse_subset_literal``, which
     alone decides whether it is legal and which error it raises.
@@ -280,12 +282,49 @@ def _header_size(lines: Iterator[str]) -> int:
     return n
 
 
+# Grounds below this are read by ``_split_tables``; tokens from 20 on do not
+# open with ",1", so larger grounds keep one lookup per element, chosen per file.
+_SPLIT_GROUND = 20
+
+
 def _add_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
     """Add the subsets of ``lines``, the first numbered ``lineno``, to ``seen``.
 
     The per-line reader: the first malformed or duplicate line, in line
-    order, raises.
+    order, raises.  Below ``_SPLIT_GROUND`` a line is cut at its first
+    ",1", which in a canonical line can only open a token 10..19, as
+    element 1 only ever comes first; the part before the cut (or the whole
+    line, if it has no ",1") is looked up in the low table of
+    ``_split_tables``, the part after it in the high table.  A line that
+    misses is looked up whole in the high table (its tokens may all be
+    10..19), and one that misses that too goes to ``parse_subset_literal``.
     """
+    if n >= _SPLIT_GROUND:
+        _add_token_lines(lines, n, seen, lineno)
+        return
+    low, high = _split_tables(n)
+    miss = 1 << MAX_GROUND               # set in a mask only by a missed lookup
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.rstrip("\n")
+        cut = line.find(",1")
+        if cut < 0:
+            mask = low.get(line, miss)
+        else:
+            mask = low.get(line[:cut], miss) | high.get(line[cut + 1:], miss)
+        if mask & miss:
+            mask = high.get(line, miss)
+            if mask & miss:
+                mask = _literal_line(raw, n, lineno)
+                if mask is None:
+                    continue
+        if mask in seen:
+            raise ParseError(f"line {lineno}: duplicate subset {raw.strip()!r}")
+        seen.add(mask)
+
+
+def _add_token_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
+    """``_add_lines`` by one ``bit_of`` lookup per element of a canonical
+    line; every other line goes to ``parse_subset_literal``."""
     bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}
     for lineno, raw in enumerate(lines, start=lineno):
         try:
@@ -296,16 +335,42 @@ def _add_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
         except KeyError:
             canonical = False
         if not canonical:
-            line = raw.strip()
-            if not line:
+            mask = _literal_line(raw, n, lineno)
+            if mask is None:
                 continue
-            try:
-                mask = parse_subset_literal(line, n)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
         if mask in seen:
             raise ParseError(f"line {lineno}: duplicate subset {raw.strip()!r}")
         seen.add(mask)
+
+
+def _literal_line(raw: str, n: int, lineno: int) -> int | None:
+    """The mask of line ``lineno``, ``raw``, by ``parse_subset_literal``,
+    whose error it names the line in; None for a blank line."""
+    line = raw.strip()
+    if not line:
+        return None
+    try:
+        return parse_subset_literal(line, n)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
+def _split_tables(n: int) -> tuple[dict, dict]:
+    """The low and high tables of ``_add_lines`` on the ground [n]: the
+    mask of every nonempty subset of [1, min(n, 9)], and of [10, min(n, 19)],
+    keyed by its ``format_subset`` literal -- at most 511 + 1023 entries."""
+    return _literal_masks(1, min(n, 9)), _literal_masks(10, min(n, 19))
+
+
+@functools.cache
+def _literal_masks(first: int, last: int) -> dict:
+    """``format_subset(mask) -> mask`` for every nonempty subset of [first, last]."""
+    table: dict[str, int] = {}
+    for e in range(first, last + 1):
+        bit, tail = 1 << (e - 1), f",{e}"
+        table.update([(key + tail, mask | bit) for key, mask in table.items()])
+        table[str(e)] = bit
+    return table
 
 
 def parse_subset_literal(text: str, n: int) -> int:

@@ -10,6 +10,7 @@ import pytest
 from cubefam import families
 from cubefam.errors import ParseError, PreconditionError
 from cubefam.families import (
+    MAX_GROUND,
     SetFamily,
     expand_mask,
     compress_mask,
@@ -138,22 +139,65 @@ def test_submasks_of_size_follow_combinations_order():
 
 
 def test_parse_format_round_trip_random():
+    """Grounds on both sides of the split tables' bound (n = 19 | 20) round-trip."""
     rng = random.Random(2024)
-    for n in [*range(17), *(rng.randint(0, 12) for _ in range(40))]:
-        fam = random_family(rng, n, rng.uniform(0.05, 0.95))
+    for n in [*range(25), 64, *(rng.randint(0, 12) for _ in range(40))]:
+        if n <= 16:
+            fam = random_family(rng, n, rng.uniform(0.05, 0.95))
+        else:
+            fam = SetFamily(n, [sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
+                                for _ in range(300)])
         text = format_family(fam)
         for lines in (text.splitlines(), io.StringIO(text)):
             again = parse_family(lines)
             assert again.n == fam.n and again.members == fam.members
 
 
-def reference_parse(text: str) -> SetFamily:
-    """The family of ``text`` read line by line with ``parse_subset_literal``."""
+def test_split_tables_are_small_and_canonical():
+    """At most 2^9 + 2^10 keys on every ground, so never a whole-line table,
+    and every key is the canonical literal of its mask, within [n]."""
+    for n in range(MAX_GROUND + 1):
+        low, high = families._split_tables(n)
+        assert len(low) + len(high) <= 2**9 + 2**10
+        for key, mask in [*low.items(), *high.items()]:
+            assert key == format_subset(mask) and 0 < mask <= (1 << n) - 1
+
+
+def outcome(read, source):
+    """What ``read(source)`` gives: the family, or the error text."""
+    try:
+        return read(source)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def reference_parse(text: str):
+    """The outcome of ``text`` read line by line with ``parse_subset_literal``:
+    the family, or the first malformed or duplicate line's error."""
     header, *lines = text.splitlines()
     n = int(header[2:])
-    return SetFamily(n, [parse_subset_literal(line, n) for line in lines if line.strip()])
+    seen = set()
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            mask = parse_subset_literal(line, n)
+        except ParseError as exc:
+            return f"ParseError: line {lineno}: {exc}"
+        if mask in seen:
+            return f"ParseError: line {lineno}: duplicate subset {line!r}"
+        seen.add(mask)
+    return SetFamily(n, seen)
 
 
+def upto(n: int) -> str:
+    return ",".join(map(str, range(1, n + 1)))
+
+
+# Rows from "n9" on sit at the edges of the split tables of _add_lines.
+ACROSS_THE_CUT = ["12,3", "3,12,10", "13,10", "1,,10", "1,10,", ",10", "10,1", "1,10,10",
+                  "1,13", "2,10,13", "1 ,10", "1,10 ,11", "1,010", "1,+10"]
 REFERENCE_CASES = pytest.mark.parametrize("text", [
     "n=5\n 3\n03,4\n+2\n1, 3\n4 \n\t5\n",
     "n=5\r\n1,3\r\n2\r\n-\r\n",
@@ -164,18 +208,33 @@ REFERENCE_CASES = pytest.mark.parametrize("text", [
     "n=0\n-",
     "n=0\n",
     "n=12\n10,11,12\n1,10\n9,10\n1,2,3,4,5,6,7,8,9,10,11,12\n",
+    f"n=9\n{upto(9)}\n9\n1,9\n2,4,6,8\n1\n-\n",
+    "n=9\n1,2\n1,10\n",
+    f"n=10\n{upto(10)}\n10\n1,10\n2,3,10\n9\n1\n",
+    f"n=19\n{upto(19)}\n19\n1,19\n10,11,12,13,14,15,16,17,18,19\n9,10,19\n1,10\n",
+    "n=19\n1,10\n1,10,20\n",
+    f"n=20\n{upto(20)}\n20\n1,20\n10,19,20\n1,10\n9,10,19\n",
+    "n=14\n10,12\n12\n1,12\n2,10,12\n14\n",
+    *(f"n=12\n1,2\n{line}\n3\n" for line in ACROSS_THE_CUT),
+    "n=12\n1,10\n 1,10\n",
+    "n=12\n 1,10\n1,10\n",
+    "n=12\n2,11\n-\n2,11\n",
 ], ids=["spaces-zeros-signs", "crlf", "blank-lines", "no-final-newline", "mixed",
-        "n0", "n0-no-newline", "n0-empty", "two-digit"])
+        "n0", "n0-no-newline", "n0-empty", "two-digit",
+        "n9", "n9-element-10", "n10", "n19", "n19-element-20", "n20", "two-digit-first",
+        *(f"across-cut[{line}]" for line in ACROSS_THE_CUT),
+        "duplicate-table-then-literal", "duplicate-literal-then-table",
+        "duplicate-table-twice"])
 
 
 @REFERENCE_CASES
 def test_parse_matches_line_by_line_reference(text, tmp_path):
     want = reference_parse(text)
-    assert parse_family(io.StringIO(text)) == want
-    assert parse_family(text.splitlines()) == want
+    assert outcome(parse_family, io.StringIO(text)) == want
+    assert outcome(parse_family, text.splitlines()) == want
     path = tmp_path / "fam.txt"
     path.write_bytes(text.encode("ascii"))
-    assert read_family(path) == want
+    assert outcome(read_family, path) == want
 
 
 def test_parse_rejects_garbage():
@@ -255,23 +314,15 @@ def test_malformed_line_names_its_line(text):
 # The bulk reader: read_family on a file at or above families._BULK_BYTES.
 
 
-def read_outcome(path):
-    """What read_family gives for ``path``: the family, or the error text."""
-    try:
-        return read_family(path)
-    except ParseError as exc:
-        return f"ParseError: {exc}"
-
-
 def read_both(path, monkeypatch, chunk=7):
     """read_family's outcome for ``path`` on the per-line path, then on the
     bulk path in ``chunk``-character chunks."""
     assert path.stat().st_size < families._BULK_BYTES
-    per_line = read_outcome(path)
+    per_line = outcome(read_family, path)
     with monkeypatch.context() as patch:
         patch.setattr(families, "_BULK_BYTES", 0)
         patch.setattr(families, "_CHUNK_CHARS", chunk)
-        return per_line, read_outcome(path)
+        return per_line, outcome(read_family, path)
 
 
 def write_text(tmp_path, text: str, encoding="ascii"):
