@@ -6,11 +6,13 @@ its output.
 Randomized subcommands demand an explicit --seed unless --ephemeral is
 passed; either way the seed used lands in the report.
 
-The flags live in one table, ``_GLOBAL_FLAGS`` and ``_SUBCOMMANDS``.
-``main`` reads an argv by one of two routes: a plain argv straight from
-the table, any other through the argparse tree built from it, which
-words all help and errors.  ``report --config`` checks a replayed
-config's params against the same table.
+Each subcommand is one entry of ``_SUBCOMMANDS``: its help, its handler
+and its flags (``_GLOBAL_FLAGS`` hold the rest); whether it is randomized
+is read from whether it has a --seed flag.  ``main`` reads an argv by one
+of two routes: a plain argv straight from the table, any other through
+the argparse tree built from it, which words all help and errors.
+argparse is imported only on that fallback route.  ``report --config``
+checks a replayed config's params against the same table.
 A result echoes the ``--pattern`` text as typed.  The module imports
 ``errors`` alone; each handler imports the layer names it calls in its
 own body.
@@ -22,7 +24,6 @@ outcomes), 2 parse error or an --output that cannot be written,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -51,13 +52,12 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_CERTIFICATION = 5
 
-_RANDOMIZED = {"embed", "extract"}
 _MP_PRINT_DPS = 30
 
 
 def builtin_pattern(name: str) -> FinitePoset:
-    """P2: two-chain; V2: one bottom under two tops; D2: its dual;
-    Q2: the four subsets of a two-set."""
+    """P2, P3, P4: the chains of 2, 3 and 4 elements; V2: one bottom under
+    two tops; D2: its dual; Q2: the four subsets of a two-set."""
     from .posets import make_chain, make_cube, make_v
 
     table: dict[str, Callable[[], FinitePoset]] = {
@@ -193,20 +193,18 @@ class Report:
 
 
 def emit_report(rep: Report) -> bytes:
-    fmt = rep.config.fmt
-    if fmt == "json":
-        text = json.dumps(
-            _jsonable(rep.payload()), sort_keys=True, indent=2, separators=(",", ": ")
-        )
-        return (text + "\n").encode("utf-8")
-    if fmt == "csv":
+    """The report as JSON, or as CSV rows (--format's other choice)."""
+    if rep.config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rep.results["csv_header"])
         for row in rep.results["csv_rows"]:
             writer.writerow([_jsonable(v) if not isinstance(v, str) else v for v in row])
         return buf.getvalue().encode("utf-8")
-    raise ParseError(f"unknown output format {fmt!r}")
+    text = json.dumps(
+        _jsonable(rep.payload()), sort_keys=True, indent=2, separators=(",", ": ")
+    )
+    return (text + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +278,29 @@ def _handle_pivots(cfg: RunConfig):
 
 def _handle_embed(cfg: RunConfig):
     from .families import read_family
-    from .posets import contains_subposet, family_as_poset
+    from .posets import DEFAULT_ORACLE_BUDGET, contains_subposet, family_as_poset
 
     fam = read_family(cfg.params["family"])
     pattern = load_pattern(cfg.params["pattern"])
     mode = cfg.params["mode"]
     stats = {"attempts_used": 0}
     status, code = "found", EXIT_OK
-    if mode == "weak":
-        emb = contains_subposet(family_as_poset(fam), pattern, "weak")
-        if emb is not None:
-            emb = tuple(fam.members[i] for i in emb)
-    else:
-        from .embeddings import DEFAULT_EMBED_ATTEMPTS, find_pattern_via_universality
+    try:
+        if mode == "weak":
+            emb = contains_subposet(
+                family_as_poset(fam), pattern, "weak", DEFAULT_ORACLE_BUDGET
+            )
+            if emb is not None:
+                emb = tuple(fam.members[i] for i in emb)
+        else:
+            from .embeddings import DEFAULT_EMBED_ATTEMPTS, find_pattern_via_universality
 
-        attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
-        try:
+            attempts = _count_arg(cfg, "attempts", DEFAULT_EMBED_ATTEMPTS)
             emb = find_pattern_via_universality(
                 fam, pattern, seed=cfg.seed, attempts=attempts, stats=stats
             )
-        except SearchBudgetExceeded:
-            emb, status, code = None, "unknown", EXIT_BUDGET
+    except SearchBudgetExceeded:
+        emb, status, code = None, "unknown", EXIT_BUDGET
     certs = []
     if emb is not None:
         check = "order-preserving pairwise" if mode == "weak" else "induced pairwise"
@@ -480,8 +480,6 @@ def _handle_verify_lemma(cfg: RunConfig):
     from .families import read_family
 
     lemma = cfg.params["lemma"]
-    if lemma not in _LEMMA_FLAGS:
-        raise ParseError(f"unknown lemma {lemma!r}")
     missing = [f for f in _LEMMA_FLAGS[lemma] if cfg.params.get(f.lstrip("-")) is None]
     if missing:
         raise ParseError(f"--lemma {lemma} needs {', '.join(missing)}")
@@ -548,8 +546,7 @@ def _handle_report(cfg: RunConfig):
         raise PreconditionError("a report config cannot nest another report")
     _check_replayed_config(inner)
     _check_seed_policy(inner)
-    handler = _HANDLERS[inner.subcommand]
-    results, certs, code = handler(inner)
+    results, certs, code = _SUBCOMMANDS[inner.subcommand][1](inner)
     return {"replayed": inner.subcommand, "results": results}, certs, code
 
 
@@ -581,14 +578,14 @@ def _check_replayed_config(cfg: RunConfig) -> None:
         value = getattr(cfg, _dest(flag, spec))
         if value is not None or spec.get("action") == "store_true" or "default" in spec:
             _check_flag_value(flag.lstrip("-").replace("-", "_"), spec, value)
-    dests = [_dest(flag, spec) for flag, spec in entry[1]]
+    dests = [_dest(flag, spec) for flag, spec in entry[2]]
     unknown = sorted(set(cfg.params) - set(dests))
     if unknown:
         raise ParseError(f"{cfg.subcommand} config has no flag for param {unknown[0]!r}")
     for flag, _ in _SEED_FLAGS:     # read from the top level only, never from params
         if flag.lstrip("-") in cfg.params:
             raise ParseError(f"{flag} belongs at the config's top level, not in params")
-    for dest, (flag, spec) in zip(dests, entry[1]):
+    for dest, (flag, spec) in zip(dests, entry[2]):
         value = cfg.params.get(dest)
         if value is None and spec.get("required"):
             raise ParseError(f"{cfg.subcommand} config needs {flag}")
@@ -596,34 +593,25 @@ def _check_replayed_config(cfg: RunConfig) -> None:
             _check_flag_value(flag, spec, value)
 
 
-_HANDLERS: dict = {
-    "lubell": _handle_lubell,
-    "pivots": _handle_pivots,
-    "embed": _handle_embed,
-    "extract": _handle_extract,
-    "extremal": _handle_extremal,
-    "middle-layers": _handle_middle_layers,
-    "verify-lemma": _handle_verify_lemma,
-    "cascade": _handle_cascade,
-    "report": _handle_report,
-}
-
-
 def _check_seed_policy(cfg: RunConfig) -> None:
-    if cfg.subcommand in _RANDOMIZED or (
+    """A subcommand with a --seed flag is randomized (``verify-lemma`` only
+    for its Monte-Carlo lemmas): it runs with --seed, or with a fresh seed
+    under --ephemeral."""
+    if "--seed" not in dict(_SUBCOMMANDS[cfg.subcommand][2]) or (
         cfg.subcommand == "verify-lemma"
-        and cfg.params.get("lemma") in ("tail", "trace")
+        and cfg.params.get("lemma") not in ("tail", "trace")
     ):
-        if cfg.seed is None and not cfg.ephemeral:
-            raise PreconditionError(
-                f"{cfg.subcommand!r} is randomized: pass --seed or --ephemeral"
-            )
-        if cfg.seed is None:
-            import secrets
+        return
+    if cfg.seed is None and not cfg.ephemeral:
+        raise PreconditionError(
+            f"{cfg.subcommand!r} is randomized: pass --seed or --ephemeral"
+        )
+    if cfg.seed is None:
+        import secrets
 
-            cfg.seed = secrets.randbits(64)
-        if not 0 <= cfg.seed < 1 << 64:
-            raise PreconditionError("seed must fit in 64 bits")
+        cfg.seed = secrets.randbits(64)
+    if not 0 <= cfg.seed < 1 << 64:
+        raise PreconditionError("seed must fit in 64 bits")
 
 
 def run(cfg: RunConfig) -> Report:
@@ -631,17 +619,15 @@ def run(cfg: RunConfig) -> Report:
     if cfg.fmt == "csv" and cfg.subcommand != "extremal":
         raise ParseError(f"--format csv: {cfg.subcommand} has no table (only extremal has one)")
     _check_seed_policy(cfg)
-    if cfg.subcommand not in _HANDLERS:
-        raise ParseError(f"unknown subcommand {cfg.subcommand!r}")
     t0 = time.perf_counter()
-    results, certs, code = _HANDLERS[cfg.subcommand](cfg)
+    results, certs, code = _SUBCOMMANDS[cfg.subcommand][1](cfg)
     elapsed = time.perf_counter() - t0
-    rep = Report(cfg, results, certs, {"wall_s": round(elapsed, 6)}, code)
-    return rep
+    return Report(cfg, results, certs, {"wall_s": round(elapsed, 6)}, code)
 
 
-# Every flag, as (flag, add_argument keywords), in help order.  The
-# parsers and the replay check of ``report --config`` all read these.
+# Every flag, as (flag, add_argument keywords), in help order, and each
+# subcommand as (help, handler, flags).  The plain reader, the parser, the
+# seed policy and the replay check of ``report --config`` all read these.
 _GLOBAL_FLAGS = (
     ("--output", {"help": "write the report here instead of stdout"}),
     ("--format", {"choices": ("json", "csv"), "default": "json", "dest": "fmt"}),
@@ -652,26 +638,26 @@ _SEED_FLAGS = (
     ("--ephemeral", {"action": "store_true"}),
 )
 _SUBCOMMANDS = {
-    "lubell": ("exact mass of a family file", (
+    "lubell": ("exact mass of a family file", _handle_lubell, (
         ("--family", {"required": True}),
         ("--bottom", {"help": "interval bottom, subset literal"}),
         ("--top", {"help": "interval top, subset literal"}),
     )),
-    "pivots": ("enumerate pivots of a member", (
+    "pivots": ("enumerate pivots of a member", _handle_pivots, (
         ("--family", {"required": True}),
         ("--base", {"required": True, "help": 'subset literal, e.g. "1,3,4"'}),
         ("-r", {"type": int, "required": True}),
         ("--anti", {"action": "store_true"}),
         ("--gamma", {"help": "also report flexibility at this tolerance"}),
     )),
-    "embed": ("find a pattern copy inside a family", (
+    "embed": ("find a pattern copy inside a family", _handle_embed, (
         ("--family", {"required": True}),
         ("--pattern", {"required": True}),
         ("--mode", {"choices": ("weak", "induced"), "default": "induced"}),
         ("--attempts", {"type": int}),
         *_SEED_FLAGS,
     )),
-    "extract": ("run the full extraction pipeline", (
+    "extract": ("run the full extraction pipeline", _handle_extract, (
         ("--family", {"required": True}),
         ("--pattern", {"required": True}),
         ("--mode", {"choices": ("paper", "override"), "default": "paper"}),
@@ -681,19 +667,19 @@ _SUBCOMMANDS = {
         ("--attempts", {"type": int}),
         *_SEED_FLAGS,
     )),
-    "extremal": ("exact pattern-avoiding optimum", (
+    "extremal": ("exact pattern-avoiding optimum", _handle_extremal, (
         ("--n", {"type": int, "required": True}),
-        ("--pattern", {"required": True, "help": "poset file or builtin:P2|V2|D2|Q2"}),
+        ("--pattern", {"required": True, "help": "poset file or builtin:P2|P3|P4|V2|D2|Q2"}),
         ("--mode", {"choices": ("weak", "induced"), "default": "weak"}),
         ("--objective", {"choices": ("cardinality", "lubell"), "default": "cardinality"}),
         ("--budget-nodes", {"type": int}),
     )),
-    "middle-layers": ("widest pattern-free middle band", (
+    "middle-layers": ("widest pattern-free middle band", _handle_middle_layers, (
         ("--n", {"type": int, "required": True}),
         ("--pattern", {"required": True}),
     )),
-    "verify-lemma": ("statistical and exact bound checks", (
-        ("--lemma", {"choices": ("tail", "trace", "flexbound", "fatbound"), "required": True}),
+    "verify-lemma": ("statistical and exact bound checks", _handle_verify_lemma, (
+        ("--lemma", {"choices": tuple(_LEMMA_FLAGS), "required": True}),
         ("-m", {"type": int}),
         ("-k", {"type": int}),
         ("--n", {"type": int}),
@@ -707,23 +693,25 @@ _SUBCOMMANDS = {
         ("--trials", {"type": int}),
         *_SEED_FLAGS,
     )),
-    "cascade": ("exact constants for a pattern size", (
+    "cascade": ("exact constants for a pattern size", _handle_cascade, (
         ("-m", {"type": int, "required": True}),
         ("--eps", {"required": True}),
     )),
-    "report": ("replay a saved run configuration", (
+    "report": ("replay a saved run configuration", _handle_report, (
         ("--config", {"required": True}),
     )),
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags: tuple) -> None:
+def _add_flags(parser, flags: tuple) -> None:
     for flag, spec in flags:
         parser.add_argument(flag, **spec)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser of every subcommand, from ``_SUBCOMMANDS``."""
+def build_parser():
+    """The argparse parser of every subcommand, from ``_SUBCOMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cubefam",
         description="Set families in the subset lattice: masses, pivots, "
@@ -731,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_flags(parser, _GLOBAL_FLAGS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
         _add_flags(sub.add_parser(name, help=help_text), flags)
     return parser
 
@@ -751,16 +739,16 @@ def _table_values(flags: tuple, given: dict) -> Optional[dict]:
     return values
 
 
-def _read_plain_argv(argv: list) -> Optional[argparse.Namespace]:
-    """The namespace argparse returns for a plain ``argv``, read straight
-    from the flag table; None for any other argv.
+def _read_plain_argv(argv: list) -> Optional[dict]:
+    """What ``vars(parse_args(argv))`` returns for a plain ``argv``, read
+    straight from the flag table; None for any other argv.
 
     A plain argv is zero or more global flags, a subcommand name, then
     that subcommand's flags.  Each flag is written out in full and given
     once; each value flag takes the next token, which is a lone "-" or
     does not start with "-", and which the flag's own ``type`` and
-    ``choices`` accept; and every required flag is present.  The
-    namespace has argparse's attributes, values, defaults and order.
+    ``choices`` accept; and every required flag is present.  The dict
+    has argparse's keys, values, defaults and order.
     Everything else (help, an abbreviation, ``--flag=value``, a repeat, a
     bad value, a missing flag) is None, and goes to argparse, the one
     source of every help and error text.
@@ -774,7 +762,7 @@ def _read_plain_argv(argv: list) -> Optional[argparse.Namespace]:
             if sub is not None or token not in _SUBCOMMANDS:
                 return None
             sub, top = token, given
-            table, given = dict(_SUBCOMMANDS[sub][1]), {}
+            table, given = dict(_SUBCOMMANDS[sub][2]), {}
         elif token in given:
             return None
         elif spec.get("action") == "store_true":
@@ -792,23 +780,23 @@ def _read_plain_argv(argv: list) -> Optional[argparse.Namespace]:
             given[token] = value
     if sub is None:
         return None
-    head, tail = _table_values(_GLOBAL_FLAGS, top), _table_values(_SUBCOMMANDS[sub][1], given)
+    head, tail = _table_values(_GLOBAL_FLAGS, top), _table_values(_SUBCOMMANDS[sub][2], given)
     if head is None or tail is None:
         return None
-    return argparse.Namespace(**{**head, "subcommand": sub, **tail})
+    return {**head, "subcommand": sub, **tail}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: dict) -> RunConfig:
     skip = {"subcommand"} | {_dest(flag, spec) for flag, spec in _GLOBAL_FLAGS + _SEED_FLAGS}
-    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    params = {k: v for k, v in args.items() if k not in skip and v is not None}
     return RunConfig(
-        subcommand=args.subcommand,
+        subcommand=args["subcommand"],
         params=params,
-        seed=getattr(args, "seed", None),
-        ephemeral=getattr(args, "ephemeral", False),
-        with_timings=args.with_timings,
-        output=args.output,
-        fmt=args.fmt,
+        seed=args.get("seed"),
+        ephemeral=args.get("ephemeral", False),
+        with_timings=args["with_timings"],
+        output=args["output"],
+        fmt=args["fmt"],
     )
 
 
@@ -823,7 +811,7 @@ def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain_argv(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     cfg = _config_from_args(args)
     try:
         rep = run(cfg)
@@ -834,9 +822,6 @@ def main(argv: Optional[list] = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except SearchBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

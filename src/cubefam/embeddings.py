@@ -26,6 +26,7 @@ from .families import (
     submasks_of_size,
 )
 from .posets import (
+    DEFAULT_ORACLE_BUDGET,
     FinitePoset,
     contains_subposet,
     family_as_poset,
@@ -33,7 +34,6 @@ from .posets import (
 )
 
 DEFAULT_EMBED_ATTEMPTS = 200
-DEFAULT_ORACLE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)

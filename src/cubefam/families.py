@@ -416,12 +416,12 @@ def read_family(path) -> SetFamily:
     """The family in the file at ``path``, read as ``parse_family`` reads it.
 
     A file of ``_BULK_BYTES`` (1 MiB) or more, by ``os.fstat``, is read in
-    chunks of about ``_CHUNK_CHARS`` characters, each cut after its last
-    newline, and each chunk's canonical lines are checked and turned into
-    masks with numpy (``_bulk_lines``).  Every other line still goes to
-    ``parse_subset_literal``, and a chunk that holds a malformed or
-    duplicate line is read again by the per-line loop, so members and
-    errors are the same on both paths.  A byte outside ASCII sends the
+    chunks of ``_CHUNK_CHARS`` characters, each read on to the end of the
+    line it stops in, and each chunk's canonical lines are checked and
+    turned into masks with numpy (``_bulk_lines``).  Every other line
+    still goes to ``parse_subset_literal``, and a chunk that holds a
+    malformed or duplicate line is read again by the per-line loop, so
+    members and errors are the same on both paths.  A byte outside ASCII sends the
     whole file back to the per-line reader, which then decides, as it
     always has, whether that error or an earlier line's comes first.
 
@@ -444,18 +444,11 @@ def _read_bulk(fh) -> SetFamily:
     n = _header_size(fh)
     seen: set[int] = set()
     lineno = 2
-    pending: list[str] = []
     while block := fh.read(_CHUNK_CHARS):
-        cut = block.rfind("\n") + 1
-        if not cut:                      # a line longer than a chunk
-            pending.append(block)
-            continue
-        pending.append(block[:cut])
-        lineno = _bulk_lines("".join(pending), n, seen, lineno)
-        pending = [block[cut:]]
-    last = "".join(pending)
-    if last:                             # no newline at the end of the file
-        _bulk_lines(last + "\n", n, seen, lineno)
+        block += fh.readline()           # the rest of the chunk's last line
+        if not block.endswith("\n"):     # no newline at the end of the file
+            block += "\n"
+        lineno = _bulk_lines(block, n, seen, lineno)
     return SetFamily(n, seen)
 
 

@@ -41,6 +41,8 @@ from .errors import (
 from .families import parse_decimal
 
 CUBE_DIM_CAP = 5
+# The node budget of the CLI's containment searches, weak and induced.
+DEFAULT_ORACLE_BUDGET = 2_000_000
 
 
 class FinitePoset:

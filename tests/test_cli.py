@@ -358,6 +358,31 @@ class TestEmbed:
         assert res["status"] == "unknown" and res["map"] is None
         assert payload["certifications"] == []
 
+    def test_weak_budget_stop_reports_unknown(self, capsys, fam_file, monkeypatch):
+        """The weak route has a node budget too: a stop is "unknown" (exit
+        4), where the full search finds no P2 among the 5-subsets of [10]."""
+        members = [sum(1 << e for e in c) for c in itertools.combinations(range(10), 5)]
+        argv = ["embed", "--family", fam_file(SetFamily(10, members)),
+                "--pattern", "builtin:P2", "--mode", "weak", "--seed", "0"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and payload["results"]["status"] == "absent"
+        monkeypatch.setattr("cubefam.posets.DEFAULT_ORACLE_BUDGET", 10, raising=False)
+        code, payload = run_json(capsys, argv)
+        assert code == 4
+        res = payload["results"]
+        assert res["status"] == "unknown" and res["map"] is None
+        assert payload["certifications"] == []
+
+    def test_corrupt_composed_map_exits_5(self, capsys, fam_file, monkeypatch):
+        """A map that fails its certificate is an exit 5 with the check's
+        message, and no report."""
+        monkeypatch.setattr("cubefam.embeddings.downset_embedding", lambda p: (1,) * p.k)
+        path = fam_file(full_power_set(8))
+        assert main(["embed", "--family", path, "--pattern", "builtin:V2", "--seed", "4"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "certification failure: composed map failed the induced check\n"
+
     def test_weak_map_found_and_certified(self, capsys, fam_file):
         path = fam_file(full_power_set(3))
         code, payload = run_json(capsys, [
@@ -519,6 +544,16 @@ class TestExtremal:
         ])
         assert code == 4
         assert payload["results"]["exact"] is False
+
+    def test_with_timings_adds_wall_time(self, capsys):
+        argv = ["extremal", "--n", "3", "--pattern", "builtin:P2"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and "wall_time" not in payload["results"]
+        assert payload["results"]["csv_rows"][0][3] == ""
+        code, payload = run_json(capsys, ["--with-timings", *argv])
+        res = payload["results"]
+        assert code == 0 and float(res["wall_time"]) > 0
+        assert res["csv_rows"][0][3] == repr(round(float(res["wall_time"]), 6))
 
     def test_csv_format(self, capsys):
         code = main([
@@ -1003,6 +1038,12 @@ class TestLazyImports:
         path = fam_file(SetFamily(4, [m for m in range(16) if bin(m).count("1") == 2]))
         assert self.loaded_after([path if a == "FAMILY" else a for a in argv]) == []
 
+    def test_plain_argv_loads_no_argparse(self, fam_file):
+        """argparse is imported only to build the fallback parser."""
+        path = fam_file(full_power_set(2))
+        assert "argparse" not in self.modules_after(["lubell", "--family", path])
+        assert "argparse" in self.modules_after(["lubell", "--fam", path])
+
     def test_monte_carlo_loads_numpy(self):
         """The control: the harness does see an import when one happens."""
         loaded = self.loaded_after([
@@ -1175,7 +1216,7 @@ def _replay_cases() -> list:
     the command line; None where argparse has nothing to reject (every
     text is a str, and a seed flag is right on the command line)."""
     cases = []
-    for sub, (_, flags) in cli._SUBCOMMANDS.items():
+    for sub, (_, _, flags) in cli._SUBCOMMANDS.items():
         if sub == "report":      # a replayed report is refused (exit 3) before its flags are read
             continue
         for flag, spec in flags:
@@ -1205,7 +1246,7 @@ class TestReplayAgreesWithArgparse:
 
     @pytest.mark.parametrize("sub,flag,bad,tail", _replay_cases())
     def test_both_refuse(self, capsys, tmp_path, sub, flag, bad, tail):
-        flags = dict(cli._SUBCOMMANDS[sub][1])
+        flags = dict(cli._SUBCOMMANDS[sub][2])
         spec = flags[flag]
         others = [
             arg for f, s in flags.items() if s.get("required") and f != flag
@@ -1213,7 +1254,7 @@ class TestReplayAgreesWithArgparse:
         ]
         given = [flag, _valid_text(spec)] if spec.get("required") else []
         parser = cli.build_parser()
-        params = cli._config_from_args(parser.parse_args([sub, *others, *given])).params
+        params = cli._config_from_args(vars(parser.parse_args([sub, *others, *given]))).params
         cli._check_replayed_config(cli.RunConfig(sub, params, seed=1))  # the control passes
         # the key argparse stores the flag under: the one two values of it change
         if spec.get("action") == "store_true":
@@ -1302,7 +1343,7 @@ def _generated_argvs(sub: str) -> list:
     ``_flag_cases`` for each of its flags and each global flag, a missing
     required flag, help, a global flag after the subcommand, and stray
     tokens."""
-    flags = cli._SUBCOMMANDS[sub][1]
+    flags = cli._SUBCOMMANDS[sub][2]
     required = {flag: [flag, _valid_text(spec)] for flag, spec in flags if spec.get("required")}
     base = [token for pair in required.values() for token in pair]
     cases = [
@@ -1347,15 +1388,15 @@ def main_outcome(capsys, argv):
 
 
 def assert_reads_as_argparse(capsys, monkeypatch, full, argv) -> bool:
-    """``_read_plain_argv(argv)`` is None or the exact namespace of ``full``,
-    the tree of all nine, and ``main`` (its handlers replaced by one that
+    """``_read_plain_argv(argv)`` is None or exactly ``vars`` of the
+    namespace of ``full``, the tree of all nine, and ``main`` (its handlers replaced by one that
     prints the config it was given) exits and prints as it does with
     ``full`` alone; whether the reader read ``argv``."""
     read = cli._read_plain_argv(argv)
     if read is not None:
         found = parse_outcome(capsys, full, argv)
         assert found[1:] == (None, "", ""), argv
-        assert typed_items(vars(read)) == typed_items(found[0]), argv
+        assert typed_items(read) == typed_items(found[0]), argv
     monkeypatch.setattr(cli, "run", refuse_run)
     outcome = main_outcome(capsys, argv)
     with monkeypatch.context() as full_tree:
@@ -1367,7 +1408,8 @@ def assert_reads_as_argparse(capsys, monkeypatch, full, argv) -> bool:
 
 class TestPlainArgv:
     """``main`` reads a plain argv straight from the flag table, into the
-    namespace argparse returns for it, and leaves every other to argparse."""
+    dict of the namespace argparse returns for it, and leaves every other
+    to argparse."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -1400,7 +1442,7 @@ class TestPlainArgv:
         argv = ["--output", "out.json", "--with-timings", "embed", "--mode", "weak",
                 "--pattern", "builtin:V2", "--family", "f.txt", "--attempts", "٣",
                 "--ephemeral", "--seed", "7"]
-        assert list(vars(cli._read_plain_argv(argv)).items()) == [
+        assert list(cli._read_plain_argv(argv).items()) == [
             ("output", "out.json"), ("fmt", "json"), ("with_timings", True),
             ("subcommand", "embed"), ("family", "f.txt"), ("pattern", "builtin:V2"),
             ("mode", "weak"), ("attempts", 3), ("seed", 7), ("ephemeral", True),

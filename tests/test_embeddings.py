@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubefam.errors import PreconditionError, SearchBudgetExceeded
+from cubefam import embeddings
+from cubefam.errors import CertificationError, PreconditionError, SearchBudgetExceeded
 from cubefam.families import SetFamily, full_power_set
 from cubefam.posets import (
     contains_subposet,
@@ -15,6 +16,7 @@ from cubefam.posets import (
     verify_embedding_masks,
 )
 from cubefam.embeddings import (
+    CubeEmbedResult,
     DenseTruncatedFamily,
     dense_class_check,
     downset_embedding,
@@ -157,3 +159,47 @@ def test_pattern_search_budget_stop_is_not_absent():
         emb = find_pattern_via_universality(fam, make_v(), seed=1, node_budget=budget)
         assert emb is not None
         assert verify_embedding_masks(make_v(), emb, "induced")
+
+
+class TestCertificatesFire:
+    """Each certification check of this module, fed a corrupt input by the
+    step before it, raises with its own message."""
+
+    def test_downset_map_of_a_corrupt_order(self):
+        from cubefam.posets import _from_rows
+
+        chain = _from_rows((0b10, 0), (0, 0))   # 0 < 1, but the down-set rows lose it
+        with pytest.raises(CertificationError,
+                           match=r"^down-set map failed the induced check$"):
+            downset_embedding(chain)
+
+    def test_cube_copy_with_a_missing_subset(self, monkeypatch):
+        # {0} is missing, and one missing singleton of four is dense at m = 1
+        fam = DenseTruncatedFamily(4, 1, frozenset({0, 0b10, 0b100, 0b1000}))
+        assert randomized_cube_embed(fam, seed=0, max_attempts=1).mask == 0b10
+        real, calls = embeddings.submasks_of_size, []
+
+        def blind_filter(mask, size):
+            """The first attempt's m + 1 filter calls find nothing missing."""
+            calls.append(size)
+            return real(mask, size) if len(calls) > 2 else ()
+
+        monkeypatch.setattr(embeddings, "submasks_of_size", blind_filter)
+        with pytest.raises(CertificationError,
+                           match=r"^cube certificate broken: 0x1 missing from family$"):
+            randomized_cube_embed(fam, seed=0, max_attempts=1)
+
+    def test_composed_image_outside_the_host(self, monkeypatch):
+        # every set of at most 2 points of [12] but {1, 2}: dense at 1/64
+        fam = SetFamily(12, [m for m in range(1 << 12) if m.bit_count() <= 2 and m != 0b11])
+        assert find_pattern_via_universality(fam, make_chain(2), seed=0) is not None
+        monkeypatch.setattr(embeddings, "randomized_cube_embed",
+                            lambda dtf, seed, attempts: CubeEmbedResult(0b11, 1))
+        with pytest.raises(CertificationError, match=r"^composed image left the host family$"):
+            find_pattern_via_universality(fam, make_chain(2), seed=0)
+
+    def test_composed_map_not_induced(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "downset_embedding", lambda p: (1,) * p.k)
+        with pytest.raises(CertificationError,
+                           match=r"^composed map failed the induced check$"):
+            find_pattern_via_universality(full_power_set(8), make_v(), seed=4)

@@ -173,6 +173,10 @@ class TestMiddleLayers:
         assert middle_layers_number(FinitePoset(0, []), 6) == 0
         assert middle_layers_number(make_chain(2), 0) == 1
 
+    def test_no_band_hosts_the_pattern(self):
+        # P[1] is a 2-chain, too small for V's three elements
+        assert middle_layers_number(make_v(), 1) == 2
+
 
 class TestChainMassCheck:
     def test_small_instances_confirm(self):

@@ -8,7 +8,8 @@ check and the integer Lubell weights are each written once; every
 module-level function and class of the package is used by the package, or
 kept by name; no function only hands its arguments on to another one of
 the package, unless kept by name; the README lists exactly the stop
-statuses of ``extraction``.
+statuses of ``extraction``; every committed ``BENCH_*.json`` parses as a
+JSON object.
 
 An AST scan of the package and the test suite.  A name counts as used
 when the module refers to it anywhere, or lists it in ``__all__``;
@@ -16,6 +17,7 @@ when the module refers to it anywhere, or lists it in ``__all__``;
 """
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -397,7 +399,7 @@ def test_flag_table_uses_only_keys_the_reader_reads():
     from cubefam import cli
 
     tables = {"global": cli._GLOBAL_FLAGS}
-    tables.update((sub, flags) for sub, (_, flags) in cli._SUBCOMMANDS.items())
+    tables.update((sub, flags) for sub, (_, _, flags) in cli._SUBCOMMANDS.items())
     assert unread_flag_keys(tables) == []
 
 
@@ -646,3 +648,9 @@ def test_status_scans_read_names_and_list():
     assert string_constants(tree, "STATUS_") == {"ok", "a b"}
     text = "Intro (`x`). Status strings from `extract` are (`a b`, `c`); see (`d`)."
     assert readme_statuses(text) == ["a b", "c"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_file_is_a_json_object(path):
+    """A benchmark record the change notes cite stays readable."""
+    assert isinstance(json.loads(path.read_text(encoding="utf-8")), dict)
