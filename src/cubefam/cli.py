@@ -30,6 +30,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -439,6 +440,15 @@ def _handle_middle_layers(cfg: RunConfig):
     )
 
 
+def _rational_in_full(x: Fraction) -> str:
+    """x as "p/q" with every digit.  ``decimal`` prints an integer of any
+    length, where ``str`` stops at ``sys.get_int_max_str_digits()`` digits
+    (and ``_jsonable`` refuses such a rational): an exact tail probability
+    has C(n, m) below it, which passes 4300 digits near n = 20,000 and
+    m = 5,000."""
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
 def _monte_carlo_payload(lemma: str, rep) -> dict:
     return {
         "lemma": lemma,
@@ -449,6 +459,8 @@ def _monte_carlo_payload(lemma: str, rep) -> dict:
         "empirical": rep.empirical,
         "bound": rep.bound,
         "margin": rep.margin,
+        "exact_p": None if rep.exact_p is None else _rational_in_full(rep.exact_p),
+        "exact_holds": rep.exact_holds,
         "verdict": rep.verdict,
     }
 

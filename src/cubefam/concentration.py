@@ -2,11 +2,15 @@
 
 Numerics policy: probability inequalities are checked in binary64 with an
 explicit 3-sigma margin (Monte-Carlo cannot refute a true bound, only
-flag suspicion), while the recursive constants eta and c stay exact
-rationals and the threshold sizes m0 are exact integers.  The quantities
-that overflow binary64 -- mass bounds of order exp(1/c) and threshold
-indices of order 1/c -- go through mpmath, whose exponent range is
-unbounded.
+flag suspicion).  Where the event is hypergeometric (the tail lemma, and
+the trace lemma at r <= 1) its probability p is also an exact rational
+(``hypergeometric_tail``): the exact verdict p <= bound is decided in
+mpmath at ``_MP_DPS`` digits, since the bound is irrational, and the hits
+drawn must lie within 4 sigma + 1 of trials * p on either side.  The
+recursive constants eta and c stay exact rationals and the threshold
+sizes m0 are exact integers.  The quantities that overflow binary64 --
+mass bounds of order exp(1/c) and threshold indices of order 1/c -- go
+through mpmath, whose exponent range is unbounded.
 """
 
 from __future__ import annotations
@@ -24,11 +28,14 @@ if TYPE_CHECKING:
     import mpmath as mp
     import numpy as np
 
-# Rows per batch: 16384 for the tail lemma, whose urn keeps one count per
-# row, and 1024 for the trace lemma, whose urn keeps one membership row per
+# Rows per batch: 16384 for the tail lemma, which draws one count per row,
+# and 1024 for the trace lemma, whose urn keeps one membership row per
 # element it walks.
 _BATCH_ROWS = 16384
 _TRACE_ROWS = 1024
+# numpy's hypergeometric draw needs fewer than this many marked and this
+# many unmarked elements.
+_DRAW_LIMIT = 10**9
 _MP_DPS = 60
 # Comparisons against 1 in the m* search get this one-sided slack, so a
 # value within guard of the boundary is treated as failing the inequality
@@ -93,22 +100,39 @@ def _urn(gen, n: int, room: int, steps: int, rows: int, out=None):
     return left
 
 
-def _urn_counts(m: int, k: int, n: int, trials: int, seed: int):
+def _tail_counts(m: int, k: int, n: int, trials: int, seed: int):
     """Z = |X cap {0..k-1}| for ``trials`` seeded uniform m-subsets X of
     {0..n-1}, the tail lemma's draws: one count vector per batch of
-    ``_BATCH_ROWS`` rows.
-
-    Z depends only on which elements X holds, so X is drawn from an urn
-    one element at a time and never stored: the k marked elements are
-    K = {0..k-1}, and each draw that hits puts one of them in X.  The urn
-    draws the shorter side: X itself when 2m <= n, else its complement,
-    whose n - m draws leave Z elements of K undrawn.  Each step draws for
-    every row of a batch at once, so a row's Z depends on its batch's size.
+    ``_BATCH_ROWS`` rows, each drawn straight from Z's hypergeometric law
+    (k marked elements, n - k unmarked, m drawn) in one call.
     """
-    inside = 2 * m <= n
     for rows, gen in _batches(trials, seed, _BATCH_ROWS):
-        left = _urn(gen, n, k, m if inside else n - m, rows)
-        yield k - left if inside else left
+        yield gen.hypergeometric(k, n - k, m, size=rows)
+
+
+def hypergeometric_tail(m: int, k: int, n: int, z_min: int) -> Fraction:
+    """P(Z >= z_min), exactly, for Z = |X cap K| with X uniform in the
+    m-subsets of an n-set and |K| = k (Chvatal 1979):
+
+        sum over z >= z_min of C(k, z) C(n - k, m - z) / C(n, m).
+
+    Z lies in [max(0, m - (n - k)), min(k, m)], so a z_min above that
+    range gives 0 and one at or below its bottom gives 1.  Otherwise the
+    terms are summed as integers from z_min up: each is the one before
+    times (k - z)(m - z) / ((z + 1)(n - k - m + z + 1)), an exact integer
+    division, so only the first term and C(n, m) take binomials.
+    """
+    lo, hi = max(0, m - (n - k)), min(k, m)
+    if z_min > hi:
+        return Fraction(0)
+    if z_min <= lo:
+        return Fraction(1)
+    term = math.comb(k, z_min) * math.comb(n - k, m - z_min)
+    total = term
+    for z in range(z_min, hi):
+        term = term * (k - z) * (m - z) // ((z + 1) * (n - k - m + z + 1))
+        total += term
+    return Fraction(total, math.comb(n, m))
 
 
 def tail_bound(m: int, t) -> float:
@@ -133,17 +157,25 @@ class MonteCarloReport:
     """Outcome of an empirical check of a probability inequality.
 
     verdict is "pass" / "fail" / "inconclusive" (plus "hypothesis-failed"
-    where the inequality's own hypotheses were not met); "fail" only
-    flags suspicion -- empirical frequency above bound + 3 sigma.
+    where the inequality's own hypotheses were not met).  "fail" flags
+    suspicion: the empirical frequency is above bound + 3 sigma, or, where
+    the exact probability ``exact_p`` is known, ``hits`` lies more than
+    4 sigma + 1 from trials * exact_p on either side, as a biased sampler
+    would make it.
+
+    ``exact_p`` is that probability as an exact rational, given for the
+    tail lemma and for the trace lemma at r <= 1 with m <= n (None
+    elsewhere), and ``exact_holds`` says whether exact_p <= the bound, at
+    ``_MP_DPS`` digits.
 
     ``trials`` is the number of seeded draws the verdict covers, as asked
-    for; ``drawn`` is the number of subsets X actually drawn from an urn
-    (``_urn``: ``_urn_counts`` for the tail lemma, ``_trace_counts`` for
-    the trace lemma).  The two agree when the draws decide ``hits``.
-    ``drawn`` is 0 when the support of the count decides every draw alike
-    (``_forced_hits``), so that the verdict over ``trials`` draws needs
-    none of them, and on the "inconclusive" and "hypothesis-failed"
-    routes, which draw nothing.
+    for; ``drawn`` is the number of counts actually drawn (``_tail_counts``
+    for the tail lemma, ``_trace_counts`` for the trace lemma).  The two
+    agree when the draws decide ``hits``.  ``drawn`` is 0 when every draw
+    is decided alike (a tail probability of 0 or 1, or a trace event that
+    no X can reach), so that the verdict over ``trials`` draws needs none
+    of them, and on the "inconclusive" and "hypothesis-failed" routes,
+    which draw nothing.
     """
 
     params: dict
@@ -155,50 +187,40 @@ class MonteCarloReport:
     bound: float
     margin: float
     verdict: str
+    exact_p: Fraction | None = None
+    exact_holds: bool | None = None
 
 
 def _monte_carlo_report(
-    params: dict, trials: int, seed: int, hits: int, bound: float, drawn: int
+    params: dict, trials: int, seed: int, hits: int, bound: float, drawn: int,
+    exact_p: Fraction | None = None, exact_holds: bool | None = None,
 ) -> MonteCarloReport:
     """The verdict on ``hits`` in ``trials``: "inconclusive" with no
     trials, else "pass" when the empirical rate is at most the bound plus
-    3 sigma of a Bernoulli(bound) mean over ``trials``, and "fail" above."""
+    3 sigma of a Bernoulli(bound) mean over ``trials`` and, given the exact
+    probability p, |hits - trials p| <= 4 sqrt(trials p (1 - p)) + 1;
+    "fail" otherwise.  The + 1 keeps a single stray hit from failing a
+    correct sampler where trials p is far below 1."""
     if trials == 0:
-        return MonteCarloReport(params, 0, 0, seed, 0, 0.0, bound, 0.0, "inconclusive")
+        return MonteCarloReport(
+            params, 0, 0, seed, 0, 0.0, bound, 0.0, "inconclusive", exact_p, exact_holds
+        )
     empirical = hits / trials
     margin = 3.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
-    verdict = "pass" if empirical <= bound + margin else "fail"
+    ok = empirical <= bound + margin
+    if exact_p is not None:
+        p = float(exact_p)
+        ok = ok and abs(hits - trials * p) <= 4.0 * math.sqrt(trials * p * (1.0 - p)) + 1.0
     return MonteCarloReport(
-        params, trials, drawn, seed, hits, empirical, bound, margin, verdict
+        params, trials, drawn, seed, hits, empirical, bound, margin,
+        "pass" if ok else "fail", exact_p, exact_holds,
     )
 
 
-def _tail_support(m: int, k: int, n: int) -> tuple[int, int]:
-    """[lo, hi] holding |X cap {0..k-1}| for every m-subset X of {0..n-1}:
-    X has at most k elements below k and at most n - k at or above it."""
-    return max(0, m - (n - k)), min(k, m)
-
-
-def _trace_support(m: int, r: int, t_size: int) -> tuple[int, int]:
-    """[lo, hi] holding |X^{(r)} cap T| for every m-set X: X^{(r)} has
+def _trace_top(m: int, r: int, t_size: int) -> int:
+    """The most members of T inside X^{(r)} for any m-set X: X^{(r)} has
     C(m, r) members and T has ``t_size``."""
-    return 0, min(t_size, math.comb(m, r))
-
-
-def _forced_hits(lo: int, hi: int, least: int, trials: int) -> int | None:
-    """Hits of the event "count >= least" in ``trials`` draws of an integer
-    count that always lies in [lo, hi], when that range decides them: 0
-    when ``least`` is above ``hi``, since no draw can reach it, and
-    ``trials`` when ``least`` is at most ``lo``, since every draw does.
-    None when draws on both sides are possible, as far as [lo, hi] tells.
-
-    Exact, not a shortcut: on a decided event every seed gives these hits.
-    """
-    if least > hi:
-        return 0
-    if least <= lo:
-        return trials
-    return None
+    return min(t_size, math.comb(m, r))
 
 
 def verify_tail_bound(
@@ -207,19 +229,25 @@ def verify_tail_bound(
     """Estimate P(Z >= km/n + t) and compare with exp(-2 t^2 / m).
 
     Z = |X cap {0..k-1}| for X uniform in the m-subsets of {0..n-1} is
-    hypergeometric on [max(0, m - (n - k)), min(k, m)] (``_tail_support``).
-    When the least integer z_min >= km/n + t lies above that range, every
-    draw misses whatever the seed; at or below its bottom (say m = n with
-    t = 0), every draw hits.  Either way the report is built without
-    drawing (``drawn`` 0); otherwise each of the ``trials`` subsets is
-    drawn from an urn (``_urn_counts``), which gives Z its exact
-    distribution in min(m, n - m) steps and O(batch) memory.
+    hypergeometric, so with z_min the least integer >= km/n + t the
+    probability is the exact rational p = ``hypergeometric_tail(m, k, n,
+    z_min)``, reported with whether p <= exp(-2 t^2 / m) (``at_most``, as
+    the bound is irrational; mpmath is loaded for it).  When p is 0 or 1
+    every draw misses, or every draw hits, whatever the seed, and the
+    report is built without drawing (``drawn`` 0) or loading numpy.
+    Otherwise each of the ``trials`` counts is drawn from Z's law
+    (``_tail_counts``, one numpy call per batch, O(batch) memory), and the
+    hits are checked on both sides of trials * p (``_monte_carlo_report``).
+    A draw needs k and n - k below numpy's limit of 10^9; a query past it
+    is refused before any draw.
 
     The threshold comparison is exact (integer Z against a rational
     threshold); only the frequency-vs-bound comparison is floating.
     Parameters are checked before the zero-trial shortcut, so an
     "inconclusive" report always describes a well-posed question.
     """
+    import mpmath as mp
+
     bound = tail_bound(m, t)
     if not (m <= n and 0 <= k <= n):
         raise PreconditionError(
@@ -228,14 +256,19 @@ def verify_tail_bound(
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
     params = {"m": m, "k": k, "n": n, "t": float(t)}
-    if trials == 0:
-        return _monte_carlo_report(params, 0, seed, 0, bound, 0)
     z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
-    hits = _forced_hits(*_tail_support(m, k, n), z_min, trials)
-    if hits is not None:
-        return _monte_carlo_report(params, trials, seed, hits, bound, 0)
-    hits = sum(int((z >= z_min).sum()) for z in _urn_counts(m, k, n, trials, seed))
-    return _monte_carlo_report(params, trials, seed, hits, bound, trials)
+    p = hypergeometric_tail(m, k, n, z_min)
+    with mp.workdps(_MP_DPS):
+        holds = at_most(p, mp.exp(-2 * _mpf(Fraction(t)) ** 2 / m))
+    if trials == 0 or p.denominator == 1:
+        hits = int(p) * trials
+        return _monte_carlo_report(params, trials, seed, hits, bound, 0, p, holds)
+    if max(k, n - k) >= _DRAW_LIMIT:
+        raise PreconditionError(
+            f"a tail draw needs k and n - k below {_DRAW_LIMIT}, got k={k}, n - k={n - k}"
+        )
+    hits = sum(int((z >= z_min).sum()) for z in _tail_counts(m, k, n, trials, seed))
+    return _monte_carlo_report(params, trials, seed, hits, bound, trials, p, holds)
 
 
 @dataclass(frozen=True)
@@ -375,11 +408,19 @@ def verify_trace_probability(
 
     The event needs count_min = floor(eps C(m, r)) + 1 members of T inside
     X, but X^{(r)} has C(m, r) members and T has |T|: the count is at most
-    min(|T|, C(m, r)).  When count_min is above that, the event is
-    impossible, every draw misses whatever the seed, and the report is
-    built without drawing or loading numpy (``drawn`` 0).  Otherwise each
-    X is drawn element by element up to T's largest element and counted
-    (``_trace_counts``), in time and memory that do not grow with n.
+    min(|T|, C(m, r)) (``_trace_top``).  When count_min is above that, the
+    event is impossible, every draw misses whatever the seed, and the
+    report is built without drawing or loading numpy (``drawn`` 0).
+    Otherwise each X is drawn element by element up to T's largest element
+    and counted (``_trace_counts``), in time and memory that do not grow
+    with n.
+
+    At r <= 1 (with m <= n) the event's probability is exact: at r = 1 the
+    count is |X cap U|, U the union of T's |T| singletons, which is
+    hypergeometric (``hypergeometric_tail``), and at r = 0 it is |T|
+    itself.  The report then carries that p, whether p <= the bound, and
+    the draws are checked on both sides of trials * p.  From r = 2 on the
+    check stays one-sided.
     """
     import mpmath as mp
 
@@ -399,6 +440,15 @@ def verify_trace_probability(
         bound_mp = mp.exp(-_mpf(c) * m)
         bound = float(bound_mp) if bound_mp > mp.mpf("1e-300") else 0.0
     params = {"n": n, "m": m, "r": r, "eps": str(eps), "T_size": len(t_list)}
+    exact_p = holds = None
+    if m <= n:
+        count_min = math.floor(eps * math.comb(m, r)) + 1  # least integer > eps C(m, r)
+        if r == 1:
+            exact_p = hypergeometric_tail(m, len(t_list), n, count_min)
+        elif r == 0:
+            exact_p = Fraction(int(len(t_list) >= count_min))
+        if exact_p is not None:
+            holds = at_most(exact_p, bound_mp)
     m0_floor = r if r <= 1 else int(1 / c) + 2
     hypothesis_ok = (
         Fraction(len(t_list)) <= eta * math.comb(n, r)
@@ -407,15 +457,11 @@ def verify_trace_probability(
     )
     if not hypothesis_ok:
         return MonteCarloReport(
-            params, trials, 0, seed, 0, 0.0, bound, 0.0, "hypothesis-failed"
+            params, trials, 0, seed, 0, 0.0, bound, 0.0, "hypothesis-failed", exact_p, holds
         )
-    if trials == 0:
-        return _monte_carlo_report(params, 0, seed, 0, bound, 0)
-
-    count_min = math.floor(eps * math.comb(m, r)) + 1  # least integer > eps C(m, r)
-    hits = _forced_hits(*_trace_support(m, r, len(t_list)), count_min, trials)
-    if hits is not None:
-        return _monte_carlo_report(params, trials, seed, hits, bound, 0)
+    if trials == 0 or count_min > _trace_top(m, r, len(t_list)):
+        # nothing to draw, or an event no X reaches: every draw misses
+        return _monte_carlo_report(params, trials, seed, 0, bound, 0, exact_p, holds)
 
     import numpy as np
 
@@ -423,7 +469,7 @@ def verify_trace_probability(
     cols = np.array([mask_elements(mask) for mask in t_list], dtype=np.intp)
     cols = cols.reshape(len(t_list), r).T - 1
     hits = sum(int((c >= count_min).sum()) for c in _trace_counts(n, m, cols, trials, seed))
-    return _monte_carlo_report(params, trials, seed, hits, bound, trials)
+    return _monte_carlo_report(params, trials, seed, hits, bound, trials, exact_p, holds)
 
 
 def _trace_counts(n: int, m: int, cols: np.ndarray, trials: int, seed: int):

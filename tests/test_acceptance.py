@@ -176,7 +176,8 @@ def test_criterion_06_flexibility_mass_bound():
 def test_criterion_07_tail_bound_monte_carlo():
     # Hypergeometric overlap tails at (m,k,n,t) = (20,50,100,6) and
     # (40,100,400,8): empirical frequency <= exp(-2 t^2/m) + 3 sigma,
-    # 100000 pinned-seed trials each, under 30 s.
+    # hits within 4 sigma + 1 of trials * p for the exact tail p, and
+    # p <= exp(-2 t^2/m); 100000 pinned-seed trials each, under 30 s.
     t0 = time.perf_counter()
     reports = [
         verify_tail_bound(20, 50, 100, 6, 100_000, seed=20260814),
@@ -185,15 +186,24 @@ def test_criterion_07_tail_bound_monte_carlo():
     elapsed = time.perf_counter() - t0
     ok = elapsed < 30
     for rep in reports:
-        m, t = rep.params["m"], rep.params["t"]
+        m, k, n, t = (rep.params[key] for key in ("m", "k", "n", "t"))
         assert abs(rep.bound - math.exp(-2 * t * t / m)) < 1e-15
         sigma3 = 3 * math.sqrt(rep.bound * (1 - rep.bound) / rep.trials)
         assert abs(rep.margin - sigma3) < 1e-15
-        if not (rep.verdict == "pass" and rep.empirical <= rep.bound + rep.margin):
+        z_min = math.ceil(Fraction(k * m, n) + Fraction(t))
+        assert rep.exact_p == sum(
+            Fraction(math.comb(k, z) * math.comb(n - k, m - z), math.comb(n, m))
+            for z in range(z_min, m + 1)
+        )
+        p = float(rep.exact_p)
+        near_p = abs(rep.hits - rep.trials * p) <= 4 * math.sqrt(rep.trials * p * (1 - p)) + 1
+        if not (rep.verdict == "pass" and rep.empirical <= rep.bound + rep.margin
+                and near_p and rep.exact_holds and p <= rep.bound):
             ok = False
     _announce(
         7, ok,
         f"tail bounds: empirical {[round(r.empirical, 6) for r in reports]} vs "
+        f"exact {[round(float(r.exact_p), 6) for r in reports]} and "
         f"capped {[round(r.bound + r.margin, 6) for r in reports]} in {elapsed:.2f}s",
     )
     assert ok

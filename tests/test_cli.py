@@ -11,6 +11,7 @@ import random
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import pytest
 from cubefam import SetFamily, full_power_set, write_family
 from cubefam import cli
 from cubefam.cli import main
-from cubefam.concentration import verify_trace_probability
+from cubefam.concentration import hypergeometric_tail, verify_trace_probability
 from cubefam.embeddings import find_pattern_via_universality
 from cubefam.families import _BULK_BYTES, format_family, parse_subset_literal
 from cubefam.posets import make_chain, verify_embedding_masks
@@ -759,6 +760,41 @@ class TestVerifyLemma:
         assert captured.err.startswith("precondition violated:")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    def test_tail_reports_its_exact_probability(self, capsys):
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50", "--n", "100",
+            "-t", "6", "--trials", "2000", "--seed", "11",
+        ])
+        res = payload["results"]
+        assert code == 0 and res["verdict"] == "pass"
+        assert (res["exact_p"], res["exact_holds"]) == ("87654517/34785102294", True)
+
+    def test_tail_probability_past_the_print_limit_is_printed_in_full(self, capsys):
+        """At (m, k, n) = (10^4, 10^4, 2 * 10^4) both parts of p have about
+        4966 digits, more than ``str`` prints: the report spells them out."""
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "tail", "-m", "10000", "-k", "10000",
+            "--n", "20000", "-t", "50", "--trials", "2000", "--seed", "3",
+        ])
+        res = payload["results"]
+        assert code == 0 and res["verdict"] == "pass" and res["exact_holds"] is True
+        num, den = res["exact_p"].split("/")
+        assert min(len(num), len(den)) > sys.get_int_max_str_digits()
+        p = hypergeometric_tail(10000, 10000, 20000, 5050)
+        assert (int(Decimal(num)), int(Decimal(den))) == (p.numerator, p.denominator)
+
+    def test_tail_draw_past_numpy_limit_exits_3(self, capsys):
+        code = main([
+            "verify-lemma", "--lemma", "tail", "-m", "5", "-k", "1000000000",
+            "--n", "1500000000", "-t", "1", "--trials", "100", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "precondition violated: a tail draw needs k and n - k below 1000000000, "
+            "got k=1000000000, n - k=500000000\n"
+        )
+
     def test_tail_needs_seed(self, capsys):
         code = main([
             "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",
@@ -781,6 +817,7 @@ class TestVerifyLemma:
         assert res["verdict"] == rep.verdict == "pass"
         assert res == {
             "bound": "0.7316156289466418", "drawn": 2000, "empirical": "0.098",
+            "exact_holds": True, "exact_p": "816/9139",
             "lemma": "trace", "margin": "0.029725307431958246",
             "params": {"T_size": 5, "eps": "1/4", "m": 10, "n": 40, "r": 1},
             "seed": 11, "trials": 2000, "verdict": "pass",
@@ -1051,6 +1088,15 @@ class TestLazyImports:
             "--n", "100", "-t", "6", "--trials", "100", "--seed", "1",
         ])
         assert "numpy" in loaded
+
+    def test_decided_tail_loads_mpmath_only(self):
+        """p = 0 decides every draw (z_min 27 is above m = 20): the exact
+        verdict needs mpmath, and nothing is drawn."""
+        loaded = self.loaded_after([
+            "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50",
+            "--n", "100", "-t", "17", "--trials", "100", "--seed", "1",
+        ])
+        assert loaded == ["mpmath"]
 
     def test_impossible_trace_loads_mpmath_only(self, fam_file):
         """A trace query whose event cannot happen decides it without drawing

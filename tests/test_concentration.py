@@ -31,7 +31,7 @@ def _subsets(n: int, m: int, trials: int, seed: int) -> np.ndarray:
 
 def _tail_draws(m: int, k: int, n: int, trials: int, seed: int) -> np.ndarray:
     """Every Z the tail lemma draws, in one array."""
-    return np.concatenate(list(concentration._urn_counts(m, k, n, trials, seed)))
+    return np.concatenate(list(concentration._tail_counts(m, k, n, trials, seed)))
 
 
 def _trace_draws(n: int, m: int, cols: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -76,9 +76,9 @@ def test_sample_uniform_subsets_pinned_across_batches():
 
 
 def test_uniform_subsets_hit_a_block_hypergeometrically():
-    """The urn's Z = |X cap {0..k-1}| is hypergeometric: its support, and
-    its mean inside a 5-sigma band of mk/n (the variance in closed form),
-    on both sides of 2m = n."""
+    """The tail lemma's Z = |X cap {0..k-1}| is hypergeometric: its
+    support, and its mean inside a 5-sigma band of mk/n (the variance in
+    closed form), on both sides of 2m = n."""
     k, n, trials = 40, 100, 4000
     for m in (25, 75):
         z = _tail_draws(m, k, n, trials, seed=1009)
@@ -106,6 +106,23 @@ def test_hypergeometric_pmf_counts_every_subset(n):
             for x in subsets:
                 seen[sum(e < k for e in x)] += 1
             assert _hypergeometric_pmf(m, k, n) == [Fraction(c, len(subsets)) for c in seen]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_hypergeometric_tail_counts_every_subset(n):
+    """The exact tail equals the share of the m-subsets X of {0..n-1} with
+    |X cap {0..k-1}| >= z_min, for every m, k and z_min (below, inside and
+    above the count's range)."""
+    counts = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for x in range(1 << n):
+        for k in range(n + 1):
+            counts[x.bit_count()][k][(x & ((1 << k) - 1)).bit_count()] += 1
+    for m in range(n + 1):
+        for k in range(n + 1):
+            for z_min in range(-1, m + 2):
+                reached = sum(counts[m][k][max(z_min, 0):])
+                want = Fraction(reached, math.comb(n, m))
+                assert concentration.hypergeometric_tail(m, k, n, z_min) == want
 
 
 @pytest.mark.parametrize("m,k,n", [
@@ -275,10 +292,11 @@ def test_trace_probability_pinned_hits():
 
 def test_tail_pinned_hits():
     """40,000 trials span three batches; Z >= z_min = 16 has exact
-    p = 87654517/34785102294 = 0.0025199, and 102 hits are z = 0.12 from
-    the expected 100.8."""
+    p = 87654517/34785102294 = 0.0025199, and 88 hits are z = -1.28 from
+    the expected 100.8 (sigma 10.03)."""
     rep = verify_tail_bound(20, 50, 100, Fraction(6), 40_000, seed=11)
-    assert rep.hits == 102 and rep.drawn == 40_000 and rep.verdict == "pass"
+    assert rep.hits == 88 and rep.drawn == 40_000 and rep.verdict == "pass"
+    assert rep.exact_p == Fraction(87654517, 34785102294) and rep.exact_holds
     assert verify_tail_bound(20, 50, 100, Fraction(6), 40_000, seed=11) == rep
 
 
@@ -515,14 +533,18 @@ def test_m0_clears_the_m_dec_floor(monkeypatch, eps, r):
     assert verify_trace_probability(m_dec, m_dec, r, eps, set(), 10, seed=2) == want
 
 
-def _drawing(monkeypatch):
-    """Send every query down the sampled route, as if no support decided it."""
-    monkeypatch.setattr(concentration, "_forced_hits", lambda lo, hi, least, trials: None)
+def _drawing(rep, hits: int):
+    """The report ``rep`` would be with its ``hits`` drawn: every one of
+    its trials drawn, and the same verdict rule applied."""
+    return concentration._monte_carlo_report(
+        rep.params, rep.trials, rep.seed, hits, rep.bound, rep.trials,
+        rep.exact_p, rep.exact_holds,
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 104729])
 @pytest.mark.parametrize("shape", ["T1", "T2"])
-def test_impossible_trace_event_is_decided_as_drawn(monkeypatch, shape, seed):
+def test_impossible_trace_event_is_decided_as_drawn(shape, seed):
     """The benchmark's trace shapes ask for more members of T inside X than
     T has: T1 (n 100, m 50, r 1, 24 singletons) needs 26, T2 (n 400, m 390,
     r 2, 1200 pairs) 37,928.  The draws miss on every seed, and the report
@@ -534,13 +556,12 @@ def test_impossible_trace_event_is_decided_as_drawn(monkeypatch, shape, seed):
     eps = Fraction(1, 2)
     count_min = math.floor(eps * math.comb(m, r)) + 1
     assert len(T) < count_min
-    assert _trace_hits(n, m, _columns(T, r), count_min, trials, seed) == 0
+    hits = _trace_hits(n, m, _columns(T, r), count_min, trials, seed)
+    assert hits == 0
     exact = verify_trace_probability(n, m, r, eps, T, trials, seed)
     assert exact.drawn == 0 and exact.trials == trials and exact.verdict == "pass"
-    _drawing(monkeypatch)
-    drawn = verify_trace_probability(n, m, r, eps, T, trials, seed)
-    assert drawn.drawn == trials
-    assert dataclasses.replace(exact, drawn=trials) == drawn
+    assert exact.exact_p == (0 if r == 1 else None)
+    assert dataclasses.replace(exact, drawn=trials) == _drawing(exact, hits)
 
 
 @pytest.mark.parametrize("m,k,n,t,hits", [
@@ -550,43 +571,36 @@ def test_impossible_trace_event_is_decided_as_drawn(monkeypatch, shape, seed):
     (3, 10, 10, Fraction(1, 2), 0),  # z_min 4 above m = 3
     (9, 8, 10, Fraction(0), None),   # z_min 8 inside Z's range [7, 8]: drawn
 ])
-def test_decided_tail_matches_the_draws(monkeypatch, m, k, n, t, hits):
+def test_decided_tail_matches_the_draws(m, k, n, t, hits):
     """Z lies in [max(0, m - (n - k)), min(k, m)]; a z_min outside it
-    decides every draw, and the report equals the drawn one but for
-    ``drawn``."""
+    makes p 0 or 1, which decides every draw, and the report equals the
+    one the draws on the same seed give but for ``drawn``."""
     exact = verify_tail_bound(m, k, n, t, 30, seed=4)
     assert exact.drawn == (30 if hits is None else 0)
     if hits is not None:
-        assert exact.hits == hits
-    _drawing(monkeypatch)
-    drawn = verify_tail_bound(m, k, n, t, 30, seed=4)
-    assert drawn.drawn == 30
-    assert dataclasses.replace(exact, drawn=30) == drawn
+        assert exact.hits == hits and exact.exact_p == Fraction(hits, 30)
+    z_min = math.ceil(Fraction(k * m, n) + t)
+    drawn = int((_tail_draws(m, k, n, 30, seed=4) >= z_min).sum())
+    assert dataclasses.replace(exact, drawn=30) == _drawing(exact, drawn)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8, 10])
 def test_supports_hold_over_every_subset(n):
-    """Over every m-subset X of an n-set: both counts lie in the range the
-    rule uses (the tail's exactly, and the trace's top is reached when T
-    is empty or a whole layer), and every event the range decides gets
-    the hits the enumeration counts."""
+    """Over every m-subset X of an n-set: the tail's p is 0 or 1 exactly
+    when every X agrees on the event, and the trace's count never passes
+    ``_trace_top`` (reached when T is empty or a whole layer), so an event
+    above it is one that no X reaches."""
     by_m = [
         [sum(1 << e for e in c) for c in itertools.combinations(range(n), m)]
         for m in range(n + 1)
     ]
-
-    def agree(lo, hi, counts):
-        assert lo <= min(counts) and max(counts) <= hi
-        for least in range(-1, hi + 3):
-            forced = concentration._forced_hits(lo, hi, least, len(counts))
-            if forced is not None:
-                assert forced == sum(c >= least for c in counts)
-
     for m, xs in enumerate(by_m):
         for k in range(n + 1):
             zs = [(x & ((1 << k) - 1)).bit_count() for x in xs]
-            assert concentration._tail_support(m, k, n) == (min(zs), max(zs))
-            agree(*concentration._tail_support(m, k, n), zs)
+            for least in range(-1, m + 3):
+                decided = len({z >= least for z in zs}) == 1
+                p = concentration.hypergeometric_tail(m, k, n, least)
+                assert (p.denominator == 1) == decided
     rng = np.random.default_rng(n)
     for r in range(4):
         layer = [sum(1 << e for e in c) for c in itertools.combinations(range(n), r)]
@@ -594,10 +608,10 @@ def test_supports_hold_over_every_subset(n):
         for T, reached in ((layer, True), ([], True), (part, False), (layer[:2], False)):
             for m, xs in enumerate(by_m):
                 counts = [sum(t & x == t for t in T) for x in xs]
-                lo, hi = concentration._trace_support(m, r, len(T))
-                agree(lo, hi, counts)
+                top = concentration._trace_top(m, r, len(T))
+                assert max(counts) <= top
                 if reached:
-                    assert max(counts) == hi
+                    assert max(counts) == top
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
@@ -613,3 +627,89 @@ def test_singleton_trace_draws_exactly_when_possible(eps):
             assert rep.verdict == "pass" and rep.drawn == (4 if possible else 0)
             if not possible:
                 assert rep.hits == 0
+
+
+def test_biased_tail_sampler_fails_two_sided(monkeypatch):
+    """Z >= 10 at (20, 50, 100) has p = 0.598; a sampler that marks 49 of
+    the 50 elements expects 22,362 of 40,000 hits, not 23,937, 16 sigma
+    low.  The one-sided rule cannot see it (the bound is 1 at t = 0); the
+    two-sided one fails it, and passes the true sampler's draws."""
+    honest = verify_tail_bound(20, 50, 100, Fraction(0), 40_000, seed=8)
+    assert honest.verdict == "pass" and honest.bound == 1.0
+    assert honest.exact_p == Fraction(62449931611, 104355306882)
+    draw = concentration._tail_counts
+    monkeypatch.setattr(
+        concentration, "_tail_counts", lambda m, k, n, trials, seed: draw(m, k - 1, n, trials, seed)
+    )
+    biased = verify_tail_bound(20, 50, 100, Fraction(0), 40_000, seed=8)
+    assert biased.empirical <= biased.bound + biased.margin
+    assert biased.verdict == "fail"
+    assert dataclasses.replace(biased, hits=honest.hits, empirical=honest.empirical,
+                               verdict="pass") == honest
+
+
+def test_biased_urn_fails_the_r1_trace_check(monkeypatch):
+    """At r = 1 with T five singletons of [40], m = 10 and eps 1/4, the
+    event (3 of them in X) has p = 816/9139; an urn that marks one element
+    too few draws 9-subsets, whose p = 63/962 sits 17 sigma lower over
+    40,000 trials, far inside the bound 0.73 the one-sided rule checks."""
+    T = {1 << i for i in range(5)}
+    honest = verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11)
+    assert honest.verdict == "pass" and honest.exact_p == Fraction(816, 9139)
+    urn = concentration._urn
+    monkeypatch.setattr(
+        concentration, "_urn",
+        lambda gen, n, room, steps, rows, out=None: urn(gen, n, room - 1, steps, rows, out),
+    )
+    biased = verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11)
+    assert biased.empirical <= biased.bound + biased.margin
+    assert biased.drawn == 40_000 and biased.verdict == "fail"
+
+
+@pytest.mark.parametrize("hits,verdict", [(0, "pass"), (1, "pass"), (2, "fail")])
+def test_two_sided_rule_spares_one_stray_hit(hits, verdict):
+    """trials * p = 0.01: one hit strays 9.9 sigma, yet a correct sampler
+    draws it once in a hundred queries; the + 1 spares it, and two hits
+    (about 5e-5 of such queries) fail."""
+    rep = concentration._monte_carlo_report(
+        {}, 40_000, 1, hits, 0.5, 40_000, Fraction(1, 4_000_000), True
+    )
+    assert rep.verdict == verdict
+
+
+@pytest.mark.parametrize("k,n", [(10**9, 15 * 10**8), (5 * 10**8, 15 * 10**8)])
+def test_tail_past_the_draw_limit_is_refused_before_drawing(monkeypatch, k, n):
+    """numpy draws a hypergeometric count only with fewer than 10^9 marked
+    and 10^9 unmarked elements; past that a query that must draw is
+    refused, while one that p decides still gets its report."""
+    monkeypatch.setattr(concentration, "_tail_counts", _no_draw)
+    with pytest.raises(PreconditionError, match=(
+        rf"^a tail draw needs k and n - k below 1000000000, got k={k}, n - k={n - k}$"
+    )):
+        verify_tail_bound(5, k, n, Fraction(1), 100, seed=1)
+    decided = verify_tail_bound(5, k, n, Fraction(10), 100, seed=1)
+    assert decided.exact_p == 0 and decided.drawn == 0 and decided.verdict == "pass"
+
+
+def _no_draw(*args):
+    raise AssertionError("drew")
+
+
+_FIVE = {1 << i for i in range(5)}
+
+
+@pytest.mark.parametrize("r,T,trials,verdict,drawn,p", [
+    (1, _FIVE, 200, "pass", 200, Fraction(816, 9139)),
+    (1, _FIVE, 0, "inconclusive", 0, Fraction(816, 9139)),
+    (1, set(), 200, "pass", 0, Fraction(0)),
+    (0, set(), 200, "pass", 0, Fraction(0)),
+    # every 10-subset of [40] lies in the union of all 40 singletons
+    (1, {1 << i for i in range(40)}, 200, "hypothesis-failed", 0, Fraction(1)),
+    (2, {0b11}, 200, "hypothesis-failed", 0, None),
+], ids=["drawn", "zero-trials", "impossible", "r0", "hypothesis-failed", "r2"])
+def test_trace_reports_carry_p_up_to_r1(r, T, trials, verdict, drawn, p):
+    """p is exact at r <= 1 on every route, drawn or not, and absent from
+    r = 2 on; ``exact_holds`` compares it with the bound."""
+    rep = verify_trace_probability(40, 10, r, Fraction(1, 4), T, trials, seed=2)
+    assert (rep.verdict, rep.drawn, rep.exact_p) == (verdict, drawn, p)
+    assert rep.exact_holds == (None if p is None else p <= rep.bound)

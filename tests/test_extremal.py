@@ -1,5 +1,6 @@
 """Exact pattern-avoidance optima and the symmetric chain machinery."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -190,6 +191,57 @@ class TestChainMassCheck:
             chain_mass_bound_check(7, 2)
         with pytest.raises(PreconditionError):
             chain_mass_bound_check(5, 0)
+
+
+class TestCertifiersFire:
+    """Each check of a returned optimum refuses a result the search got
+    wrong: the fault is injected where the search hands its result on."""
+
+    @staticmethod
+    def faulty_run(monkeypatch, fault):
+        """``_Search.run`` hands its (best, members, nodes, wall, exact) through ``fault``."""
+        run = _Search.run
+        monkeypatch.setattr(_Search, "run", lambda self: fault(*run(self)))
+
+    def test_family_holding_the_pattern_is_refused(self, monkeypatch):
+        """{} below {0} is a 2-chain."""
+        self.faulty_run(monkeypatch, lambda best, members, *rest: (2, [0, 1], *rest))
+        with pytest.raises(
+            CertificationError, match=r"^search returned a family containing the pattern$"
+        ):
+            extremal_search(1, make_chain(2))
+
+    def test_cardinality_off_its_family_is_refused(self, monkeypatch, capsys):
+        self.faulty_run(monkeypatch, lambda best, *rest: (best + 1, *rest))
+        with pytest.raises(
+            CertificationError, match=r"^optimum does not match its certificate family$"
+        ):
+            extremal_search(3, make_chain(2))
+        assert main(["extremal", "--n", "3", "--pattern", "builtin:P2"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "certification failure: optimum does not match its certificate family\n"
+
+    def test_mass_off_its_family_is_refused(self, monkeypatch):
+        """The Lubell objective keeps ``best`` in integer units of 1/scale."""
+        self.faulty_run(monkeypatch, lambda best, *rest: (best + 1, *rest))
+        with pytest.raises(
+            CertificationError, match=r"^optimum does not match its certificate family$"
+        ):
+            extremal_search(3, make_chain(2), "weak", "lubell")
+
+    def test_chain_mass_off_k_minus_1_is_refused(self, monkeypatch):
+        search = extremal.extremal_search
+
+        def off_by_one(*args):
+            result = search(*args)
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(extremal, "extremal_search", off_by_one)
+        with pytest.raises(
+            CertificationError, match=r"^mass optimum 2 differs from the expected 1$"
+        ):
+            chain_mass_bound_check(4, 2)
 
 
 class TestChainIds:

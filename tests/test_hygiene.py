@@ -650,7 +650,29 @@ def test_status_scans_read_names_and_list():
     assert readme_statuses(text) == ["a b", "c"]
 
 
+BENCH_BYTES = 256 * 1024
+# BENCH files past BENCH_BYTES, kept as committed, one reason each.  Each
+# stores the whole perfbench run record (every query's times, report
+# digests and counters) of both sides of every pair it cites; a newer
+# file keeps per-run metrics, medians and quartiles instead.
+BENCH_WHOLE_RECORDS = {
+    "BENCH_cli_plain_argv.json": "whole records of 10 + 10 pairs on seeds 1 and 104729",
+    "BENCH_extract_centred.json": "whole records of 10 + 5 pairs on seeds 1 and 104729",
+    "BENCH_extract_upfront.json": "whole records of 5 + 5 pairs on seeds 1 and 104729",
+    "BENCH_extremal_incremental.json": "whole records of 10 + 5 pairs on seeds 1 and 104729",
+    "BENCH_extremal_memo.json": "whole records of 10 + 10 pairs on seeds 1 and 104729",
+    "BENCH_extremal_probe.json": "whole records of 10 + 10 pairs on seeds 1 and 104729",
+    "BENCH_lazy_imports.json": "whole records of 10 + 5 extremal pairs on seeds 1 and 104729",
+}
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_bench_file_is_a_json_object(path):
-    """A benchmark record the change notes cite stays readable."""
+    """A benchmark record the change notes cite stays readable, and stays
+    under BENCH_BYTES unless it is one of the listed whole-record files."""
     assert isinstance(json.loads(path.read_text(encoding="utf-8")), dict)
+    assert (path.stat().st_size > BENCH_BYTES) == (path.name in BENCH_WHOLE_RECORDS)
+
+
+def test_whole_record_list_names_committed_files():
+    assert all((ROOT / name).is_file() for name in BENCH_WHOLE_RECORDS)
