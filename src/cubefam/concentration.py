@@ -294,14 +294,32 @@ def concentration_constants(eps, r: int) -> ConcentrationConstants:
 
     each step up adds one, so the base m0(., 1) = 1 arrives as r (which
     also covers every max(1, ...) term), and level k's m*_k arrives
-    r - k steps later as m*_k + r - k.  Each m*_k is searched once and
-    cached; the search is logarithmic in m*_k, which is enormous for small
-    eps.  eta and c are exact rationals; m0 is an exact integer.
+    r - k steps later as m*_k + r - k.  The top level sets that max, so
+    m0 = max(r, m*_r), one search:
+
+    Claim: m*_(k+1) >= m*_k + 1 along the chain, for k >= 2.  Write c for
+    level k's constant; level k+1's is c/2 (c = e^2/2^(3k-2), and e
+    doubles up the chain), and c <= 1/16.  In ``_level_threshold``'s
+    terms, R_k(m) = exp(-g1 m) + m e^(2c) e^(-c m) with g1 >= c, so
+    R_k(m - 1) <= (1 + (m - 1) e^(2c)) e^(-c(m-1)) <= m e^(3c - c m).
+    The second term of R_(k+1)(m) is m e^c e^(-c m/2), which is
+    e^(c(m-4)/2) times that bound; for m >= m_dec(k) > 1/c the factor
+    exceeds e^((1 - 4c)/2) >= e^(3/8).  The search leaves M = m*_k with
+    M - 1 >= m_dec(k) failing at level k, R_k(M - 1) > 1 - guard, so
+    R_(k+1)(M) > e^(3/8) (1 - guard) > 1: level k+1 fails at M.  Either
+    M < m_dec(k+1) < m*_(k+1), or M lies where R_(k+1) is strictly
+    decreasing, so every m <= M there fails too; both ways
+    m*_(k+1) >= M + 1.  By induction m*_r >= m*_k + r - k for every k,
+    which is the claim's use above.  The margin e^(3/8) dwarfs the
+    rounding of 60-digit arithmetic.
+
+    m*_r is searched once and cached; the search is logarithmic in m*_r,
+    which is enormous for small eps.  eta and c are exact rationals; m0
+    is an exact integer.
     """
     eta, c = _trace_rates(eps, r)
-    eps = Fraction(eps)
-    levels = [_level_threshold(eps / 2 ** (r - k), k) + r - k for k in range(2, r + 1)]
-    return ConcentrationConstants(eta, c, max([r] + levels))
+    m0 = r if r <= 1 else max(r, _level_threshold(Fraction(eps), r))
+    return ConcentrationConstants(eta, c, m0)
 
 
 @functools.cache
@@ -322,6 +340,11 @@ def _level_threshold(e: Fraction, k: int) -> int:
     The search starts above m_dec = floor(1/g2) + 1, which always fails:
     c2 <= (e/2)^2 / 2 <= 1/8, and with g2 m_dec <= 1 + g2,
     R(m_dec) >= m_dec e^(c2) e^(-g2 m_dec) >= (1/g2) e^(c - 1) >= 8/e > 1.
+
+    The m* returned is the least such m as R is evaluated at ``_MP_DPS``
+    digits, with ``_GUARD``'s slack.  Past about 200 bits ``mp.mpf(m)``
+    rounds m, so that rounding, not the inequality, sets m*'s last
+    digits; the slack only moves m* up, so it is still a valid threshold.
     """
     import mpmath as mp
 
@@ -398,10 +421,11 @@ def verify_trace_probability(
     Hypotheses |T| <= eta(eps, r) C(n, r) and m >= m0(eps, r) and n >= m
     are checked first; a violation yields a "hypothesis-failed" report
     rather than an error, since the caller may be probing the boundary.
-    m0 = r at r <= 1.  From r = 2 on, m0 is at least the top level's m*,
-    whose search starts above m_dec = floor(1/g2) + 1, where g2 = c (the
-    lower branch has the smaller constant 2c); so m <= floor(1/c) + 1
-    fails without the m* search behind m0.
+    m0 = r at r <= 1.  From r = 2 on, m0 = max(r, m*_r), the top level's
+    m* (``concentration_constants``), whose search starts above
+    m_dec = floor(1/g2) + 1, where g2 = c (the lower branch has the
+    smaller constant 2c); so m <= floor(1/c) + 1 fails without the one m*
+    search behind m0.
     A negative n, m or trial count, or a member of T that is not an
     r-subset of [n], is an error, raised before the zero-trial shortcut so
     that an "inconclusive" report always describes a well-posed question.

@@ -197,6 +197,27 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
     eta(e, 1) = e/2 <= eta(e, 0) = 1/2, and eta(e, m) <= e/2 < e.
     All eps_j and p are exact rationals; q and the threshold are mpmath
     (finite for every m, but far beyond binary64 already at m = 2).
+
+    q is the largest fat_mass_bound(eps_j, i) over j <= 2m and orders
+    i <= m, and p the largest flexibility_mass_bound(eps_j, i) over
+    j <= 2m+1 and i <= m.  Both bounds grow as the tolerance falls and as
+    the order rises, and eps_j falls with j, so each maximum sits at its
+    corner, (eps_2m, m) for q and (eps_(2m+1), m) for p, one call each:
+
+    - p = i + 2 i^2 / eps rises with i and as eps falls.
+    - fat_mass_bound(eps, i) = m0 + 1/(1 - e^-c), with c = 1 at i = 0 and
+      c = eps^2/2^(3i-2) <= 1/2 from i = 1 on, so c falls as eps falls and
+      as i rises, and 1/(1 - e^-c) rises.  m0 = i at i <= 1, and
+      m0 = max(i, m*_i) from i = 2 on (``concentration_constants``).
+    - m*_i rises as c falls.  R(m) of level (e, i) depends on e only
+      through c, and for m > 2 both of its terms, exp(-g1 m) with
+      g1 = c (2^(3i-5) - 1) and m e^(-c(m-2)), fall as c rises.  So if
+      c' < c, the m*(c) - 1 >= m_dec(c) > 2 that fails at c fails at c';
+      as in the chain argument of ``concentration_constants``, that puts
+      m*(c') >= m*(c).  Hence m0 rises as eps falls.
+    - m0 rises with i: m0(eps, 0) = 0 < 1 < 2 <= m0(eps, 2), and from
+      i = 2 on m*_(i+1) at eps is at least m*_i at eps/2, plus one (the
+      chain claim), which is at least m*_i at eps.
     """
     import mpmath as mp
 
@@ -206,16 +227,8 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
     for _ in range(2, 2 * m + 2):
         eps_j.append(_trace_rates(eps_j[-1], m)[0])
     with mp.workdps(_MP_DPS):
-        q = max(
-            fat_mass_bound(eps_j[j - 2], i)
-            for j in range(2, 2 * m + 2)
-            for i in range(m + 1)
-        )
-        p = max(
-            flexibility_mass_bound(eps_j[j - 1], i)
-            for j in range(1, 2 * m + 2)
-            for i in range(m + 1)
-        )
+        q = fat_mass_bound(eps_j[2 * m - 1], m)
+        p = flexibility_mass_bound(eps_j[2 * m], m)
         threshold = _threshold_formula(m, q, _mpf(p))
     return ConstantCascade(m, "paper", tuple(eps_j), q, p, threshold)
 

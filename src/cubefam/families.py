@@ -265,18 +265,26 @@ def parse_family(lines: Iterable[str]) -> SetFamily:
     return SetFamily(n, seen)
 
 
-def _header_size(lines: Iterator[str]) -> int:
-    """The ground set size of the ``n=<int>`` header, the next line of ``lines``."""
+def parse_header(lines: Iterator[str], key: str, kind: str, what: str) -> int:
+    """The integer of the ``<key>=<int>`` header, the next line of
+    ``lines``: the one header rule of the family and poset file formats.
+    Errors name the input ``kind`` ("family", "poset") and ``what`` the
+    integer counts ("ground set size", "element count")."""
     try:
         header = next(lines).strip()
     except StopIteration:
-        raise ParseError("empty family input: missing 'n=<int>' header") from None
-    if not header.startswith("n="):
-        raise ParseError(f"expected 'n=<int>' header, got {header!r}")
+        raise ParseError(f"empty {kind} input: missing '{key}=<int>' header") from None
+    if not header.startswith(key + "="):
+        raise ParseError(f"expected '{key}=<int>' header, got {header!r}")
     try:
-        n = parse_decimal(header[2:])
+        return parse_decimal(header[len(key) + 1:])
     except ValueError:
-        raise ParseError(f"bad ground set size in header {header!r}") from None
+        raise ParseError(f"bad {what} in header {header!r}") from None
+
+
+def _header_size(lines: Iterator[str]) -> int:
+    """The ground set size of the ``n=<int>`` header, the next line of ``lines``."""
+    n = parse_header(lines, "n", "family", "ground set size")
     if not 0 <= n <= MAX_GROUND:
         raise ParseError(f"ground set size {n} outside [0, {MAX_GROUND}]")
     return n

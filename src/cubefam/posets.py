@@ -38,7 +38,7 @@ from .errors import (
     SearchBudgetExceeded,
     open_text,
 )
-from .families import parse_decimal
+from .families import parse_decimal, parse_header
 
 CUBE_DIM_CAP = 5
 # The node budget of the CLI's containment searches, weak and induced.
@@ -578,16 +578,7 @@ def enumerate_posets(k: int) -> list[FinitePoset]:
 
 def parse_poset(lines: Iterable[str]) -> FinitePoset:
     it = iter(lines)
-    try:
-        header = next(it).strip()
-    except StopIteration:
-        raise ParseError("empty poset input: missing 'k=<int>' header") from None
-    if not header.startswith("k="):
-        raise ParseError(f"expected 'k=<int>' header, got {header!r}")
-    try:
-        k = parse_decimal(header[2:])
-    except ValueError:
-        raise ParseError(f"bad element count in header {header!r}") from None
+    k = parse_header(it, "k", "poset", "element count")
     pairs = []
     for lineno, raw in enumerate(it, start=2):
         line = raw.strip()

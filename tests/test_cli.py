@@ -741,6 +741,31 @@ class TestVerifyLemma:
         assert code == 0
         assert payload["results"]["verdict"] == "hypothesis-failed"
 
+    def test_deep_trace_at_the_m0_floor_makes_one_search(self, capsys, monkeypatch):
+        """m = n = floor(1/c) + 2 is the least m whose hypothesis check
+        reaches m0; at r = 1100 that is 2^3300 + 2, a 994-digit integer.
+        m0 costs the top level's one m* search, not one per level."""
+        from cubefam import concentration
+
+        search = concentration._level_threshold
+        search.cache_clear()
+        levels = []
+
+        def counting(e, k):
+            levels.append(k)
+            return search(e, k)
+
+        monkeypatch.setattr(concentration, "_level_threshold", counting)
+        size = str(2**3300 + 2)
+        assert len(size) == 994
+        code, payload = run_json(capsys, [
+            "verify-lemma", "--lemma", "trace", "--n", size, "-m", size,
+            "-r", "1100", "--eps", "1/2", "--trials", "0", "--seed", "1",
+        ])
+        assert code == 0
+        assert payload["results"]["verdict"] == "hypothesis-failed"
+        assert levels == [1100]
+
     def test_tail_offset_squaring_past_binary64_bounds_at_zero(self, capsys):
         code, payload = run_json(capsys, [
             "verify-lemma", "--lemma", "tail", "-m", "20", "-k", "50", "--n", "100",

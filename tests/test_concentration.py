@@ -432,8 +432,7 @@ def _no_search(e, k):
 
 
 def test_trace_order_above_m_fails_without_m0(monkeypatch):
-    """m0 >= r, so m < r fails the hypothesis before the m* search, which
-    takes seconds at r = 150."""
+    """m0 >= r, so m < r fails the hypothesis before the m* search."""
     import time
 
     verify_trace_probability(100, 10, 1, Fraction(1, 2), set(), 0, seed=1)  # loads mpmath
@@ -497,20 +496,45 @@ def _chained_m0(eps: Fraction, r: int, m_star) -> int:
     return m0
 
 
-def _stub_m_star(e: Fraction, k: int) -> int:
-    """A deterministic stand-in for m*, from k - 2 to k + 2, so that the
-    order decides some chains (eps 1 at r = 2, eps 1/2 at r = 2 and 3)
-    and a level's m* the others."""
-    return k - 2 + (7 * e.numerator + 3 * e.denominator + 11 * k) % 5
-
-
 @pytest.mark.parametrize(
     "eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10), Fraction(5, 9)]
 )
-def test_m0_unrolled_matches_recursion(monkeypatch, eps):
-    monkeypatch.setattr(concentration, "_level_threshold", _stub_m_star)
-    for r in range(9):
-        assert concentration_constants(eps, r).m0 == _chained_m0(eps, r, _stub_m_star)
+def test_m0_unrolled_matches_recursion(eps):
+    """The recursion, walked on the real m*, gives the one-search m0, and
+    each level's m* passes the one below it on its chain by at least one
+    (the claim that lets the top level alone set m0)."""
+    m_star = concentration._level_threshold
+    for r in range(21):
+        assert concentration_constants(eps, r).m0 == _chained_m0(eps, r, m_star)
+        chain = [m_star(eps / 2 ** (r - k), k) for k in range(2, r + 1)]
+        assert all(upper >= lower + 1 for lower, upper in zip(chain, chain[1:]))
+
+
+def test_m0_is_one_search():
+    """From r = 2 on m0 costs the one m* search of the top level; below
+    that it costs none."""
+    search = concentration._level_threshold
+    search.cache_clear()
+    for r in (0, 1):
+        concentration_constants(Fraction(1, 3), r)
+        assert search.cache_info().misses == 0
+    for r in (2, 3, 9):
+        search.cache_clear()
+        concentration_constants(Fraction(1, 3), r)
+        assert search.cache_info().misses == 1
+
+
+def test_m0_at_order_400_pinned():
+    """m0 at (1/2, 400), as the per-level recursion gave it."""
+    digits = (
+        "14437836923072152718911848701032217160349724744563417294091866"
+        "72593257208729362188505158148401887418914422749383573474068118"
+        "07358573739545147417137553254638132193306959344541027395351161"
+        "69746886891561763976452491410411857964457731524005093296199603"
+        "97520919984821110388923507290051632748527697030903218142055377"
+        "0549126257092126019952181499387170118588261643749163008"
+    )
+    assert concentration_constants(Fraction(1, 2), 400).m0 == int(digits)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(2, 7)])

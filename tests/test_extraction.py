@@ -18,6 +18,7 @@ from cubefam import (
     extract_induced_copy,
     family_as_poset,
     fat_mass_bound,
+    flexibility_mass_bound,
     full_power_set,
     lubell_mass,
     make_chain,
@@ -100,6 +101,33 @@ class TestCascade:
             prev = want[-1]
             want.append(min([prev] + [_trace_rates(prev, i)[0] for i in range(m + 1)]))
         assert compute_cascade(m, eps).eps_j == tuple(want)
+
+    def test_one_call_per_mass_bound(self, monkeypatch):
+        calls = []
+        for name in ("fat_mass_bound", "flexibility_mass_bound"):
+            def counting(e, i, name=name, real=getattr(extraction, name)):
+                calls.append(name)
+                return real(e, i)
+            monkeypatch.setattr(extraction, name, counting)
+        compute_cascade(2, Fraction(1, 2))
+        assert sorted(calls) == ["fat_mass_bound", "flexibility_mass_bound"]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+    def test_corners_are_the_grid_maxima(self, m, eps):
+        """q and p equal the maxima over every level and order <= m that
+        they bound: fat masses at eps_1..eps_2m, flexible ones at
+        eps_1..eps_(2m+1)."""
+        c = compute_cascade(m, eps)
+        q = max(
+            fat_mass_bound(c.eps_level(j), i) for j in range(1, 2 * m + 1) for i in range(m + 1)
+        )
+        p = max(
+            flexibility_mass_bound(c.eps_level(j), i)
+            for j in range(1, 2 * m + 2)
+            for i in range(m + 1)
+        )
+        assert (c.q, c.p) == (q, p)
 
     def test_input_validation(self):
         with pytest.raises(PreconditionError):

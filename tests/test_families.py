@@ -248,6 +248,17 @@ def test_parse_rejects_garbage():
         parse_family(["n=-1"])
 
 
+@pytest.mark.parametrize("lines,message", [
+    ([], "empty family input: missing 'n=<int>' header"),
+    (["k=3", "1"], "expected 'n=<int>' header, got 'k=3'"),
+    (["n=x", "1"], "bad ground set size in header 'n=x'"),
+], ids=["empty", "poset-key", "not-a-number"])
+def test_header_errors_word_for_word(lines, message):
+    with pytest.raises(ParseError) as info:
+        parse_family(lines)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("header", ["n=0_3", "n=\u0663", "n=3_", "n="])
 def test_header_size_is_ascii_decimal(header):
     with pytest.raises(ParseError, match="bad ground set size in header"):

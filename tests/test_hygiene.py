@@ -4,7 +4,8 @@ are not imported with the package, and ``cli`` and ``__init__`` import no
 layer but ``errors`` with themselves; the CLI reads every rational flag
 through one parser and touches no argparse private, and its flag table
 holds only what the plain-argv reader implements; the tolerance range
-check and the integer Lubell weights are each written once; every
+check and the integer Lubell weights are each written once, and the m*
+search runs only in ``concentration_constants``; every
 module-level function and class of the package is used by the package, or
 kept by name; no function only hands its arguments on to another one of
 the package, unless kept by name; the README lists exactly the stop
@@ -425,12 +426,12 @@ def says_unit_interval(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and "(0, 1]" in str(node.value)
 
 
-def outside_families_owner(owner: str, match) -> dict:
+def outside_owner(module: str, owner: str, match) -> dict:
     """{module: lines} of the package's nodes ``match`` accepts, except
-    inside the function ``owner`` of ``families``."""
+    inside the function ``owner`` of ``module``."""
     found = {}
     for path in sorted((ROOT / "src" / "cubefam").glob("*.py")):
-        allowed = owner if path.name == "families.py" else None
+        allowed = owner if path.name == module else None
         lines = lines_outside(ast.parse(path.read_text(), str(path)), allowed, match)
         if lines:
             found[path.name] = lines
@@ -439,13 +440,13 @@ def outside_families_owner(owner: str, match) -> dict:
 
 def test_tolerance_range_checked_in_one_place():
     """Every "(0, 1]" tolerance error comes from ``families.check_tolerance``."""
-    assert outside_families_owner("check_tolerance", says_unit_interval) == {}
+    assert outside_owner("families.py", "check_tolerance", says_unit_interval) == {}
 
 
 def test_lubell_weights_computed_in_one_place():
     """``math.lcm`` runs only in ``families.lubell_weights``, the one
     integer form of the Lubell weights."""
-    assert outside_families_owner("lubell_weights", calls_to("lcm")) == {}
+    assert outside_owner("families.py", "lubell_weights", calls_to("lcm")) == {}
 
 
 def test_one_place_scans_flag_copies():
@@ -465,6 +466,27 @@ def test_one_place_scans_flag_copies():
     assert lines_outside(tree, "check_tolerance", says_unit_interval) == [9, 10]
     assert lines_outside(tree, "lubell_weights", calls_to("lcm")) == [11]
     assert lines_outside(tree, None, calls_to("lcm")) == [6, 11]
+
+
+def test_m_star_searched_in_one_place():
+    """``concentration._level_threshold`` runs only in
+    ``concentration_constants``, whose docstring proves that the top
+    level's one search sets m0."""
+    match = calls_to("_level_threshold")
+    assert outside_owner("concentration.py", "concentration_constants", match) == {}
+
+
+def test_m_star_scan_flags_other_callers():
+    tree = ast.parse(
+        "from . import concentration\n"
+        "def concentration_constants(eps, r):\n"
+        "    return _level_threshold(eps, r)\n"
+        "def fat_mass_bound(eps, r):\n"
+        "    return [_level_threshold(eps / 2 ** (r - k), k) for k in range(2, r + 1)]\n"
+        "m = concentration._level_threshold(1, 2)\n"
+        "cached = _level_threshold\n"
+    )
+    assert lines_outside(tree, "concentration_constants", calls_to("_level_threshold")) == [5, 6]
 
 
 # Module-level functions and classes that no package module refers to,

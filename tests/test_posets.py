@@ -290,6 +290,17 @@ def test_poset_parse_errors():
 
 
 @pytest.mark.parametrize("lines,message", [
+    ([], "empty poset input: missing 'k=<int>' header"),
+    (["n=2", "0 < 1"], "expected 'k=<int>' header, got 'n=2'"),
+    (["k=x"], "bad element count in header 'k=x'"),
+], ids=["empty", "family-key", "not-a-number"])
+def test_poset_header_errors_word_for_word(lines, message):
+    with pytest.raises(ParseError) as info:
+        parse_poset(lines)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lines,message", [
     (["k=1_2"], "bad element count in header"),
     (["k=\u0662"], "bad element count in header"),
     (["k=2", "0 < 0_1"], "line 2: bad cover relation"),
