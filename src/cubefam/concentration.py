@@ -118,21 +118,32 @@ def hypergeometric_tail(m: int, k: int, n: int, z_min: int) -> Fraction:
 
     Z lies in [max(0, m - (n - k)), min(k, m)], so a z_min above that
     range gives 0 and one at or below its bottom gives 1.  Otherwise the
-    terms are summed as integers from z_min up: each is the one before
-    times (k - z)(m - z) / ((z + 1)(n - k - m + z + 1)), an exact integer
-    division, so only the first term and C(n, m) take binomials.
+    sum runs over the shorter side of z_min: when fewer terms lie below
+    it, P(Z >= z_min) = 1 - P(Z' >= m - z_min + 1), where Z' = m - Z
+    counts X's points outside K, which are n - k.
     """
     lo, hi = max(0, m - (n - k)), min(k, m)
     if z_min > hi:
         return Fraction(0)
     if z_min <= lo:
         return Fraction(1)
+    whole = math.comb(n, m)
+    if z_min - lo < hi - z_min + 1:
+        return Fraction(whole - _upper_terms(m, n - k, n, m - z_min + 1), whole)
+    return Fraction(_upper_terms(m, k, n, z_min), whole)
+
+
+def _upper_terms(m: int, k: int, n: int, z_min: int) -> int:
+    """The sum over z >= z_min of C(k, z) C(n - k, m - z), for z_min in
+    Z's range.  Each term is the one before times (k - z)(m - z) /
+    ((z + 1)(n - k - m + z + 1)), an exact integer division, so only the
+    first term takes binomials."""
     term = math.comb(k, z_min) * math.comb(n - k, m - z_min)
     total = term
-    for z in range(z_min, hi):
+    for z in range(z_min, min(k, m)):
         term = term * (k - z) * (m - z) // ((z + 1) * (n - k - m + z + 1))
         total += term
-    return Fraction(total, math.comb(n, m))
+    return total
 
 
 def tail_bound(m: int, t) -> float:
@@ -466,7 +477,8 @@ def verify_trace_probability(
     params = {"n": n, "m": m, "r": r, "eps": str(eps), "T_size": len(t_list)}
     exact_p = holds = None
     if m <= n:
-        count_min = math.floor(eps * math.comb(m, r)) + 1  # least integer > eps C(m, r)
+        # least integer > eps C(m, r)
+        count_min = eps.numerator * math.comb(m, r) // eps.denominator + 1
         if r == 1:
             exact_p = hypergeometric_tail(m, len(t_list), n, count_min)
         elif r == 0:
@@ -475,7 +487,7 @@ def verify_trace_probability(
             holds = at_most(exact_p, bound_mp)
     m0_floor = r if r <= 1 else int(1 / c) + 2
     hypothesis_ok = (
-        Fraction(len(t_list)) <= eta * math.comb(n, r)
+        len(t_list) * eta.denominator <= eta.numerator * math.comb(n, r)
         and n >= m >= m0_floor
         and m >= concentration_constants(eps, r).m0
     )

@@ -8,7 +8,24 @@ through x (peeled from x's rows); otherwise ``posets.AnchoredSearch``
 looks only for copies through x.  The upper bound comes from a symmetric
 chain decomposition of the cube: a family that avoids a k-element
 pattern weakly can keep at most k-1 members of any chain, since a chain
-absorbs every poset of its size order-preservingly.
+absorbs every poset of its size order-preservingly.  A run stops as
+soon as its best family meets the root bound, which proves it optimal.
+
+Symmetric copies are rejected by an orbit rule (the lex-leader half of
+McKay's isomorph rejection, "Isomorph-free exhaustive generation", 1998).
+The chosen members cut [n] into cells: points that lie in the same
+members.  A mask is taken only if, in every cell, its points are that
+cell's lowest points.  Sound: among the relabelings of a family, let F
+be the one whose sorted search positions are lexicographically least,
+with members x_1, x_2, ... in search order.  Say x_j fails the rule in
+cell C, with a point p of C missing from x_j below a point q of x_j.
+Swapping p and q fixes x_1..x_(j-1), which treat the points of C alike,
+and maps x_j to a lower mask of its size, so an earlier position; the
+swapped family's sorted positions are then lexicographically smaller,
+against the choice of F.  So F passes the rule at every member, and the
+search, which takes members in search order, reaches F unless its bound
+already shows F cannot win.  Weights and pattern-freeness do not see
+relabelings, so F scores as the family does.
 
 Certificates are never trusted.  Each copy the oracle finds is mapped to
 the member masks and re-checked against set inclusion
@@ -239,6 +256,10 @@ class _Search:
         # undecided weight within cap (see ``_decide``); at the root
         # nothing is chosen or decided.
         self.bound = sum(s[o] for s, o in zip(self.suffix, self.off))
+        # The chosen members cut [n] into cells: points in the same
+        # members.  cells[-1] lists the cells of two or more points; a
+        # take splits each of them (see ``_may_take``).
+        self.cells = [[(1 << n) - 1] if n >= 2 else []]
         self.value = 0
         self.best = 0            # the empty family is always feasible
         self.best_members: tuple = ()
@@ -261,27 +282,39 @@ class _Search:
             self.value += delta
             self.bound += delta
             # Undos come last in, first out: the last member is cands[i].
+            x = self.cands[i]
             if sign > 0:
-                self.feas.push(self.cands[i])
+                self.feas.push(x)
+                cells = self.cells[-1]
+                if cells:        # deep in the search every cell is a point
+                    cells = [
+                        part
+                        for cell in cells
+                        for part in (cell & x, cell & ~x)
+                        if part & (part - 1)
+                    ]
+                self.cells.append(cells)
             else:
-                self.feas.pop(self.cands[i])
+                self.feas.pop(x)
+                self.cells.pop()
         self.bound += suffix[max(self.decided[c], off + self.chosen_n[c])] - before
 
     def _may_take(self, i: int) -> bool:
         x = self.cands[i]
         c = self.chain_ids[i]
-        # Any family can be relabeled so that its first chosen mask (in
-        # search order) is the smallest of its size, so other first
-        # picks need not be explored.
-        may_start = self.feas.masks or x == (1 << x.bit_count()) - 1
-        return (
-            may_start and self.chosen_n[c] < self.cap[c] and self.feas.ok(x)
-        )
+        # Orbit rule: in every cell, x's points are that cell's lowest.
+        for cell in self.cells[-1]:
+            y = x & cell
+            if cell & ~y & ((1 << y.bit_length()) - 1):
+                return False
+        return self.chosen_n[c] < self.cap[c] and self.feas.ok(x)
 
     def run(self) -> tuple:
         """Depth-first, include before exclude; one node per visited position."""
         t0 = time.perf_counter()
         exact = True
+        # A family that meets the root bound is optimal: stop there.
+        top = self.bound if self.mass_cap is None else min(self.bound, self.mass_cap)
         taken: list = []         # the decision on each position so far
         while True:
             self.nodes += 1
@@ -299,6 +332,8 @@ class _Search:
                 if self.value > self.best:
                     self.best = self.value
                     self.best_members = tuple(self.feas.masks)
+                    if self.best >= top:
+                        break
                 continue
             # Back up to the deepest include and exclude that position instead.
             while taken and not taken[-1]:

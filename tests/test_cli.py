@@ -574,19 +574,19 @@ class TestExtremalGolden:
         "args,code,digest",
         [
             (["13", "--pattern", "builtin:P2"], 0,
-             "8dcfd1f9d105872d2694c1bd5f77d6e6bf5540456569975ca8db000e0aa41d32"),
+             "7d6d777cc32c67f0b818fa4658084415ee18396790d2b622e4cea4aee18f1d37"),
             (["4", "--pattern", "builtin:V2", "--mode", "weak"], 0,
-             "b3447e49f24c1f01096cc4a8a786c6a03c890738300e179908528ef7cb6a698c"),
+             "12f845b398d21e9c0974cbd7b1e3104faf89fb961f80b2ee0bd3b9b0be1b82f2"),
             (["4", "--pattern", "builtin:V2", "--mode", "induced"], 0,
-             "82799d380629e254c5bae7af9918ab824bfe6f66208b750e885cadf4d0267dee"),
+             "1eeb143022f314599a53eb5775befba5e5ae3a6fac8842d8ca7bf236bf2dc7b7"),
             (["4", "--pattern", "builtin:D2", "--mode", "weak"], 0,
-             "cc035cade375f3eb2eeab3a45613636a15ea74d8104c996432f30e7bcc3b017c"),
+             "60e69a71cc737d1b5658543ec70893b0e38256b2db8cd9deacb88780ce291fb4"),
             (["4", "--pattern", "builtin:D2", "--mode", "induced"], 0,
-             "9099fee9873272fbe9c2e8ff54976a5003c993a10f8190396b54e67d00b2c006"),
+             "dd62853c46fdbd5665b55a8c5310141381dd07b41b977554c736c8f3ef1bb470"),
             (["4", "--pattern", "builtin:Q2", "--mode", "weak"], 0,
-             "7146481d9e2b571b6e55aa59b540802614d767c486b7cf756678c26efea1a2fa"),
+             "40813cb0610408e5e8b466e7f85105fc9f7419e40ea64a91a547d8f5def16fbe"),
             (["4", "--pattern", "builtin:Q2", "--mode", "induced"], 0,
-             "5c4a6ff9b625d7415d89a73a567998a53bcfbc3e55c2c8a5a660a80e424e0b9b"),
+             "382ab6777e0bce6d7f8161759e581e5cd6c6911eb1d98417339571fc20517ec6"),
             (["5", "--pattern", "builtin:Q2", "--mode", "induced", "--budget-nodes", "2000"], 4,
              "eaf5bd31d6db0f3389e8ee1a40c0620298fda35e2a164a5efec90b298a4a7427"),
         ],

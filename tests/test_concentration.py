@@ -125,6 +125,22 @@ def test_hypergeometric_tail_counts_every_subset(n):
                 assert concentration.hypergeometric_tail(m, k, n, z_min) == want
 
 
+@pytest.mark.parametrize("m,k,n", [(1200, 1600, 3600), (2000, 3700, 4000)])
+def test_hypergeometric_tail_sums_either_side_exactly(m, k, n):
+    """At a large (m, k, n), from the bottom of Z's range to its top, the
+    tail equals the defining sum, and one minus the upper tail of Z' =
+    |X minus K| = m - Z at m - z + 1.  Of the two, one is summed over K's
+    count and the other over its complement's."""
+    lo, hi = max(0, m - (n - k)), min(k, m)
+    terms = {z: math.comb(k, z) * math.comb(n - k, m - z) for z in range(lo, hi + 1)}
+    mid = (lo + hi) // 2
+    for z_min in (lo + 1, lo + 2, mid - 1, mid, mid + 1, hi - 1, hi):
+        p = concentration.hypergeometric_tail(m, k, n, z_min)
+        reached = sum(terms[z] for z in range(z_min, hi + 1))
+        assert p == Fraction(reached, math.comb(n, m)), z_min
+        assert p == 1 - concentration.hypergeometric_tail(m, n - k, n, m - z_min + 1), z_min
+
+
 @pytest.mark.parametrize("m,k,n", [
     (3, 5, 8), (4, 4, 8), (6, 3, 8),       # below, at and above 2m = n
     (5, 0, 8), (2, 8, 8), (7, 8, 8),       # k = 0 and k = n

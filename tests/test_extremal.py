@@ -1,7 +1,6 @@
 """Exact pattern-avoidance optima and the symmetric chain machinery."""
 
 import dataclasses
-import functools
 import itertools
 import math
 import random
@@ -33,7 +32,8 @@ from cubefam.extremal import (
 )
 from cubefam.posets import AnchoredSearch, enumerate_posets
 
-from conftest import brute_force_copies, reference_chain_ids, reference_feasible
+from conftest import reference_chain_ids, reference_feasible
+from small_optima import free_families, load as load_table
 
 
 class TestSymmetricChains:
@@ -244,6 +244,95 @@ class TestCertifiersFire:
             chain_mass_bound_check(4, 2)
 
 
+def reference_cells(n: int, members: list) -> list:
+    """The cells of two or more points: points grouped by the members
+    that hold them, each cell in increasing order."""
+    groups: dict = {}
+    for p in range(n):
+        groups.setdefault(tuple(m >> p & 1 for m in members), []).append(p)
+    return [points for points in groups.values() if len(points) >= 2]
+
+
+def passes_orbit_rule(x: int, cells: list) -> bool:
+    """In every cell, x's points are that cell's lowest points."""
+    for points in cells:
+        inside = [p for p in points if x >> p & 1]
+        if inside != points[:len(inside)]:
+            return False
+    return True
+
+
+class TestOrbitRule:
+    @staticmethod
+    def lex_least(n: int, family: list, order: list) -> list:
+        """The relabeling of ``family`` whose sorted search positions are
+        lexicographically least, as members in search order."""
+        position = {m: i for i, m in enumerate(order)}
+        best = None
+        for perm in itertools.permutations(range(n)):
+            image = sorted(
+                position[sum(1 << perm[p] for p in range(n) if x >> p & 1)] for x in family
+            )
+            if best is None or image < best:
+                best = image
+        return [order[i] for i in best]
+
+    def check_lemma(self, n: int, family: list) -> None:
+        order = _Search(n, make_chain(2), "weak", "cardinality", None).cands
+        members = self.lex_least(n, family, order)
+        for j, x in enumerate(members):
+            assert passes_orbit_rule(x, reference_cells(n, members[:j])), (family, members, j)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_lex_least_relabeling_passes_every_family(self, n):
+        for bits in range(1 << (1 << n)):
+            self.check_lemma(n, [x for x in range(1 << n) if bits >> x & 1])
+
+    @pytest.mark.parametrize("n,families", [(4, 300), (5, 60)])
+    def test_lex_least_relabeling_passes_random_families(self, n, families):
+        rng = random.Random(f"lex-least-{n}")
+        for _ in range(families):
+            density = rng.random()
+            self.check_lemma(n, [x for x in range(1 << n) if rng.random() < density])
+
+    @pytest.mark.parametrize("name,mode", [("P3", "weak"), ("V2", "induced"), ("Q2", "weak")])
+    def test_cells_and_rule_match_reference(self, name, mode):
+        """Random takes and undos: the cell stack is the partition by
+        membership, and ``_may_take`` is the rule, the chain cap and
+        the rebuilt-host oracle."""
+        pattern = ORACLE_PATTERNS[name]
+        rng = random.Random(f"cells-{name}-{mode}")
+        for n in (3, 5):
+            search = _Search(n, pattern, mode, "cardinality", None)
+            taken: list = []
+            for _ in range(300):
+                i = len(taken)
+                if taken and (i == len(search.cands) or rng.random() < 0.3):
+                    search._decide(i - 1, taken.pop(), -1)
+                    continue
+                members = list(search.feas.masks)
+                cells = reference_cells(n, members)
+                assert sorted(search.cells[-1]) == sorted(sum(1 << p for p in c) for c in cells)
+                x, c = search.cands[i], search.chain_ids[i]
+                take = search._may_take(i)
+                assert take == (
+                    passes_orbit_rule(x, cells)
+                    and search.chosen_n[c] < search.cap[c]
+                    and reference_feasible(members, x, pattern, mode)
+                ), (members, x)
+                take = take and rng.random() < 0.8
+                search._decide(i, take, 1)
+                taken.append(take)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_chain_searches_stop_at_the_root_bound(self, k):
+        """The k - 1 largest layers meet the chain bound and come first in
+        search order, so a chain search stops after one node per member."""
+        for n in range(11):
+            r = extremal_search(n, make_chain(k))
+            assert (r.nodes, r.exact) == (r.value, True), n
+
+
 class TestChainIds:
     @pytest.mark.parametrize("n", range(13))
     def test_recurrence_matches_bracket_loop(self, n):
@@ -260,6 +349,28 @@ ORACLE_PATTERNS = {
     "Q2": make_cube(2),
     "N+top": FIVE,
 }
+
+
+def ids_before(rows: list) -> list:
+    """Test ids from every column but the last: the pinned rows name each
+    query with its count before the orbit rule, and pin the count after it."""
+    return ["-".join(map(str, row[:-1])) for row in rows]
+
+
+SEARCH_COUNTS = [
+    (4, "V2", "weak", 282, 150),
+    (4, "V2", "induced", 547, 281),
+    (4, "D2", "weak", 369, 199),
+    (4, "D2", "induced", 498, 242),
+    (4, "Q2", "weak", 568, 340),
+    (4, "Q2", "induced", 1299, 720),
+    (5, "V2", "weak", 553, 553),
+    (5, "V2", "induced", 648, 648),
+    (5, "D2", "weak", 545, 545),
+    (5, "D2", "induced", 517, 517),
+    (5, "Q2", "weak", 295, 295),
+    (5, "Q2", "induced", 318, 318),
+]
 
 
 class TestIncrementalOracle:
@@ -393,25 +504,13 @@ class TestIncrementalOracle:
                 assert feas.chosen == set(members)
 
     @pytest.mark.parametrize(
-        "n,name,mode,searches",
-        [
-            (4, "V2", "weak", 282),
-            (4, "V2", "induced", 547),
-            (4, "D2", "weak", 369),
-            (4, "D2", "induced", 498),
-            (4, "Q2", "weak", 568),
-            (4, "Q2", "induced", 1299),
-            (5, "V2", "weak", 553),
-            (5, "V2", "induced", 648),
-            (5, "D2", "weak", 545),
-            (5, "D2", "induced", 517),
-            (5, "Q2", "weak", 295),
-            (5, "Q2", "induced", 318),
-        ],
+        "n,name,mode,before,searches", SEARCH_COUNTS, ids=ids_before(SEARCH_COUNTS)
     )
-    def test_pinned_search_counts(self, n, name, mode, searches, monkeypatch):
+    def test_pinned_search_counts(self, n, name, mode, before, searches, monkeypatch):
         """Oracle searches of the benchmark-shaped queries: full runs at
-        n = 4, 2000-node budget stops at n = 5."""
+        n = 4, 2000-node budget stops at n = 5.  ``before`` is the count
+        without the orbit rule; the budget stops never reach a node the
+        rule prunes."""
         calls = self.count_searches(monkeypatch)
         extremal_search(n, ORACLE_PATTERNS[name], mode, budget=2000 if n == 5 else None)
         assert calls[0] == searches
@@ -464,37 +563,6 @@ class TestChainBound:
                 assert search.decided == decided and search.chosen_n == chosen_n
 
 
-def free_families(n: int, pattern: FinitePoset, mode: str) -> list:
-    """Every family on [n] with no weak (or induced) copy of ``pattern``.
-
-    A family holds a copy exactly when some k of its members, as an
-    inclusion poset built pair by pair, do; those k-sets are found with
-    ``brute_force_copies``.  Subfamilies of a free family are free, so a
-    depth-first walk adds masks in increasing order and stops at the
-    first one that completes a copy.
-    """
-    masks = range(1 << n)
-    copies = []
-    for group in itertools.combinations(masks, pattern.k):
-        pairs = [(i, j) for i, a in enumerate(group) for j, b in enumerate(group)
-                 if a != b and a & ~b == 0]
-        host = FinitePoset(pattern.k, pairs)
-        if next(brute_force_copies(host, pattern, mode), None) is not None:
-            copies.append(set(group))
-    found = []
-
-    def walk(family: list, start: int) -> None:
-        found.append(list(family))
-        for x in masks[start:]:
-            family.append(x)
-            if not any(copy <= set(family) for copy in copies):
-                walk(family, x + 1)
-            family.pop()
-
-    walk([], 0)
-    return found
-
-
 class TestExhaustiveCrossCheck:
     """The branch and bound against every pattern-free family, n <= 3."""
 
@@ -515,27 +583,30 @@ class TestExhaustiveCrossCheck:
                     assert tuple(r.family) in free
 
 
-@functools.cache
-def small_optima() -> dict:
-    """{(canonical key, mode, objective, n): ``extremal_search`` value} for
-    every poset on 1-4 elements, n <= 3."""
-    return {
-        (pattern.canonical_key(), mode, objective, n):
-            extremal_search(n, pattern, mode, objective).value
-        for k in range(1, 5) for pattern in enumerate_posets(k)
-        for mode in ("weak", "induced") for objective in ("cardinality", "lubell")
-        for n in range(4)
-    }
+class TestSmallOptimaTable:
+    """The branch and bound against the exhaustively derived optima of
+    every poset on 1-4 elements, n <= 4 (``small_optima.py``)."""
+
+    @pytest.mark.parametrize("mode", ["weak", "induced"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_search_matches_table(self, k, mode):
+        optima = load_table()
+        for pattern in enumerate_posets(k):
+            key = pattern.canonical_key()
+            for objective, n in itertools.product(("cardinality", "lubell"), range(5)):
+                r = extremal_search(n, pattern, mode, objective)
+                assert (r.value, r.exact) == (optima[key, mode, objective, n], True), (
+                    key, objective, n)
 
 
 class TestStructuralFacts:
-    """Facts the optima of TestExhaustiveCrossCheck's posets must obey
-    whatever their values (ROADMAP item 9, n <= 3)."""
+    """Facts the optima of the n <= 4 table must obey whatever their
+    values (ROADMAP item 9)."""
 
     def test_weak_at_most_induced(self):
         """An induced copy is a weak one, so a weakly free family is
         inducedly free."""
-        optima = small_optima()
+        optima = load_table()
         for (key, mode, objective, n), value in optima.items():
             if mode == "weak":
                 assert value <= optima[key, "induced", objective, n], (key, objective, n)
@@ -543,12 +614,12 @@ class TestStructuralFacts:
     def test_dual_has_equal_optima(self):
         """Complementing every member turns a P-free family into a
         dual-free one of the same size and Lubell mass."""
-        optima = small_optima()
+        optima = load_table()
         for k in range(1, 5):
             for pattern in enumerate_posets(k):
                 key, dual = pattern.canonical_key(), pattern.dual().canonical_key()
                 for mode, objective, n in itertools.product(
-                    ("weak", "induced"), ("cardinality", "lubell"), range(4)
+                    ("weak", "induced"), ("cardinality", "lubell"), range(5)
                 ):
                     assert optima[key, mode, objective, n] == optima[dual, mode, objective, n]
 
@@ -556,13 +627,23 @@ class TestStructuralFacts:
     def test_chains_match_erdos(self, mode):
         """Free of a k-chain: at most the k - 1 largest layers (Erdos), and
         Lubell mass at most min(k - 1, n + 1)."""
-        optima = small_optima()
+        optima = load_table()
         for k in range(1, 5):
             key = make_chain(k).canonical_key()
-            for n in range(4):
+            for n in range(5):
                 layers = sorted((math.comb(n, i) for i in range(n + 1)), reverse=True)
                 assert optima[key, mode, "cardinality", n] == sum(layers[:k - 1]), (k, n)
                 assert optima[key, mode, "lubell", n] == min(k - 1, n + 1), (k, n)
+
+
+FULL_RUNS_N4 = [
+    ("V2", "weak", 7, 660, 367),
+    ("V2", "induced", 8, 1271, 635),
+    ("D2", "weak", 7, 1040, 597),
+    ("D2", "induced", 8, 1524, 779),
+    ("Q2", "weak", 10, 1409, 871),
+    ("Q2", "induced", 10, 3229, 1803),
+]
 
 
 class TestPinnedResults:
@@ -570,20 +651,12 @@ class TestPinnedResults:
 
     def test_antichain_n13(self):
         r = extremal_search(13, make_chain(2))
-        assert (r.value, r.nodes, r.exact) == (1716, 3433, True)
+        assert (r.value, r.nodes, r.exact) == (1716, 1716, True)
 
     @pytest.mark.parametrize(
-        "name,mode,value,nodes",
-        [
-            ("V2", "weak", 7, 660),
-            ("V2", "induced", 8, 1271),
-            ("D2", "weak", 7, 1040),
-            ("D2", "induced", 8, 1524),
-            ("Q2", "weak", 10, 1409),
-            ("Q2", "induced", 10, 3229),
-        ],
+        "name,mode,value,before,nodes", FULL_RUNS_N4, ids=ids_before(FULL_RUNS_N4)
     )
-    def test_full_runs_n4(self, name, mode, value, nodes):
+    def test_full_runs_n4(self, name, mode, value, before, nodes):
         r = extremal_search(4, ORACLE_PATTERNS[name], mode)
         assert (r.value, r.nodes, r.exact) == (value, nodes, True)
 
