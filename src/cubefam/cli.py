@@ -529,9 +529,12 @@ def _handle_verify_lemma(cfg: RunConfig):
 
 
 def _handle_cascade(cfg: RunConfig):
-    from .extraction import compute_cascade
+    from .extraction import cascade_levels, cascade_of_levels
 
-    cascade = compute_cascade(cfg.params["m"], _fraction_arg(cfg.params["eps"]))
+    m = cfg.params["m"]
+    eps_j = cascade_levels(m, _fraction_arg(cfg.params["eps"]))
+    _jsonable(eps_j)                     # a level too long to print, before the m* search
+    cascade = cascade_of_levels(m, eps_j)
     results = {
         "m": cascade.m,
         "mode": cascade.mode,

@@ -228,12 +228,6 @@ def _monte_carlo_report(
     )
 
 
-def _trace_top(m: int, r: int, t_size: int) -> int:
-    """The most members of T inside X^{(r)} for any m-set X: X^{(r)} has
-    C(m, r) members and T has ``t_size``."""
-    return min(t_size, math.comb(m, r))
-
-
 def verify_tail_bound(
     m: int, k: int, n: int, t, trials: int, seed: int
 ) -> MonteCarloReport:
@@ -443,7 +437,7 @@ def verify_trace_probability(
 
     The event needs count_min = floor(eps C(m, r)) + 1 members of T inside
     X, but X^{(r)} has C(m, r) members and T has |T|: the count is at most
-    min(|T|, C(m, r)) (``_trace_top``).  When count_min is above that, the
+    min(|T|, C(m, r)).  When count_min is above that, the
     event is impossible, every draw misses whatever the seed, and the
     report is built without drawing or loading numpy (``drawn`` 0).
     Otherwise each X is drawn element by element up to T's largest element
@@ -475,27 +469,29 @@ def verify_trace_probability(
         bound_mp = mp.exp(-_mpf(c) * m)
         bound = float(bound_mp) if bound_mp > mp.mpf("1e-300") else 0.0
     params = {"n": n, "m": m, "r": r, "eps": str(eps), "T_size": len(t_list)}
+    comb_n = math.comb(n, r)
+    m0_floor = r if r <= 1 else int(1 / c) + 2
+    hypothesis_ok = (
+        len(t_list) * eta.denominator <= eta.numerator * comb_n
+        and n >= m >= m0_floor
+        and m >= concentration_constants(eps, r).m0
+    )
     exact_p = holds = None
-    if m <= n:
-        # least integer > eps C(m, r)
-        count_min = eps.numerator * math.comb(m, r) // eps.denominator + 1
+    # count_min is read by the exact p at r <= 1, and from r = 2 on only by a draw
+    if m <= n and (r <= 1 or hypothesis_ok):
+        comb_m = comb_n if m == n else math.comb(m, r)
+        count_min = eps.numerator * comb_m // eps.denominator + 1   # least integer > eps C(m, r)
         if r == 1:
             exact_p = hypergeometric_tail(m, len(t_list), n, count_min)
         elif r == 0:
             exact_p = Fraction(int(len(t_list) >= count_min))
         if exact_p is not None:
             holds = at_most(exact_p, bound_mp)
-    m0_floor = r if r <= 1 else int(1 / c) + 2
-    hypothesis_ok = (
-        len(t_list) * eta.denominator <= eta.numerator * math.comb(n, r)
-        and n >= m >= m0_floor
-        and m >= concentration_constants(eps, r).m0
-    )
     if not hypothesis_ok:
         return MonteCarloReport(
             params, trials, 0, seed, 0, 0.0, bound, 0.0, "hypothesis-failed", exact_p, holds
         )
-    if trials == 0 or count_min > _trace_top(m, r, len(t_list)):
+    if trials == 0 or count_min > min(len(t_list), comb_m):
         # nothing to draw, or an event no X reaches: every draw misses
         return _monte_carlo_report(params, trials, seed, 0, bound, 0, exact_p, holds)
 

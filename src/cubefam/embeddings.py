@@ -162,11 +162,7 @@ def randomized_cube_embed(
                 x_mask ^= sub & -sub
         if x_mask.bit_count() < m:
             continue
-        shrunk = 0
-        for _ in range(m):
-            low = x_mask & -x_mask
-            shrunk |= low
-            x_mask ^= low
+        shrunk = next(submasks_of_size(x_mask, m))     # its m smallest elements
         _certify_cube_copy(fam, shrunk)
         return CubeEmbedResult(shrunk, attempt + 1)
     return CubeEmbedResult(None, max_attempts)

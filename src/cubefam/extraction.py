@@ -219,18 +219,32 @@ def compute_cascade(m: int, eps) -> ConstantCascade:
       i = 2 on m*_(i+1) at eps is at least m*_i at eps/2, plus one (the
       chain claim), which is at least m*_i at eps.
     """
-    import mpmath as mp
+    return cascade_of_levels(m, cascade_levels(m, eps))
 
+
+def cascade_levels(m: int, eps) -> tuple:
+    """The tolerances eps_0 = eps, .., eps_2m of ``compute_cascade``, with
+    eps_(j+1) = eta(eps_j, m): exact rationals, found without the m*
+    search behind q and p."""
     if m < 1:
         raise PreconditionError("pattern size m must be at least 1")
     eps_j = [check_tolerance(eps)]
     for _ in range(2, 2 * m + 2):
         eps_j.append(_trace_rates(eps_j[-1], m)[0])
+    return tuple(eps_j)
+
+
+def cascade_of_levels(m: int, eps_j: tuple) -> ConstantCascade:
+    """The cascade of ``compute_cascade`` on the levels ``eps_j`` that
+    ``cascade_levels(m, eps)`` gave: q, p and the threshold, by the m*
+    search."""
+    import mpmath as mp
+
     with mp.workdps(_MP_DPS):
         q = fat_mass_bound(eps_j[2 * m - 1], m)
         p = flexibility_mass_bound(eps_j[2 * m], m)
         threshold = _threshold_formula(m, q, _mpf(p))
-    return ConstantCascade(m, "paper", tuple(eps_j), q, p, threshold)
+    return ConstantCascade(m, "paper", eps_j, q, p, threshold)
 
 
 def override_cascade(m: int, q, p, eps=None) -> ConstantCascade:

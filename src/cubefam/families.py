@@ -21,14 +21,18 @@ from .errors import ParseError, PreconditionError, magnitude, open_text
 MAX_GROUND = 64
 
 
-def mask_elements(mask: int) -> tuple[int, ...]:
-    """1-based, sorted element indices of a mask."""
-    out = []
+def _set_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first, each as a one-bit int: the
+    one walk over a mask's bits that the mask toolkit below shares."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        yield low
         mask ^= low
-    return tuple(out)
+
+
+def mask_elements(mask: int) -> tuple[int, ...]:
+    """1-based, sorted element indices of a mask."""
+    return tuple(map(int.bit_length, _set_bits(mask)))
 
 
 def compress_mask(mask: int, universe: int) -> int:
@@ -37,41 +41,22 @@ def compress_mask(mask: int, universe: int) -> int:
     The i-th lowest bit of the result corresponds to the i-th lowest set
     bit of ``universe``.
     """
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (universe & (low - 1)).bit_count()
-        mask ^= low
-    return out
+    return sum(1 << (universe & (low - 1)).bit_count() for low in _set_bits(mask))
 
 
 def expand_mask(bits: int, universe: int) -> int:
     """Inverse of :func:`compress_mask`."""
-    out = 0
-    i = 0
-    u = universe
-    while u:
-        low = u & -u
-        if bits & (1 << i):
-            out |= low
-        i += 1
-        u ^= low
-    return out
+    return sum(low for i, low in enumerate(_set_bits(universe)) if bits >> i & 1)
 
 
 def submasks_of_size(mask: int, r: int) -> Iterator[int]:
     """The r-element sub-masks of ``mask``.
 
     Yielded in ``itertools.combinations`` order over the ascending bits of
-    ``mask``; randomized cube location depends on this order.
+    ``mask``, so the first is its r lowest bits; randomized cube location
+    depends on this order.
     """
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low)
-        mask ^= low
-    for combo in itertools.combinations(bits, r):
-        yield sum(combo)
+    return map(sum, itertools.combinations(_set_bits(mask), r))
 
 
 class SetFamily:
@@ -250,18 +235,17 @@ def parse_decimal(text: str) -> int:
 def parse_family(lines: Iterable[str]) -> SetFamily:
     """The family of an ``n=<int>`` header and one subset literal a line.
 
-    A line in canonical form -- the elements in ascending order, written
-    as ``str(e)`` and joined by "," -- costs at most two table lookups
-    when n <= 19 (three when no element is below 10), and one lookup per
-    element above that (``_add_lines``).
-    Every other line (``-``, blank lines, spaces, leading zeros or signs,
-    a "\\r" before the newline) goes to ``parse_subset_literal``, which
-    alone decides whether it is legal and which error it raises.
+    The lines after the header, joined by newlines, are read as one
+    block, as ``read_family`` reads each chunk of a file (``_add_block``):
+    a canonical line by table lookup, every other line (``-``, blank
+    lines, spaces, leading zeros or signs, a "\\r" before the newline) by
+    ``parse_subset_literal``, and the first malformed or duplicate line,
+    in line order, raises.
     """
     it = iter(lines)
     n = _header_size(it)
     seen: set[int] = set()
-    _add_lines(it, n, seen, 2)
+    _add_block("".join(raw.rstrip("\n") + "\n" for raw in it), n, seen, 2, _line_masks)
     return SetFamily(n, seen)
 
 
@@ -293,78 +277,139 @@ def _header_size(lines: Iterator[str]) -> int:
 # Grounds below this are read by ``_split_tables``; tokens from 20 on do not
 # open with ",1", so larger grounds keep one lookup per element, chosen per file.
 _SPLIT_GROUND = 20
+_BULK_BYTES = 1 << 20
+_CHUNK_CHARS = 1 << 16
 
 
-def _add_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
-    """Add the subsets of ``lines``, the first numbered ``lineno``, to ``seen``.
+def read_family(path) -> SetFamily:
+    """The family in the file at ``path``, read as ``parse_family`` reads it.
 
-    The per-line reader: the first malformed or duplicate line, in line
-    order, raises.  Below ``_SPLIT_GROUND`` a line is cut at its first
-    ",1", which in a canonical line can only open a token 10..19, as
-    element 1 only ever comes first; the part before the cut (or the whole
-    line, if it has no ",1") is looked up in the low table of
-    ``_split_tables``, the part after it in the high table.  A line that
-    misses is looked up whole in the high table (its tokens may all be
-    10..19), and one that misses that too goes to ``parse_subset_literal``.
+    The body is read in chunks of ``_CHUNK_CHARS`` characters, each read on
+    to the end of the line it stops in, and each chunk goes through
+    ``_add_block``.  A file of ``_BULK_BYTES`` (1 MiB) or more, by
+    ``os.fstat``, has its canonical lines decoded with numpy
+    (``_numpy_masks``), smaller files by table lookup (``_line_masks``):
+    importing numpy in a fresh process costs about as much as it saves on
+    1 MB of family lines, so the gate sits at that break-even, and the
+    subcommands that compute exactly stay numpy-free on small families.
+
+    A byte outside ASCII ends the chunk loop, and ``_exact_lines`` reads
+    the file again from its top, one line at a time, so that a malformed
+    or duplicate line the text layer decodes before that byte is named
+    first.  A pipe cannot be read again, so ``_exact_lines`` streams it
+    from the start, in that same order.
     """
-    if n >= _SPLIT_GROUND:
-        _add_token_lines(lines, n, seen, lineno)
-        return
-    low, high = _split_tables(n)
-    miss = 1 << MAX_GROUND               # set in a mask only by a missed lookup
-    for lineno, raw in enumerate(lines, start=lineno):
-        line = raw.rstrip("\n")
-        cut = line.find(",1")
-        if cut < 0:
-            mask = low.get(line, miss)
-        else:
-            mask = low.get(line[:cut], miss) | high.get(line[cut + 1:], miss)
-        if mask & miss:
-            mask = high.get(line, miss)
-            if mask & miss:
-                mask = _literal_line(raw, n, lineno)
-                if mask is None:
-                    continue
-        if mask in seen:
-            raise ParseError(f"line {lineno}: duplicate subset {raw.strip()!r}")
-        seen.add(mask)
-
-
-def _add_token_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
-    """``_add_lines`` by one ``bit_of`` lookup per element of a canonical
-    line; every other line goes to ``parse_subset_literal``."""
-    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}
-    for lineno, raw in enumerate(lines, start=lineno):
+    with open_text(path, "ascii", "family file") as fh:
+        n = _header_size(fh)
+        decode = _numpy_masks if os.fstat(fh.fileno()).st_size >= _BULK_BYTES else _line_masks
+        seen: set[int] = set()
+        if not fh.seekable():                    # a pipe
+            _exact_lines(fh, n, seen, 2)
+            return SetFamily(n, seen)
+        lineno = 2
         try:
-            bits = [bit_of[t] for t in raw.rstrip("\n").split(",")]
-            mask = sum(bits)
-            # distinct powers of two in ascending order
-            canonical = mask.bit_count() == len(bits) and bits == sorted(bits)
-        except KeyError:
-            canonical = False
-        if not canonical:
-            mask = _literal_line(raw, n, lineno)
-            if mask is None:
-                continue
+            while block := fh.read(_CHUNK_CHARS):
+                block += fh.readline()           # the rest of the chunk's last line
+                if not block.endswith("\n"):     # no newline at the end of the file
+                    block += "\n"
+                _add_block(block, n, seen, lineno, decode)
+                lineno += block.count("\n")
+        except UnicodeDecodeError:
+            fh.seek(0)
+            next(fh)                             # the header, read already
+            seen.clear()
+            _exact_lines(fh, n, seen, 2)
+        return SetFamily(n, seen)
+
+
+def _add_block(text: str, n: int, seen: set, lineno: int, decode) -> None:
+    """Add the subsets of ``text``, whole lines the first of which is line
+    ``lineno``, to ``seen``.
+
+    ``decode(text, n)`` gives the masks of the canonical lines -- the
+    elements in ascending order, written as ``str(e)`` and joined by ","
+    -- and the other lines, which go to ``parse_subset_literal`` (blank
+    ones are skipped).  A block that holds a malformed line, or a mask
+    repeated in it or already in ``seen``, is read again by
+    ``_exact_lines``, which names its first error in line order.
+    """
+    masks, missed = decode(text, n)
+    try:
+        masks += [parse_subset_literal(line, n) for line in map(str.strip, missed) if line]
+        fresh = set(masks)
+        clean = len(fresh) == len(masks) and seen.isdisjoint(fresh)
+    except ParseError:
+        clean = False
+    if clean:
+        seen |= fresh
+    else:
+        _exact_lines(text.split("\n"), n, seen, lineno)
+
+
+def _exact_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
+    """Add the subsets of ``lines``, the first numbered ``lineno``, to
+    ``seen``, each by ``parse_subset_literal``: the one reader that raises
+    a line's error, at the first malformed or duplicate line in line order."""
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            mask = parse_subset_literal(line, n)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         if mask in seen:
-            raise ParseError(f"line {lineno}: duplicate subset {raw.strip()!r}")
+            raise ParseError(f"line {lineno}: duplicate subset {line!r}")
         seen.add(mask)
 
 
-def _literal_line(raw: str, n: int, lineno: int) -> int | None:
-    """The mask of line ``lineno``, ``raw``, by ``parse_subset_literal``,
-    whose error it names the line in; None for a blank line."""
-    line = raw.strip()
-    if not line:
-        return None
-    try:
-        return parse_subset_literal(line, n)
-    except ParseError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+def _line_masks(text: str, n: int) -> tuple[list, list]:
+    """The masks of the canonical lines of ``text``, and its other lines,
+    by table lookup: the decoder of ``_add_block`` below ``_BULK_BYTES``.
+
+    Below ``_SPLIT_GROUND`` a line is cut at its first ",1", which in a
+    canonical line can only open a token 10..19, as element 1 only ever
+    comes first; the part before the cut (or the whole line, if it has no
+    ",1") is looked up in the low table of ``_split_tables``, the part
+    after it in the high table, and a line that misses is looked up whole
+    in the high table (its tokens may all be 10..19).  From
+    ``_SPLIT_GROUND`` on, each token is looked up on its own.
+    """
+    masks, missed = [], []
+    if n < _SPLIT_GROUND:
+        low, high = _split_tables(n)
+        miss = 1 << MAX_GROUND               # set in a mask only by a missed lookup
+        for line in text.split("\n"):
+            cut = line.find(",1")
+            if cut < 0:
+                mask = low.get(line, miss)
+            else:
+                mask = low.get(line[:cut], miss) | high.get(line[cut + 1:], miss)
+            if mask & miss:
+                mask = high.get(line, miss)
+                if mask & miss:
+                    missed.append(line)
+                    continue
+            masks.append(mask)
+        return masks, missed
+    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}
+    for line in text.split("\n"):
+        try:
+            bits = [bit_of[t] for t in line.split(",")]
+        except KeyError:
+            missed.append(line)
+            continue
+        mask = sum(bits)
+        # distinct powers of two in ascending order
+        if mask.bit_count() == len(bits) and bits == sorted(bits):
+            masks.append(mask)
+        else:
+            missed.append(line)
+    return masks, missed
 
 
 def _split_tables(n: int) -> tuple[dict, dict]:
-    """The low and high tables of ``_add_lines`` on the ground [n]: the
+    """The low and high tables of ``_line_masks`` on the ground [n]: the
     mask of every nonempty subset of [1, min(n, 9)], and of [10, min(n, 19)],
     keyed by its ``format_subset`` literal -- at most 511 + 1023 entries."""
     return _literal_masks(1, min(n, 9)), _literal_masks(10, min(n, 19))
@@ -416,53 +461,9 @@ def format_family(fam: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BULK_BYTES = 1 << 20
-_CHUNK_CHARS = 1 << 16
-
-
-def read_family(path) -> SetFamily:
-    """The family in the file at ``path``, read as ``parse_family`` reads it.
-
-    A file of ``_BULK_BYTES`` (1 MiB) or more, by ``os.fstat``, is read in
-    chunks of ``_CHUNK_CHARS`` characters, each read on to the end of the
-    line it stops in, and each chunk's canonical lines are checked and
-    turned into masks with numpy (``_bulk_lines``).  Every other line
-    still goes to ``parse_subset_literal``, and a chunk that holds a
-    malformed or duplicate line is read again by the per-line loop, so
-    members and errors are the same on both paths.  A byte outside ASCII sends the
-    whole file back to the per-line reader, which then decides, as it
-    always has, whether that error or an earlier line's comes first.
-
-    Smaller files and pipes (size 0) keep the per-line loop: importing
-    numpy in a fresh process costs about as much as the bulk reader saves
-    on 1 MB of family lines, so the gate sits at that break-even, and the
-    subcommands that compute exactly stay numpy-free on small families.
-    """
-    with open_text(path, "ascii", "family file") as fh:
-        if os.fstat(fh.fileno()).st_size >= _BULK_BYTES:
-            try:
-                return _read_bulk(fh)
-            except UnicodeDecodeError:
-                fh.seek(0)
-        return parse_family(fh)
-
-
-def _read_bulk(fh) -> SetFamily:
-    """The family of the text file ``fh``, its body read in numpy chunks."""
-    n = _header_size(fh)
-    seen: set[int] = set()
-    lineno = 2
-    while block := fh.read(_CHUNK_CHARS):
-        block += fh.readline()           # the rest of the chunk's last line
-        if not block.endswith("\n"):     # no newline at the end of the file
-            block += "\n"
-        lineno = _bulk_lines(block, n, seen, lineno)
-    return SetFamily(n, seen)
-
-
-def _bulk_lines(text: str, n: int, seen: set, lineno: int) -> int:
-    """Add the subsets of ``text``, whole lines the first of which is line
-    ``lineno``, to ``seen``; the number of the line after them.
+def _numpy_masks(text: str, n: int) -> tuple[list, list]:
+    """``_line_masks`` with numpy: the decoder of ``_add_block`` from
+    ``_BULK_BYTES`` on.
 
     A line is canonical when every token is 1-2 ASCII digits with no
     leading zero, lies in [1, n], and the tokens ascend strictly.
@@ -486,27 +487,10 @@ def _bulk_lines(text: str, n: int, seen: set, lineno: int) -> int:
     heads = np.flatnonzero(opens)
     canonical = np.logical_and.reduceat(ok, heads)
     bits = np.left_shift(np.uint64(1), np.where(ok, value - 1, 0).astype(np.uint64))
-    masks = np.bitwise_or.reduceat(bits, heads).tolist()
-
-    clean = True
+    masks = np.bitwise_or.reduceat(bits, heads)[canonical].tolist()
     others = np.flatnonzero(~canonical).tolist()
-    if others:
-        lines = text.split("\n")
-        for i in others:
-            line = lines[i].strip()
-            try:
-                masks[i] = parse_subset_literal(line, n) if line else None
-            except ParseError:
-                clean = False
-                break
-        masks = [m for m in masks if m is not None]
-    fresh = set(masks)
-    if clean and len(fresh) == len(masks) and seen.isdisjoint(fresh):
-        seen |= fresh
-    else:
-        # the per-line loop names this chunk's first error, in line order
-        _add_lines(text.split("\n")[:-1], n, seen, lineno)
-    return lineno + len(heads)
+    lines = text.split("\n") if others else []
+    return masks, [lines[i] for i in others]
 
 
 def write_family(fam: SetFamily, path) -> None:

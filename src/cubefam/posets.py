@@ -38,7 +38,7 @@ from .errors import (
     SearchBudgetExceeded,
     open_text,
 )
-from .families import parse_decimal, parse_header
+from .families import mask_elements, parse_decimal, parse_header
 
 CUBE_DIM_CAP = 5
 # The node budget of the CLI's containment searches, weak and induced.
@@ -69,12 +69,12 @@ class FinitePoset:
         for i in range(k):
             if above[i] & (1 << i):
                 raise PreconditionError(f"cycle through element {i}")
-            for j in _bits(above[i]):
-                if above[j] & (1 << i):
-                    raise PreconditionError(f"antisymmetry violated on ({i},{j})")
-                if above[j] & ~above[i]:
+            for j in mask_elements(above[i]):
+                if above[j - 1] & (1 << i):
+                    raise PreconditionError(f"antisymmetry violated on ({i},{j - 1})")
+                if above[j - 1] & ~above[i]:
                     raise PreconditionError(
-                        f"relation not transitive at ({i},{j}); pass close=True"
+                        f"relation not transitive at ({i},{j - 1}); pass close=True"
                     )
         below = [0] * k
         for i in range(k):
@@ -93,7 +93,7 @@ class FinitePoset:
         return i == j or self.lt(i, j) or self.lt(j, i)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.k) for j in _bits(self.above[i])]
+        return [(i, j - 1) for i in range(self.k) for j in mask_elements(self.above[i])]
 
     def dual(self) -> "FinitePoset":
         return _from_rows(self.below, self.above)
@@ -138,13 +138,6 @@ def _from_rows(above: Sequence[int], below: Sequence[int]) -> FinitePoset:
     return p
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _transitive_close(above: list[int]) -> None:
     k = len(above)
     changed = True
@@ -152,8 +145,8 @@ def _transitive_close(above: list[int]) -> None:
         changed = False
         for i in range(k):
             acc = above[i]
-            for j in _bits(above[i]):
-                acc |= above[j]
+            for j in mask_elements(above[i]):
+                acc |= above[j - 1]
             if acc != above[i]:
                 above[i] = acc
                 changed = True

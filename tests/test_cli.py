@@ -11,6 +11,7 @@ import random
 import shlex
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +108,31 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"parse error: {message}: byte ")
         assert captured.out == ""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("body,error", [
+        (b"1\n4\n" + b"\n" * 20000 + b"\xff\n", "line 3: element 4 outside ground set [3]"),
+        (b"1\n4\n\xff\n", "family file is not ascii text: byte 0xff (ordinal not in range(128))"),
+        (b"1\n2\n1\n", "line 4: duplicate subset '1'"),
+    ], ids=["bad-byte-past-first-block", "bad-byte-in-first-block", "duplicate"])
+    def test_family_from_a_pipe_exits_2(self, capsys, tmp_path, body, error):
+        """A pipe cannot be read again from its top, so it is streamed line
+        by line: a malformed line is named when the text layer decodes it
+        before the bad byte (its first 8 KiB block ends before the byte)."""
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+
+        def write():
+            fd = os.open(path, os.O_WRONLY)
+            os.write(fd, b"n=3\n" + body)     # one write: all or none of it is read
+            os.close(fd)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        code = main(["lubell", "--family", str(path)])
+        writer.join()
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (2, f"parse error: {error}\n", "")
 
     @pytest.mark.parametrize("flag,literal", [
         ("--top", "\u0661,1_0"), ("--top", "0_2"), ("--bottom", "\u0661"),
@@ -235,18 +261,25 @@ class TestFlagErrors:
 
     def test_derived_rational_too_long_to_print_exits_3(self, capsys, monkeypatch):
         """eps 1e-3000 prints, but a cascade level below it has more than
-        4300 digits.  The m* search behind the mass bounds takes about a
-        minute at this eps, and no printed level depends on it, so it is
-        stubbed to 1."""
+        4300 digits; so has a level below eps 1/2 at m = 4.  The levels are
+        checked before the m* search behind the mass bounds, which takes
+        about a minute at the first and 20 s at the second, so here it
+        raises if it is called."""
         from cubefam import concentration
 
-        monkeypatch.setattr(concentration, "_level_threshold", lambda e, k: 1)
-        assert main(["cascade", "-m", "2", "--eps", "1e-3000"]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "precondition violated: a derived rational near 1e-6001 has too many digits to print\n"
-        )
-        assert captured.out == ""
+        def no_search(e, k):
+            raise AssertionError("the m* search ran")
+
+        monkeypatch.setattr(concentration, "_level_threshold", no_search)
+        for argv, near in ((["-m", "2", "--eps", "1e-3000"], "1e-6001"),
+                           (["-m", "4", "--eps", "1/2"], "1e-6575")):
+            assert main(["cascade", *argv]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"precondition violated: a derived rational near {near} has too many digits"
+                " to print\n"
+            )
+            assert captured.out == ""
 
     def test_tolerance_out_of_range_named_by_magnitude(self, capsys):
         """-1e-3000 prints, but the message names its magnitude rather

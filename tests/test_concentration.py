@@ -474,6 +474,22 @@ def test_trace_order_above_m_report_matches_full_constants():
     assert verify_trace_probability(n, m, r, eps, {0b111}, 100, seed=4) == want
 
 
+@pytest.mark.parametrize("n,m,verdict,combs", [
+    (71, 71, "inconclusive", [(71, 2)]),
+    (80, 20, "hypothesis-failed", [(80, 2)]),
+], ids=["n-equals-m", "hypothesis-fails"])
+def test_trace_computes_each_binomial_once(monkeypatch, n, m, verdict, combs):
+    """C(m, r) stands in for C(n, r) when n == m and caps the count at
+    min(|T|, C(m, r)); from r = 2 on, a failed hypothesis forms no
+    count_min.  At eps = 1 and r = 2, m0 = 71."""
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda a, b: calls.append((a, b)) or comb(a, b))
+    rep = verify_trace_probability(n, m, 2, Fraction(1), {0b11}, 0, seed=1)
+    assert rep.verdict == verdict
+    assert calls == combs
+
+
 def test_trace_member_error_comes_before_the_hypothesis():
     with pytest.raises(PreconditionError, match="not an r-subset"):
         verify_trace_probability(100, 10, 150, Fraction(1, 2), {0b11}, 0, seed=1)
@@ -628,8 +644,8 @@ def test_decided_tail_matches_the_draws(m, k, n, t, hits):
 def test_supports_hold_over_every_subset(n):
     """Over every m-subset X of an n-set: the tail's p is 0 or 1 exactly
     when every X agrees on the event, and the trace's count never passes
-    ``_trace_top`` (reached when T is empty or a whole layer), so an event
-    above it is one that no X reaches."""
+    min(|T|, C(m, r)) (reached when T is empty or a whole layer), so an
+    event above it is one that no X reaches."""
     by_m = [
         [sum(1 << e for e in c) for c in itertools.combinations(range(n), m)]
         for m in range(n + 1)
@@ -648,7 +664,7 @@ def test_supports_hold_over_every_subset(n):
         for T, reached in ((layer, True), ([], True), (part, False), (layer[:2], False)):
             for m, xs in enumerate(by_m):
                 counts = [sum(t & x == t for t in T) for x in xs]
-                top = concentration._trace_top(m, r, len(T))
+                top = min(len(T), math.comb(m, r))
                 assert max(counts) <= top
                 if reached:
                     assert max(counts) == top

@@ -8,7 +8,8 @@ check and the integer Lubell weights are each written once, and the m*
 search runs only in ``concentration_constants``; every
 module-level function and class of the package is used by the package, or
 kept by name; no function only hands its arguments on to another one of
-the package, unless kept by name; the README lists exactly the stop
+the package, unless kept by name; a mask's set bits are walked in
+one place, apart from three hot kernels; the README lists exactly the stop
 statuses of ``extraction``; every committed ``BENCH_*.json`` parses as a
 JSON object.
 
@@ -489,6 +490,102 @@ def test_m_star_scan_flags_other_callers():
     assert lines_outside(tree, "concentration_constants", calls_to("_level_threshold")) == [5, 6]
 
 
+# The functions that walk a mask's set bits by ``x & -x``: the one walk of
+# the mask toolkit, and the hot kernels that keep theirs inline.
+BIT_WALKS = {
+    ("families.py", "_set_bits"): "the one walk, shared by the mask toolkit",
+    ("posets.py", "toggle_bits"): "hot kernel: the host rows of the extremal search",
+    ("posets.py", "peel"): "hot kernel: the chain rooms of every containment search",
+    ("posets.py", "_search_loop"): "hot kernel: the containment search's candidates",
+}
+
+
+def lowest_bit_of(node: ast.AST):
+    """The source of x when ``node`` is ``x & -x`` or ``-x & x``, the
+    lowest set bit of x; else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+        for x, neg in ((node.left, node.right), (node.right, node.left)):
+            if (isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.USub)
+                    and ast.unparse(neg.operand) == ast.unparse(x)):
+                return ast.unparse(x)
+    return None
+
+
+def assigned_in(loop: ast.AST) -> set:
+    """The sources of the names and items a loop's body assigns to."""
+    found = set()
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.NamedExpr)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            found.update(map(ast.unparse, getattr(target, "elts", [target])))
+    return found
+
+
+def bit_walks(tree: ast.Module) -> list[str]:
+    """The function (``<module>`` at top level) around each walk over a
+    mask's bits: a loop that takes the lowest set bit of x, ``x & -x``,
+    and assigns to x."""
+    walks = {}
+    stack = [(tree, "<module>")]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, (ast.While, ast.For)):
+            assigned = assigned_in(node)
+            for inner in ast.walk(node):
+                if lowest_bit_of(inner) in assigned:
+                    walks[id(inner)] = owner
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return sorted(walks.values())
+
+
+def test_bits_walked_in_one_place():
+    """A mask's set bits are walked by ``families._set_bits``, apart from
+    the hot kernels that keep their walk inline."""
+    found = {
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "cubefam").glob("*.py"))
+        for owner in bit_walks(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == set(BIT_WALKS)
+
+
+def test_bit_walk_scan_flags_walks_only():
+    tree = ast.parse(
+        "def walk(mask):\n"
+        "    while mask:\n"
+        "        low = mask & -mask\n"
+        "        mask ^= low\n"
+        "def lowest(x):\n"
+        "    return x & -x\n"
+        "def drop(subs, m):\n"
+        "    for s in subs:\n"
+        "        m ^= s & -s\n"
+        "def keep(m, x):\n"
+        "    for _ in range(m):\n"
+        "        low = x & -x\n"
+        "        x -= low\n"
+        "def other(a, b):\n"
+        "    while a:\n"
+        "        a = a & -b\n"
+        "class Scan:\n"
+        "    def rows(self, cand):\n"
+        "        while True:\n"
+        "            c, d = cand[0], 1\n"
+        "            if -c & c:\n"
+        "                self.m ^= self.m & -self.m\n"
+        "while todo:\n"
+        "    todo ^= todo & -todo\n"
+    )
+    assert bit_walks(tree) == ["<module>", "keep", "rows", "rows", "walk"]
+
+
 # Module-level functions and classes that no package module refers to,
 # kept on purpose, one reason each.  Everything else unreferenced is dead.
 KEEP = {
@@ -500,6 +597,7 @@ KEEP = {
     "restrict_interval": "the reference that relative_lubell is tested against",
     "full_power_set": "public constructor of families for the family file format",
     "write_family": "public writer of the documented family file format",
+    "parse_family": "public reader of the documented family file format, for lines in memory",
 }
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
