@@ -53,7 +53,6 @@ from .posets import (
     height,
     make_chain,
     peel,
-    rows_from_columns,
     toggle_bits,
     verify_embedding_masks,
 )
@@ -62,6 +61,8 @@ _MIDDLE_LAYERS_CAP = 10
 # The search lists all 2^n candidate masks before any node is charged,
 # so larger grounds are refused up front.
 _EXTREMAL_CAP = 16
+# ``_Feasibility.probe`` when no rows are kept: no mask is negative.
+_NO_PROBE = (-1, 0, 0)
 
 
 def middle_layer_order(n: int) -> list:
@@ -117,6 +118,7 @@ class _Feasibility:
         self.chosen: set = set()
         self.copies: dict = {}
         self.cols = [0] * n
+        self.probe = _NO_PROBE
         self.above: list = []
         self.below: list = []
         self.apart = [] if mode == "induced" and self.chain_k is None else None
@@ -124,8 +126,27 @@ class _Feasibility:
             self.through = AnchoredSearch(pattern, mode, (self.above, self.below, self.apart))
 
     def _rows_of(self, x: int) -> tuple:
-        """(up, down): the members strictly above and strictly below x."""
-        return rows_from_columns(self.cols, x, (1 << len(self.masks)) - 1)
+        """(up, down): the members strictly above and strictly below x.
+
+        ``up`` is the AND of the columns of x's points and ``down`` the
+        members holding no point outside x (a member equal to x would be
+        in both).  The last rows found are kept in ``probe`` until a push
+        or pop changes the columns, so ``push(x)`` after ``ok(x)`` reuses
+        them.
+        """
+        if self.probe[0] != x:
+            everyone = (1 << len(self.masks)) - 1
+            up = everyone
+            out = 0                  # members holding a point outside x
+            a = x
+            for col in self.cols:
+                if a & 1:
+                    up &= col
+                else:
+                    out |= col
+                a >>= 1
+            self.probe = (x, up, everyone ^ out)
+        return self.probe[1:]
 
     def ok(self, x: int) -> bool:
         if self.chain_k is not None:
@@ -152,7 +173,7 @@ class _Feasibility:
     def push(self, x: int) -> None:
         up, down = self._rows_of(x)
         bit = 1 << len(self.masks)
-        toggle_bits(self.cols, x, bit)
+        self._flip(x, bit)
         self._append(x, up, down)
         self._relink(up, down, bit)
         self.chosen.add(x)
@@ -162,8 +183,14 @@ class _Feasibility:
         self._drop()
         bit = 1 << len(self.masks)
         self._relink(up, down, bit)
-        toggle_bits(self.cols, x, bit)
+        self._flip(x, bit)
         self.chosen.remove(x)
+
+    def _flip(self, x: int, bit: int) -> None:
+        """Enter (or remove) the member at ``bit`` in the columns of x's
+        points; the rows kept in ``probe`` go stale."""
+        toggle_bits(self.cols, x, bit)
+        self.probe = _NO_PROBE
 
     def _append(self, x: int, up: int, down: int) -> None:
         """Give x the rows of a new last member, in its own rows only."""

@@ -7,10 +7,13 @@ of host elements at once (the bit-vector method of Ullmann, "Bit-vector
 algorithms for binary constraint satisfaction and subgraph isomorphism",
 2010): the candidates for each pattern element are one int, the AND of
 the chain-room mask, the unused elements and the rows of the images
-already chosen.  Inclusion hosts are built the same way, from one column
-bitset per ground element; the row helpers (``toggle_bits``,
-``rows_from_columns``, ``peel``) also keep the extremal search's
-incremental host.
+already chosen.  Inclusion hosts are built a few ground points at a time
+(``family_as_poset``): per chunk of points, a table of the members by
+chunk value, summed over its subsets and supersets (the zeta transform of
+Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast
+subset convolution", 2007), and a member's row is the AND of its chunks'
+entries.  The chain rooms come from ``peel``, which the extremal search's
+incremental host also uses, with ``toggle_bits`` for its rows.
 
 ``contains_subposet`` is the independent oracle the rest of the package
 uses to validate every embedding it produces, so it re-verifies its own
@@ -181,27 +184,58 @@ def make_cube(m: int) -> FinitePoset:
 def family_as_poset(masks: Iterable[int]) -> FinitePoset:
     """Distinct masks ordered by strict inclusion; element i is the i-th mask.
 
-    A ``SetFamily`` iterates its members in ascending order.  The rows are
-    built from one column bitset per ground element (the members holding
-    it) by ``rows_from_columns``.  Inclusion is transitive by
-    construction, so ``FinitePoset``'s validation is skipped.
+    The ground points are cut into chunks of w points, w about half the
+    bit length of the member count N (at most 8), so a chunk's table of
+    2^w entries stays near 2*sqrt(N), small beside the N rows it feeds.
+    For each chunk value v, ``sup[v]``
+    is the set of members whose chunk holds v and ``sub[v]`` the set of
+    those whose chunk lies inside v: one pass groups the members by
+    chunk value, then a superset (subset) sum over the chunk's points
+    spreads each group to the values below (above) it.  A member's above
+    row is the AND of ``sup`` at its chunk values minus itself, and its
+    below row the same with ``sub``: O(N*ceil(n/w) + ceil(n/w)*w*2^w)
+    big-int operations on n points.  A repeated mask would show as a
+    member whose two rows share a member, and is refused.  Inclusion is
+    transitive by construction, so ``FinitePoset``'s validation is
+    skipped.
     """
     masks = list(masks)
     if masks and min(masks) < 0:
         raise PreconditionError("masks must be nonnegative")
-    cols = [0] * max(masks, default=0).bit_length()
-    bit = 1
-    for a in masks:
-        toggle_bits(cols, a, bit)
-        bit <<= 1
+    n = max(masks, default=0).bit_length()
+    w = min(8, (len(masks).bit_length() + 2) // 2)
+    tables = []
+    for shift in range(0, n, w):
+        size = 1 << min(w, n - shift)
+        chunk = size - 1
+        sup = [0] * size
+        bit = 1
+        for a in masks:
+            sup[a >> shift & chunk] |= bit
+            bit <<= 1
+        sub = sup[:]
+        step = 1
+        while step < size:
+            for v in range(size):
+                if v & step:
+                    sup[v ^ step] |= sup[v]
+                    sub[v] |= sub[v ^ step]
+            step <<= 1
+        tables.append((shift, chunk, sup, sub))
     everyone = (1 << len(masks)) - 1
     above = []
     below = []
     bit = 1
     for a in masks:
-        sup, sub = rows_from_columns(cols, a, everyone)
-        above.append(sup ^ bit)
-        below.append(sub ^ bit)
+        up = down = everyone
+        for shift, chunk, sup, sub in tables:
+            v = a >> shift & chunk
+            up &= sup[v]
+            down &= sub[v]
+        if up & down != bit:
+            raise PreconditionError(f"masks must be distinct, got {a:#x} twice")
+        above.append(up ^ bit)
+        below.append(down ^ bit)
         bit <<= 1
     return _from_rows(above, below)
 
@@ -214,25 +248,6 @@ def toggle_bits(rows: list, where: int, bit: int) -> None:
         where ^= low
 
 
-def rows_from_columns(cols: Sequence[int], a: int, everyone: int) -> tuple:
-    """(sup, sub): the members holding every point of ``a``, and those
-    holding no point outside it.
-
-    ``cols[p]`` is the bitset of members holding ground point p and
-    ``everyone`` the set of all members; a member equal to ``a`` is in
-    both.
-    """
-    sup = everyone
-    out = 0                  # members holding a point outside a
-    for col in cols:
-        if a & 1:
-            sup &= col
-        else:
-            out |= col
-        a >>= 1
-    return sup, everyone ^ out
-
-
 def peel(rel: Sequence[int], rest: int, stop: int = 0) -> list[int]:
     """rooms[r]: the elements of ``rest`` with a chain of at least r
     elements of ``rest`` strictly below them, where ``rel[i]`` is the set
@@ -241,21 +256,30 @@ def peel(rel: Sequence[int], rest: int, stop: int = 0) -> list[int]:
     Found by peeling off the minimal elements round by round, so
     ``len(rooms)`` is the height of ``rest``.  With ``stop`` > 0 the
     peeling ends once ``stop`` rooms are listed: ``len(rooms)`` is then
-    min(height, stop), and a stop of 1 costs no round at all.
+    min(height, stop), and a stop of 1 costs no round at all.  A round
+    tests only the indices still in ``rest``, one AND each, from a list
+    that keeps the round's survivors.
     """
     rooms = []
+    live = None
     while rest:
         rooms.append(rest)
         if len(rooms) == stop:
             break
+        if live is None:
+            if rest.bit_count() == len(rel):
+                live = range(len(rel))
+            else:
+                live = [j - 1 for j in mask_elements(rest)]
+        kept = []
         layer = 0
-        scan = rest
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            if not rel[low.bit_length() - 1] & rest:
-                layer |= low
+        for i in live:
+            if rel[i] & rest:
+                kept.append(i)
+            else:
+                layer |= 1 << i
         rest ^= layer
+        live = kept
     return rooms
 
 
@@ -314,7 +338,9 @@ def contains_subposet(
     (``_search_plan``).  The candidates for the element at each depth
     form one bitset (``_search_loop``): the host elements with enough
     chain room (an element with a chain of length a below it needs an
-    image with at least that much room below, and likewise above), minus
+    image with at least that much room below, and likewise above: the
+    host's rooms are peeled from its ``below`` and ``above`` rows, only
+    as deep as the plan reads them), minus
     the images in use, intersected with the ``above`` or ``below`` row of
     each image already assigned, and in induced mode with the complement
     of both rows for each incomparable pair.  Candidates are tried in

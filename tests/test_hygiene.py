@@ -495,7 +495,6 @@ def test_m_star_scan_flags_other_callers():
 BIT_WALKS = {
     ("families.py", "_set_bits"): "the one walk, shared by the mask toolkit",
     ("posets.py", "toggle_bits"): "hot kernel: the host rows of the extremal search",
-    ("posets.py", "peel"): "hot kernel: the chain rooms of every containment search",
     ("posets.py", "_search_loop"): "hot kernel: the containment search's candidates",
 }
 

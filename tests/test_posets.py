@@ -16,6 +16,7 @@ from cubefam.posets import (
     make_cube,
     make_v,
     parse_poset,
+    peel,
     verify_embedding_indices,
     verify_embedding_masks,
 )
@@ -103,7 +104,11 @@ def test_family_as_poset_matches_inclusion():
 
 
 def test_family_as_poset_equals_validated_poset():
-    """The direct row builder agrees with FinitePoset's validated pairs."""
+    """The chunk-table row builder agrees with FinitePoset's validated
+    pairs on small families, and with the pairwise rows on unsorted
+    masks, at member counts on both sides of each change of the chunk
+    width up to 1024 (it is about half the bit length of the count) and
+    on ground sizes that are not all multiples of it."""
     rng = random.Random(515)
     for _ in range(60):
         n = rng.randint(0, 7)
@@ -118,6 +123,12 @@ def test_family_as_poset_equals_validated_poset():
         want = FinitePoset(k, pairs)
         assert got.k == k
         assert got.above == want.above and got.below == want.below
+    for count in (1, 2, 3, 4, 7, 8, 16, 17, 31, 32, 127, 128, 256, 257, 511, 512, 1024):
+        least = (count - 1).bit_length()
+        for n in (least, least + 3, least + 9):
+            masks = rng.sample(range(1 << n), count)
+            got = family_as_poset(masks)
+            assert (got.above, got.below) == _pairwise_rows(masks), (count, n)
 
 
 def _pairwise_rows(masks):
@@ -156,6 +167,17 @@ def test_family_as_poset_rejects_negative_masks():
         family_as_poset([0b1, -2])
 
 
+@pytest.mark.parametrize(
+    "masks", [[1, 1, 3], [0, 0], [5, 3, 1 << 70, 3], list(range(40)) + [17]],
+    ids=["adjacent", "empty-set", "apart", "wide-table"],
+)
+def test_family_as_poset_rejects_repeated_masks(masks):
+    """A repeated mask would make a cyclic relation, which the search
+    would then report as a certificate failure."""
+    with pytest.raises(PreconditionError, match="distinct"):
+        family_as_poset(masks)
+
+
 def _kernel_cases():
     rng = random.Random(2718)
     for trial in range(160):
@@ -165,6 +187,48 @@ def _kernel_cases():
             fam = random_family(rng, rng.randint(1, 5), rng.uniform(0.2, 0.9))
             host = family_as_poset(fam)
         yield host, random_poset(rng, rng.randint(1, 5), rng.random())
+    # Family hosts on 6 to 8 points: index-ordered, with chain rooms of
+    # three or more levels below and above.
+    rng = random.Random(3141)
+    for _ in range(24):
+        fam = random_family(rng, rng.randint(6, 8), rng.uniform(0.1, 0.3))
+        yield family_as_poset(fam), random_poset(rng, rng.randint(2, 5), rng.random())
+
+
+def _reference_rooms(rel, rest, stop):
+    """``peel`` by its definition: rooms[r] holds the elements of ``rest``
+    with a chain of at least r elements of ``rest`` strictly below."""
+    members = [i for i in range(len(rel)) if rest >> i & 1]
+    depth = {}
+    # An element below i has fewer elements of rest below it than i has.
+    for i in sorted(members, key=lambda i: (rel[i] & rest).bit_count()):
+        depth[i] = max((depth[j] + 1 for j in members if rel[i] >> j & 1), default=0)
+    height = max(depth.values(), default=-1) + 1
+    count = min(height, stop) if stop else height
+    return [sum(1 << i for i in members if depth[i] >= r) for r in range(count)]
+
+
+def test_peel_matches_longest_chains():
+    """Every stop from none to height + 1, below and above, on the whole
+    host and on a random part of it: index-ordered family hosts, shuffled
+    family hosts and random posets."""
+    rng = random.Random(1618)
+    for trial in range(90):
+        if trial % 3 == 0:
+            host = random_poset(rng, rng.randint(0, 12), rng.random())
+        else:
+            masks = sorted(random_family(rng, rng.randint(1, 7), rng.uniform(0.1, 0.6)).members)
+            if trial % 3 == 2:
+                rng.shuffle(masks)
+            host = family_as_poset(masks)
+        everyone = (1 << host.k) - 1
+        for rel in (host.below, host.above):
+            for rest in (everyone, rng.getrandbits(host.k) if host.k else 0):
+                height = len(_reference_rooms(rel, rest, 0))
+                for stop in range(height + 2):
+                    assert peel(rel, rest, stop) == _reference_rooms(rel, rest, stop), (
+                        trial, stop
+                    )
 
 
 @pytest.mark.parametrize("mode", ["weak", "induced"])
