@@ -80,24 +80,21 @@ def _batches(trials: int, seed: int, size: int):
         yield min(size, trials - start), np.random.Generator(base.jumped(j))
 
 
-def _urn(gen, n: int, room: int, steps: int, rows: int, out=None):
+def _urn(gen, n: int, room: int, steps: int, rows: int, out) -> None:
     """``rows`` independent walks of ``steps`` draws without replacement
-    from an urn of n elements, ``room`` of them marked; the marked ones
-    left in each row's urn after the walk.
+    from an urn of n elements, ``room`` of them marked.
 
     Draw j picks uniformly among the n - j elements not yet drawn, so it
     hits a marked one exactly when it falls below the marked count left,
-    which then drops by one.  Row j of ``out``, if given, records which
-    rows draw j hit.  One draw, one compare and one in-place subtract per
-    step, for every row at once.
+    which then drops by one.  Row j of ``out`` records which rows draw j
+    hit.  One draw, one compare and one in-place subtract per step, for
+    every row at once.
     """
     import numpy as np
 
     left = np.full(rows, room, dtype=np.intp)
     for j in range(steps):
-        left -= np.less(gen.integers(0, n - j, size=rows), left,
-                        out=None if out is None else out[j])
-    return left
+        left -= np.less(gen.integers(0, n - j, size=rows), left, out=out[j])
 
 
 def _tail_counts(m: int, k: int, n: int, trials: int, seed: int):

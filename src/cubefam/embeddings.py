@@ -11,8 +11,7 @@ a pattern is a plain tuple of masks indexed by the pattern's elements.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,12 +42,14 @@ class DenseTruncatedFamily:
     ``present`` holds the member masks; a co-small host is complemented
     by the caller first.  The class-membership test at tolerance eps is
     ``dense_class_check``: every layer within the truncation must retain
-    a (1-eps) fraction of its binomial count.
+    a (1-eps) fraction of its binomial count; ``layer_counts[s]`` counts
+    the members of size s.
     """
 
     n: int
     m: int
     present: frozenset
+    layer_counts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.m <= self.n <= MAX_GROUND:
@@ -56,19 +57,21 @@ class DenseTruncatedFamily:
                 f"need 0 <= m <= n <= {MAX_GROUND}, got m={self.m}, n={self.n}"
             )
         full = (1 << self.n) - 1
+        counts = [0] * (self.m + 1)
         for mask in self.present:
             if mask & ~full:
                 raise PreconditionError(f"mask {mask:#x} leaves the ground set")
             size = mask.bit_count()
             if size > self.m:
                 raise PreconditionError(f"mask of size {size} above truncation {self.m}")
+            counts[size] += 1
+        object.__setattr__(self, "layer_counts", tuple(counts))
 
 
 def dense_class_check(fam: DenseTruncatedFamily, eps) -> bool:
     """True iff every truncation layer keeps at least a (1-eps) fraction."""
     eps = check_tolerance(eps)
-    counts = Counter(mask.bit_count() for mask in fam.present)
-    return all(counts[i] >= dense_need(eps, fam.n, i) for i in range(fam.m + 1))
+    return all(c >= dense_need(eps, fam.n, s) for s, c in enumerate(fam.layer_counts))
 
 
 def universality_epsilon(m: int) -> Fraction:

@@ -49,11 +49,12 @@ def magnitude(x) -> str:
 
 
 @contextlib.contextmanager
-def open_text(path, encoding: str, what: str):
-    """``path`` opened for reading text; a path that cannot be opened, or a
-    byte the codec rejects, is a ParseError."""
+def open_text(path, encoding: str, what: str, errors: str = "strict"):
+    """``path`` opened for reading text with the codec error handler
+    ``errors``; a path that cannot be opened, or under "strict" a byte the
+    codec rejects, is a ParseError."""
     try:
-        fh = open(path, "r", encoding=encoding)
+        fh = open(path, "r", encoding=encoding, errors=errors)
     except OSError as exc:
         raise ParseError(str(exc)) from exc
     with fh:

@@ -258,12 +258,24 @@ def parse_header(lines: Iterator[str], key: str, kind: str, what: str) -> int:
         header = next(lines).strip()
     except StopIteration:
         raise ParseError(f"empty {kind} input: missing '{key}=<int>' header") from None
+    check_ascii_line(header, 1, kind)
     if not header.startswith(key + "="):
         raise ParseError(f"expected '{key}=<int>' header, got {header!r}")
     try:
         return parse_decimal(header[len(key) + 1:])
     except ValueError:
         raise ParseError(f"bad {what} in header {header!r}") from None
+
+
+def check_ascii_line(line: str, lineno: int, kind: str) -> None:
+    """Raise ``line N: <kind> file is not ascii text: byte 0x..`` if ``line``
+    holds a byte outside ASCII, decoded to U+DC00 + byte by the handler
+    ``surrogateescape``: the one bad-byte rule of family and poset files."""
+    if not line.isascii():
+        for ch in line:
+            if "\udc80" <= ch <= "\udcff":
+                byte = ord(ch) - 0xDC00
+                raise ParseError(f"line {lineno}: {kind} file is not ascii text: byte {byte:#04x}")
 
 
 def _header_size(lines: Iterator[str]) -> int:
@@ -282,43 +294,28 @@ _CHUNK_CHARS = 1 << 16
 
 
 def read_family(path) -> SetFamily:
-    """The family in the file at ``path``, read as ``parse_family`` reads it.
-
-    The body is read in chunks of ``_CHUNK_CHARS`` characters, each read on
-    to the end of the line it stops in, and each chunk goes through
-    ``_add_block``.  A file of ``_BULK_BYTES`` (1 MiB) or more, by
-    ``os.fstat``, has its canonical lines decoded with numpy
-    (``_numpy_masks``), smaller files by table lookup (``_line_masks``):
-    importing numpy in a fresh process costs about as much as it saves on
-    1 MB of family lines, so the gate sits at that break-even, and the
-    subcommands that compute exactly stay numpy-free on small families.
-
-    A byte outside ASCII ends the chunk loop, and ``_exact_lines`` reads
-    the file again from its top, one line at a time, so that a malformed
-    or duplicate line the text layer decodes before that byte is named
-    first.  A pipe cannot be read again, so ``_exact_lines`` streams it
-    from the start, in that same order.
+    """The family in the file or pipe at ``path``, read as ``parse_family``
+    reads it: in chunks of ``_CHUNK_CHARS`` characters, each read on to the
+    end of the line it stops in and handed to ``_add_block``.  Decoding is
+    by the ``surrogateescape`` handler, so a byte outside ASCII never stops
+    the loop: ``_add_block`` sends its chunk to ``_exact_lines``, which names
+    the first bad line in line order.  A file of ``_BULK_BYTES`` (1 MiB) or
+    more, by ``os.fstat``, is decoded with numpy (``_numpy_masks``), smaller
+    ones and pipes by table lookup (``_line_masks``): a fresh numpy import
+    costs about what it saves on 1 MB of lines, so exact subcommands on
+    small families stay numpy-free.
     """
-    with open_text(path, "ascii", "family file") as fh:
+    with open_text(path, "ascii", "family file", "surrogateescape") as fh:
         n = _header_size(fh)
         decode = _numpy_masks if os.fstat(fh.fileno()).st_size >= _BULK_BYTES else _line_masks
         seen: set[int] = set()
-        if not fh.seekable():                    # a pipe
-            _exact_lines(fh, n, seen, 2)
-            return SetFamily(n, seen)
         lineno = 2
-        try:
-            while block := fh.read(_CHUNK_CHARS):
-                block += fh.readline()           # the rest of the chunk's last line
-                if not block.endswith("\n"):     # no newline at the end of the file
-                    block += "\n"
-                _add_block(block, n, seen, lineno, decode)
-                lineno += block.count("\n")
-        except UnicodeDecodeError:
-            fh.seek(0)
-            next(fh)                             # the header, read already
-            seen.clear()
-            _exact_lines(fh, n, seen, 2)
+        while block := fh.read(_CHUNK_CHARS):
+            block += fh.readline()               # the rest of the chunk's last line
+            if not block.endswith("\n"):         # no newline at the end of the file
+                block += "\n"
+            _add_block(block, n, seen, lineno, decode)
+            lineno += block.count("\n")
         return SetFamily(n, seen)
 
 
@@ -329,28 +326,30 @@ def _add_block(text: str, n: int, seen: set, lineno: int, decode) -> None:
     ``decode(text, n)`` gives the masks of the canonical lines -- the
     elements in ascending order, written as ``str(e)`` and joined by ","
     -- and the other lines, which go to ``parse_subset_literal`` (blank
-    ones are skipped).  A block that holds a malformed line, or a mask
-    repeated in it or already in ``seen``, is read again by
-    ``_exact_lines``, which names its first error in line order.
+    ones are skipped).  A block with a byte outside ASCII, a malformed
+    line, or a mask repeated in it or already in ``seen``, is read again
+    by ``_exact_lines``, which names its first error in line order.
     """
-    masks, missed = decode(text, n)
-    try:
-        masks += [parse_subset_literal(line, n) for line in map(str.strip, missed) if line]
-        fresh = set(masks)
-        clean = len(fresh) == len(masks) and seen.isdisjoint(fresh)
-    except ParseError:
-        clean = False
-    if clean:
-        seen |= fresh
-    else:
-        _exact_lines(text.split("\n"), n, seen, lineno)
+    if text.isascii():
+        masks, missed = decode(text, n)
+        try:
+            masks += [parse_subset_literal(line, n) for line in map(str.strip, missed) if line]
+            fresh = set(masks)
+            if len(fresh) == len(masks) and seen.isdisjoint(fresh):
+                seen |= fresh
+                return
+        except ParseError:
+            pass
+    _exact_lines(text.split("\n"), n, seen, lineno)
 
 
 def _exact_lines(lines: Iterable[str], n: int, seen: set, lineno: int) -> None:
     """Add the subsets of ``lines``, the first numbered ``lineno``, to
     ``seen``, each by ``parse_subset_literal``: the one reader that raises
-    a line's error, at the first malformed or duplicate line in line order."""
+    a line's error, at the first line in line order with a bad byte
+    (``check_ascii_line``), a malformed literal or a duplicate subset."""
     for lineno, raw in enumerate(lines, start=lineno):
+        check_ascii_line(raw, lineno, "family")
         line = raw.strip()
         if not line:
             continue

@@ -186,9 +186,7 @@ def is_fat(X: int, S, eps, r: int) -> bool:
 
     S is a set of r-subset masks; its members outside X are ignored.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise PreconditionError(f"fatness tolerance must be positive, got {eps}")
+    eps = check_tolerance(eps, "fatness tolerance")
     width = X.bit_count()
     if len(S) < math.comb(width, r):
         count = sum(1 for s in S if s & ~X == 0)

@@ -41,7 +41,7 @@ from .errors import (
     SearchBudgetExceeded,
     open_text,
 )
-from .families import mask_elements, parse_decimal, parse_header
+from .families import check_ascii_line, mask_elements, parse_decimal, parse_header
 
 CUBE_DIM_CAP = 5
 # The node budget of the CLI's containment searches, weak and induced.
@@ -600,6 +600,7 @@ def parse_poset(lines: Iterable[str]) -> FinitePoset:
     k = parse_header(it, "k", "poset", "element count")
     pairs = []
     for lineno, raw in enumerate(it, start=2):
+        check_ascii_line(raw, lineno, "poset")
         line = raw.strip()
         if not line:
             continue
@@ -618,5 +619,5 @@ def parse_poset(lines: Iterable[str]) -> FinitePoset:
 
 
 def read_poset(path) -> FinitePoset:
-    with open_text(path, "ascii", "poset file") as fh:
+    with open_text(path, "ascii", "poset file", "surrogateescape") as fh:
         return parse_poset(fh)

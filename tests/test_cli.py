@@ -95,9 +95,10 @@ class TestErrorExits:
         assert "parse error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,data,message", [
-        (["lubell", "--family"], b"n=3\n1,2\n\xc3\xa9\n", "family file is not ascii text"),
+        (["lubell", "--family"], b"n=3\n1,2\n\xc3\xa9\n",
+         "line 3: family file is not ascii text"),
         (["middle-layers", "--n", "3", "--pattern"], b"k=2\n0 < 1\n\xc3\xa9\n",
-         "poset file is not ascii text"),
+         "line 3: poset file is not ascii text"),
         (["report", "--config"], b'{"subcommand": "lubell", "params": {"family": "\xff"}}',
          "config file is not utf-8 text"),
     ], ids=["family", "poset", "config"])
@@ -112,13 +113,15 @@ class TestErrorExits:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("body,error", [
         (b"1\n4\n" + b"\n" * 20000 + b"\xff\n", "line 3: element 4 outside ground set [3]"),
-        (b"1\n4\n\xff\n", "family file is not ascii text: byte 0xff (ordinal not in range(128))"),
+        (b"1\n4\n\xff\n", "line 3: element 4 outside ground set [3]"),
+        (b"1\n\xff\n4\n", "line 3: family file is not ascii text: byte 0xff"),
         (b"1\n2\n1\n", "line 4: duplicate subset '1'"),
-    ], ids=["bad-byte-past-first-block", "bad-byte-in-first-block", "duplicate"])
+    ], ids=["bad-byte-past-first-block", "bad-byte-in-first-block", "bad-byte-first",
+            "duplicate"])
     def test_family_from_a_pipe_exits_2(self, capsys, tmp_path, body, error):
-        """A pipe cannot be read again from its top, so it is streamed line
-        by line: a malformed line is named when the text layer decodes it
-        before the bad byte (its first 8 KiB block ends before the byte)."""
+        """A pipe goes through the chunk loop as a file does, so the first
+        bad line in line order is named, a bad byte or a malformed line,
+        wherever the text layer's decoding blocks end."""
         path = tmp_path / "pipe"
         os.mkfifo(path)
 

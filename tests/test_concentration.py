@@ -45,13 +45,15 @@ def _trace_hits(n: int, m: int, cols: np.ndarray, count_min: int, trials: int, s
 
 
 def test_sample_uniform_subsets_shape_and_range():
-    """A walk over all n elements puts exactly m of them in X and leaves
-    no marked element in the urn."""
+    """A walk over all n elements puts exactly m of them in X: every one
+    of the urn's rows hits m of its n draws."""
     subs = _subsets(30, 7, 500, seed=2)
     assert subs.shape == (500, 30)
     assert (subs.sum(axis=1) == 7).all()
     gen = np.random.Generator(np.random.Philox(key=2))
-    assert not concentration._urn(gen, 30, 7, 30, 500).any()
+    picked = np.zeros((30, 500), dtype=bool)
+    assert concentration._urn(gen, 30, 7, 30, 500, picked) is None
+    assert (picked.sum(axis=0) == 7).all()
 
 
 def test_sample_uniform_subsets_deterministic():
@@ -715,7 +717,7 @@ def test_biased_urn_fails_the_r1_trace_check(monkeypatch):
     urn = concentration._urn
     monkeypatch.setattr(
         concentration, "_urn",
-        lambda gen, n, room, steps, rows, out=None: urn(gen, n, room - 1, steps, rows, out),
+        lambda gen, n, room, steps, rows, out: urn(gen, n, room - 1, steps, rows, out),
     )
     biased = verify_trace_probability(40, 10, 1, Fraction(1, 4), T, 40_000, seed=11)
     assert biased.empirical <= biased.bound + biased.margin

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,22 @@ def test_dense_class_check_layer_thresholds():
     assert not dense_class_check(
         DenseTruncatedFamily(n, m, frozenset(present)), eps
     )
+
+
+def test_layer_counts_count_present_by_size():
+    """The per-size counts the density check reads are a Counter over
+    ``present``, with a 0 for every empty layer up to m, and take no part
+    in equality or repr."""
+    rng = random.Random(5)
+    for n, m in [(0, 0), (5, 0), (6, 3), (9, 4), (12, 12)]:
+        present = frozenset(
+            mask for mask in rng.sample(range(1 << n), min(1 << n, 60)) if mask.bit_count() <= m
+        )
+        dtf = DenseTruncatedFamily(n, m, present)
+        sizes = Counter(mask.bit_count() for mask in present)
+        assert dtf.layer_counts == tuple(sizes[s] for s in range(m + 1))
+        assert dtf == DenseTruncatedFamily(n, m, present)
+        assert "layer_counts" not in repr(dtf)
 
 
 def test_randomized_cube_embed_on_full_truncation():

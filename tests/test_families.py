@@ -1,7 +1,9 @@
 import io
 import itertools
 import math
+import os
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -173,11 +175,18 @@ def outcome(read, source):
 
 def reference_parse(text: str):
     """The outcome of ``text`` read line by line with ``parse_subset_literal``:
-    the family, or the first malformed or duplicate line's error."""
+    the family, or the error of the first bad line.  A character outside
+    ASCII stands for the byte of its Latin-1 code, and a line that holds
+    one is bad for that byte first."""
     header, *lines = text.splitlines()
-    n = int(header[2:])
     seen = set()
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate([header, *lines], start=1):
+        stray = [ord(c) for c in line if not c.isascii()]
+        if stray:
+            return f"ParseError: line {lineno}: family file is not ascii text: byte {stray[0]:#x}"
+        if lineno == 1:
+            n = int(header[2:])
+            continue
         line = line.strip()
         if not line:
             continue
@@ -342,10 +351,60 @@ def write_text(tmp_path, text: str, encoding="ascii"):
     return path
 
 
+CHUNKS = (1, 7, 64, 1 << 16)
+
+
+def read_pipe(path, data: bytes):
+    """read_family's outcome for ``data`` written by another thread to the
+    named pipe at ``path``."""
+    def write():
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            os.write(fd, data)
+        except BrokenPipeError:             # the reader stopped at an error
+            pass
+        finally:
+            os.close(fd)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    got = outcome(read_family, path)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    return got
+
+
+def read_every_way(tmp_path, text: str, monkeypatch, chunks=CHUNKS) -> dict:
+    """read_family's outcome for ``text`` written as Latin-1, keyed by where
+    it is read from (a file, a named pipe), its decoder (table lookup, or
+    numpy with ``_BULK_BYTES`` set to 0) and its ``_CHUNK_CHARS``."""
+    data = text.encode("latin-1")
+    path = tmp_path / "fam.txt"
+    path.write_bytes(data)
+    pipe = tmp_path / "fam.pipe"
+    if not pipe.exists():
+        os.mkfifo(pipe)
+    got = {}
+    with monkeypatch.context() as patch:
+        for decoder, bulk in [("lookup", families._BULK_BYTES), ("numpy", 0)]:
+            patch.setattr(families, "_BULK_BYTES", bulk)
+            for chunk in chunks:
+                patch.setattr(families, "_CHUNK_CHARS", chunk)
+                got["file", decoder, chunk] = outcome(read_family, path)
+                got["pipe", decoder, chunk] = read_pipe(pipe, data)
+    return got
+
+
+def assert_every_way_is(want, tmp_path, text: str, monkeypatch, chunks=CHUNKS):
+    got = read_every_way(tmp_path, text, monkeypatch, chunks)
+    assert {way: out for way, out in got.items() if out != want} == {}, text
+
+
 @REFERENCE_CASES
 def test_bulk_reader_matches_line_by_line_reference(text, tmp_path, monkeypatch):
     per_line, bulk = read_both(write_text(tmp_path, text), monkeypatch)
     assert bulk == per_line == reference_parse(text)
+    assert_every_way_is(reference_parse(text), tmp_path, text, monkeypatch)
 
 
 ALL_ELEMENTS = ",".join(map(str, range(1, 65)))
@@ -363,6 +422,7 @@ ALL_ELEMENTS = ",".join(map(str, range(1, 65)))
 def test_bulk_reader_edge_cases(text, tmp_path, monkeypatch):
     per_line, bulk = read_both(write_text(tmp_path, text), monkeypatch)
     assert bulk == per_line == reference_parse(text)
+    assert_every_way_is(reference_parse(text), tmp_path, text, monkeypatch)
 
 
 def test_bulk_reader_puts_element_64_at_bit_63(tmp_path, monkeypatch):
@@ -399,11 +459,25 @@ def test_bulk_reader_rejects_duplicates(text, error, tmp_path, monkeypatch):
 
 def test_bulk_reader_defers_to_per_line_on_a_non_ascii_byte(tmp_path, monkeypatch):
     """A malformed line, then a byte outside ASCII in the same chunk but
-    past the text reader's first 8 KiB block: the per-line reader names
-    the line before it decodes the byte, and so does the bulk path."""
+    past the text reader's first 8 KiB block: the malformed line comes
+    first in line order, so it is the one named, by both decoders."""
     path = write_text(tmp_path, "n=3\n1\n4\n" + "\n" * 20000 + "\xff\n", "latin-1")
     per_line, bulk = read_both(path, monkeypatch, chunk=1 << 16)
     assert bulk == per_line == "ParseError: line 3: element 4 outside ground set [3]"
+
+
+@pytest.mark.parametrize("text,error", [
+    ("n=\xff3\n1\n", "line 1: family file is not ascii text: byte 0xff"),
+    ("n=3\xe9\n1\n4\n", "line 1: family file is not ascii text: byte 0xe9"),
+    ("\xa0n=3\n", "line 1: family file is not ascii text: byte 0xa0"),
+    ("n=3\n1\n2,\x80\n4\n", "line 3: family file is not ascii text: byte 0x80"),
+    ("n=3\n1\n1\n\xff\n", "line 3: duplicate subset '1'"),
+], ids=["header", "header-end", "header-start", "body", "duplicate-first"])
+def test_first_bad_line_is_named_file_or_pipe(text, error, tmp_path, monkeypatch):
+    """A byte outside ASCII is named by its line, the header's too, unless
+    an earlier line is bad; every way of reading the bytes agrees."""
+    assert reference_parse(text) == f"ParseError: {error}"
+    assert_every_way_is(f"ParseError: {error}", tmp_path, text, monkeypatch)
 
 
 def random_line(rng: random.Random, n: int, earlier: list, wild: float) -> str:
@@ -426,8 +500,9 @@ def random_line(rng: random.Random, n: int, earlier: list, wild: float) -> str:
 
 def test_bulk_reader_matches_per_line_on_random_files(tmp_path, monkeypatch):
     """Every file goes through the chunk loop, so every file also depends
-    on its fallback to the exact reader: some files carry a malformed line
-    and, after it, a byte outside ASCII, which both paths must order alike."""
+    on its fallback to the exact reader: some files carry a byte outside
+    ASCII, most after a malformed line, and every way of reading the file
+    must name what the reference names, the first bad line in order."""
     rng = random.Random(20)
     for _ in range(400):
         n = rng.choice([0, 1, 3, 9, 10, 12, 63, 64, rng.randint(0, 64)])
@@ -435,15 +510,12 @@ def test_bulk_reader_matches_per_line_on_random_files(tmp_path, monkeypatch):
         lines: list = []
         for _ in range(rng.randint(0, min(40, 1 << n))):
             lines.append(random_line(rng, n, lines, wild))
-        non_ascii = rng.random() < 0.2
-        if non_ascii:
+        if rng.random() < 0.2:
             at = rng.randint(0, len(lines))
-            lines[at:at] = [rng.choice(["0", "1,,2", str(n + 1)]), *([""] * rng.randint(0, 9000)),
+            first = rng.choice(["0", "1,,2", str(n + 1), ""])       # malformed, or blank
+            lines[at:at] = [first, *([""] * rng.randint(0, 9000)),
                             rng.choice(["\xff", "1,\xe9", "\xa0"])]
         newline = rng.choice(["\n", "\n", "\r\n", "\r"])
         text = newline.join([f"n={n}", *lines]) + rng.choice(["", newline])
-        per_line, bulk = read_both(write_text(tmp_path, text, "latin-1"), monkeypatch,
-                                   rng.randint(1, 64))
-        assert bulk == per_line, text
-        if not non_ascii:
-            assert bulk == reference_parse(text), text
+        assert_every_way_is(reference_parse(text), tmp_path, text, monkeypatch,
+                            (*CHUNKS, rng.randint(1, 64)))

@@ -772,16 +772,12 @@ def test_status_scans_read_names_and_list():
 BENCH_BYTES = 256 * 1024
 # BENCH files past BENCH_BYTES, kept as committed, one reason each.  Each
 # stores the whole perfbench run record (every query's times, report
-# digests and counters) of both sides of every pair it cites; a newer
-# file keeps per-run metrics, medians and quartiles instead.
+# digests and counters) of both sides of every pair it cites, because
+# CHANGES.md cites something only those records hold; any other file keeps
+# per-run metrics, medians and quartiles instead.
 BENCH_WHOLE_RECORDS = {
-    "BENCH_cli_plain_argv.json": "whole records of 10 + 10 pairs on seeds 1 and 104729",
-    "BENCH_extract_centred.json": "whole records of 10 + 5 pairs on seeds 1 and 104729",
-    "BENCH_extract_upfront.json": "whole records of 5 + 5 pairs on seeds 1 and 104729",
-    "BENCH_extremal_incremental.json": "whole records of 10 + 5 pairs on seeds 1 and 104729",
-    "BENCH_extremal_memo.json": "whole records of 10 + 10 pairs on seeds 1 and 104729",
-    "BENCH_extremal_probe.json": "whole records of 10 + 10 pairs on seeds 1 and 104729",
-    "BENCH_lazy_imports.json": "whole records of 10 + 5 extremal pairs on seeds 1 and 104729",
+    "BENCH_extremal_memo.json": "per-query report digests of every run, which the notes on"
+                                " input paths echoed into reports count pair by pair",
 }
 
 

@@ -306,3 +306,8 @@ class TestFatness:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(PreconditionError):
             is_fat(0b111, frozenset({0b001}), Fraction(0), 1)
+
+    def test_eps_above_one_rejected(self):
+        """Above 1 every X would count as fat: the one tolerance rule refuses it."""
+        with pytest.raises(PreconditionError, match=r"fatness tolerance must be in \(0, 1\]"):
+            is_fat(0b1111, frozenset(), Fraction(3, 2), 2)

@@ -17,6 +17,7 @@ from cubefam.posets import (
     make_v,
     parse_poset,
     peel,
+    read_poset,
     verify_embedding_indices,
     verify_embedding_masks,
 )
@@ -375,6 +376,23 @@ def test_poset_numbers_are_ascii_decimal(lines, message):
     with pytest.raises(ParseError, match=message):
         parse_poset(lines)
     assert parse_poset(["k= +02 ", " 00 < +1 "]).pairs() == make_chain(2).pairs()
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"k=3\n0 < 1\n1 <\xff 2\n", "line 3: poset file is not ascii text: byte 0xff"),
+    (b"k=3\n0 < 1\n\n1 < 2 \xe9\n", "line 4: poset file is not ascii text: byte 0xe9"),
+    (b"k=\xa03\n0 < 1\n", "line 1: poset file is not ascii text: byte 0xa0"),
+    (b"k=3\n0 1\n\xff\n", "line 2: expected '<i> < <j>', got '0 1'"),
+    (b"k=2\n1 < 0\n0 < 1\n\xff\n", "line 4: poset file is not ascii text: byte 0xff"),
+], ids=["relation", "relation-end", "header", "malformed-first", "before-cycle-check"])
+def test_read_poset_names_a_bad_byte_by_its_line(tmp_path, data, message):
+    """The first bad line of a poset file is named, a byte outside ASCII
+    or a malformed relation; the relation list is checked after every line."""
+    path = tmp_path / "pattern.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        read_poset(path)
+    assert str(info.value) == message
 
 
 def test_all_small_posets_embed_into_chain_weakly():
